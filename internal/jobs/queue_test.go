@@ -340,8 +340,12 @@ func TestQueueCheckpointResume(t *testing.T) {
 	}
 	q2.Shutdown(context.Background())
 
-	// A second restore into the same queue dedups everything.
-	q3 := New(Options{Workers: 1, Capacity: 8, Exec: exec})
+	// A second restore into the same queue dedups everything. Dedup holds
+	// for queued or running jobs only, so q3's executor blocks until the
+	// assertion is made: no restored job can finish (and leave the dedup
+	// index) before the second Restore.
+	exec3, release3, _ := blockingExec()
+	q3 := New(Options{Workers: 1, Capacity: 8, Exec: exec3})
 	if _, err := q3.Restore(path); err != nil {
 		t.Fatal(err)
 	}
@@ -352,6 +356,7 @@ func TestQueueCheckpointResume(t *testing.T) {
 	if n != 0 {
 		t.Errorf("double restore added %d jobs", n)
 	}
+	close(release3)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel2()
 	q3.Shutdown(ctx2)

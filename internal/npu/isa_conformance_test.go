@@ -332,3 +332,95 @@ func TestMultiContextInterleaving(t *testing.T) {
 		t.Errorf("instruction count %d too low for 4 contexts", chip.ME(0).InstrCount())
 	}
 }
+
+// TestBatchCapsMidLoopMultiContext pins the interpreter's context
+// bookkeeping: four contexts run a loop whose body (16 cycles) is longer
+// than most of the batch caps tried, so batches end mid-loop, right after
+// context-swapping ops, and — at cap 1 — after every instruction. Every cap
+// must leave the same per-context results in scratch and retire the same
+// instruction count.
+func TestBatchCapsMidLoopMultiContext(t *testing.T) {
+	// Context IDs 0..3 are dealt through the tx ring, seeded before the
+	// run; tx.pop is atomic, so each context draws a distinct ID whatever
+	// the interleaving. Each context then runs id+3 iterations of a loop
+	// mixing multi-cycle ALU ops, a voluntary swap and a blocking scratch
+	// write.
+	worker := isa.MustAssemble("worker", `
+	imm     r1, 64
+	sdram.r r2, r1, 1
+	tx.pop  r3
+	blt     r3, r0, bad
+	addi    r4, r3, 3
+	imm     r5, 1
+	imm     r6, 0
+loop:
+	xor     r7, r6, r3
+	hash    r7, r7
+	imm     r8, 3
+	mul     r5, r5, r8
+	add     r5, r5, r7
+	ctx
+	addi    r10, r3, 400
+	scr.w   r10, r6
+	addi    r6, r6, 1
+	blt     r6, r4, loop
+	addi    r10, r3, 300
+	scr.w   r10, r5
+	halt
+bad:
+	imm     r10, 399
+	imm     r1, 1
+	scr.w   r10, r1
+	halt
+`)
+	stub := isa.MustAssemble("stub", "halt")
+	const (
+		preamble = 7  // imm .. imm r6 before the loop
+		body     = 10 // instructions per iteration
+		tail     = 3  // final store and halt
+	)
+	var wantInstr uint64
+	wantAcc := map[int64]int64{}
+	for id := int64(0); id < 4; id++ {
+		iters := id + 3
+		acc := int64(1)
+		for i := int64(0); i < iters; i++ {
+			acc = acc*3 + hash64(i^id)
+		}
+		wantAcc[id] = acc
+		wantInstr += uint64(preamble + body*iters + tail)
+	}
+	for _, batch := range []int64{1, 2, 3, 5, 7, 11, 16, 256} {
+		cfg := DefaultConfig()
+		cfg.NumMEs = 2
+		cfg.RxMEs = 1
+		cfg.NumCtx = 4
+		cfg.BatchCycles = batch
+		k := &sim.Kernel{}
+		chip, err := New(cfg, k, []*isa.Program{worker, stub}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := int64(0); id < 4; id++ {
+			chip.txRingPush(id)
+		}
+		k.Run()
+		if got := chip.scratchRead(399); got != 0 {
+			t.Fatalf("batch %d: a context found the id ring empty", batch)
+		}
+		for id, want := range wantAcc {
+			if got := chip.scratchRead(300 + id); got != want {
+				t.Errorf("batch %d: ctx id %d acc = %d, want %d", batch, id, got, want)
+			}
+			if got := chip.scratchRead(400 + id); got != id+2 {
+				t.Errorf("batch %d: ctx id %d last iteration = %d, want %d", batch, id, got, id+2)
+			}
+		}
+		if got := chip.ME(0).InstrCount(); got != wantInstr {
+			t.Errorf("batch %d: ME0 retired %d instructions, want %d", batch, got, wantInstr)
+		}
+		if chip.ME(0).liveContexts() != 0 {
+			t.Errorf("batch %d: not all contexts halted", batch)
+		}
+	}
+}

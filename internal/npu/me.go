@@ -39,6 +39,28 @@ type context struct {
 	reason blockReason
 }
 
+// dinstr is one predecoded instruction: the fields the interpreter reads,
+// with the issue cost resolved, in 24 bytes instead of isa.Instr's 40.
+type dinstr struct {
+	imm        int64
+	cycles     int64
+	target     int32
+	op         isa.Op
+	rd, ra, rb uint8
+}
+
+// predecode lowers a program into the interpreter's compact form.
+func predecode(prog *isa.Program) []dinstr {
+	code := make([]dinstr, len(prog.Code))
+	for i, in := range prog.Code {
+		code[i] = dinstr{
+			imm: in.Imm, cycles: in.Op.Cycles(), target: in.Target,
+			op: in.Op, rd: in.Rd, ra: in.Ra, rb: in.Rb,
+		}
+	}
+	return code
+}
+
 // noTime marks "no pending idle timestamp".
 const noTime = sim.Time(-1)
 
@@ -47,7 +69,12 @@ const noTime = sim.Time(-1)
 type ME struct {
 	chip *Chip
 	idx  int
-	prog *isa.Program
+	code []dinstr
+
+	// stepFn is the step method value and wakeFns[ci] wakes context ci,
+	// both bound once so that scheduling them allocates nothing.
+	stepFn  sim.Handler
+	wakeFns []sim.Handler
 
 	// Timeline track names, precomputed so span recording allocates
 	// nothing per event: execution/idle residency on track, VF stalls and
@@ -95,9 +122,14 @@ type ME struct {
 
 func newME(chip *Chip, idx int, prog *isa.Program, vf power.VF) *ME {
 	me := &ME{
-		chip: chip, idx: idx, prog: prog, vf: vf,
+		chip: chip, idx: idx, code: predecode(prog), vf: vf,
 		ctxs: make([]context, chip.cfg.NumCtx),
 		cur:  -1, idleFrom: noTime,
+	}
+	me.stepFn = me.step
+	me.wakeFns = make([]sim.Handler, len(me.ctxs))
+	for ci := range me.wakeFns {
+		me.wakeFns[ci] = func() { me.wake(ci) }
 	}
 	me.track = fmt.Sprintf("me%d", idx)
 	me.vfTrack = fmt.Sprintf("me%d vf", idx)
@@ -318,7 +350,7 @@ func (me *ME) scheduleStep(at sim.Time) {
 		at = me.stallUntil
 	}
 	me.stepPending = true
-	me.chip.k.Schedule(at, me.step)
+	me.chip.k.Schedule(at, me.stepFn)
 }
 
 // wake marks a context ready (memory completion or FIFO grant).
@@ -381,144 +413,175 @@ func (me *ME) step() {
 		return
 	}
 
-	var cycles int64
-	instrs := int64(0)
+	// The running context's pc and register file stay in locals for the
+	// whole batch. They are written back, and reloaded from the next
+	// context, only when an op ends the context's turn and at batch end.
+	code := me.code
+	period := me.period
+	ctx := &me.ctxs[me.cur]
+	pc := ctx.pc
+	regs := &ctx.regs
+	var cycles, instrs int64
 	batchCap := me.chip.cfg.BatchCycles
-	running := true
-	for running && cycles < batchCap {
-		ctx := &me.ctxs[me.cur]
-		in := &me.prog.Code[ctx.pc]
-		cycles += in.Op.Cycles()
+	for cycles < batchCap {
+		in := &code[pc]
+		cycles += in.cycles
 		instrs++
-		issueAt := now + sim.Time(cycles)*me.period
-		switch in.Op {
+		switch in.op {
 		case isa.OpNop:
-			ctx.pc++
+			pc++
+			continue
+		case isa.OpImm:
+			regs[in.rd] = in.imm
+			pc++
+			continue
+		case isa.OpMov:
+			regs[in.rd] = regs[in.ra]
+			pc++
+			continue
+		case isa.OpAdd:
+			regs[in.rd] = regs[in.ra] + regs[in.rb]
+			pc++
+			continue
+		case isa.OpSub:
+			regs[in.rd] = regs[in.ra] - regs[in.rb]
+			pc++
+			continue
+		case isa.OpAnd:
+			regs[in.rd] = regs[in.ra] & regs[in.rb]
+			pc++
+			continue
+		case isa.OpOr:
+			regs[in.rd] = regs[in.ra] | regs[in.rb]
+			pc++
+			continue
+		case isa.OpXor:
+			regs[in.rd] = regs[in.ra] ^ regs[in.rb]
+			pc++
+			continue
+		case isa.OpShl:
+			regs[in.rd] = regs[in.ra] << uint64(regs[in.rb]&63)
+			pc++
+			continue
+		case isa.OpShr:
+			regs[in.rd] = int64(uint64(regs[in.ra]) >> uint64(regs[in.rb]&63))
+			pc++
+			continue
+		case isa.OpMul:
+			regs[in.rd] = regs[in.ra] * regs[in.rb]
+			pc++
+			continue
+		case isa.OpAddi:
+			regs[in.rd] = regs[in.ra] + in.imm
+			pc++
+			continue
+		case isa.OpSubi:
+			regs[in.rd] = regs[in.ra] - in.imm
+			pc++
+			continue
+		case isa.OpAndi:
+			regs[in.rd] = regs[in.ra] & in.imm
+			pc++
+			continue
+		case isa.OpShli:
+			regs[in.rd] = regs[in.ra] << uint64(in.imm&63)
+			pc++
+			continue
+		case isa.OpShri:
+			regs[in.rd] = int64(uint64(regs[in.ra]) >> uint64(in.imm&63))
+			pc++
+			continue
+		case isa.OpHash:
+			regs[in.rd] = hash64(regs[in.ra])
+			pc++
+			continue
+		case isa.OpBr:
+			pc = int(in.target)
+			continue
+		case isa.OpBeq:
+			pc = branch(pc, regs[in.ra] == regs[in.rb], in)
+			continue
+		case isa.OpBne:
+			pc = branch(pc, regs[in.ra] != regs[in.rb], in)
+			continue
+		case isa.OpBlt:
+			pc = branch(pc, regs[in.ra] < regs[in.rb], in)
+			continue
+		case isa.OpBge:
+			pc = branch(pc, regs[in.ra] >= regs[in.rb], in)
+			continue
+		case isa.OpRxPop:
+			regs[in.rd] = me.chip.rfifoPop()
+			me.pollCycles++
+			pc++
+			continue
+		case isa.OpTxPush:
+			if me.chip.txRingPush(regs[in.ra]) {
+				regs[in.rd] = 0
+			} else {
+				regs[in.rd] = 1
+			}
+			pc++
+			continue
+		case isa.OpTxPop:
+			regs[in.rd] = me.chip.txRingPop()
+			pc++
+			continue
+		case isa.OpPktF:
+			regs[in.rd] = me.chip.pktField(regs[in.ra], isa.PktField(in.imm), me.idx, pc)
+			pc++
+			continue
+
+		// The ops below end the context's turn.
 		case isa.OpHalt:
 			ctx.state = ctxHalted
 			me.haltedCount++
-			running = me.swap()
 		case isa.OpCtx:
-			ctx.pc++
-			// Voluntary swap: stay ready, move on.
-			running = me.swapVoluntary()
-		case isa.OpImm:
-			ctx.regs[in.Rd] = in.Imm
-			ctx.pc++
-		case isa.OpMov:
-			ctx.regs[in.Rd] = ctx.regs[in.Ra]
-			ctx.pc++
-		case isa.OpAdd:
-			ctx.regs[in.Rd] = ctx.regs[in.Ra] + ctx.regs[in.Rb]
-			ctx.pc++
-		case isa.OpSub:
-			ctx.regs[in.Rd] = ctx.regs[in.Ra] - ctx.regs[in.Rb]
-			ctx.pc++
-		case isa.OpAnd:
-			ctx.regs[in.Rd] = ctx.regs[in.Ra] & ctx.regs[in.Rb]
-			ctx.pc++
-		case isa.OpOr:
-			ctx.regs[in.Rd] = ctx.regs[in.Ra] | ctx.regs[in.Rb]
-			ctx.pc++
-		case isa.OpXor:
-			ctx.regs[in.Rd] = ctx.regs[in.Ra] ^ ctx.regs[in.Rb]
-			ctx.pc++
-		case isa.OpShl:
-			ctx.regs[in.Rd] = ctx.regs[in.Ra] << uint64(ctx.regs[in.Rb]&63)
-			ctx.pc++
-		case isa.OpShr:
-			ctx.regs[in.Rd] = int64(uint64(ctx.regs[in.Ra]) >> uint64(ctx.regs[in.Rb]&63))
-			ctx.pc++
-		case isa.OpMul:
-			ctx.regs[in.Rd] = ctx.regs[in.Ra] * ctx.regs[in.Rb]
-			ctx.pc++
-		case isa.OpAddi:
-			ctx.regs[in.Rd] = ctx.regs[in.Ra] + in.Imm
-			ctx.pc++
-		case isa.OpSubi:
-			ctx.regs[in.Rd] = ctx.regs[in.Ra] - in.Imm
-			ctx.pc++
-		case isa.OpAndi:
-			ctx.regs[in.Rd] = ctx.regs[in.Ra] & in.Imm
-			ctx.pc++
-		case isa.OpShli:
-			ctx.regs[in.Rd] = ctx.regs[in.Ra] << uint64(in.Imm&63)
-			ctx.pc++
-		case isa.OpShri:
-			ctx.regs[in.Rd] = int64(uint64(ctx.regs[in.Ra]) >> uint64(in.Imm&63))
-			ctx.pc++
-		case isa.OpHash:
-			ctx.regs[in.Rd] = hash64(ctx.regs[in.Ra])
-			ctx.pc++
-		case isa.OpBr:
-			ctx.pc = int(in.Target)
-		case isa.OpBeq:
-			ctx.pc = me.branch(ctx, ctx.regs[in.Ra] == ctx.regs[in.Rb], in)
-		case isa.OpBne:
-			ctx.pc = me.branch(ctx, ctx.regs[in.Ra] != ctx.regs[in.Rb], in)
-		case isa.OpBlt:
-			ctx.pc = me.branch(ctx, ctx.regs[in.Ra] < ctx.regs[in.Rb], in)
-		case isa.OpBge:
-			ctx.pc = me.branch(ctx, ctx.regs[in.Ra] >= ctx.regs[in.Rb], in)
-		case isa.OpRxPop:
-			ctx.regs[in.Rd] = me.chip.rfifoPop()
-			me.pollCycles++
-			ctx.pc++
-		case isa.OpTxPush:
-			if me.chip.txRingPush(ctx.regs[in.Ra]) {
-				ctx.regs[in.Rd] = 0
-			} else {
-				ctx.regs[in.Rd] = 1
-			}
-			ctx.pc++
-		case isa.OpTxPop:
-			ctx.regs[in.Rd] = me.chip.txRingPop()
-			ctx.pc++
-		case isa.OpPktF:
-			ctx.regs[in.Rd] = me.chip.pktField(ctx.regs[in.Ra], isa.PktField(in.Imm), me.idx, ctx.pc)
-			ctx.pc++
+			pc++
 		case isa.OpScrR:
-			ctx.regs[in.Rd] = me.chip.scratchRead(ctx.regs[in.Ra])
-			ctx.pc++
-			me.blockOn(issueAt, me.chip.scratchDelay(), 1, scratchUnit)
-			running = me.swap()
+			regs[in.rd] = me.chip.scratchRead(regs[in.ra])
+			pc++
+			me.blockOn(now+sim.Time(cycles)*period, me.chip.scratchDelay(), 1, scratchUnit)
 		case isa.OpScrW:
-			me.chip.scratchWrite(ctx.regs[in.Ra], ctx.regs[in.Rb])
-			ctx.pc++
-			me.blockOn(issueAt, me.chip.scratchDelay(), 1, scratchUnit)
-			running = me.swap()
+			me.chip.scratchWrite(regs[in.ra], regs[in.rb])
+			pc++
+			me.blockOn(now+sim.Time(cycles)*period, me.chip.scratchDelay(), 1, scratchUnit)
 		case isa.OpCsr:
-			ctx.regs[in.Rd] = hash64(ctx.regs[in.Ra] ^ int64(me.idx))
-			ctx.pc++
-			me.blockOn(issueAt, me.chip.csrDelay(), 0, csrUnit)
-			running = me.swap()
+			regs[in.rd] = hash64(regs[in.ra] ^ int64(me.idx))
+			pc++
+			me.blockOn(now+sim.Time(cycles)*period, me.chip.csrDelay(), 0, csrUnit)
 		case isa.OpSramR:
-			ctx.regs[in.Rd] = hash64(ctx.regs[in.Ra])
-			ctx.pc++
-			me.issueMem(issueAt, me.chip.sram, ctx.regs[in.Ra], in.Imm, false, sramUnit)
-			running = me.swap()
+			regs[in.rd] = hash64(regs[in.ra])
+			pc++
+			me.issueMem(now+sim.Time(cycles)*period, me.chip.sram, regs[in.ra], in.imm, false, sramUnit)
 		case isa.OpSramW:
-			ctx.pc++
-			me.issueMem(issueAt, me.chip.sram, ctx.regs[in.Ra], in.Imm, true, sramUnit)
-			running = me.swap()
+			pc++
+			me.issueMem(now+sim.Time(cycles)*period, me.chip.sram, regs[in.ra], in.imm, true, sramUnit)
 		case isa.OpSdramR:
-			ctx.regs[in.Rd] = hash64(ctx.regs[in.Ra] + 1)
-			ctx.pc++
-			me.issueMem(issueAt, me.chip.sdram, ctx.regs[in.Ra], in.Imm, false, sdramUnit)
-			running = me.swap()
+			regs[in.rd] = hash64(regs[in.ra] + 1)
+			pc++
+			me.issueMem(now+sim.Time(cycles)*period, me.chip.sdram, regs[in.ra], in.imm, false, sdramUnit)
 		case isa.OpSdramW:
-			ctx.pc++
-			me.issueMem(issueAt, me.chip.sdram, ctx.regs[in.Ra], in.Imm, true, sdramUnit)
-			running = me.swap()
+			pc++
+			me.issueMem(now+sim.Time(cycles)*period, me.chip.sdram, regs[in.ra], in.imm, true, sdramUnit)
 		case isa.OpSend:
-			handle := ctx.regs[in.Ra]
-			ctx.pc++
-			me.blockForSend(issueAt, handle)
-			running = me.swap()
+			pc++
+			me.blockForSend(now+sim.Time(cycles)*period, regs[in.ra])
 		default:
-			panic(fmt.Sprintf("npu: me%d: unimplemented opcode %v", me.idx, in.Op))
+			panic(fmt.Sprintf("npu: me%d: unimplemented opcode %v", me.idx, in.op))
 		}
+		ctx.pc = pc
+		if in.op == isa.OpCtx {
+			// Voluntary swap: stay ready, move on.
+			me.swapVoluntary()
+		} else if !me.swap() {
+			break
+		}
+		ctx = &me.ctxs[me.cur]
+		pc = ctx.pc
+		regs = &ctx.regs
 	}
+	ctx.pc = pc
 
 	me.instrCount += uint64(instrs)
 	me.chip.meter.Instr(instrs, me.vf)
@@ -565,11 +628,11 @@ func (me *ME) allBlockedOnMemory() bool {
 	return true
 }
 
-func (me *ME) branch(ctx *context, taken bool, in *isa.Instr) int {
+func branch(pc int, taken bool, in *dinstr) int {
 	if taken {
-		return int(in.Target)
+		return int(in.target)
 	}
-	return ctx.pc + 1
+	return pc + 1
 }
 
 // swap blocks/halts the current context and reports whether the batch can
@@ -581,16 +644,11 @@ func (me *ME) swap() bool {
 }
 
 // swapVoluntary rotates to the next ready context, keeping the current one
-// ready. Reports whether execution continues (it always does: the current
-// context remains ready).
-func (me *ME) swapVoluntary() bool {
-	cur := me.cur
+// ready, so execution always continues.
+func (me *ME) swapVoluntary() {
 	if ci := me.pickReady(); ci >= 0 {
 		me.cur = ci
-	} else {
-		me.cur = cur
 	}
-	return true
 }
 
 func (me *ME) liveContexts() int {
@@ -625,8 +683,9 @@ func (me *ME) issueMem(issueAt sim.Time, mc *memController, addr, words int64, w
 	me.memRefs++
 	me.ctxBlocks++
 	me.chip.chargeMem(unit, words)
+	done := me.wakeFns[ci]
 	me.chip.k.Schedule(issueAt, func() {
-		mc.request(memRequest{addr: addr, words: words, write: write, done: func() { me.wake(ci) }})
+		mc.request(memRequest{addr: addr, words: words, write: write, done: done})
 	})
 }
 
@@ -640,7 +699,7 @@ func (me *ME) blockOn(issueAt sim.Time, latency sim.Time, words int64, unit memU
 	if words > 0 {
 		me.chip.chargeMem(unit, words)
 	}
-	me.chip.k.Schedule(issueAt+latency, func() { me.wake(ci) })
+	me.chip.k.Schedule(issueAt+latency, me.wakeFns[ci])
 }
 
 // blockForSend hands a packet to the egress machinery; the context wakes
@@ -650,8 +709,9 @@ func (me *ME) blockForSend(issueAt sim.Time, handle int64) {
 	me.ctxs[ci].state = ctxBlocked
 	me.ctxs[ci].reason = blockTransmit
 	me.ctxBlocks++
+	granted := me.wakeFns[ci]
 	me.chip.k.Schedule(issueAt, func() {
-		me.chip.sendPacket(handle, me.idx, func() { me.wake(ci) })
+		me.chip.sendPacket(handle, me.idx, granted)
 	})
 }
 

@@ -3,16 +3,22 @@
 // clocked domains (DVS-scaled microengines, fixed-frequency memory
 // controllers and buses) compose without rounding drift.
 //
-// The kernel is deliberately small: an event heap with deterministic
+// The kernel is deliberately small: an event queue with deterministic
 // tie-breaking, a Clock helper for cycle/time conversion, and a Ticker for
 // periodic callbacks. Determinism is a hard requirement — two runs with the
 // same configuration and seed must produce byte-identical traces — so events
 // scheduled for the same picosecond fire in scheduling order (FIFO), never
 // in map or heap-insertion-accident order.
+//
+// The queue is the simulator's hottest structure, so it allocates nothing
+// in steady state: a typed 4-ary min-heap of value entries (time, sequence,
+// slot) indexes a free-listed slab that holds the handlers. An EventID is a
+// slot plus that slot's generation, so cancelling stays O(log n) and a
+// stale ID — its event fired or cancelled, its slot perhaps reused — is a
+// harmless no-op.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -53,60 +59,167 @@ func (t Time) String() string {
 // Handler is a scheduled callback. It runs exactly once at its due time.
 type Handler func()
 
-// event is one pending callback in the kernel's heap.
-type event struct {
-	at  Time
-	seq uint64 // scheduling order, breaks ties deterministically
-	fn  Handler
-	// index in the heap, maintained by the heap.Interface methods so that
-	// cancellation is O(log n).
-	index int
-	dead  bool
+// entry is one pending event in the queue: its due time, its scheduling
+// sequence number (the FIFO tie-break) and the slab slot holding its
+// handler. Entries are plain values, so sifting moves 24 bytes and
+// allocates nothing.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot int32
 }
 
-// EventID identifies a scheduled event so that it can be cancelled.
-type EventID struct{ ev *event }
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-// eventHeap orders events by (time, sequence). It counts its own push, pop
-// and swap operations: swaps measure actual sift work (heap depth × churn),
-// the number a better queue implementation has to move, where pushes and
-// pops only measure traffic. One uint64 increment per operation is noise
-// next to the pointer writes the operation already does.
+// slot is one slab cell. While its event is pending it holds the handler
+// and the event's heap position (for O(log n) cancellation); once the event
+// fires or is cancelled the cell goes on the free list and its generation
+// advances, which invalidates every EventID issued for the old occupant.
+type slot struct {
+	fn  Handler
+	gen uint32
+	pos int32
+}
+
+// EventID identifies a scheduled event so that it can be cancelled. It is
+// a slab slot plus the slot's generation at scheduling time; the zero value
+// identifies no event.
+type EventID struct {
+	slot int32
+	gen  uint32
+}
+
+// eventHeap is a 4-ary min-heap of entries ordered by (time, sequence) over
+// a free-listed slab of handlers. A 4-ary heap is half as deep as a binary
+// one, and its four children share a cache line or two, so both sift
+// directions touch less memory. It counts its own push, pop and move
+// operations: moves measure actual sift work (elements shifted one level
+// during a sift), the number a better queue implementation has to reduce,
+// where pushes and pops only measure traffic. One uint64 increment per
+// operation is noise next to the entry writes the operation already does.
 type eventHeap struct {
-	evs []*event
-	// pushes/pops/swaps are operation counters for the perf trajectory.
+	h     []entry
+	slots []slot
+	free  []int32
+	// pushes/pops/moves are operation counters for the perf trajectory.
 	// All three derive from the (deterministic) event schedule, so they
 	// are safe to publish into metrics snapshots.
-	pushes, pops, swaps uint64
+	pushes, pops, moves uint64
 }
 
-func (h *eventHeap) Len() int { return len(h.evs) }
-func (h *eventHeap) Less(i, j int) bool {
-	if h.evs[i].at != h.evs[j].at {
-		return h.evs[i].at < h.evs[j].at
+// push files fn under (at, seq) and returns its ID.
+func (q *eventHeap) push(at Time, seq uint64, fn Handler) EventID {
+	var si int32
+	if n := len(q.free); n > 0 {
+		si = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		si = int32(len(q.slots))
+		q.slots = append(q.slots, slot{gen: 1})
 	}
-	return h.evs[i].seq < h.evs[j].seq
+	s := &q.slots[si]
+	s.fn = fn
+	q.pushes++
+	q.h = append(q.h, entry{at: at, seq: seq, slot: si})
+	q.up(len(q.h) - 1)
+	return EventID{slot: si, gen: s.gen}
 }
-func (h *eventHeap) Swap(i, j int) {
-	h.swaps++
-	h.evs[i], h.evs[j] = h.evs[j], h.evs[i]
-	h.evs[i].index = i
-	h.evs[j].index = j
+
+// release returns slot si to the free list and hands back its handler.
+// Bumping the generation (skipping 0, which the zero EventID uses) makes
+// every outstanding ID for the old occupant stale.
+func (q *eventHeap) release(si int32) Handler {
+	s := &q.slots[si]
+	fn := s.fn
+	s.fn = nil
+	if s.gen++; s.gen == 0 {
+		s.gen = 1
+	}
+	q.free = append(q.free, si)
+	return fn
 }
-func (h *eventHeap) Push(x any) {
-	h.pushes++
-	ev := x.(*event)
-	ev.index = len(h.evs)
-	h.evs = append(h.evs, ev)
+
+// popMin removes the earliest entry. The heap must not be empty.
+func (q *eventHeap) popMin() entry {
+	q.pops++
+	top := q.h[0]
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h = q.h[:n]
+	if n > 0 {
+		q.h[0] = last
+		q.down(0)
+	}
+	return top
 }
-func (h *eventHeap) Pop() any {
-	h.pops++
-	n := len(h.evs)
-	ev := h.evs[n-1]
-	h.evs[n-1] = nil
-	ev.index = -1
-	h.evs = h.evs[:n-1]
-	return ev
+
+// remove deletes the entry at heap position i.
+func (q *eventHeap) remove(i int) {
+	q.pops++
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h = q.h[:n]
+	if i == n {
+		return
+	}
+	q.h[i] = last
+	if !q.down(i) {
+		q.up(i)
+	}
+}
+
+// up sifts the entry at i toward the root.
+func (q *eventHeap) up(i int) {
+	h := q.h
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		q.slots[h[i].slot].pos = int32(i)
+		q.moves++
+		i = p
+	}
+	h[i] = e
+	q.slots[e.slot].pos = int32(i)
+}
+
+// down sifts the entry at i toward the leaves and reports whether it moved.
+func (q *eventHeap) down(i0 int) bool {
+	h := q.h
+	n := len(h)
+	i := i0
+	e := h[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(e) {
+			break
+		}
+		h[i] = h[m]
+		q.slots[h[i].slot].pos = int32(i)
+		q.moves++
+		i = m
+	}
+	h[i] = e
+	q.slots[e.slot].pos = int32(i)
+	return i > i0
 }
 
 // Kernel is the event queue and simulation clock. The zero value is ready to
@@ -152,12 +265,12 @@ func (k *Kernel) HeapPushes() uint64 { return k.heap.pushes }
 // (dispatches and cancellations both pop).
 func (k *Kernel) HeapPops() uint64 { return k.heap.pops }
 
-// HeapSwaps reports how many element swaps the event heap has performed —
-// the sift work the container/heap implementation did across all pushes,
-// pops and removals. This is the hot-path cost metric an event-queue
-// optimization is expected to move, where push/pop counts only reflect
-// event traffic.
-func (k *Kernel) HeapSwaps() uint64 { return k.heap.swaps }
+// HeapSwaps reports how many element moves the 4-ary event heap has
+// performed — one per element shifted a level during a sift, across all
+// pushes, pops and removals. This is the hot-path cost metric an
+// event-queue optimization is expected to move, where push/pop counts only
+// reflect event traffic.
+func (k *Kernel) HeapSwaps() uint64 { return k.heap.moves }
 
 // Schedule runs fn at absolute time at. Scheduling in the past (before Now)
 // panics: it always indicates a model bug, and silently clamping it would
@@ -169,13 +282,12 @@ func (k *Kernel) Schedule(at Time, fn Handler) EventID {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	ev := &event{at: at, seq: k.seq, fn: fn}
+	id := k.heap.push(at, k.seq, fn)
 	k.seq++
-	heap.Push(&k.heap, ev)
-	if k.heap.Len() > k.heapHighWater {
-		k.heapHighWater = k.heap.Len()
+	if n := len(k.heap.h); n > k.heapHighWater {
+		k.heapHighWater = n
 	}
-	return EventID{ev}
+	return id
 }
 
 // After runs fn delay picoseconds from now.
@@ -187,20 +299,21 @@ func (k *Kernel) After(delay Time, fn Handler) EventID {
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op and reports false.
+// already-cancelled event is a no-op and reports false, even when the
+// event's slot has since been reused by a later event.
 func (k *Kernel) Cancel(id EventID) bool {
-	ev := id.ev
-	if ev == nil || ev.dead || ev.index < 0 {
+	q := &k.heap
+	if id.gen == 0 || int(id.slot) >= len(q.slots) || q.slots[id.slot].gen != id.gen {
 		return false
 	}
-	ev.dead = true
-	heap.Remove(&k.heap, ev.index)
+	q.remove(int(q.slots[id.slot].pos))
+	q.release(id.slot)
 	k.cancelled++
 	return true
 }
 
 // Pending reports the number of events waiting in the queue.
-func (k *Kernel) Pending() int { return k.heap.Len() }
+func (k *Kernel) Pending() int { return len(k.heap.h) }
 
 // Stop makes Run return after the currently dispatching event completes.
 func (k *Kernel) Stop() { k.stopped = true }
@@ -222,17 +335,17 @@ func (k *Kernel) Interrupted() bool { return k.interrupted.Load() }
 const interruptCheck = 1024
 
 // Step dispatches the single next event, if any, and reports whether one ran.
+// The event's slot is released before its handler runs, so a handler that
+// reschedules itself reuses the slot it just vacated.
 func (k *Kernel) Step() bool {
-	if k.heap.Len() == 0 {
+	if len(k.heap.h) == 0 {
 		return false
 	}
-	ev := heap.Pop(&k.heap).(*event)
-	if ev.dead {
-		return k.Step()
-	}
-	k.now = ev.at
+	e := k.heap.popMin()
+	fn := k.heap.release(e.slot)
+	k.now = e.at
 	k.dispatched++
-	ev.fn()
+	fn()
 	return true
 }
 
@@ -243,10 +356,10 @@ func (k *Kernel) Step() bool {
 func (k *Kernel) RunUntil(deadline Time) {
 	k.stopped = false
 	for !k.stopped {
-		if k.heap.Len() == 0 {
+		if len(k.heap.h) == 0 {
 			break
 		}
-		if k.heap.evs[0].at > deadline {
+		if k.heap.h[0].at > deadline {
 			break
 		}
 		if k.dispatched%interruptCheck == 0 && k.interrupted.Load() {
@@ -307,11 +420,13 @@ func (c Clock) CyclesIn(d Time) int64 {
 }
 
 // Ticker invokes a callback every interval until cancelled. It is used for
-// DVS monitor windows and periodic statistics sampling.
+// DVS monitor windows and periodic statistics sampling. Each window re-arms
+// the same stored handler, so a running ticker allocates nothing.
 type Ticker struct {
 	k        *Kernel
 	interval Time
 	fn       func(Time)
+	fire     Handler
 	id       EventID
 	stopped  bool
 }
@@ -323,21 +438,17 @@ func NewTicker(k *Kernel, interval Time, fn func(Time)) *Ticker {
 		panic(fmt.Sprintf("sim: non-positive ticker interval %v", interval))
 	}
 	t := &Ticker{k: k, interval: interval, fn: fn}
-	t.arm()
-	return t
-}
-
-func (t *Ticker) arm() {
-	t.id = t.k.After(t.interval, func() {
+	t.fire = func() {
 		if t.stopped {
 			return
 		}
-		at := t.k.Now()
-		t.fn(at)
+		t.fn(t.k.Now())
 		if !t.stopped {
-			t.arm()
+			t.id = t.k.After(t.interval, t.fire)
 		}
-	})
+	}
+	t.id = k.After(interval, t.fire)
+	return t
 }
 
 // Interval returns the ticker period.

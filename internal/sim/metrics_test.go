@@ -15,8 +15,8 @@ func TestHeapOperationCounters(t *testing.T) {
 	if k.HeapPushes() != 64 {
 		t.Fatalf("HeapPushes = %d, want 64", k.HeapPushes())
 	}
-	// Reverse-order insertion into a binary heap must sift: every push
-	// except the first moves at least one element.
+	// Reverse-order insertion into the 4-ary heap must sift: every push
+	// except the first moves at least its new parent down a level.
 	if k.HeapSwaps() == 0 {
 		t.Fatal("reverse-order pushes performed no swaps")
 	}
