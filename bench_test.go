@@ -28,6 +28,7 @@ package nepdvs
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -316,6 +317,42 @@ tput: (total_bit(forward[i+100]) - total_bit(forward[i])) / 1000000 / ((time(for
 		}
 	}
 	s.end(b.Name(), nil)
+}
+
+// BenchmarkTraceRecord measures the trace write path end to end: an
+// ipfwdr×TDVS run with per-batch pipeline events on, every event written
+// as text and as NPT1 (to io.Discard, so the disk stays out of the number).
+// The per-op cost gates the chip's emitter and both writers against the
+// committed baseline.
+func BenchmarkTraceRecord(b *testing.B) {
+	cfg, err := core.DefaultRunConfig(workload.IPFwdr, traffic.LevelHigh, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Cycles = *benchCycles
+	cfg.Chip.EmitPipeline = true
+	cfg.Policy = core.TDVSPolicy(1000, 40000)
+	var reg *obs.Registry
+	if perfRec != nil {
+		reg = obs.NewRegistry()
+		cfg.Metrics = reg
+	}
+	b.ReportAllocs()
+	s := beginSample(b.N)
+	for i := 0; i < b.N; i++ {
+		tw, bw := trace.NewTextWriter(io.Discard), trace.NewBinaryWriter(io.Discard)
+		cfg.ExtraSink = trace.MultiSink{tw, bw}
+		if _, err := core.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+		if err := tw.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := bw.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.end(b.Name(), reg)
 }
 
 // BenchmarkTDVSSweep measures the shared §4.1 sweep that Figures 6–9 are

@@ -298,21 +298,33 @@ func run(o options, rawArgs []string) error {
 		defer core.SetRunCache(nil)
 	}
 
-	var closer interface{ Close() error }
+	// closeTrace flushes the trace writer, then closes the file: a failed
+	// final write-back must fail the run, not leave a truncated trace.
+	var closeTrace func() error
 	if o.tracePath != "" {
 		f, err := os.Create(o.tracePath)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer f.Close() // error paths only; success closes via closeTrace
+		var w interface {
+			trace.Sink
+			Close() error
+		}
 		if o.binary {
-			w := trace.NewBinaryWriter(f)
-			cfg.ExtraSink = w
-			closer = w
+			w = trace.NewBinaryWriter(f)
 		} else {
-			w := trace.NewTextWriter(f)
-			cfg.ExtraSink = w
-			closer = w
+			w = trace.NewTextWriter(f)
+		}
+		cfg.ExtraSink = w
+		closeTrace = func() error {
+			if err := w.Close(); err != nil {
+				return fmt.Errorf("writing trace %s: %w", o.tracePath, err)
+			}
+			if err := f.Close(); err != nil {
+				return fmt.Errorf("closing trace %s: %w", o.tracePath, err)
+			}
+			return nil
 		}
 	}
 
@@ -334,8 +346,8 @@ func run(o options, rawArgs []string) error {
 		s := perfSnapshot(o.cycles, simWall, ms0, res, reg, wallReg)
 		perfSnap = &s
 	}
-	if closer != nil {
-		if err := closer.Close(); err != nil {
+	if closeTrace != nil {
+		if err := closeTrace(); err != nil {
 			return err
 		}
 	}

@@ -57,8 +57,15 @@ type Chip struct {
 	waiters   [][]func()
 
 	// trace
-	sink           trace.Sink
-	sinkErr        error
+	sink    trace.Sink
+	sinkErr error
+	// ev and extra are the emit scratch. The Sink contract makes an event
+	// and its Extra map valid only during Emit, so one event and one
+	// cleared map serve every emission; meNames holds each ME's event
+	// names, built once.
+	ev             trace.Event
+	extra          map[string]float64
+	meNames        []meEventNames
 	lastBaseUpdate sim.Time
 	idleTicker     *sim.Ticker
 	lastIdleSample []sim.Time
@@ -81,6 +88,9 @@ type Chip struct {
 	pktsFaultDropped uint64
 	fifoHighWater    int
 }
+
+// meEventNames are one ME's prefixed event names, e.g. "m2_pipeline".
+type meEventNames struct{ pipeline, idle, vfchange string }
 
 // FaultInjector is the chip's fault-injection surface, satisfied by
 // *fault.Injector. Both hooks are queried on the simulation goroutine at
@@ -163,6 +173,15 @@ func New(cfg Config, k *sim.Kernel, programs []*isa.Program, sink trace.Sink) (*
 		tfifoUsed: make([]int, cfg.Ports),
 		waiters:   make([][]func(), cfg.Ports),
 		sink:      sink,
+		extra:     make(map[string]float64, 2),
+		meNames:   make([]meEventNames, cfg.NumMEs),
+	}
+	for i := range c.meNames {
+		c.meNames[i] = meEventNames{
+			pipeline: trace.MEEvent(i, trace.EvPipeline),
+			idle:     trace.MEEvent(i, trace.EvIdle),
+			vfchange: trace.MEEvent(i, trace.EvVFChange),
+		}
 	}
 	sramPipe := sim.Time(cfg.SramPipeNs * float64(sim.Nanosecond))
 	sramWord := sim.Time(cfg.SramWordNs * float64(sim.Nanosecond))
@@ -453,9 +472,9 @@ func (c *Chip) emit(name string, totalPkt, totalBit uint64, extra map[string]flo
 	if c.sinkErr != nil {
 		return
 	}
-	ev := trace.Event{Name: name, Extra: extra}
-	c.annotate(&ev, totalPkt, totalBit)
-	if err := c.sink.Emit(&ev); err != nil {
+	c.ev.Name, c.ev.Extra = name, extra
+	c.annotate(&c.ev, totalPkt, totalBit)
+	if err := c.sink.Emit(&c.ev); err != nil {
 		c.sinkErr = err
 	}
 }
@@ -468,29 +487,29 @@ func (c *Chip) EmitExternal(name string, extra map[string]float64) {
 	c.emit(name, c.pktsSent, c.bitsSent, extra)
 }
 
+// clearedExtra returns the reused extras map, emptied, for an ME event.
+func (c *Chip) clearedExtra() map[string]float64 {
+	clear(c.extra)
+	return c.extra
+}
+
 func (c *Chip) emitVFChange(me int, vf power.VF) {
 	if c.sinkErr != nil {
 		return
 	}
-	ev := trace.Event{Name: trace.MEEvent(me, trace.EvVFChange)}
-	c.annotate(&ev, c.pktsSent, c.bitsSent)
-	ev.SetExtra("mhz", vf.MHz)
-	ev.SetExtra("volts", vf.Volts)
-	if err := c.sink.Emit(&ev); err != nil {
-		c.sinkErr = err
-	}
+	x := c.clearedExtra()
+	x["mhz"] = vf.MHz
+	x["volts"] = vf.Volts
+	c.emit(c.meNames[me].vfchange, c.pktsSent, c.bitsSent, x)
 }
 
 func (c *Chip) emitPipeline(me int, instrs int64) {
 	if !c.cfg.EmitPipeline || c.sinkErr != nil {
 		return
 	}
-	ev := trace.Event{Name: trace.MEEvent(me, trace.EvPipeline)}
-	c.annotate(&ev, c.pktsSent, c.bitsSent)
-	ev.SetExtra("instrs", float64(instrs))
-	if err := c.sink.Emit(&ev); err != nil {
-		c.sinkErr = err
-	}
+	x := c.clearedExtra()
+	x["instrs"] = float64(instrs)
+	c.emit(c.meNames[me].pipeline, c.pktsSent, c.bitsSent, x)
 }
 
 // sampleIdle emits the per-ME idle-fraction events for the §4.2 study.
@@ -502,12 +521,9 @@ func (c *Chip) sampleIdle(at sim.Time) {
 		if c.sinkErr != nil {
 			return
 		}
-		ev := trace.Event{Name: trace.MEEvent(i, trace.EvIdle)}
-		c.annotate(&ev, c.pktsSent, c.bitsSent)
-		ev.SetExtra("idle_frac", frac)
-		if err := c.sink.Emit(&ev); err != nil {
-			c.sinkErr = err
-		}
+		x := c.clearedExtra()
+		x["idle_frac"] = frac
+		c.emit(c.meNames[i].idle, c.pktsSent, c.bitsSent, x)
 	}
 }
 

@@ -409,6 +409,70 @@ func TestPipelineEvents(t *testing.T) {
 	}
 }
 
+// The chip reuses one extras map for every ME event; a Collector must still
+// end up with a distinct map per event, each holding that event's values.
+func TestReusedExtrasCollectDistinct(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.EmitPipeline = true
+	cfg.IdleSampleWindow = 10 * sim.Microsecond
+	var col trace.Collector
+	k, chip := buildChip(t, cfg, workload.NAT, &col)
+	chip.Inject(genTraffic(t, 900, 60*sim.Microsecond, 3))
+	k.RunUntil(20 * sim.Microsecond)
+	chip.SetAllVF(power.VF{MHz: 550, Volts: 1.25})
+	k.RunUntil(60 * sim.Microsecond)
+	chip.StopTickers()
+
+	want := map[string][]string{
+		trace.EvPipeline: {"instrs"},
+		trace.EvIdle:     {"idle_frac"},
+		trace.EvVFChange: {"mhz", "volts"},
+	}
+	seen := make(map[uintptr]bool)
+	instrs := make([]float64, cfg.NumMEs)
+	kinds := make(map[string]int)
+	for i, ev := range col.Events {
+		if ev.Extra == nil {
+			continue
+		}
+		p := reflect.ValueOf(ev.Extra).Pointer()
+		if seen[p] {
+			t.Fatalf("event %d (%s) shares its Extra map with an earlier event", i, ev.Name)
+		}
+		seen[p] = true
+		for me := 0; me < cfg.NumMEs; me++ {
+			for kind, keys := range want {
+				if ev.Name != trace.MEEvent(me, kind) {
+					continue
+				}
+				kinds[kind]++
+				if len(ev.Extra) != len(keys) {
+					t.Fatalf("event %d (%s) extras = %v, want keys %v", i, ev.Name, ev.Extra, keys)
+				}
+				for _, key := range keys {
+					if _, ok := ev.Extra[key]; !ok {
+						t.Fatalf("event %d (%s) extras = %v, want keys %v", i, ev.Name, ev.Extra, keys)
+					}
+				}
+				if kind == trace.EvPipeline {
+					instrs[me] += ev.Extra["instrs"]
+				}
+			}
+		}
+	}
+	for kind := range want {
+		if kinds[kind] == 0 {
+			t.Fatalf("no %s events collected", kind)
+		}
+	}
+	st := chip.Snapshot()
+	for me, n := range instrs {
+		if uint64(n) != st.MEInstr[me] {
+			t.Errorf("ME%d pipeline events sum to %v instrs, chip retired %d", me, n, st.MEInstr[me])
+		}
+	}
+}
+
 func TestVFChangeEvents(t *testing.T) {
 	cfg := DefaultConfig()
 	var col trace.Collector

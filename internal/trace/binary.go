@@ -32,13 +32,24 @@ import (
 // with nameID 0; subsequent occurrences reference the table (1-based).
 const binaryMagic = "NPT1"
 
+// Limits on what one record may carry. The writer refuses, and the reader
+// rejects, anything outside them.
+const (
+	maxNameLen  = 1 << 16
+	maxExtras   = 1 << 10
+	maxExtraKey = 1 << 12
+)
+
 // BinaryWriter streams events in the binary format.
 type BinaryWriter struct {
 	bw     *bufio.Writer
 	names  map[string]uint64
 	wrote  bool
 	closed bool
-	buf    []byte
+	// buf and keys are per-record scratch, reused so a steady-state Emit
+	// allocates nothing.
+	buf  []byte
+	keys []string
 }
 
 // NewBinaryWriter wraps w. Call Close when done.
@@ -46,74 +57,55 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	return &BinaryWriter{bw: bufio.NewWriterSize(w, 1<<16), names: make(map[string]uint64)}
 }
 
-func (b *BinaryWriter) uvarint(v uint64) error {
-	b.buf = binary.AppendUvarint(b.buf[:0], v)
-	_, err := b.bw.Write(b.buf)
-	return err
-}
-
-func (b *BinaryWriter) f64(v float64) error {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-	_, err := b.bw.Write(tmp[:])
-	return err
-}
-
-// Emit implements Sink.
+// Emit implements Sink. The record is encoded whole into scratch and
+// written at once; an event the reader would reject (see the limits above)
+// is refused before anything is written.
 func (b *BinaryWriter) Emit(ev *Event) error {
 	if b.closed {
 		return fmt.Errorf("trace: emit on closed BinaryWriter")
 	}
+	if len(ev.Extra) > maxExtras {
+		return fmt.Errorf("trace: %d extra annotations on %q, limit %d", len(ev.Extra), ev.Name, maxExtras)
+	}
+	buf := b.buf[:0]
 	if !b.wrote {
-		if _, err := b.bw.WriteString(binaryMagic); err != nil {
-			return err
-		}
-		b.wrote = true
+		buf = append(buf, binaryMagic...)
 	}
-	id, ok := b.names[ev.Name]
-	if !ok {
-		if err := b.uvarint(0); err != nil {
-			return err
+	id, known := b.names[ev.Name]
+	if known {
+		buf = binary.AppendUvarint(buf, id)
+	} else {
+		if len(ev.Name) == 0 || len(ev.Name) > maxNameLen {
+			return fmt.Errorf("trace: event name length %d outside 1..%d", len(ev.Name), maxNameLen)
 		}
-		if err := b.uvarint(uint64(len(ev.Name))); err != nil {
-			return err
+		buf = append(buf, 0)
+		buf = binary.AppendUvarint(buf, uint64(len(ev.Name)))
+		buf = append(buf, ev.Name...)
+	}
+	buf = binary.AppendUvarint(buf, ev.Cycle)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ev.Time))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ev.Energy))
+	buf = binary.AppendUvarint(buf, ev.TotalPkt)
+	buf = binary.AppendUvarint(buf, ev.TotalBit)
+	buf = binary.AppendUvarint(buf, uint64(len(ev.Extra)))
+	b.keys = sortedKeys(b.keys, ev.Extra)
+	for _, k := range b.keys {
+		if len(k) == 0 || len(k) > maxExtraKey {
+			return fmt.Errorf("trace: extra key length %d on %q outside 1..%d", len(k), ev.Name, maxExtraKey)
 		}
-		if _, err := b.bw.WriteString(ev.Name); err != nil {
-			return err
-		}
-		id = uint64(len(b.names) + 1)
-		b.names[ev.Name] = id
-	} else if err := b.uvarint(id); err != nil {
+		buf = binary.AppendUvarint(buf, uint64(len(k)))
+		buf = append(buf, k...)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(ev.Extra[k]))
+	}
+	b.buf = buf
+	if _, err := b.bw.Write(buf); err != nil {
 		return err
 	}
-	if err := b.uvarint(ev.Cycle); err != nil {
-		return err
-	}
-	if err := b.f64(ev.Time); err != nil {
-		return err
-	}
-	if err := b.f64(ev.Energy); err != nil {
-		return err
-	}
-	if err := b.uvarint(ev.TotalPkt); err != nil {
-		return err
-	}
-	if err := b.uvarint(ev.TotalBit); err != nil {
-		return err
-	}
-	if err := b.uvarint(uint64(len(ev.Extra))); err != nil {
-		return err
-	}
-	for _, k := range ev.ExtraNames() {
-		if err := b.uvarint(uint64(len(k))); err != nil {
-			return err
-		}
-		if _, err := b.bw.WriteString(k); err != nil {
-			return err
-		}
-		if err := b.f64(ev.Extra[k]); err != nil {
-			return err
-		}
+	b.wrote = true
+	if !known {
+		// Intern only once the defining record is out, so a refused
+		// record never leaves a name id the stream does not define.
+		b.names[ev.Name] = uint64(len(b.names) + 1)
 	}
 	return nil
 }
@@ -229,7 +221,7 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 		if err != nil {
 			return fail(err)
 		}
-		if nlen == 0 || nlen > 1<<16 {
+		if nlen == 0 || nlen > maxNameLen {
 			return fail(fmt.Errorf("trace: implausible name length %d", nlen))
 		}
 		name := make([]byte, nlen)
@@ -263,7 +255,7 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 	if err != nil {
 		return fail(err)
 	}
-	if nextra > 1<<10 {
+	if nextra > maxExtras {
 		return fail(fmt.Errorf("trace: implausible extra count %d", nextra))
 	}
 	for i := uint64(0); i < nextra; i++ {
@@ -271,7 +263,7 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 		if err != nil {
 			return fail(err)
 		}
-		if klen == 0 || klen > 1<<12 {
+		if klen == 0 || klen > maxExtraKey {
 			return fail(fmt.Errorf("trace: implausible extra key length %d", klen))
 		}
 		key := make([]byte, klen)

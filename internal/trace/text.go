@@ -25,6 +25,10 @@ type TextWriter struct {
 	bw     *bufio.Writer
 	wrote  bool
 	closed bool
+	// line and keys are per-event scratch, reused so a steady-state Emit
+	// allocates nothing.
+	line []byte
+	keys []string
 }
 
 // NewTextWriter wraps w. Call Close (or Flush) when done.
@@ -37,16 +41,19 @@ func (t *TextWriter) Emit(ev *Event) error {
 	if t.closed {
 		return fmt.Errorf("trace: emit on closed TextWriter")
 	}
+	if ev.Name == "" {
+		return fmt.Errorf("trace: empty event name")
+	}
 	if !t.wrote {
 		if _, err := t.bw.WriteString(textHeader + "\n"); err != nil {
 			return err
 		}
 		t.wrote = true
 	}
-	if _, err := t.bw.WriteString(ev.String()); err != nil {
-		return err
-	}
-	return t.bw.WriteByte('\n')
+	t.line, t.keys = ev.appendText(t.line[:0], t.keys)
+	t.line = append(t.line, '\n')
+	_, err := t.bw.Write(t.line)
+	return err
 }
 
 // Flush pushes buffered output to the underlying writer.

@@ -22,8 +22,8 @@
 package trace
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 )
 
 // Standard annotation names (paper Figure 3).
@@ -58,7 +58,7 @@ const (
 
 // MEEvent returns the ME-prefixed form of a base event name, e.g.
 // MEEvent(2, EvPipeline) == "m2_pipeline".
-func MEEvent(me int, base string) string { return fmt.Sprintf("m%d_%s", me, base) }
+func MEEvent(me int, base string) string { return "m" + strconv.Itoa(me) + "_" + base }
 
 // Event is one trace record.
 type Event struct {
@@ -102,26 +102,49 @@ func (e *Event) SetExtra(name string, v float64) {
 	e.Extra[name] = v
 }
 
-// ExtraNames returns the sorted names of non-standard annotations.
-func (e *Event) ExtraNames() []string {
-	if len(e.Extra) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(e.Extra))
-	for k := range e.Extra {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // String renders one event in the text-trace line format.
 func (e *Event) String() string {
-	s := fmt.Sprintf("%d %.3f %.6f %d %d %s", e.Cycle, e.Time, e.Energy, e.TotalPkt, e.TotalBit, e.Name)
-	for _, k := range e.ExtraNames() {
-		s += fmt.Sprintf(" %s=%g", k, e.Extra[k])
+	line, _ := e.appendText(nil, nil)
+	return string(line)
+}
+
+// appendText appends the event's text-trace line, without the newline, to
+// dst: the five standard annotations, the name, then the extras as
+// key=value pairs in key order. keys is scratch for sorting the extra
+// names; both grown slices are returned so a caller can reuse them.
+func (e *Event) appendText(dst []byte, keys []string) ([]byte, []string) {
+	dst = strconv.AppendUint(dst, e.Cycle, 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendFloat(dst, e.Time, 'f', 3, 64)
+	dst = append(dst, ' ')
+	dst = strconv.AppendFloat(dst, e.Energy, 'f', 6, 64)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, e.TotalPkt, 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendUint(dst, e.TotalBit, 10)
+	dst = append(dst, ' ')
+	dst = append(dst, e.Name...)
+	keys = sortedKeys(keys, e.Extra)
+	for _, k := range keys {
+		dst = append(dst, ' ')
+		dst = append(dst, k...)
+		dst = append(dst, '=')
+		dst = strconv.AppendFloat(dst, e.Extra[k], 'g', -1, 64)
 	}
-	return s
+	return dst, keys
+}
+
+// sortedKeys refills keys with the names of extra in sorted order, the
+// order both encodings write them in for determinism.
+func sortedKeys(keys []string, extra map[string]float64) []string {
+	keys = keys[:0]
+	for k := range extra {
+		keys = append(keys, k)
+	}
+	if len(keys) > 1 {
+		slices.Sort(keys)
+	}
+	return keys
 }
 
 // Source is a stream of events. Next returns the next event, or ok = false
@@ -131,8 +154,11 @@ type Source interface {
 	Next() (ev Event, ok bool, err error)
 }
 
-// Sink consumes events as a simulation produces them. The event is only
-// valid for the duration of the call.
+// Sink consumes events as a simulation produces them. The event and its
+// Extra map are valid only for the duration of Emit: producers reuse both
+// for the next event, so a sink must neither modify them nor keep a
+// reference past the call. A sink that keeps an event must copy it,
+// Extra included, as Collector does.
 type Sink interface {
 	Emit(ev *Event) error
 }

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -367,9 +370,17 @@ func TestBinaryNameInterning(t *testing.T) {
 	}
 }
 
-func BenchmarkTextEmit(b *testing.B) {
-	w := NewTextWriter(&bytes.Buffer{})
+// emitEvent is the steady-state write-path event: an ME pipeline event with
+// its one extra.
+func emitEvent() Event {
 	ev := sampleEvents()[0]
+	ev.SetExtra("instrs", 17)
+	return ev
+}
+
+func BenchmarkTextEmit(b *testing.B) {
+	w := NewTextWriter(io.Discard)
+	ev := emitEvent()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ev.Cycle = uint64(i)
@@ -378,12 +389,35 @@ func BenchmarkTextEmit(b *testing.B) {
 }
 
 func BenchmarkBinaryEmit(b *testing.B) {
-	w := NewBinaryWriter(&bytes.Buffer{})
-	ev := sampleEvents()[0]
+	w := NewBinaryWriter(io.Discard)
+	ev := emitEvent()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ev.Cycle = uint64(i)
 		w.Emit(&ev)
+	}
+}
+
+// Once the scratch buffers have grown, neither writer allocates per event.
+func TestEmitAllocationFree(t *testing.T) {
+	for name, w := range map[string]Sink{
+		"text":   NewTextWriter(io.Discard),
+		"binary": NewBinaryWriter(io.Discard),
+	} {
+		ev := emitEvent()
+		if err := w.Emit(&ev); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			ev.Cycle++
+			ev.Time += 0.25
+			if err := w.Emit(&ev); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s Emit allocates %v times per event, want 0", name, allocs)
+		}
 	}
 }
 
@@ -425,4 +459,240 @@ func TestFilterSource(t *testing.T) {
 	if _, _, err := bad.Next(); err == nil {
 		t.Fatal("source error swallowed")
 	}
+}
+
+// oracleLine is the text line format as first written with fmt: the
+// reference the append-based formatter must match byte for byte.
+func oracleLine(e *Event) string {
+	s := fmt.Sprintf("%d %.3f %.6f %d %d %s", e.Cycle, e.Time, e.Energy, e.TotalPkt, e.TotalBit, e.Name)
+	keys := make([]string, 0, len(e.Extra))
+	for k := range e.Extra {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		s += fmt.Sprintf(" %s=%g", k, e.Extra[k])
+	}
+	return s
+}
+
+// checkTextLine asserts that String and a TextWriter both render ev exactly
+// as the oracle does.
+func checkTextLine(t *testing.T, ev *Event) {
+	t.Helper()
+	want := oracleLine(ev)
+	if got := ev.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+	if ev.Name == "" {
+		return // the writer refuses it; see TestWritersRejectUnreadable
+	}
+	var buf bytes.Buffer
+	w := NewTextWriter(&buf)
+	if err := w.Emit(ev); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), textHeader+"\n"+want+"\n"; got != want {
+		t.Fatalf("TextWriter wrote %q, want %q", got, want)
+	}
+}
+
+func TestTextLineMatchesOracle(t *testing.T) {
+	values := []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		1e-7, 1e300, -1e300, 0.0005, 0.0015, 9.9995, 0.0000005, 1.5e-6,
+		1.573, 123456789.123456789, 1e21, 1e20, math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -2.5, 0.1 + 0.2,
+	}
+	for _, v := range values {
+		for nextra := 0; nextra <= 3; nextra++ {
+			ev := Event{Name: "m2_pipeline", Cycle: math.MaxUint64, Time: v, Energy: v, TotalPkt: 0, TotalBit: 61440}
+			for k := 0; k < nextra; k++ {
+				ev.SetExtra([]string{"volts", "idle_frac", "mhz"}[k], v*float64(k+1))
+			}
+			checkTextLine(t, &ev)
+		}
+	}
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 2000; i++ {
+		ev := randomEvent(rng)
+		checkTextLine(t, &ev)
+	}
+}
+
+// randomFloat mixes raw bit patterns (NaN, Inf, subnormals, huge values)
+// with simulator-like magnitudes and rounding ties.
+func randomFloat(rng *rand.Rand) float64 {
+	switch rng.Intn(4) {
+	case 0:
+		return math.Float64frombits(rng.Uint64())
+	case 1:
+		return rng.Float64() * 1e6
+	case 2:
+		return float64(rng.Intn(1e7))/1e4 + 0.0005
+	default:
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+	}
+}
+
+// randomEvent returns an event with random annotations, a random non-empty
+// name and zero to three extras with random non-empty keys.
+func randomEvent(rng *rand.Rand) Event {
+	randName := func() string {
+		b := make([]byte, 1+rng.Intn(12))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		return string(b)
+	}
+	ev := Event{
+		Name:     randName(),
+		Cycle:    rng.Uint64() >> uint(rng.Intn(64)),
+		Time:     randomFloat(rng),
+		Energy:   randomFloat(rng),
+		TotalPkt: rng.Uint64() >> uint(rng.Intn(64)),
+		TotalBit: rng.Uint64() >> uint(rng.Intn(64)),
+	}
+	for n := rng.Intn(4); n > 0; n-- {
+		ev.SetExtra(randName(), randomFloat(rng))
+	}
+	return ev
+}
+
+// sameEvent compares events bit for bit, so NaN payloads and -0 count.
+func sameEvent(a, b *Event) bool {
+	if a.Name != b.Name || a.Cycle != b.Cycle || a.TotalPkt != b.TotalPkt || a.TotalBit != b.TotalBit ||
+		math.Float64bits(a.Time) != math.Float64bits(b.Time) ||
+		math.Float64bits(a.Energy) != math.Float64bits(b.Energy) || len(a.Extra) != len(b.Extra) {
+		return false
+	}
+	for k, v := range a.Extra {
+		w, ok := b.Extra[k]
+		if !ok || math.Float64bits(v) != math.Float64bits(w) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestBinaryRoundTripExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	evs := make([]Event, 3000)
+	for i := range evs {
+		evs[i] = randomEvent(rng)
+		if i > 0 && rng.Intn(2) == 0 {
+			evs[i].Name = evs[rng.Intn(i)].Name // exercise interned names
+		}
+	}
+	got := roundTrip(t, evs,
+		func(b *bytes.Buffer) Sink { return NewBinaryWriter(b) },
+		func(s Sink) error { return s.(*BinaryWriter).Close() },
+		func(b *bytes.Buffer) Source { return NewBinaryReader(b) })
+	if len(got) != len(evs) {
+		t.Fatalf("read %d events, wrote %d", len(got), len(evs))
+	}
+	for i := range evs {
+		if !sameEvent(&got[i], &evs[i]) {
+			t.Fatalf("event %d:\n got %+v\nwant %+v", i, got[i], evs[i])
+		}
+	}
+}
+
+// Every event a reader would reject is refused by its writer, and the
+// refusal leaves the stream readable: the events around it round-trip.
+func TestWritersRejectUnreadable(t *testing.T) {
+	manyExtras := Event{Name: "wide"}
+	for i := 0; i <= maxExtras; i++ {
+		manyExtras.SetExtra(fmt.Sprintf("k%d", i), 1)
+	}
+	binaryCases := map[string]Event{
+		"empty name":      {Name: ""},
+		"long name":       {Name: strings.Repeat("n", maxNameLen+1)},
+		"empty extra key": {Name: "fifo", Extra: map[string]float64{"": 1}},
+		"long extra key":  {Name: "fifo", Extra: map[string]float64{strings.Repeat("k", maxExtraKey+1): 1}},
+		"too many extras": manyExtras,
+	}
+	for name, bad := range binaryCases {
+		good := sampleEvents()
+		var buf bytes.Buffer
+		w := NewBinaryWriter(&buf)
+		if err := w.Emit(&good[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Emit(&bad); err == nil {
+			t.Errorf("%s: BinaryWriter accepted an event its reader rejects", name)
+		}
+		// A refused record must not intern its name: the same name with
+		// valid extras still defines it inline.
+		retry := Event{Name: bad.Name, Cycle: 9}
+		want := []Event{good[0]}
+		if retry.Name != "" && len(retry.Name) <= maxNameLen {
+			if err := w.Emit(&retry); err != nil {
+				t.Fatalf("%s: retry: %v", name, err)
+			}
+			want = append(want, retry)
+		}
+		for i := 1; i < len(good); i++ {
+			if err := w.Emit(&good[i]); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, good[i])
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := drain(t, NewBinaryReader(&buf), 100)
+		if err != nil {
+			t.Fatalf("%s: reading back: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: read back\n %+v\nwant %+v", name, got, want)
+		}
+	}
+
+	// The limits themselves are legal and round-trip.
+	edge := Event{Name: strings.Repeat("n", maxNameLen)}
+	for i := 0; i < maxExtras-1; i++ {
+		edge.SetExtra(fmt.Sprintf("k%d", i), float64(i))
+	}
+	edge.SetExtra(strings.Repeat("k", maxExtraKey), 2)
+	got := roundTrip(t, []Event{edge},
+		func(b *bytes.Buffer) Sink { return NewBinaryWriter(b) },
+		func(s Sink) error { return s.(*BinaryWriter).Close() },
+		func(b *bytes.Buffer) Source { return NewBinaryReader(b) })
+	if len(got) != 1 || !reflect.DeepEqual(got[0], edge) {
+		t.Fatal("event at the binary limits did not round-trip")
+	}
+
+	var buf bytes.Buffer
+	tw := NewTextWriter(&buf)
+	if err := tw.Emit(&Event{}); err == nil {
+		t.Error("TextWriter accepted an empty event name")
+	}
+	good := sampleEvents()
+	if err := tw.Emit(&good[0]); err != nil {
+		t.Fatal(err)
+	}
+	tw.Close()
+	gotT, err := drain(t, NewTextReader(&buf), 10)
+	if err != nil || !reflect.DeepEqual(gotT, good[:1]) {
+		t.Fatalf("text read back %+v, %v", gotT, err)
+	}
+}
+
+func FuzzTextLine(f *testing.F) {
+	f.Add(uint64(365), 1.573, 0.768133, uint64(120), uint64(61440), "m2_pipeline", "instrs", 17.0)
+	f.Add(uint64(0), math.Copysign(0, -1), math.NaN(), uint64(0), uint64(0), "fifo", "", math.Inf(-1))
+	f.Add(uint64(1<<63), 9.9995, 0.0005, uint64(1), uint64(2), "x", "idle_frac", 1e-7)
+	f.Fuzz(func(t *testing.T, cycle uint64, tm, energy float64, pkt, bit uint64, name, key string, v float64) {
+		ev := Event{Name: name, Cycle: cycle, Time: tm, Energy: energy, TotalPkt: pkt, TotalBit: bit}
+		if key != "" {
+			ev.SetExtra(key, v)
+			ev.SetExtra(key+"_2", -v)
+		}
+		checkTextLine(t, &ev)
+	})
 }
