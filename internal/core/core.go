@@ -544,6 +544,11 @@ func runSim(ctx context.Context, cfg RunConfig, capture bool) (res *RunResult, s
 		defer cancel()
 	}
 	if ctx.Done() != nil {
+		if ctx.Err() != nil {
+			// Already expired: abort before the first event instead of
+			// racing the watchdog goroutine against a short run.
+			k.Interrupt()
+		}
 		watchDone := make(chan struct{})
 		defer close(watchDone)
 		go func() {

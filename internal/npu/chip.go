@@ -47,14 +47,23 @@ type Chip struct {
 
 	// packet path
 	pkts     []pktDesc
-	rfifo    []int64
-	txRing   []int64
+	rfifo    fifo[int64]
+	txRing   fifo[int64]
 	busFree  sim.Time
 	portFree []sim.Time
+	// busQ holds the handles crossing the IX bus and txQ[port] those on
+	// the wire at each port, in start order. busFree and portFree only
+	// move forward, so transfers finish in start order too, and one
+	// handler bound once per queue (deliverFn, txDoneFns[port]) pops the
+	// handle each completion belongs to.
+	busQ      fifo[int64]
+	deliverFn sim.Handler
+	txQ       []fifo[int64]
+	txDoneFns []sim.Handler
 	// tfifoUsed counts occupied TFIFO slots per egress port; waiters queue
 	// contexts blocked on a full TFIFO.
 	tfifoUsed []int
-	waiters   [][]func()
+	waiters   []fifo[waiter]
 
 	// trace
 	sink    trace.Sink
@@ -87,6 +96,13 @@ type Chip struct {
 	bitsSent         uint64
 	pktsFaultDropped uint64
 	fifoHighWater    int
+}
+
+// waiter is a send blocked on a full TFIFO: the packet and the grant that
+// wakes its context.
+type waiter struct {
+	handle  int64
+	granted sim.Handler
 }
 
 // meEventNames are one ME's prefixed event names, e.g. "m2_pipeline".
@@ -171,10 +187,16 @@ func New(cfg Config, k *sim.Kernel, programs []*isa.Program, sink trace.Sink) (*
 		scratch:   make(map[int64]int64),
 		portFree:  make([]sim.Time, cfg.Ports),
 		tfifoUsed: make([]int, cfg.Ports),
-		waiters:   make([][]func(), cfg.Ports),
+		txQ:       make([]fifo[int64], cfg.Ports),
+		txDoneFns: make([]sim.Handler, cfg.Ports),
+		waiters:   make([]fifo[waiter], cfg.Ports),
 		sink:      sink,
 		extra:     make(map[string]float64, 2),
 		meNames:   make([]meEventNames, cfg.NumMEs),
+	}
+	c.deliverFn = func() { c.rfifoPush(c.busQ.pop()) }
+	for port := range c.txDoneFns {
+		c.txDoneFns[port] = func() { c.txDone(port) }
 	}
 	for i := range c.meNames {
 		c.meNames[i] = meEventNames{
@@ -269,7 +291,8 @@ func (c *Chip) portArrive(p traffic.Packet) {
 		start = c.busFree
 	}
 	c.busFree = start + xfer
-	c.k.Schedule(c.busFree, func() { c.rfifoPush(handle) })
+	c.busQ.push(handle)
+	c.k.Schedule(c.busFree, c.deliverFn)
 }
 
 func (c *Chip) busTime(bytes int) sim.Time {
@@ -284,16 +307,16 @@ func (c *Chip) busTime(bytes int) sim.Time {
 
 func (c *Chip) rfifoPush(handle int64) {
 	d := &c.pkts[handle]
-	if len(c.rfifo) >= c.cfg.RFIFODepth {
+	if c.rfifo.len() >= c.cfg.RFIFODepth {
 		d.state = pktDropped
 		c.pktsDropped++
 		c.emit(trace.EvDrop, c.pktsArrived, c.bitsArrived, nil)
 		return
 	}
 	d.state = pktQueued
-	c.rfifo = append(c.rfifo, handle)
-	if len(c.rfifo) > c.fifoHighWater {
-		c.fifoHighWater = len(c.rfifo)
+	c.rfifo.push(handle)
+	if c.rfifo.len() > c.fifoHighWater {
+		c.fifoHighWater = c.rfifo.len()
 	}
 	c.pktsQueued++
 	c.emit(trace.EvFifo, c.pktsQueued, c.bitsArrived, nil)
@@ -301,32 +324,29 @@ func (c *Chip) rfifoPush(handle int64) {
 
 // rfifoPop is the rx.pop instruction: non-blocking, -1 when empty.
 func (c *Chip) rfifoPop() int64 {
-	if len(c.rfifo) == 0 {
+	if c.rfifo.len() == 0 {
 		return -1
 	}
-	h := c.rfifo[0]
-	c.rfifo = c.rfifo[1:]
+	h := c.rfifo.pop()
 	c.pkts[h].state = pktProcessing
 	return h
 }
 
 // txRingPush is the tx.push instruction; reports success.
 func (c *Chip) txRingPush(handle int64) bool {
-	if len(c.txRing) >= c.cfg.TxRingDepth {
+	if c.txRing.len() >= c.cfg.TxRingDepth {
 		return false
 	}
-	c.txRing = append(c.txRing, handle)
+	c.txRing.push(handle)
 	return true
 }
 
 // txRingPop is the tx.pop instruction: -1 when empty.
 func (c *Chip) txRingPop() int64 {
-	if len(c.txRing) == 0 {
+	if c.txRing.len() == 0 {
 		return -1
 	}
-	h := c.txRing[0]
-	c.txRing = c.txRing[1:]
-	return h
+	return c.txRing.pop()
 }
 
 // pktField implements the pkt.f instruction.
@@ -348,22 +368,24 @@ func (c *Chip) pktField(handle int64, f isa.PktField, me, pc int) int64 {
 
 // sendPacket implements the send instruction: claim a TFIFO slot on the
 // egress port (or wait), transmit, emit the forward event, release.
-func (c *Chip) sendPacket(handle int64, me int, granted func()) {
+func (c *Chip) sendPacket(handle int64, me int, granted sim.Handler) {
 	if handle < 0 || handle >= int64(len(c.pkts)) {
 		panic(fmt.Sprintf("npu: me%d: send of invalid handle %d", me, handle))
 	}
-	d := &c.pkts[handle]
-	port := d.egress
-	attempt := func() {
-		c.tfifoUsed[port]++
-		c.startTransmit(handle, port)
-		granted()
-	}
+	port := c.pkts[handle].egress
 	if c.tfifoUsed[port] < c.cfg.TFIFODepth {
-		attempt()
+		c.grant(port, waiter{handle: handle, granted: granted})
 		return
 	}
-	c.waiters[port] = append(c.waiters[port], attempt)
+	c.waiters[port].push(waiter{handle: handle, granted: granted})
+}
+
+// grant gives a send a TFIFO slot on port: the packet starts out and its
+// context wakes.
+func (c *Chip) grant(port int, w waiter) {
+	c.tfifoUsed[port]++
+	c.startTransmit(w.handle, port)
+	w.granted()
 }
 
 func (c *Chip) startTransmit(handle int64, port int) {
@@ -376,18 +398,22 @@ func (c *Chip) startTransmit(handle int64, port int) {
 	}
 	done := start + wire
 	c.portFree[port] = done
-	c.k.Schedule(done, func() {
-		d.state = pktSent
-		c.pktsSent++
-		c.bitsSent += d.pkt.Bits()
-		c.emit(trace.EvForward, c.pktsSent, c.bitsSent, nil)
-		c.tfifoUsed[port]--
-		if len(c.waiters[port]) > 0 {
-			w := c.waiters[port][0]
-			c.waiters[port] = c.waiters[port][1:]
-			w()
-		}
-	})
+	c.txQ[port].push(handle)
+	c.k.Schedule(done, c.txDoneFns[port])
+}
+
+// txDone completes the oldest transmission on port: the forward event,
+// then the freed TFIFO slot goes to the first waiting send.
+func (c *Chip) txDone(port int) {
+	d := &c.pkts[c.txQ[port].pop()]
+	d.state = pktSent
+	c.pktsSent++
+	c.bitsSent += d.pkt.Bits()
+	c.emit(trace.EvForward, c.pktsSent, c.bitsSent, nil)
+	c.tfifoUsed[port]--
+	if c.waiters[port].len() > 0 {
+		c.grant(port, c.waiters[port].pop())
+	}
 }
 
 // scratch memory and fixed-latency units.
@@ -440,7 +466,7 @@ func (c *Chip) SetAllVF(vf power.VF) {
 // QueueOccupancy returns the RFIFO fill and capacity — the queue-pressure
 // monitor input for feedback (PID) and power-state-machine policies.
 func (c *Chip) QueueOccupancy() (used, capacity int) {
-	return len(c.rfifo), c.cfg.RFIFODepth
+	return c.rfifo.len(), c.cfg.RFIFODepth
 }
 
 // MESleep returns microengine i's DPM state (0 awake, 1 sleep, 2 deep).

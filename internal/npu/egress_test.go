@@ -14,14 +14,17 @@ import (
 // transmit contexts must block waiting for slots (transmission constrained,
 // NOT idle in the paper's sense), and every packet must still eventually go
 // out in order.
-func TestTFIFOBackpressure(t *testing.T) {
+// egressChip builds the egress test bench: one pass-through receive ME
+// that rings every packet straight to one transmitting ME, two ports and a
+// single-slot TFIFO, so sends queue on the port whenever it is busy.
+func egressChip(t testing.TB, portMbps float64, sink trace.Sink) (*sim.Kernel, *Chip) {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.NumMEs = 2
 	cfg.RxMEs = 1
 	cfg.Ports = 2
 	cfg.TFIFODepth = 1
-	cfg.PortMbps = 5 // ~240 µs per 1500-byte frame
-	// RX: pass-through.
+	cfg.PortMbps = portMbps
 	rx := isa.MustAssemble("pass", `
 main:
 	rx.pop  r0
@@ -42,11 +45,16 @@ main:
 	br      main
 `)
 	k := &sim.Kernel{}
-	var col trace.Collector
-	chip, err := New(cfg, k, []*isa.Program{rx, tx}, &col)
+	chip, err := New(cfg, k, []*isa.Program{rx, tx}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return k, chip
+}
+
+func TestTFIFOBackpressure(t *testing.T) {
+	var col trace.Collector
+	k, chip := egressChip(t, 5, &col) // 2.4 ms per 1500-byte frame
 	// Five packets arriving back to back on port 0 (egress port 1).
 	var pkts []traffic.Packet
 	for i := 0; i < 5; i++ {
@@ -83,38 +91,7 @@ main:
 // TestTFIFOBackpressureCompletes verifies all packets drain given enough
 // time, exercising the waiter hand-off chain.
 func TestTFIFOBackpressureCompletes(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumMEs = 2
-	cfg.RxMEs = 1
-	cfg.Ports = 2
-	cfg.TFIFODepth = 1
-	cfg.PortMbps = 100
-	k := &sim.Kernel{}
-	progs := []*isa.Program{
-		isa.MustAssemble("pass", `
-main:
-	rx.pop  r0
-	imm     r1, -1
-	beq     r0, r1, main
-push:
-	tx.push r2, r0
-	imm     r3, 0
-	beq     r2, r3, main
-	br      push
-`),
-		isa.MustAssemble("tx", `
-main:
-	tx.pop  r0
-	imm     r1, -1
-	beq     r0, r1, main
-	send    r0
-	br      main
-`),
-	}
-	chip, err := New(cfg, k, progs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k, chip := egressChip(t, 100, nil)
 	var pkts []traffic.Packet
 	for i := 0; i < 20; i++ {
 		pkts = append(pkts, traffic.Packet{

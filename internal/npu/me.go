@@ -37,6 +37,11 @@ type context struct {
 	regs   [isa.NumRegs]int64
 	state  ctxState
 	reason blockReason
+	// ref is the context's one reference in flight, held from the issuing
+	// instruction until its issue event fires: a request for mc, or, for a
+	// send (reason blockTransmit), the packet handle in ref.addr.
+	ref memRequest
+	mc  *memController
 }
 
 // dinstr is one predecoded instruction: the fields the interpreter reads,
@@ -49,13 +54,52 @@ type dinstr struct {
 	rd, ra, rb uint8
 }
 
-// predecode lowers a program into the interpreter's compact form.
+// Superinstructions: npu-private opcodes, above the ISA's range, that
+// predecode puts on the head of a hot instruction sequence. The members
+// keep their own entries in the code, so the fused handler reads their
+// operands from the entries that follow the head, and a branch into the
+// middle of a sequence runs the members on their own.
+const (
+	opImmBeq     = isa.OpCsr + 1 + iota // imm; beq
+	opImmBne                            // imm; bne
+	opSubiImmBne                        // subi; imm; bne: the counted-loop tail
+	opRxPoll                            // rx.pop; imm; beq: the receive poll
+	opTxPoll                            // tx.pop; imm; beq: the transmit-ring poll
+	opAluStep                           // addi; shli; xor: the shared ALU-loop body
+)
+
+// predecode lowers a program into the interpreter's compact form and tags
+// the head of every superinstruction sequence with its fused opcode.
 func predecode(prog *isa.Program) []dinstr {
+	fusions := []struct {
+		seq []isa.Op
+		op  isa.Op
+	}{
+		{[]isa.Op{isa.OpImm, isa.OpBeq}, opImmBeq},
+		{[]isa.Op{isa.OpImm, isa.OpBne}, opImmBne},
+		{[]isa.Op{isa.OpSubi, isa.OpImm, isa.OpBne}, opSubiImmBne},
+		{[]isa.Op{isa.OpRxPop, isa.OpImm, isa.OpBeq}, opRxPoll},
+		{[]isa.Op{isa.OpTxPop, isa.OpImm, isa.OpBeq}, opTxPoll},
+		{[]isa.Op{isa.OpAddi, isa.OpShli, isa.OpXor}, opAluStep},
+	}
 	code := make([]dinstr, len(prog.Code))
 	for i, in := range prog.Code {
 		code[i] = dinstr{
 			imm: in.Imm, cycles: in.Op.Cycles(), target: in.Target,
 			op: in.Op, rd: in.Rd, ra: in.Ra, rb: in.Rb,
+		}
+	next:
+		for _, f := range fusions {
+			if i+len(f.seq) > len(prog.Code) {
+				continue
+			}
+			for j, op := range f.seq {
+				if prog.Code[i+j].Op != op {
+					continue next
+				}
+			}
+			code[i].op = f.op
+			break
 		}
 	}
 	return code
@@ -71,10 +115,12 @@ type ME struct {
 	idx  int
 	code []dinstr
 
-	// stepFn is the step method value and wakeFns[ci] wakes context ci,
-	// both bound once so that scheduling them allocates nothing.
-	stepFn  sim.Handler
-	wakeFns []sim.Handler
+	// stepFn is the step method value, wakeFns[ci] wakes context ci and
+	// issueFns[ci] delivers its reference in flight, all bound once so
+	// that scheduling them allocates nothing.
+	stepFn   sim.Handler
+	wakeFns  []sim.Handler
+	issueFns []sim.Handler
 
 	// Timeline track names, precomputed so span recording allocates
 	// nothing per event: execution/idle residency on track, VF stalls and
@@ -128,8 +174,10 @@ func newME(chip *Chip, idx int, prog *isa.Program, vf power.VF) *ME {
 	}
 	me.stepFn = me.step
 	me.wakeFns = make([]sim.Handler, len(me.ctxs))
+	me.issueFns = make([]sim.Handler, len(me.ctxs))
 	for ci := range me.wakeFns {
 		me.wakeFns[ci] = func() { me.wake(ci) }
+		me.issueFns[ci] = func() { me.issue(ci) }
 	}
 	me.track = fmt.Sprintf("me%d", idx)
 	me.vfTrack = fmt.Sprintf("me%d vf", idx)
@@ -377,9 +425,11 @@ func (me *ME) wake(ci int) {
 // pickReady selects the next ready context round-robin after cur.
 func (me *ME) pickReady() int {
 	n := len(me.ctxs)
-	start := me.cur + 1
+	ci := me.cur
 	for k := 0; k < n; k++ {
-		ci := (start + k) % n
+		if ci++; ci == n {
+			ci = 0
+		}
 		if me.ctxs[ci].state == ctxReady {
 			return ci
 		}
@@ -530,6 +580,117 @@ func (me *ME) step() {
 		case isa.OpPktF:
 			regs[in.rd] = me.chip.pktField(regs[in.ra], isa.PktField(in.imm), me.idx, pc)
 			pc++
+			continue
+
+		// Superinstructions. Each member retires as its own instruction
+		// and the batch cap is checked after every member, so a batch
+		// ends with pc on the next member exactly where the unfused
+		// sequence would have ended it.
+		case opImmBeq:
+			regs[in.rd] = in.imm
+			pc++
+			if cycles >= batchCap {
+				continue
+			}
+			b := &code[pc]
+			cycles += b.cycles
+			instrs++
+			pc = branch(pc, regs[b.ra] == regs[b.rb], b)
+			continue
+		case opImmBne:
+			regs[in.rd] = in.imm
+			pc++
+			if cycles >= batchCap {
+				continue
+			}
+			b := &code[pc]
+			cycles += b.cycles
+			instrs++
+			pc = branch(pc, regs[b.ra] != regs[b.rb], b)
+			continue
+		case opSubiImmBne:
+			regs[in.rd] = regs[in.ra] - in.imm
+			pc++
+			if cycles >= batchCap {
+				continue
+			}
+			m := &code[pc]
+			cycles += m.cycles
+			instrs++
+			regs[m.rd] = m.imm
+			pc++
+			if cycles >= batchCap {
+				continue
+			}
+			b := &code[pc]
+			cycles += b.cycles
+			instrs++
+			pc = branch(pc, regs[b.ra] != regs[b.rb], b)
+			continue
+		case opAluStep:
+			regs[in.rd] = regs[in.ra] + in.imm
+			pc++
+			if cycles >= batchCap {
+				continue
+			}
+			m := &code[pc]
+			cycles += m.cycles
+			instrs++
+			regs[m.rd] = regs[m.ra] << uint64(m.imm&63)
+			pc++
+			if cycles >= batchCap {
+				continue
+			}
+			m = &code[pc]
+			cycles += m.cycles
+			instrs++
+			regs[m.rd] = regs[m.ra] ^ regs[m.rb]
+			pc++
+			continue
+		case opRxPoll, opTxPoll:
+			var h int64
+			if in.op == opRxPoll {
+				h = me.chip.rfifoPop()
+				me.pollCycles++
+			} else {
+				h = me.chip.txRingPop()
+			}
+			regs[in.rd] = h
+			head := pc
+			pc++
+			if cycles >= batchCap {
+				continue
+			}
+			m := &code[pc]
+			cycles += m.cycles
+			instrs++
+			regs[m.rd] = m.imm
+			pc++
+			if cycles >= batchCap {
+				continue
+			}
+			b := &code[pc]
+			cycles += b.cycles
+			instrs++
+			pc = branch(pc, regs[b.ra] == regs[b.rb], b)
+			if h == -1 && pc == head {
+				// Empty-poll fixed point. Nothing else runs inside a
+				// batch, so the queue stays empty, and a further
+				// iteration would write the two registers with the
+				// values they now hold and branch back here again:
+				// every later iteration of this batch is this one. Skip
+				// the whole iterations that fit below the cap in O(1).
+				// The branch costs one cycle, so an iteration is whole
+				// exactly when all its cycles fit; the partial tail
+				// runs normally.
+				iter := in.cycles + m.cycles + b.cycles
+				k := (batchCap - cycles) / iter
+				cycles += k * iter
+				instrs += 3 * k
+				if in.op == opRxPoll {
+					me.pollCycles += uint64(k)
+				}
+			}
 			continue
 
 		// The ops below end the context's turn.
@@ -683,10 +844,22 @@ func (me *ME) issueMem(issueAt sim.Time, mc *memController, addr, words int64, w
 	me.memRefs++
 	me.ctxBlocks++
 	me.chip.chargeMem(unit, words)
-	done := me.wakeFns[ci]
-	me.chip.k.Schedule(issueAt, func() {
-		mc.request(memRequest{addr: addr, words: words, write: write, done: done})
-	})
+	c := &me.ctxs[ci]
+	c.ref = memRequest{addr: addr, words: words, write: write, done: me.wakeFns[ci]}
+	c.mc = mc
+	me.chip.k.Schedule(issueAt, me.issueFns[ci])
+}
+
+// issue delivers context ci's reference in flight at its issue time: the
+// packet to the egress path for a send, else the request to its memory
+// controller.
+func (me *ME) issue(ci int) {
+	c := &me.ctxs[ci]
+	if c.reason == blockTransmit {
+		me.chip.sendPacket(c.ref.addr, me.idx, me.wakeFns[ci])
+		return
+	}
+	c.mc.request(c.ref)
 }
 
 // blockOn blocks the current context for a fixed-latency unit access.
@@ -709,10 +882,8 @@ func (me *ME) blockForSend(issueAt sim.Time, handle int64) {
 	me.ctxs[ci].state = ctxBlocked
 	me.ctxs[ci].reason = blockTransmit
 	me.ctxBlocks++
-	granted := me.wakeFns[ci]
-	me.chip.k.Schedule(issueAt, func() {
-		me.chip.sendPacket(handle, me.idx, granted)
-	})
+	me.ctxs[ci].ref = memRequest{addr: handle}
+	me.chip.k.Schedule(issueAt, me.issueFns[ci])
 }
 
 // hash64 is the deterministic pseudo-data function standing in for memory

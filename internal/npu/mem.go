@@ -21,8 +21,14 @@ type memController struct {
 	k       *sim.Kernel
 	name    string
 	busyTil sim.Time
-	queue   []memRequest
+	queue   fifo[memRequest]
 	active  bool
+	// cur is the request in service, which completes at curEnd. Service
+	// is one request at a time, so one completion handler, bound once,
+	// serves every request.
+	cur        memRequest
+	curEnd     sim.Time
+	completeFn sim.Handler
 	// service computes the occupancy of a request given the current time.
 	service func(r memRequest) sim.Time
 	// spans, when non-nil, receives one service-occupancy span per request
@@ -37,16 +43,18 @@ type memController struct {
 }
 
 func newMemController(k *sim.Kernel, name string, service func(memRequest) sim.Time) *memController {
-	return &memController{k: k, name: name, service: service}
+	mc := &memController{k: k, name: name, service: service}
+	mc.completeFn = mc.complete
+	return mc
 }
 
 // request enqueues a reference; done fires at completion.
 func (mc *memController) request(r memRequest) {
 	mc.requests++
 	mc.words += uint64(r.words)
-	mc.queue = append(mc.queue, r)
-	if len(mc.queue) > mc.maxQueue {
-		mc.maxQueue = len(mc.queue)
+	mc.queue.push(r)
+	if mc.queue.len() > mc.maxQueue {
+		mc.maxQueue = mc.queue.len()
 	}
 	if !mc.active {
 		mc.active = true
@@ -55,12 +63,11 @@ func (mc *memController) request(r memRequest) {
 }
 
 func (mc *memController) serveNext(from sim.Time) {
-	if len(mc.queue) == 0 {
+	if mc.queue.len() == 0 {
 		mc.active = false
 		return
 	}
-	r := mc.queue[0]
-	mc.queue = mc.queue[1:]
+	r := mc.queue.pop()
 	start := from
 	if mc.busyTil > start {
 		start = mc.busyTil
@@ -79,10 +86,14 @@ func (mc *memController) serveNext(from sim.Time) {
 		}
 		mc.spans.Span(mc.name, name, "mem", start, end, nil)
 	}
-	mc.k.Schedule(end, func() {
-		r.done()
-		mc.serveNext(end)
-	})
+	mc.cur, mc.curEnd = r, end
+	mc.k.Schedule(end, mc.completeFn)
+}
+
+// complete finishes the request in service and starts the next one.
+func (mc *memController) complete() {
+	mc.cur.done()
+	mc.serveNext(mc.curEnd)
 }
 
 // Stats for tests and reports.

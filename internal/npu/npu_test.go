@@ -511,18 +511,33 @@ func TestStatsDerivedRates(t *testing.T) {
 	}
 }
 
+// BenchmarkSimulation times one millisecond of ipfwdr at high load on the
+// default chip. Every iteration simulates the same traffic, so ns/op does
+// not depend on b.N; instrs/s is the interpreter's throughput in
+// retired ME instructions per host second.
 func BenchmarkSimulation(b *testing.B) {
+	cfg := DefaultConfig()
+	progs, err := workload.Programs(workload.IPFwdr, workload.DefaultParams(), cfg.NumMEs, cfg.RxMEs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dur := 1 * sim.Millisecond
+	pkts := genTraffic(b, 900, dur, 1)
+	b.ReportAllocs()
+	var instrs uint64
 	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig()
-		progs, _ := workload.Programs(workload.IPFwdr, workload.DefaultParams(), cfg.NumMEs, cfg.RxMEs)
 		k := &sim.Kernel{}
 		chip, err := New(cfg, k, progs, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dur := 1 * sim.Millisecond
-		g, _ := traffic.NewGenerator(traffic.Config{MeanMbps: 900, Seed: int64(i)})
-		chip.Inject(g.GenerateUntil(dur))
+		if err := chip.Inject(pkts); err != nil {
+			b.Fatal(err)
+		}
 		k.RunUntil(dur)
+		for _, n := range chip.Snapshot().MEInstr {
+			instrs += n
+		}
 	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
