@@ -44,12 +44,14 @@ analyze:
 	done
 
 # Short fuzz smoke over the binary-trace parser, the text-trace line
-# formatter, the LOC front end and the two lint pipelines; CI runs the same
-# budget. Leave -fuzztime off for a real fuzzing session.
+# formatter, the generated checkers' text parser against the trace reader,
+# the LOC front end and the two lint pipelines; CI runs the same budget.
+# Leave -fuzztime off for a real fuzzing session.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzBinaryReader -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz=FuzzTextLine -fuzztime=$(FUZZTIME) ./internal/trace/
+	$(GO) test -fuzz=FuzzTextLineVsReader -fuzztime=$(FUZZTIME) ./internal/loc/rt/
 	$(GO) test -fuzz=FuzzLOCLexer -fuzztime=$(FUZZTIME) ./internal/loc/
 	$(GO) test -fuzz=FuzzLOCParse -fuzztime=$(FUZZTIME) ./internal/loc/
 	$(GO) test -fuzz=FuzzFormulaLint -fuzztime=$(FUZZTIME) ./internal/loc/
@@ -133,7 +135,8 @@ timeline-smoke:
 
 # Assertion smoke: a deliberately violating LOC preset driven through nepsim
 # and locheck, validating the report JSON schema, byte-identity of the
-# VM-evaluated and locgen-generated witness reports, assertion instants in
-# the timeline, and rerun determinism.
+# VM-evaluated and locgen-generated witness reports (the preset and every
+# formula of the shipped profiles), assertion instants in the timeline, and
+# rerun determinism.
 assert-smoke:
 	sh scripts/assert_smoke.sh

@@ -266,7 +266,7 @@ order: cycle(forward[i+1]) - cycle(forward[i]) >= 0;
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(src), "isDistFormula = true") {
+	if !strings.Contains(string(src), `Name: "power",`) || !strings.Contains(string(src), "Dist: true,") {
 		t.Error("locgen picked the wrong formula")
 	}
 	// Ambiguous selection without -name fails.

@@ -39,6 +39,7 @@ import (
 
 	"nepdvs/internal/cli"
 	"nepdvs/internal/core"
+	"nepdvs/internal/lint/diag"
 	"nepdvs/internal/loc"
 	"nepdvs/internal/trace"
 )
@@ -156,7 +157,7 @@ func run(expr, file string, noSchema, lintOnly, analyze bool, report string, arg
 
 // diagnose renders a static-analysis outcome: parse errors exit 2 like
 // every other malformed invocation, findings exit 3, a clean bill exits 0.
-func diagnose(diags []loc.LintDiag, parsed bool) (int, error) {
+func diagnose(diags []diag.Diag, parsed bool) (int, error) {
 	for _, d := range diags {
 		fmt.Println(d)
 	}

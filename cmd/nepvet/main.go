@@ -29,6 +29,7 @@ import (
 	"nepdvs/internal/core"
 	"nepdvs/internal/isa"
 	"nepdvs/internal/lint"
+	"nepdvs/internal/lint/diag"
 	"nepdvs/internal/loc"
 )
 
@@ -112,9 +113,7 @@ func lintAsmFiles(files []string) ([]lint.Diag, error) {
 			return nil, err
 		}
 		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		for _, d := range isa.LintSource(name, string(b)) {
-			out = append(out, lint.Diag{File: filepath.ToSlash(path), Line: d.Line, Col: 1, Rule: d.Rule, Msg: d.Msg})
-		}
+		out = append(out, diag.InFile(filepath.ToSlash(path), isa.LintSource(name, string(b)))...)
 	}
 	lint.SortDiags(out)
 	return out, nil
@@ -131,9 +130,7 @@ func lintLocFiles(files []string, sch *loc.Schema) ([]lint.Diag, error) {
 			return nil, err
 		}
 		ds, _ := loc.AnalyzeFile(string(b), sch)
-		for _, d := range ds {
-			out = append(out, lint.Diag{File: filepath.ToSlash(path), Line: d.Pos.Line, Col: d.Pos.Col, Rule: d.Rule, Msg: d.Msg})
-		}
+		out = append(out, diag.InFile(filepath.ToSlash(path), ds)...)
 	}
 	lint.SortDiags(out)
 	return out, nil

@@ -2,8 +2,9 @@ package isa
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+
+	"nepdvs/internal/lint/diag"
 )
 
 // Static analysis of assembled programs — the ISA front of nepvet. The
@@ -28,27 +29,22 @@ const (
 // instructions (the IXP1200's 1K-instruction microstore).
 const ControlStoreSize = 1024
 
-// LintDiag is one ISA lint finding. Line is the 1-based source line when
+// finding builds one ISA lint finding. line is the 1-based source line when
 // the program carries line provenance (programs built by Assemble do), or
-// zero for hand-constructed programs.
-type LintDiag struct {
-	Line int
-	Rule string
-	Msg  string
-}
-
-func (d LintDiag) String() string {
-	return fmt.Sprintf("%d: [%s] %s", d.Line, d.Rule, d.Msg)
+// zero for hand-constructed programs; assembly findings have no column, so
+// they point at the start of the line.
+func finding(line int, rule, msg string) diag.Diag {
+	return diag.Diag{Line: line, Col: 1, Rule: rule, Msg: msg}
 }
 
 // LintSource assembles src and lints the result. Assembly failures are
 // reported as diagnostics (classified as duplicate-label, undefined-label
 // or general parse errors) rather than returned as errors, so callers get
 // one uniform findings stream.
-func LintSource(name, src string) []LintDiag {
+func LintSource(name, src string) []diag.Diag {
 	p, err := Assemble(name, src)
 	if err != nil {
-		d := LintDiag{Rule: LintParse, Msg: err.Error()}
+		d := finding(0, LintParse, err.Error())
 		if ae, ok := err.(*AsmError); ok {
 			d.Line = ae.Line
 			d.Msg = ae.Msg
@@ -59,15 +55,15 @@ func LintSource(name, src string) []LintDiag {
 				d.Rule = LintUndefLabel
 			}
 		}
-		return []LintDiag{d}
+		return []diag.Diag{d}
 	}
 	return Lint(p)
 }
 
 // Lint analyzes an assembled program and returns its findings in program
 // order.
-func Lint(p *Program) []LintDiag {
-	var diags []LintDiag
+func Lint(p *Program) []diag.Diag {
+	var diags []diag.Diag
 	line := func(i int) int {
 		if i >= 0 && i < len(p.Lines) {
 			return p.Lines[i]
@@ -76,10 +72,8 @@ func Lint(p *Program) []LintDiag {
 	}
 
 	if len(p.Code) > ControlStoreSize {
-		diags = append(diags, LintDiag{
-			Line: line(ControlStoreSize), Rule: LintCStore,
-			Msg: fmt.Sprintf("program %q has %d instructions; the ME control store holds %d", p.Name, len(p.Code), ControlStoreSize),
-		})
+		diags = append(diags, finding(line(ControlStoreSize), LintCStore,
+			fmt.Sprintf("program %q has %d instructions; the ME control store holds %d", p.Name, len(p.Code), ControlStoreSize)))
 	}
 
 	// Branch-range violations make the CFG unusable at those nodes, so
@@ -92,10 +86,8 @@ func Lint(p *Program) []LintDiag {
 		}
 		if in.Target < 0 || int(in.Target) >= len(p.Code) {
 			badTarget[i] = true
-			diags = append(diags, LintDiag{
-				Line: line(i), Rule: LintBranchRange,
-				Msg: fmt.Sprintf("branch target @%d outside program of %d instructions", in.Target, len(p.Code)),
-			})
+			diags = append(diags, finding(line(i), LintBranchRange,
+				fmt.Sprintf("branch target @%d outside program of %d instructions", in.Target, len(p.Code))))
 		}
 	}
 
@@ -113,14 +105,14 @@ func Lint(p *Program) []LintDiag {
 		if end > start {
 			msg = fmt.Sprintf("instructions %d..%d are unreachable (first: %s)", start, end, p.Code[start])
 		}
-		diags = append(diags, LintDiag{Line: line(start), Rule: LintUnreachable, Msg: msg})
+		diags = append(diags, finding(line(start), LintUnreachable, msg))
 		start = end + 1
 	}
 
 	diags = append(diags, lintUninitReads(p, badTarget, reach, line)...)
 
 	// Report in program order (line, then rule) for stable golden output.
-	sortDiags(diags)
+	diag.Sort(diags)
 	return diags
 }
 
@@ -178,7 +170,7 @@ type regMask uint16
 // path from entry to i. Reads of registers outside that set are flagged —
 // the model zeroes registers at reset, so such reads are deterministic but
 // almost always a missing "imm rN, 0" or a typo'd register number.
-func lintUninitReads(p *Program, badTarget, reach []bool, line func(int) int) []LintDiag {
+func lintUninitReads(p *Program, badTarget, reach []bool, line func(int) int) []diag.Diag {
 	n := len(p.Code)
 	const all = regMask(1<<NumRegs - 1)
 	in := make([]regMask, n)
@@ -206,7 +198,7 @@ func lintUninitReads(p *Program, badTarget, reach []bool, line func(int) int) []
 			}
 		}
 	}
-	var diags []LintDiag
+	var diags []diag.Diag
 	seen := map[[2]int]bool{}
 	for i := 0; i < n; i++ {
 		if !reach[i] {
@@ -221,10 +213,8 @@ func lintUninitReads(p *Program, badTarget, reach []bool, line func(int) int) []
 				continue
 			}
 			seen[key] = true
-			diags = append(diags, LintDiag{
-				Line: line(i), Rule: LintUninitRead,
-				Msg: fmt.Sprintf("instruction %d (%s) reads r%d before any write reaches it", i, p.Code[i], r),
-			})
+			diags = append(diags, finding(line(i), LintUninitRead,
+				fmt.Sprintf("instruction %d (%s) reads r%d before any write reaches it", i, p.Code[i], r)))
 		}
 	}
 	return diags
@@ -248,17 +238,4 @@ func readRegs(in Instr) []uint8 {
 		}
 	}
 	return out
-}
-
-func sortDiags(ds []LintDiag) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := ds[i], ds[j]
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Msg < b.Msg
-	})
 }

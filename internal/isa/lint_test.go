@@ -3,9 +3,11 @@ package isa
 import (
 	"strings"
 	"testing"
+
+	"nepdvs/internal/lint/diag"
 )
 
-func lintStrings(ds []LintDiag) []string {
+func lintStrings(ds []diag.Diag) []string {
 	out := make([]string, len(ds))
 	for i, d := range ds {
 		out[i] = d.String()

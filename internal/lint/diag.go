@@ -13,46 +13,16 @@
 //
 // Every analyzer emits "file:line:col: [rule] message" diagnostics; the
 // nepvet command exits nonzero when any finding survives the allowlist.
-// The package depends only on the standard library (go/parser, go/ast,
-// go/types, go/importer).
+// The finding type itself lives in package diag, which loc and isa import
+// without pulling in this package's go/types machinery. This package
+// depends only on the standard library (go/parser, go/ast, go/types,
+// go/importer) and diag.
 package lint
 
-import (
-	"fmt"
-	"sort"
-)
+import "nepdvs/internal/lint/diag"
 
-// Diag is one finding. The rendering contract shared by all three analyzer
-// families is "file:line:col: [rule] message".
-type Diag struct {
-	File string
-	Line int
-	Col  int
-	Rule string
-	Msg  string
-}
+// Diag is one finding (see package diag for the rendering contract).
+type Diag = diag.Diag
 
-func (d Diag) String() string {
-	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Rule, d.Msg)
-}
-
-// SortDiags orders findings by file, then position, then rule — the stable
-// order golden tests and CI output rely on.
-func SortDiags(ds []Diag) {
-	sort.Slice(ds, func(i, j int) bool {
-		a, b := ds[i], ds[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Msg < b.Msg
-	})
-}
+// SortDiags orders findings by file, then position, then rule.
+func SortDiags(ds []Diag) { diag.Sort(ds) }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"nepdvs/internal/loc/rt"
 )
 
 // Expr is an arithmetic expression node.
@@ -134,41 +136,18 @@ func prec(op byte) int {
 	}
 }
 
-// RelOp is a relational operator for checker formulas.
-type RelOp int
+// RelOp is a relational operator for checker formulas (see rt).
+type RelOp = rt.RelOp
 
 // Relational operators.
 const (
-	OpLE RelOp = iota
-	OpLT
-	OpGE
-	OpGT
-	OpEQ
-	OpNE
+	OpLE = rt.OpLE
+	OpLT = rt.OpLT
+	OpGE = rt.OpGE
+	OpGT = rt.OpGT
+	OpEQ = rt.OpEQ
+	OpNE = rt.OpNE
 )
-
-var relNames = map[RelOp]string{OpLE: "<=", OpLT: "<", OpGE: ">=", OpGT: ">", OpEQ: "==", OpNE: "!="}
-
-func (r RelOp) String() string { return relNames[r] }
-
-// Holds evaluates the operator on concrete values.
-func (r RelOp) Holds(l, rv float64) bool {
-	switch r {
-	case OpLE:
-		return l <= rv
-	case OpLT:
-		return l < rv
-	case OpGE:
-		return l >= rv
-	case OpGT:
-		return l > rv
-	case OpEQ:
-		return l == rv
-	case OpNE:
-		return l != rv
-	}
-	return false
-}
 
 // DistOp is one of the paper's three distribution operators.
 type DistOp int

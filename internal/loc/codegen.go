@@ -1,29 +1,42 @@
 package loc
 
 import (
+	_ "embed"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
+
+	"nepdvs/internal/loc/rt"
 )
+
+// rtSource is the checker runtime every generated program embeds: the same
+// file the in-process runner compiles, so both evaluate formulas with one
+// body of code.
+//
+//go:embed rt/rt.go
+var rtSource string
 
 // GenerateGo emits a standalone, dependency-free Go program (package main)
 // that evaluates the formula over a text-format trace read from a file
 // argument or stdin. This mirrors the paper's flow of generating C trace
-// checkers from LOC assertions: the generated source embeds the compiled
-// stack-VM program and a minimal streaming evaluator, and is independent of
-// this library and of the simulator that produced the trace.
+// checkers from LOC assertions. The program is package rt's source with its
+// package clause rewritten, followed by the compiled formula, its static
+// analysis and a short main; it is independent of this library and of the
+// simulator that produced the trace.
 func GenerateGo(f *Formula, schema map[string]bool) (string, error) {
 	c, err := Compile(f, schema)
 	if err != nil {
 		return "", err
 	}
-	a := c.Analysis
 	// Unnamed formulas default to f1, matching the in-process Runner's
 	// naming for a single formula, so reports stay byte-identical.
 	name := f.Name
 	if name == "" {
 		name = "f1"
 	}
+	rf := c.runtime(name)
 
 	var b strings.Builder
 	p := func(format string, args ...any) { fmt.Fprintf(&b, format, args...) }
@@ -32,73 +45,77 @@ func GenerateGo(f *Formula, schema map[string]bool) (string, error) {
 	p("//\n//\t%s\n//\n", f)
 	p("// The program reads a text trace (columns: cycle time energy total_pkt\n")
 	p("// total_bit event [key=value ...]) from the file named by its first\n")
-	p("// argument, or stdin, and reports the %s result.\n", map[FormulaKind]string{KindCheck: "assertion", KindDist: "distribution"}[f.Kind])
-	p("package main\n\n")
-	p("import (\n\t\"bufio\"\n\t\"encoding/json\"\n\t\"fmt\"\n\t\"math\"\n\t\"os\"\n\t\"strconv\"\n\t\"strings\"\n)\n\n")
+	p("// argument, or stdin, and reports the %s result; -report PATH also\n", map[FormulaKind]string{KindCheck: "assertion", KindDist: "distribution"}[f.Kind])
+	p("// writes the assertion report JSON.\n\n")
+	b.WriteString(strings.Replace(rtSource, "\npackage rt\n", "\npackage main\n", 1))
 
-	// Embedded compiled artifacts.
-	p("const formulaText = %q\n", f.String())
-	p("const formulaName = %q\n", name)
-	p("const reportSchema = %d\n", ReportSchema)
-	p("const maxViolations = 100 // retention cap, mirrors loc.RunnerOptions default\n\n")
-	p("// Reference slots: one per distinct annotation(event[index]) term.\n")
-	p("type ref struct {\n\tann, event string\n\trel        bool\n\toff        int64\n}\n\n")
-	p("var refs = []ref{\n")
-	for _, r := range a.Refs {
-		p("\t{ann: %q, event: %q, rel: %v, off: %d},\n", r.Ann, r.Event, r.Index.Rel, r.Index.Offset)
+	p("\n// The compiled formula.\nvar formula = &Formula{\n")
+	p("\tName: %q,\n\tSrc:  %q,\n", rf.Name, rf.Src)
+	if rf.Dist {
+		p("\tDist: true,\n")
+	} else {
+		p("\tRel:  %d, // %s\n", rf.Rel, rf.Rel)
 	}
-	p("}\n\n")
-	p("// refNames are the source forms of the slots, for witness provenance.\n")
-	p("var refNames = []string{\n")
-	for _, r := range a.Refs {
-		p("\t%q,\n", r.String())
+	p("\tLHS: %s,\n", goProgram(&rf.LHS))
+	if !rf.Dist {
+		p("\tRHS: %s,\n", goProgram(&rf.RHS))
 	}
-	p("}\n\n")
+	p("\tSlots: []Slot{\n")
+	for _, s := range rf.Slots {
+		p("\t\t{Src: %q, Ann: %q, Event: %q, Rel: %v, Off: %d},\n", s.Src, s.Ann, s.Event, s.Rel, s.Off)
+	}
+	p("\t},\n\tRetention: analysis.Retention,\n}\n\n")
 
 	// The static-analysis block is a pure function of the formula, so it is
-	// computed here once and embedded as literals; the generated report then
+	// computed here once and embedded as a literal; the generated report then
 	// matches loc.BuildReport byte for byte.
 	ra := StaticAnalysis(f)
-	p("// Static analysis of the formula, precomputed at generation time.\n")
-	p("const analysisVerdict = %q\n", ra.Verdict)
-	p("const analysisExact = %v\n", ra.Exact)
-	p("var analysisRetention = map[string]int64{")
+	p("// The formula's static analysis, precomputed at generation time.\n")
+	p("var analysis = &ReportAnalysis{Verdict: %q, Exact: %v, Retention: map[string]int64{", ra.Verdict, ra.Exact)
 	for k, ev := range sortedKeys(ra.Retention) {
 		if k > 0 {
-			p(",")
+			p(", ")
 		}
 		p("%q: %d", ev, ra.Retention[ev])
 	}
-	p("}\n\n")
+	p("}}\n\n")
 
-	emitProg := func(varName string, prog *Program) {
-		p("var %s = []instr{\n", varName)
-		for _, in := range prog.Code {
-			p("\t{op: %d, arg: %d, val: %s},\n", int(in.Op), in.Arg, goFloat(in.Val))
-		}
-		p("}\n\n")
-	}
-	p("// Stack-VM opcodes (const, ref, index, add, sub, mul, div, neg).\n")
-	p("type instr struct {\n\top  int\n\targ int\n\tval float64\n}\n\n")
-	emitProg("lhsProg", c.LHS)
-	// Both kinds' artifacts are always declared (the shared runtime refers
-	// to all of them); the unused side gets inert placeholders.
 	if f.Kind == KindCheck {
-		emitProg("rhsProg", c.RHS)
-		p("const isDistFormula = false\n")
-		p("const relOp = %q\n", f.Rel.String())
-		p("const distOp = \"\"\n")
-		p("const perMin, perMax, perStep = 0.0, 1.0, 1.0\n\n")
-	} else {
-		p("var rhsProg []instr\n\n")
-		p("const isDistFormula = true\n")
-		p("const relOp = \"\"\n")
-		p("const distOp = %q\n", f.Dist.String())
-		p("const perMin, perMax, perStep = %s, %s, %s\n\n", goFloat(f.Period.Min), goFloat(f.Period.Max), goFloat(f.Period.Step))
+		p("func main() { os.Exit(Main(os.Args[1:], formula, analysis, nil)) }\n")
+		return b.String(), nil
 	}
-
-	p("%s\n", codegenRuntime)
+	p("func main() {\n")
+	p("\tt := newHist(%q, %s, %s, %s)\n", f.Dist.String(), goFloat(f.Period.Min), goFloat(f.Period.Max), goFloat(f.Period.Step))
+	p("\tos.Exit(Main(os.Args[1:], formula, analysis, t))\n}\n")
+	b.WriteString(histSource)
 	return b.String(), nil
+}
+
+// goProgram renders a VM program as a Go composite literal.
+func goProgram(prog *rt.Program) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Program{MaxStack: %d, Code: []Instr{\n", prog.MaxStack)
+	for _, in := range prog.Code {
+		fmt.Fprintf(&b, "\t\t{Op: %d, Arg: %d, Val: %s}, // %s\n", in.Op, in.Arg, goFloat(in.Val), in.Op)
+	}
+	b.WriteString("\t}}")
+	return b.String()
+}
+
+// goFloat renders v as a Go expression with exactly v's bits: folded
+// constants may be infinite, NaN or negative zero.
+func goFloat(v float64) string {
+	switch {
+	case math.IsInf(v, 1):
+		return "math.Inf(1)"
+	case math.IsInf(v, -1):
+		return "math.Inf(-1)"
+	case math.IsNaN(v):
+		return "math.NaN()"
+	case v == 0 && math.Signbit(v):
+		return "math.Copysign(0, -1)"
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 func sortedKeys(m map[string]int64) []string {
@@ -110,729 +127,73 @@ func sortedKeys(m map[string]int64) []string {
 	return out
 }
 
-func goFloat(v float64) string {
-	s := fmt.Sprintf("%g", v)
-	if !strings.ContainsAny(s, ".eE") && !strings.Contains(s, "Inf") && !strings.Contains(s, "NaN") {
-		s += ".0"
+// histSource is the generated analyzer's distribution table: the binning
+// and the hist/cdf/ccdf views of stats.Histogram, which a standalone program
+// cannot import. TestGeneratedDistMatchesRunner pins the two together.
+const histSource = `
+// hist bins values over the analysis period <min, max, step>: bin 0 is
+// (-inf, min], bin k covers (min+(k-1)*step, min+k*step], the last bin is
+// (max, +inf). NaN values are counted apart.
+type hist struct {
+	op             string
+	min, max, step float64
+	bins           []int64
+	nans           int64
+}
+
+func newHist(op string, lo, hi, step float64) *hist {
+	n := int(math.Ceil((hi - lo) / step * (1 - 1e-12)))
+	if n < 1 {
+		n = 1
 	}
-	return s
+	return &hist{op: op, min: lo, max: hi, step: step, bins: make([]int64, n+2)}
 }
 
-// codegenRuntime is the formula-independent half of the generated program.
-// It is ordinary Go source kept as a string; the generated artifacts above
-// (refs, lhsProg, rhsProg/periods) are its inputs.
-const codegenRuntime = `
-type eventRec struct {
-	cycle              float64
-	time, energy       float64
-	totalPkt, totalBit float64
-	extra              map[string]float64
-}
-
-func (e *eventRec) annotation(name string) (float64, bool) {
-	switch name {
-	case "cycle":
-		return e.cycle, true
-	case "time":
-		return e.time, true
-	case "energy":
-		return e.energy, true
-	case "total_pkt":
-		return e.totalPkt, true
-	case "total_bit":
-		return e.totalBit, true
-	}
-	v, ok := e.extra[name]
-	return v, ok
-}
-
-// The witness/report types below mirror nepdvs/internal/loc exactly — same
-// field order and JSON tags — so the generated checker's report is
-// byte-identical to the in-process VM's.
-
-type Binding struct {
-	Ref   string  ` + "`json:\"ref\"`" + `
-	Event string  ` + "`json:\"event\"`" + `
-	Ann   string  ` + "`json:\"ann\"`" + `
-	Index int64   ` + "`json:\"index\"`" + `
-	Value float64 ` + "`json:\"value\"`" + `
-	Cycle float64 ` + "`json:\"cycle\"`" + `
-	Time  float64 ` + "`json:\"time\"`" + `
-}
-
-type Violation struct {
-	Instance int64     ` + "`json:\"i\"`" + `
-	LHS      float64   ` + "`json:\"lhs\"`" + `
-	RHS      float64   ` + "`json:\"rhs\"`" + `
-	Time     float64   ` + "`json:\"time\"`" + `
-	Witness  []Binding ` + "`json:\"witness,omitempty\"`" + `
-}
-
-const densityBins = 64
-
-type Density struct {
-	WidthUS float64 ` + "`json:\"width_us\"`" + `
-	Counts  []int64 ` + "`json:\"counts\"`" + `
-}
-
-func (d *Density) Add(t float64) {
-	if d.WidthUS == 0 {
-		d.WidthUS = 1
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
-		t = 0
-	}
-	for t >= d.WidthUS*densityBins {
-		folded := make([]int64, (len(d.Counts)+1)/2)
-		for k, c := range d.Counts {
-			folded[k/2] += c
-		}
-		d.Counts = folded
-		d.WidthUS *= 2
-	}
-	k := int(t / d.WidthUS)
-	for len(d.Counts) <= k {
-		d.Counts = append(d.Counts, 0)
-	}
-	d.Counts[k]++
-}
-
-type ReportAnalysis struct {
-	Verdict   string           ` + "`json:\"verdict,omitempty\"`" + `
-	Retention map[string]int64 ` + "`json:\"retention,omitempty\"`" + `
-	Exact     bool             ` + "`json:\"exact,omitempty\"`" + `
-}
-
-type FormulaReport struct {
-	Name    string ` + "`json:\"name\"`" + `
-	Source  string ` + "`json:\"src\"`" + `
-	Kind    string ` + "`json:\"kind\"`" + `
-	Verdict string ` + "`json:\"verdict\"`" + `
-	Vacuous bool   ` + "`json:\"vacuous,omitempty\"`" + `
-
-	Instances     int64 ` + "`json:\"instances\"`" + `
-	Skipped       int64 ` + "`json:\"skipped\"`" + `
-	Violations    int64 ` + "`json:\"violations,omitempty\"`" + `
-	Indeterminate int64 ` + "`json:\"indeterminate,omitempty\"`" + `
-	Retained      int   ` + "`json:\"retained,omitempty\"`" + `
-	WindowPeak    int64 ` + "`json:\"window_peak,omitempty\"`" + `
-
-	First     *Violation      ` + "`json:\"first,omitempty\"`" + `
-	Worst     *Violation      ` + "`json:\"worst,omitempty\"`" + `
-	Density   *Density        ` + "`json:\"density,omitempty\"`" + `
-	Witnesses []Violation     ` + "`json:\"witnesses,omitempty\"`" + `
-	Analysis  *ReportAnalysis ` + "`json:\"analysis,omitempty\"`" + `
-}
-
-type Report struct {
-	Schema   int             ` + "`json:\"schema\"`" + `
-	Formulas []FormulaReport ` + "`json:\"formulas\"`" + `
-}
-
-// deviation mirrors loc's relation-aware violation margin.
-func deviation(lhs, rhs float64) float64 {
-	switch relOp {
-	case "<=", "<":
-		return lhs - rhs
-	case ">=", ">":
-		return rhs - lhs
-	}
-	return math.Abs(lhs - rhs)
-}
-
-func eval(prog []instr, vals []float64, i int64, stack []float64) (float64, []float64) {
-	stack = stack[:0]
-	for _, in := range prog {
-		switch in.op {
-		case 0:
-			stack = append(stack, in.val)
-		case 1:
-			stack = append(stack, vals[in.arg])
-		case 2:
-			stack = append(stack, float64(i))
-		case 7:
-			stack[len(stack)-1] = -stack[len(stack)-1]
-		case 8:
-			if v := stack[len(stack)-1]; v < 0 {
-				stack[len(stack)-1] = -v
-			}
-		default:
-			r := stack[len(stack)-1]
-			l := stack[len(stack)-2]
-			stack = stack[:len(stack)-1]
-			switch in.op {
-			case 3:
-				stack[len(stack)-1] = l + r
-			case 4:
-				stack[len(stack)-1] = l - r
-			case 5:
-				stack[len(stack)-1] = l * r
-			case 6:
-				stack[len(stack)-1] = l / r
-			case 9:
-				if r < l {
-					stack[len(stack)-1] = r
-				}
-			case 10:
-				if r > l {
-					stack[len(stack)-1] = r
-				}
-			}
-		}
-	}
-	return stack[0], stack
-}
-
-// evState buffers per-event history for streaming evaluation.
-type evState struct {
-	count  int64
-	base   int64
-	buf    [][]float64 // ring of per-ref values for this event's rel refs
-	head   int
-	n      int
-	slots  []int // global slot per rel ref
-	anns   []string
-	offs   []int64
-	minOff int64
-	hasRel bool
-	// absolute refs
-	absSlots []int
-	absAnns  []string
-	absIdx   []int64
-	absVals  []float64
-	absSeen  []bool
-	absTime  []float64
-	absCycle []float64
-}
-
-// slotRef locates a global slot inside its event state, in slot order, so
-// witness construction never depends on map iteration order.
-type slotRef struct {
-	es  *evState
-	k   int
-	rel bool
-}
-
-func (es *evState) push(vals []float64) {
-	if es.n == len(es.buf) {
-		grown := make([][]float64, 2*len(es.buf)+4)
-		for k := 0; k < es.n; k++ {
-			grown[k] = es.buf[(es.head+k)%len(es.buf)]
-		}
-		es.buf = grown
-		es.head = 0
-	}
-	es.buf[(es.head+es.n)%len(es.buf)] = vals
-	es.n++
-}
-
-func (es *evState) get(i int64) []float64 { return es.buf[(es.head+int(i-es.base))%len(es.buf)] }
-
-func (es *evState) trimBelow(i int64) {
-	for es.n > 0 && es.base < i {
-		es.buf[es.head] = nil
-		es.head = (es.head + 1) % len(es.buf)
-		es.n--
-		es.base++
-	}
-	if es.n == 0 && es.base < i {
-		es.base = i
-	}
-}
-
-type checker struct {
-	states  map[string]*evState
-	srefs   []slotRef // indexed by global slot
-	next    int64
-	vals    []float64
-	stack   []float64
-	skipped int64
-	// single marks a formula with no relative references — it has exactly
-	// one instance; done ends the stream after it (mirrors the in-process
-	// runner's fix for the otherwise-unterminated drain loop).
-	single bool
-	done   bool
-
-	// checker results
-	instances     int64
-	violations    int64
-	indeterminate int64
-	viols         []Violation
-	worst         *Violation
-	worstDev      float64
-	density       *Density
-	windowPeak    int64
-
-	// distribution results
-	bins          []int64
-	nans          int64
-	distInstances int64
-	isDist        bool
-}
-
-func newChecker(isDist bool) *checker {
-	c := &checker{states: map[string]*evState{}, vals: make([]float64, len(refs)), isDist: isDist}
-	c.srefs = make([]slotRef, len(refs))
-	c.single = true
-	for _, r := range refs {
-		if r.rel {
-			c.single = false
-		}
-	}
-	for slot, r := range refs {
-		es := c.states[r.event]
-		if es == nil {
-			es = &evState{minOff: 1 << 62}
-			c.states[r.event] = es
-		}
-		if r.rel {
-			c.srefs[slot] = slotRef{es: es, k: len(es.slots), rel: true}
-			es.hasRel = true
-			es.slots = append(es.slots, slot)
-			es.anns = append(es.anns, r.ann)
-			es.offs = append(es.offs, r.off)
-			if r.off < es.minOff {
-				es.minOff = r.off
-			}
-		} else {
-			c.srefs[slot] = slotRef{es: es, k: len(es.absSlots)}
-			es.absSlots = append(es.absSlots, slot)
-			es.absAnns = append(es.absAnns, r.ann)
-			es.absIdx = append(es.absIdx, r.off)
-			es.absVals = append(es.absVals, 0)
-			es.absSeen = append(es.absSeen, false)
-			es.absTime = append(es.absTime, 0)
-			es.absCycle = append(es.absCycle, 0)
-		}
-	}
-	if isDist {
-		n := int(math.Ceil((perMax - perMin) / perStep * (1 - 1e-12)))
-		if n < 1 {
-			n = 1
-		}
-		c.bins = make([]int64, n+2)
-	}
-	return c
-}
-
-func (c *checker) onEvent(name string, rec *eventRec) error {
-	es, ok := c.states[name]
-	if !ok {
-		return nil
-	}
-	n := es.count
-	es.count++
-	for k, idx := range es.absIdx {
-		if idx == n && !es.absSeen[k] {
-			v, ok := rec.annotation(es.absAnns[k])
-			if !ok {
-				return fmt.Errorf("event %q instance %d lacks annotation %q", name, n, es.absAnns[k])
-			}
-			es.absVals[k] = v
-			es.absSeen[k] = true
-			es.absTime[k] = rec.time
-			es.absCycle[k] = rec.cycle
-		}
-	}
-	if es.hasRel {
-		// Trim on arrival, mirroring the in-process runner: instances below
-		// next+minOff can never be referenced again.
-		es.trimBelow(c.next + es.minOff)
-		// Two extra trailing entries carry the event's time and cycle for
-		// witness provenance, mirroring the in-process runner.
-		vals := make([]float64, len(es.slots)+2)
-		for k, ann := range es.anns {
-			v, ok := rec.annotation(ann)
-			if !ok {
-				return fmt.Errorf("event %q instance %d lacks annotation %q", name, n, ann)
-			}
-			vals[k] = v
-		}
-		vals[len(es.slots)] = rec.time
-		vals[len(es.slots)+1] = rec.cycle
-		es.push(vals)
-		if p := int64(es.n); p > c.windowPeak {
-			c.windowPeak = p
-		}
-	}
-	c.drain()
-	return nil
-}
-
-func (c *checker) drain() {
-	for {
-		if c.done {
-			return
-		}
-		ready, skip := true, false
-		for _, es := range c.states {
-			for k := range es.absIdx {
-				if !es.absSeen[k] {
-					ready = false
-				}
-			}
-			for _, off := range es.offs {
-				idx := c.next + off
-				if idx < 0 {
-					skip = true
-					continue
-				}
-				if idx >= es.count {
-					ready = false
-				}
-			}
-		}
-		if !ready {
-			return
-		}
-		if skip {
-			c.skipped++
-		} else {
-			for _, es := range c.states {
-				for k, slot := range es.absSlots {
-					c.vals[slot] = es.absVals[k]
-				}
-				for k, slot := range es.slots {
-					c.vals[slot] = es.get(c.next + es.offs[k])[k]
-				}
-			}
-			c.evalInstance()
-		}
-		c.next++
-		for _, es := range c.states {
-			if es.hasRel {
-				es.trimBelow(c.next + es.minOff)
-			}
-		}
-		if c.single {
-			c.done = true
-		}
-	}
-}
-
-func (c *checker) evalInstance() {
-	var lhs float64
-	lhs, c.stack = eval(lhsProg, c.vals, c.next, c.stack)
-	if c.isDist {
-		c.distInstances++
-		if math.IsNaN(lhs) {
-			c.nans++
-			return
-		}
-		k := 0
-		switch {
-		case lhs <= perMin:
-			k = 0
-		case lhs > perMax:
-			k = len(c.bins) - 1
-		default:
-			k = int(math.Ceil((lhs - perMin) / perStep))
-			if k < 1 {
-				k = 1
-			}
-			if k > len(c.bins)-2 {
-				k = len(c.bins) - 2
-			}
-		}
-		c.bins[k]++
+func (h *hist) Add(v float64) {
+	if math.IsNaN(v) {
+		h.nans++
 		return
 	}
-	var rhs float64
-	rhs, c.stack = eval(rhsProg, c.vals, c.next, c.stack)
-	c.instances++
-	if math.IsNaN(lhs) || math.IsNaN(rhs) {
-		c.indeterminate++
-		return
+	k := len(h.bins) - 1
+	switch {
+	case v <= h.min:
+		k = 0
+	case v <= h.max:
+		k = min(max(int(math.Ceil((v-h.min)/h.step)), 1), len(h.bins)-2)
 	}
-	holds := false
-	switch relOp {
-	case "<=":
-		holds = lhs <= rhs
-	case "<":
-		holds = lhs < rhs
-	case ">=":
-		holds = lhs >= rhs
-	case ">":
-		holds = lhs > rhs
-	case "==":
-		holds = lhs == rhs
-	case "!=":
-		holds = lhs != rhs
-	}
-	if !holds {
-		c.violation(c.next, lhs, rhs)
-	}
+	h.bins[k]++
 }
 
-// violation mirrors the in-process runner: every violation feeds the total
-// and the density series; retained ones (and any new worst) capture full
-// witness provenance.
-func (c *checker) violation(i int64, lhs, rhs float64) {
-	c.violations++
-	_, maxT := c.witnessWindow(i)
-	if c.density == nil {
-		c.density = &Density{}
-	}
-	c.density.Add(maxT)
-	dev := deviation(lhs, rhs)
-	retain := len(c.viols) < maxViolations
-	worse := c.worst == nil || dev > c.worstDev
-	if !retain && !worse {
-		return
-	}
-	v := Violation{Instance: i, LHS: lhs, RHS: rhs, Time: maxT, Witness: c.witness(i)}
-	if retain {
-		c.viols = append(c.viols, v)
-	}
-	if worse {
-		wv := v
-		c.worst = &wv
-		c.worstDev = dev
-	}
-}
-
-func (c *checker) witnessWindow(i int64) (minT, maxT float64) {
-	for n, sr := range c.srefs {
-		var t float64
-		if sr.rel {
-			vals := sr.es.get(i + sr.es.offs[sr.k])
-			t = vals[len(sr.es.slots)]
-		} else {
-			t = sr.es.absTime[sr.k]
-		}
-		if n == 0 || t < minT {
-			minT = t
-		}
-		if n == 0 || t > maxT {
-			maxT = t
-		}
-	}
-	return minT, maxT
-}
-
-func (c *checker) witness(i int64) []Binding {
-	w := make([]Binding, len(refs))
-	for slot, sr := range c.srefs {
-		r := refs[slot]
-		b := Binding{Ref: refNames[slot], Event: r.event, Ann: r.ann}
-		if sr.rel {
-			idx := i + sr.es.offs[sr.k]
-			vals := sr.es.get(idx)
-			n := len(sr.es.slots)
-			b.Index, b.Value, b.Time, b.Cycle = idx, vals[sr.k], vals[n], vals[n+1]
-		} else {
-			b.Index, b.Value = sr.es.absIdx[sr.k], sr.es.absVals[sr.k]
-			b.Time, b.Cycle = sr.es.absTime[sr.k], sr.es.absCycle[sr.k]
-		}
-		w[slot] = b
-	}
-	return w
-}
-
-func (c *checker) report() int {
-	fmt.Printf("formula: %s\n", formulaText)
-	if !c.isDist {
-		if c.violations == 0 && c.indeterminate == 0 {
-			fmt.Printf("PASSED: %d instances, %d skipped\n", c.instances, c.skipped)
-			return 0
-		}
-		fmt.Printf("FAILED: %d instances, %d violations, %d indeterminate, %d skipped\n",
-			c.instances, c.violations, c.indeterminate, c.skipped)
-		shown := len(c.viols)
-		if shown > 10 {
-			shown = 10
-		}
-		for _, v := range c.viols[:shown] {
-			fmt.Printf("  violation i=%d: lhs=%g rhs=%g\n", v.Instance, v.LHS, v.RHS)
-			for _, b := range v.Witness {
-				fmt.Printf("    %s = %g (%s[%d] cycle=%g t=%gus)\n", b.Ref, b.Value, b.Event, b.Index, b.Cycle, b.Time)
-			}
-		}
-		if rest := c.violations - int64(shown); rest > 0 {
-			fmt.Printf("  ... %d more violations\n", rest)
-		}
-		return 1
-	}
+func (h *hist) Print(instances, skipped int64) {
 	fmt.Printf("# %s of %d instances over <%g, %g, %g> (%d NaN, %d skipped)\n",
-		distOp, c.distInstances, perMin, perMax, perStep, c.nans, c.skipped)
-	total := c.distInstances - c.nans
+		h.op, instances, h.min, h.max, h.step, h.nans, skipped)
+	total := instances - h.nans
 	if total == 0 {
 		fmt.Println("# no instances")
-		return 0
+		return
 	}
-	switch distOp {
-	case "hist":
-		for k, cnt := range c.bins {
-			fmt.Printf("%g\t%.6f\n", c.edge(k), float64(cnt)/float64(total))
-		}
-	case "cdf":
-		cum := int64(0)
-		for k, cnt := range c.bins {
-			cum += cnt
-			fmt.Printf("%g\t%.6f\n", c.edge(k), float64(cum)/float64(total))
-		}
-	case "ccdf":
-		suffix := make([]int64, len(c.bins)+1)
-		for k := len(c.bins) - 1; k >= 0; k-- {
-			suffix[k] = suffix[k+1] + c.bins[k]
-		}
-		for k := range c.bins {
-			fmt.Printf("%g\t%.6f\n", c.edge(k-1), float64(suffix[k])/float64(total))
+	cum := int64(0)
+	for k, n := range h.bins {
+		switch h.op {
+		case "hist":
+			fmt.Printf("%g\t%.6f\n", h.edge(k), float64(n)/float64(total))
+		case "cdf":
+			cum += n
+			fmt.Printf("%g\t%.6f\n", h.edge(k), float64(cum)/float64(total))
+		case "ccdf":
+			fmt.Printf("%g\t%.6f\n", h.edge(k-1), float64(total-cum)/float64(total))
+			cum += n
 		}
 	}
-	return 0
 }
 
-func (c *checker) edge(k int) float64 {
+func (h *hist) edge(k int) float64 {
 	switch {
 	case k <= 0:
-		return perMin
-	case k > len(c.bins)-2:
+		return h.min
+	case k > len(h.bins)-2:
 		return math.Inf(1)
-	default:
-		e := perMin + float64(k)*perStep
-		if e > perMax {
-			e = perMax
-		}
-		return e
 	}
-}
-
-// buildReport assembles the single-formula assertion report, mirroring
-// loc.BuildReport field for field so the JSON bytes match the VM path.
-func (c *checker) buildReport() *Report {
-	fr := FormulaReport{Name: formulaName, Source: formulaText, WindowPeak: c.windowPeak}
-	if c.isDist {
-		fr.Kind = "dist"
-		fr.Verdict = "dist"
-		fr.Instances = c.distInstances
-		fr.Skipped = c.skipped
-	} else {
-		fr.Kind = "check"
-		switch {
-		case c.violations == 0 && c.indeterminate == 0:
-			fr.Verdict = "pass"
-		case c.violations > 0:
-			fr.Verdict = "fail"
-		default:
-			fr.Verdict = "indeterminate"
-		}
-		fr.Vacuous = c.violations == 0 && c.indeterminate == 0 && c.instances == 0
-		fr.Instances = c.instances
-		fr.Skipped = c.skipped
-		fr.Violations = c.violations
-		fr.Indeterminate = c.indeterminate
-		fr.Retained = len(c.viols)
-		if len(c.viols) > 0 {
-			first := c.viols[0]
-			fr.First = &first
-		}
-		fr.Worst = c.worst
-		fr.Density = c.density
-		fr.Witnesses = c.viols
-	}
-	fr.Analysis = &ReportAnalysis{Verdict: analysisVerdict, Retention: analysisRetention, Exact: analysisExact}
-	return &Report{Schema: reportSchema, Formulas: []FormulaReport{fr}}
-}
-
-func (c *checker) writeReport(path string) {
-	b, err := json.MarshalIndent(c.buildReport(), "", "  ")
-	if err != nil {
-		die(err)
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		die(err)
-	}
-}
-
-// die reports a fatal input or I/O error and exits 2 — the analyzer's
-// usage/bad-input status, distinct from exit 1 (assertion violations). All
-// fatal paths funnel through here so no malformed trace can ever be
-// reported as a pass.
-func die(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(2)
-}
-
-func main() {
-	var tracePath, reportPath string
-	args := os.Args[1:]
-	for i := 0; i < len(args); i++ {
-		switch {
-		case args[i] == "-report":
-			i++
-			if i >= len(args) {
-				die(fmt.Errorf("-report needs a path"))
-			}
-			reportPath = args[i]
-		case tracePath == "":
-			tracePath = args[i]
-		default:
-			die(fmt.Errorf("unexpected argument %q", args[i]))
-		}
-	}
-	in := os.Stdin
-	if tracePath != "" {
-		f, err := os.Open(tracePath)
-		if err != nil {
-			die(err)
-		}
-		defer f.Close()
-		in = f
-	}
-	c := newChecker(isDistFormula)
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 6 {
-			die(fmt.Errorf("line %d: want >= 6 fields", lineNo))
-		}
-		var rec eventRec
-		var err error
-		parse := func(s string) float64 {
-			v, e := strconv.ParseFloat(s, 64)
-			if e != nil && err == nil {
-				err = fmt.Errorf("line %d: bad number %q", lineNo, s)
-			}
-			return v
-		}
-		rec.cycle = parse(fields[0])
-		rec.time = parse(fields[1])
-		rec.energy = parse(fields[2])
-		rec.totalPkt = parse(fields[3])
-		rec.totalBit = parse(fields[4])
-		name := fields[5]
-		for _, f := range fields[6:] {
-			k, vs, ok := strings.Cut(f, "=")
-			if !ok {
-				err = fmt.Errorf("line %d: bad extra %q", lineNo, f)
-				break
-			}
-			if rec.extra == nil {
-				rec.extra = map[string]float64{}
-			}
-			rec.extra[k] = parse(vs)
-		}
-		if err != nil {
-			die(err)
-		}
-		if err := c.onEvent(name, &rec); err != nil {
-			die(err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		die(err)
-	}
-	if reportPath != "" {
-		c.writeReport(reportPath)
-	}
-	os.Exit(c.report())
+	return min(h.min+float64(k)*h.step, h.max)
 }
 `

@@ -1,127 +1,30 @@
 package loc
 
-import (
-	"fmt"
-	"strings"
+import "nepdvs/internal/loc/rt"
+
+// The stack VM lives in package rt, which the runner and generated
+// checkers share: a compiled expression is a flat instruction sequence over
+// a float64 stack, a serializable artifact rather than a tree walk.
+type (
+	OpCode  = rt.OpCode
+	Instr   = rt.Instr
+	Program = rt.Program
 )
 
-// The stack VM. A compiled expression is a flat instruction sequence
-// operating on a float64 stack; the same representation is executed
-// in-process by the runner and embedded into generated standalone checkers
-// by the codegen (which is why it is a first-class, serializable artifact
-// rather than a tree walk).
-
-// OpCode is a VM instruction opcode.
-type OpCode uint8
-
-// VM opcodes. OpRef pushes the value of reference slot Arg (filled by the
-// runner per instance); OpIndex pushes the current instance index.
+// VM opcodes (see rt).
 const (
-	OpConst OpCode = iota // push Val
-	OpRef                 // push refs[Arg]
-	OpIndex               // push float64(i)
-	OpAdd
-	OpSub
-	OpMul
-	OpDiv
-	OpNeg
-	OpAbs
-	OpMin
-	OpMax
+	OpConst = rt.OpConst
+	OpRef   = rt.OpRef
+	OpIndex = rt.OpIndex
+	OpAdd   = rt.OpAdd
+	OpSub   = rt.OpSub
+	OpMul   = rt.OpMul
+	OpDiv   = rt.OpDiv
+	OpNeg   = rt.OpNeg
+	OpAbs   = rt.OpAbs
+	OpMin   = rt.OpMin
+	OpMax   = rt.OpMax
 )
-
-var opNames = map[OpCode]string{
-	OpConst: "const", OpRef: "ref", OpIndex: "index",
-	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpDiv: "div", OpNeg: "neg",
-	OpAbs: "abs", OpMin: "min", OpMax: "max",
-}
-
-func (o OpCode) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
-	}
-	return fmt.Sprintf("OpCode(%d)", int(o))
-}
-
-// Instr is one VM instruction.
-type Instr struct {
-	Op  OpCode
-	Arg int     // slot index for OpRef
-	Val float64 // literal for OpConst
-}
-
-// Program is a compiled expression: a straight-line instruction sequence
-// leaving exactly one value on the stack.
-type Program struct {
-	Code     []Instr
-	MaxStack int
-}
-
-// Disasm renders the program for debugging and the generated-checker
-// source comments.
-func (p *Program) Disasm() string {
-	var b strings.Builder
-	for k, in := range p.Code {
-		switch in.Op {
-		case OpConst:
-			fmt.Fprintf(&b, "%3d  const %g\n", k, in.Val)
-		case OpRef:
-			fmt.Fprintf(&b, "%3d  ref   #%d\n", k, in.Arg)
-		default:
-			fmt.Fprintf(&b, "%3d  %s\n", k, in.Op)
-		}
-	}
-	return b.String()
-}
-
-// Eval executes the program. refs[k] must hold the current value of
-// reference slot k; i is the instance index. The stack slice is scratch
-// space (grown as needed) so hot evaluation loops do not allocate.
-func (p *Program) Eval(refs []float64, i int64, stack []float64) (float64, []float64) {
-	if cap(stack) < p.MaxStack {
-		stack = make([]float64, 0, p.MaxStack)
-	}
-	stack = stack[:0]
-	for _, in := range p.Code {
-		switch in.Op {
-		case OpConst:
-			stack = append(stack, in.Val)
-		case OpRef:
-			stack = append(stack, refs[in.Arg])
-		case OpIndex:
-			stack = append(stack, float64(i))
-		case OpNeg:
-			stack[len(stack)-1] = -stack[len(stack)-1]
-		case OpAbs:
-			if v := stack[len(stack)-1]; v < 0 {
-				stack[len(stack)-1] = -v
-			}
-		default:
-			r := stack[len(stack)-1]
-			l := stack[len(stack)-2]
-			stack = stack[:len(stack)-1]
-			switch in.Op {
-			case OpAdd:
-				stack[len(stack)-1] = l + r
-			case OpSub:
-				stack[len(stack)-1] = l - r
-			case OpMul:
-				stack[len(stack)-1] = l * r
-			case OpDiv:
-				stack[len(stack)-1] = l / r
-			case OpMin:
-				if r < l {
-					stack[len(stack)-1] = r
-				}
-			case OpMax:
-				if r > l {
-					stack[len(stack)-1] = r
-				}
-			}
-		}
-	}
-	return stack[0], stack
-}
 
 // Compiled is a fully compiled formula ready for streaming evaluation.
 type Compiled struct {
@@ -195,4 +98,29 @@ func compileExpr(e Expr, slots map[Ref]int) *Program {
 	emit(e)
 	p.MaxStack = maxDepth
 	return p
+}
+
+// runtime packages the compiled formula for an rt.Checker under the given
+// report name.
+func (c *Compiled) runtime(name string) *rt.Formula {
+	a := c.Analysis
+	f := &rt.Formula{
+		Name:      name,
+		Src:       a.Formula.String(),
+		Dist:      a.Formula.Kind == KindDist,
+		Rel:       a.Formula.Rel,
+		LHS:       *c.LHS,
+		Slots:     make([]rt.Slot, len(a.Refs)),
+		Retention: make(map[string]int64, len(a.Windows)),
+	}
+	if c.RHS != nil {
+		f.RHS = *c.RHS
+	}
+	for k, r := range a.Refs {
+		f.Slots[k] = rt.Slot{Src: r.String(), Ann: r.Ann, Event: r.Event, Rel: r.Index.Rel, Off: r.Index.Offset}
+	}
+	for ev, w := range a.Windows {
+		f.Retention[ev] = w.Retention()
+	}
+	return f
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"nepdvs/internal/loc/rt"
 )
 
 // FuzzLOCLexer: arbitrary formula source may be rejected but never panic
@@ -92,8 +94,8 @@ func FuzzWitnessRender(f *testing.F) {
 			d.Add(tm * float64(k))
 		}
 		c.Density = d
-		if len(d.Counts) > densityBins {
-			t.Fatalf("density grew past %d bins: %d (width %g)", densityBins, len(d.Counts), d.WidthUS)
+		if len(d.Counts) > rt.DensityBins {
+			t.Fatalf("density grew past %d bins: %d (width %g)", rt.DensityBins, len(d.Counts), d.WidthUS)
 		}
 		if d.Total() != total {
 			t.Fatalf("density lost violations: %d of %d", d.Total(), total)
@@ -136,7 +138,7 @@ func FuzzFormulaLint(f *testing.F) {
 			}
 			// Positions are file-global and formulas are linted in file
 			// order, so lines never decrease across the findings stream.
-			if i > 0 && parsed && ds[i-1].Pos.Line > d.Pos.Line {
+			if i > 0 && parsed && ds[i-1].Line > d.Line {
 				t.Fatalf("diags out of line order: %v", ds)
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"nepdvs/internal/lint/diag"
 )
 
 // Static analysis of parsed formulas — the LOC front of nepvet, surfaced
@@ -38,24 +40,18 @@ const (
 // lints clean also runs within default memory bounds.
 const LintMaxWindow = 1 << 22
 
-// LintDiag is one LOC lint finding.
-type LintDiag struct {
-	Pos  Pos
-	Rule string
-	Msg  string
-}
-
-func (d LintDiag) String() string {
-	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Rule, d.Msg)
+// finding builds one LOC lint finding, positioned in the formula source.
+func finding(pos Pos, rule, msg string) diag.Diag {
+	return diag.Diag{Line: pos.Line, Col: pos.Col, Rule: rule, Msg: msg}
 }
 
 // Lint statically analyzes one formula against an annotation schema (nil
 // skips annotation-name checking, as in Analyze). Findings come back
 // sorted by position.
-func Lint(f *Formula, schema map[string]bool) []LintDiag {
-	var diags []LintDiag
+func Lint(f *Formula, schema map[string]bool) []diag.Diag {
+	var diags []diag.Diag
 	report := func(pos Pos, rule, format string, args ...any) {
-		diags = append(diags, LintDiag{Pos: pos, Rule: rule, Msg: fmt.Sprintf(format, args...)})
+		diags = append(diags, finding(pos, rule, fmt.Sprintf(format, args...)))
 	}
 
 	if f.Kind == KindDist {
@@ -162,7 +158,7 @@ func Lint(f *Formula, schema map[string]bool) []LintDiag {
 		}
 	}
 
-	sortLintDiags(diags)
+	diag.Sort(diags)
 	return diags
 }
 
@@ -172,12 +168,12 @@ func Lint(f *Formula, schema map[string]bool) []LintDiag {
 // callers get one uniform findings stream; the bool result reports whether
 // the source parsed (callers distinguishing parse failures from lint
 // findings, like locheck's exit codes, need the distinction).
-func LintFile(src string, schema map[string]bool) ([]LintDiag, bool) {
+func LintFile(src string, schema map[string]bool) ([]diag.Diag, bool) {
 	fs, err := ParseFile(src)
 	if err != nil {
 		return parseDiags(err), false
 	}
-	var diags []LintDiag
+	var diags []diag.Diag
 	for _, f := range fs {
 		diags = append(diags, Lint(f, schema)...)
 	}

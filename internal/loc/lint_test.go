@@ -3,13 +3,15 @@ package loc
 import (
 	"strings"
 	"testing"
+
+	"nepdvs/internal/lint/diag"
 )
 
 // lintSchema is a minimal annotation schema for the lint tests; the real
 // tools pass core.TraceSchema().
 var lintSchema = map[string]bool{"cycle": true, "energy": true, "time": true}
 
-func lintOne(t *testing.T, src string) []LintDiag {
+func lintOne(t *testing.T, src string) []diag.Diag {
 	t.Helper()
 	f, err := Parse(src)
 	if err != nil {
@@ -18,7 +20,7 @@ func lintOne(t *testing.T, src string) []LintDiag {
 	return Lint(f, lintSchema)
 }
 
-func rulesOf(ds []LintDiag) []string {
+func rulesOf(ds []diag.Diag) []string {
 	out := make([]string, len(ds))
 	for i, d := range ds {
 		out[i] = d.Rule

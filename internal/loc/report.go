@@ -1,177 +1,30 @@
 package loc
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-	"strings"
+import "nepdvs/internal/loc/rt"
+
+// ReportSchema versions the assertion-report JSON layout (see rt).
+const ReportSchema = rt.ReportSchema
+
+// The report types live in package rt so the in-process runner and
+// generated checkers marshal the same types.
+type (
+	FormulaReport  = rt.FormulaReport
+	Report         = rt.Report
+	ReportAnalysis = rt.ReportAnalysis
 )
 
-// ReportSchema versions the assertion-report JSON layout. Bump it whenever a
-// field is added, removed or reinterpreted so consumers can detect mismatch.
-// Schema 2 added the Vacuous flag and the static Analysis block.
-const ReportSchema = 2
-
-// FormulaReport is the per-formula section of an assertion report.
-type FormulaReport struct {
-	Name    string `json:"name"`
-	Source  string `json:"src"`
-	Kind    string `json:"kind"`    // "check" or "dist"
-	Verdict string `json:"verdict"` // "pass", "fail", "indeterminate" or "dist"
-	// Vacuous marks a check that passed without evaluating a single
-	// instance: nothing was asserted, so "pass" is an empty claim.
-	Vacuous bool `json:"vacuous,omitempty"`
-
-	Instances     int64 `json:"instances"`
-	Skipped       int64 `json:"skipped"`
-	Violations    int64 `json:"violations,omitempty"`
-	Indeterminate int64 `json:"indeterminate,omitempty"`
-	// Retained is how many violations kept full witnesses (MaxViolations
-	// caps retention; Violations counts them all).
-	Retained   int   `json:"retained,omitempty"`
-	WindowPeak int64 `json:"window_peak,omitempty"`
-
-	First   *Violation `json:"first,omitempty"`
-	Worst   *Violation `json:"worst,omitempty"`
-	Density *Density   `json:"density,omitempty"`
-	// Witnesses is every retained violation with full provenance.
-	Witnesses []Violation `json:"witnesses,omitempty"`
-	// Analysis is the static-analysis block: the relation verdict over the
-	// standard annotation ranges and the inferred retention bounds. A pure
-	// function of the formula source, identical across every producer.
-	Analysis *ReportAnalysis `json:"analysis,omitempty"`
-}
-
-// Report is the unified assertion report: a deterministic, serializable
-// digest of every formula's outcome over one run. Building it from
-// round-tripped Results (e.g. a stored job artifact) yields bytes identical
-// to building it from the live run.
-type Report struct {
-	Schema   int             `json:"schema"`
-	Formulas []FormulaReport `json:"formulas"`
-}
-
 // BuildReport assembles the assertion report for a set of formula results.
+// Building it from round-tripped Results (e.g. a stored job artifact) yields
+// bytes identical to building it from the live run.
 func BuildReport(results []Result) *Report {
 	rep := &Report{Schema: ReportSchema, Formulas: make([]FormulaReport, 0, len(results))}
 	for _, r := range results {
-		fr := FormulaReport{Name: r.Name, Source: r.Formula.String(), WindowPeak: r.WindowPeak}
-		if c := r.Check; c != nil {
-			fr.Kind = "check"
-			switch {
-			case c.Passed():
-				fr.Verdict = "pass"
-			case c.Total > 0:
-				fr.Verdict = "fail"
-			default:
-				fr.Verdict = "indeterminate"
-			}
-			fr.Vacuous = c.Passed() && c.Instances == 0
-			fr.Instances = c.Instances
-			fr.Skipped = c.Skipped
-			fr.Violations = c.Total
-			fr.Indeterminate = c.Indeterminate
-			fr.Retained = len(c.Violations)
-			if len(c.Violations) > 0 {
-				first := c.Violations[0]
-				fr.First = &first
-			}
-			fr.Worst = c.Worst
-			fr.Density = c.Density
-			fr.Witnesses = c.Violations
-		} else if d := r.Dist; d != nil {
-			fr.Kind = "dist"
-			fr.Verdict = "dist"
-			fr.Instances = d.Instances
-			fr.Skipped = d.Skipped
+		c := r.Check
+		if d := r.Dist; d != nil {
+			c = &CheckResult{Instances: d.Instances, Skipped: d.Skipped}
 		}
-		fr.Analysis = StaticAnalysis(r.Formula)
-		rep.Formulas = append(rep.Formulas, fr)
+		rep.Formulas = append(rep.Formulas,
+			rt.Section(r.Name, r.Formula.String(), r.Dist != nil, c, r.WindowPeak, StaticAnalysis(r.Formula)))
 	}
 	return rep
-}
-
-// Failed reports whether any check formula failed or was indeterminate.
-func (r *Report) Failed() bool {
-	for _, fr := range r.Formulas {
-		if fr.Verdict == "fail" || fr.Verdict == "indeterminate" {
-			return true
-		}
-	}
-	return false
-}
-
-// JSON renders the report as indented JSON with a trailing newline. The
-// encoding is deterministic: field order follows the struct declarations and
-// all values derive from simulation state.
-func (r *Report) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// Text renders a human-oriented summary of the report.
-func (r *Report) Text() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "assertion report (schema %d)\n", r.Schema)
-	for _, fr := range r.Formulas {
-		fmt.Fprintf(&b, "formula %s: %s\n", fr.Name, fr.Source)
-		if a := fr.Analysis; a != nil && (a.Verdict != "" || len(a.Retention) > 0) {
-			b.WriteString("  analysis:")
-			if a.Verdict != "" {
-				fmt.Fprintf(&b, " verdict %s;", a.Verdict)
-			}
-			if len(a.Retention) > 0 {
-				events := make([]string, 0, len(a.Retention))
-				for ev := range a.Retention {
-					events = append(events, ev)
-				}
-				sort.Strings(events)
-				b.WriteString(" retention")
-				for _, ev := range events {
-					fmt.Fprintf(&b, " %s=%d", ev, a.Retention[ev])
-				}
-				if a.Exact {
-					b.WriteString(" (exact)")
-				}
-			}
-			b.WriteString("\n")
-		}
-		if fr.Kind == "dist" {
-			fmt.Fprintf(&b, "  dist: %d instances analyzed, %d skipped\n", fr.Instances, fr.Skipped)
-			continue
-		}
-		fmt.Fprintf(&b, "  %s: %d instances evaluated, %d violations (%d retained), %d indeterminate, %d skipped",
-			strings.ToUpper(fr.Verdict), fr.Instances, fr.Violations, fr.Retained, fr.Indeterminate, fr.Skipped)
-		if fr.WindowPeak > 0 {
-			fmt.Fprintf(&b, "; window peak %d", fr.WindowPeak)
-		}
-		if fr.Vacuous {
-			b.WriteString("; passed vacuously (no instance was ever evaluated)")
-		}
-		b.WriteString("\n")
-		if fr.First != nil {
-			fmt.Fprintf(&b, "  first %s at t=%gus\n", fr.First, fr.First.Time)
-			for _, bd := range fr.First.Witness {
-				fmt.Fprintf(&b, "    %s\n", bd)
-			}
-		}
-		if fr.Worst != nil && (fr.First == nil || fr.Worst.Instance != fr.First.Instance) {
-			fmt.Fprintf(&b, "  worst %s at t=%gus\n", fr.Worst, fr.Worst.Time)
-			for _, bd := range fr.Worst.Witness {
-				fmt.Fprintf(&b, "    %s\n", bd)
-			}
-		}
-		if d := fr.Density; d != nil && len(d.Counts) > 0 {
-			fmt.Fprintf(&b, "  density: %d violations over [0us, %gus) in %gus bins:",
-				d.Total(), d.WidthUS*float64(len(d.Counts)), d.WidthUS)
-			for _, c := range d.Counts {
-				fmt.Fprintf(&b, " %d", c)
-			}
-			b.WriteString("\n")
-		}
-	}
-	return b.String()
 }

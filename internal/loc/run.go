@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"nepdvs/internal/loc/rt"
 	"nepdvs/internal/obs"
 	"nepdvs/internal/sim"
 	"nepdvs/internal/span"
@@ -12,149 +13,17 @@ import (
 	"nepdvs/internal/trace"
 )
 
-// Binding is one reference slot's provenance for a particular formula
-// instance: which event instance bound the value, and the trace coordinates
-// (cycle, time) of that event. A violation's witness is one Binding per
-// reference slot, in slot (first-appearance) order.
-type Binding struct {
-	Ref   string  `json:"ref"`   // source form, e.g. "cycle(deq[i-1])"
-	Event string  `json:"event"` // event name
-	Ann   string  `json:"ann"`   // annotation name
-	Index int64   `json:"index"` // resolved instance number of Event
-	Value float64 `json:"value"` // the annotation value that entered the evaluation
-	Cycle float64 `json:"cycle"` // trace cycle of the bound event
-	Time  float64 `json:"time"`  // trace time of the bound event (µs)
-}
-
-func (b Binding) String() string {
-	return fmt.Sprintf("%s = %g (%s[%d] cycle=%g t=%gus)", b.Ref, b.Value, b.Event, b.Index, b.Cycle, b.Time)
-}
-
-// Violation records one failing instance of a checker formula, with the
-// witness that explains it.
-type Violation struct {
-	Instance int64   `json:"i"`
-	LHS      float64 `json:"lhs"`
-	RHS      float64 `json:"rhs"`
-	// Time is the simulation time (µs) at which the instance became
-	// checkable: the latest trace event its references bound.
-	Time float64 `json:"time"`
-	// Witness holds one binding per reference slot (nil when provenance was
-	// not captured, e.g. for violations past the retention cap).
-	Witness []Binding `json:"witness,omitempty"`
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("i=%d: lhs=%g rhs=%g", v.Instance, v.LHS, v.RHS)
-}
-
-// densityBins bounds the Density bin count; the bin width doubles (folding
-// adjacent bins) whenever a violation lands past the last slot.
-const densityBins = 64
-
-// Density is a constant-memory violation-count series over simulation time:
-// Counts[k] covers [k·WidthUS, (k+1)·WidthUS) microseconds from t = 0. It
-// starts with 1 µs bins and doubles the width as needed, so its layout is a
-// pure function of the violation times — identical across the in-process VM
-// and generated checkers.
-type Density struct {
-	WidthUS float64 `json:"width_us"`
-	Counts  []int64 `json:"counts"`
-}
-
-// Add records one violation at time t (µs). Non-finite or negative times
-// clamp to bin zero so adversarial annotation values cannot force unbounded
-// growth.
-func (d *Density) Add(t float64) {
-	if d.WidthUS == 0 {
-		d.WidthUS = 1
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
-		t = 0
-	}
-	for t >= d.WidthUS*densityBins {
-		folded := make([]int64, (len(d.Counts)+1)/2)
-		for k, c := range d.Counts {
-			folded[k/2] += c
-		}
-		d.Counts = folded
-		d.WidthUS *= 2
-	}
-	k := int(t / d.WidthUS)
-	for len(d.Counts) <= k {
-		d.Counts = append(d.Counts, 0)
-	}
-	d.Counts[k]++
-}
-
-// Total returns the number of recorded violations.
-func (d *Density) Total() int64 {
-	var n int64
-	for _, c := range d.Counts {
-		n += c
-	}
-	return n
-}
-
-// CheckResult is the outcome of running a checker formula over a trace.
-type CheckResult struct {
-	Instances     int64 // instances evaluated
-	Skipped       int64 // instances skipped because an index was negative
-	Indeterminate int64 // instances where a NaN reached the comparison
-	Total         int64 // total violations
-	Violations    []Violation
-	// Worst is the violation with the largest margin by which the relation
-	// failed, tracked across every violation — including those past the
-	// retention cap. Ties keep the earliest.
-	Worst *Violation `json:"worst,omitempty"`
-	// Density bins every violation (retained or not) by its sim time.
-	Density *Density `json:"density,omitempty"`
-}
-
-// Passed reports whether the assertion held on every evaluated instance.
-func (c *CheckResult) Passed() bool { return c.Total == 0 && c.Indeterminate == 0 }
-
-// String renders the verdict line, up to ten retained violations with their
-// witness bindings, and an exact remainder count. Total counts every
-// violation even when MaxViolations capped retention, so the remainder line
-// covers both the display truncation and the retention cap.
-func (c *CheckResult) String() string {
-	var b strings.Builder
-	status := "PASSED"
-	if !c.Passed() {
-		status = "FAILED"
-	}
-	fmt.Fprintf(&b, "  %s: %d instances evaluated, %d violations, %d indeterminate, %d skipped\n",
-		status, c.Instances, c.Total, c.Indeterminate, c.Skipped)
-	shown := len(c.Violations)
-	if shown > 10 {
-		shown = 10
-	}
-	for _, v := range c.Violations[:shown] {
-		fmt.Fprintf(&b, "  violation %s\n", v)
-		for _, bd := range v.Witness {
-			fmt.Fprintf(&b, "    %s\n", bd)
-		}
-	}
-	if rest := c.Total - int64(shown); rest > 0 {
-		fmt.Fprintf(&b, "  ... %d more violations\n", rest)
-	}
-	return b.String()
-}
-
-// deviation measures how badly a violation misses its relation: the margin
-// by which the comparison failed. Larger is worse; equality relations fall
-// back to the magnitude gap (zero for !=, where every violation is equally
-// wrong and the earliest wins).
-func deviation(rel RelOp, lhs, rhs float64) float64 {
-	switch rel {
-	case OpLE, OpLT:
-		return lhs - rhs
-	case OpGE, OpGT:
-		return rhs - lhs
-	}
-	return math.Abs(lhs - rhs)
-}
+// The checker runtime lives in package rt, shared verbatim with generated
+// checkers; these aliases keep its result types under their loc names.
+type (
+	Binding     = rt.Binding
+	Violation   = rt.Violation
+	Density     = rt.Density
+	CheckResult = rt.CheckResult
+	// RunnerOptions tunes runner resource limits (violation retention and
+	// the per-event history bound).
+	RunnerOptions = rt.Options
+)
 
 // DistResult is the outcome of running a distribution formula over a trace.
 type DistResult struct {
@@ -211,171 +80,30 @@ func (r *Result) Summary() string {
 	return b.String()
 }
 
-// RunnerOptions tunes runner resource limits.
-type RunnerOptions struct {
-	// MaxViolations bounds the retained violation list (the total is always
-	// counted). Zero means the default of 100.
-	MaxViolations int
-	// MaxWindow bounds the per-event history a formula may force the runner
-	// to retain. A formula such as cycle(a[i]) - cycle(b[i]) <= 5 over a
-	// trace where a outruns b needs unbounded memory; the runner fails
-	// cleanly at this limit instead of exhausting memory. Zero means the
-	// default of 1<<22 instances.
-	MaxWindow int64
+// Runner evaluates a set of compiled formulas over a single pass of a trace,
+// one rt.Checker per formula. It implements trace.Sink so a simulation can
+// feed it live, avoiding trace files entirely — or it can be driven from a
+// trace.Source via Run.
+type Runner struct {
+	formulas []*formulaState
+	// byEvent maps event name -> the checkers that reference it.
+	byEvent map[string][]target
 }
 
-func (o RunnerOptions) maxViolations() int {
-	if o.MaxViolations <= 0 {
-		return 100
-	}
-	return o.MaxViolations
-}
-
-func (o RunnerOptions) maxWindow() int64 {
-	if o.MaxWindow <= 0 {
-		return 1 << 22
-	}
-	return o.MaxWindow
-}
-
-// ringPrealloc caps the up-front ring allocation (in instances). Formulas
-// with an exact retention bound at or below it never reallocate; larger or
-// inexact windows start here and double on demand.
-const ringPrealloc = 1 << 16
-
-// ring is a FIFO of per-instance reference-value vectors for one event,
-// indexed by absolute instance number. Vectors are stored flat — stride
-// float64s per instance — so the steady-state evaluation loop performs no
-// per-event allocation, and the capacity is seeded from the statically
-// inferred retention bound so typical checkers allocate exactly once.
-type ring struct {
-	base   int64 // instance number of the slot at head
-	head   int
-	count  int
-	stride int
-	data   []float64
-}
-
-func newRing(stride int, bound int64) ring {
-	n := bound
-	if n > ringPrealloc {
-		n = ringPrealloc
-	}
-	if n < 1 {
-		n = 1
-	}
-	return ring{stride: stride, data: make([]float64, int(n)*stride)}
-}
-
-func (r *ring) cap() int { return len(r.data) / r.stride }
-
-// pushSlot appends the next instance and returns its value slot for the
-// caller to fill in place.
-func (r *ring) pushSlot() []float64 {
-	if r.count == r.cap() {
-		grown := make([]float64, max(4, 2*r.cap())*r.stride)
-		for k := 0; k < r.count; k++ {
-			src := (r.head + k) % r.cap()
-			copy(grown[k*r.stride:(k+1)*r.stride], r.data[src*r.stride:(src+1)*r.stride])
-		}
-		r.data, r.head = grown, 0
-	}
-	k := (r.head + r.count) % r.cap()
-	r.count++
-	return r.data[k*r.stride : (k+1)*r.stride]
-}
-
-// get returns the value vector for absolute instance n, which must be
-// retained.
-func (r *ring) get(n int64) []float64 {
-	k := (r.head + int(n-r.base)) % r.cap()
-	return r.data[k*r.stride : (k+1)*r.stride]
-}
-
-// trimBelow drops instances < n.
-func (r *ring) trimBelow(n int64) {
-	d := n - r.base
-	if d <= 0 {
-		return
-	}
-	if d >= int64(r.count) {
-		r.head, r.count, r.base = 0, 0, n
-		return
-	}
-	r.head = (r.head + int(d)) % r.cap()
-	r.count -= int(d)
-	r.base = n
-}
-
-// formulaEventState tracks one (formula, event) pair.
-type formulaEventState struct {
-	window *EventWindow
-	// relSlots and relAnns: for each relative ref on this event, the global
-	// slot index and annotation name.
-	relSlots []int
-	relAnns  []string
-	relOffs  []int64
-	// absolute refs: slot, annotation, pinned instance, captured value.
-	absSlots []int
-	absAnns  []string
-	absIdx   []int64
-	absVals  []float64
-	absSeen  []bool
-
-	// parallel to absSlots: trace coordinates of the pinned event, for
-	// witness provenance.
-	absTime  []float64
-	absCycle []float64
-
-	count int64 // instances of this event seen so far
-	ring  ring
-}
-
-// slotBinding locates one global reference slot inside its event state: k
-// indexes relSlots/relAnns/relOffs when rel, absSlots/absVals otherwise.
-// Witness construction walks this slice (slot order) so provenance never
-// depends on map iteration order.
-type slotBinding struct {
-	es  *formulaEventState
-	k   int
-	rel bool
-}
-
-// formulaState is the runtime state of one formula.
+// formulaState is one formula of the runner: its checker and, for a
+// distribution, the result its histogram feeds.
 type formulaState struct {
 	name     string
 	compiled *Compiled
-	events   map[string]*formulaEventState
-	slots    []slotBinding // indexed by global ref slot
-	refStrs  []string      // Ref.String() per slot, precomputed
-	next     int64         // next instance index to evaluate
-	refVals  []float64
-	stack    []float64
-	failed   error
-	// single marks a formula with no relative references: all its indices
-	// are pinned, so it describes exactly one instance. done records that
-	// the instance was handled, ending the stream (without it the drain
-	// loop would spin forever — nothing ever makes the next instance
-	// un-ready).
-	single bool
-	done   bool
-
-	check      *CheckResult
-	dist       *DistResult
-	opts       RunnerOptions
-	windowPeak int64
-	worstDev   float64
-	spans      *span.Recorder
+	ck       *rt.Checker
+	dist     *DistResult // non-nil for distribution formulas
 }
 
-// Runner evaluates a set of compiled formulas over a single pass of a trace.
-// It implements trace.Sink so a simulation can feed it live, avoiding trace
-// files entirely — or it can be driven from a trace.Source via Run.
-type Runner struct {
-	formulas []*formulaState
-	// byEvent maps event name -> interested formula states.
-	byEvent map[string][]*formulaState
-	opts    RunnerOptions
+// target is one checker interested in an event, with the event's index in
+// that checker.
+type target struct {
+	ck *rt.Checker
+	k  int
 }
 
 // NewRunner prepares a runner for the given compiled formulas. Formula names
@@ -384,71 +112,25 @@ func NewRunner(opts RunnerOptions, compiled ...*Compiled) (*Runner, error) {
 	if len(compiled) == 0 {
 		return nil, fmt.Errorf("loc: no formulas to run")
 	}
-	r := &Runner{byEvent: make(map[string][]*formulaState), opts: opts}
+	r := &Runner{byEvent: make(map[string][]target)}
 	for k, c := range compiled {
 		f := c.Analysis.Formula
 		name := f.Name
 		if name == "" {
 			name = fmt.Sprintf("f%d", k+1)
 		}
-		st := &formulaState{
-			name:     name,
-			compiled: c,
-			events:   make(map[string]*formulaEventState),
-			refVals:  make([]float64, len(c.Analysis.Refs)),
-			opts:     opts,
-		}
-		if f.Kind == KindCheck {
-			st.check = &CheckResult{}
-		} else {
+		st := &formulaState{name: name, compiled: c, ck: rt.NewChecker(c.runtime(name), opts)}
+		if f.Kind == KindDist {
 			h, err := stats.NewHistogram(f.Period.Min, f.Period.Max, f.Period.Step)
 			if err != nil {
 				return nil, fmt.Errorf("loc: formula %s: %v", name, err)
 			}
 			st.dist = &DistResult{Op: f.Dist, Hist: h}
-		}
-		st.single = !c.Analysis.hasRel()
-		for ev, w := range c.Analysis.Windows {
-			st.events[ev] = &formulaEventState{window: w}
-		}
-		st.slots = make([]slotBinding, len(c.Analysis.Refs))
-		st.refStrs = make([]string, len(c.Analysis.Refs))
-		for slot, ref := range c.Analysis.Refs {
-			es := st.events[ref.Event]
-			st.refStrs[slot] = ref.String()
-			if ref.Index.Rel {
-				st.slots[slot] = slotBinding{es: es, k: len(es.relSlots), rel: true}
-				es.relSlots = append(es.relSlots, slot)
-				es.relAnns = append(es.relAnns, ref.Ann)
-				es.relOffs = append(es.relOffs, ref.Index.Offset)
-			} else {
-				st.slots[slot] = slotBinding{es: es, k: len(es.absSlots)}
-				es.absSlots = append(es.absSlots, slot)
-				es.absAnns = append(es.absAnns, ref.Ann)
-				es.absIdx = append(es.absIdx, ref.Index.Offset)
-				es.absVals = append(es.absVals, 0)
-				es.absSeen = append(es.absSeen, false)
-				es.absTime = append(es.absTime, 0)
-				es.absCycle = append(es.absCycle, 0)
-			}
-		}
-		// Seed each ring at its statically inferred retention bound (capped
-		// by ringPrealloc and the runtime window limit): exact bounds make
-		// the ring a single, final allocation. The two extra stride slots
-		// carry event time and cycle for witness provenance.
-		bounds := c.Analysis.Retention()
-		for ev, es := range st.events {
-			if es.window.HasRel {
-				n := bounds[ev].Instances
-				if mw := opts.maxWindow(); n > mw {
-					n = mw
-				}
-				es.ring = newRing(len(es.relSlots)+2, n)
-			}
+			st.ck.Dist = h
 		}
 		r.formulas = append(r.formulas, st)
-		for ev := range st.events {
-			r.byEvent[ev] = append(r.byEvent[ev], st)
+		for j, ev := range st.ck.Events() {
+			r.byEvent[ev] = append(r.byEvent[ev], target{st.ck, j})
 		}
 	}
 	return r, nil
@@ -456,240 +138,12 @@ func NewRunner(opts RunnerOptions, compiled ...*Compiled) (*Runner, error) {
 
 // Emit implements trace.Sink.
 func (r *Runner) Emit(ev *trace.Event) error {
-	states := r.byEvent[ev.Name]
-	for _, st := range states {
-		if st.failed != nil {
-			continue
-		}
-		if err := st.onEvent(ev); err != nil {
-			st.failed = err
+	for _, t := range r.byEvent[ev.Name] {
+		if err := t.ck.Emit(t.k, (*rt.Event)(ev)); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (st *formulaState) onEvent(ev *trace.Event) error {
-	es := st.events[ev.Name]
-	n := es.count
-	es.count++
-	// Capture absolute refs.
-	for k, idx := range es.absIdx {
-		if idx == n && !es.absSeen[k] {
-			v, ok := ev.Annotation(es.absAnns[k])
-			if !ok {
-				return fmt.Errorf("loc: formula %s: event %q instance %d has no annotation %q",
-					st.name, ev.Name, n, es.absAnns[k])
-			}
-			es.absVals[k] = v
-			es.absSeen[k] = true
-			es.absTime[k] = ev.Time
-			es.absCycle[k] = float64(ev.Cycle)
-		}
-	}
-	// Capture relative refs into the ring, filling the flat slot in place
-	// (no per-event allocation). The two extra trailing entries carry the
-	// event's time and cycle so retained violations can reconstruct full
-	// witness provenance.
-	if es.window.HasRel {
-		// Trim on arrival, not just after evaluation: instances below
-		// next+MinOff can never be referenced again, and dropping them here
-		// keeps retention within the statically inferred bound even while
-		// the evaluation loop is stalled (e.g. waiting on a pinned index).
-		// The floor is clamped to this event's arriving instance — the ring
-		// equates position with instance number, so trimming past the last
-		// push would mislabel everything pushed after.
-		if floor := st.next + es.window.MinOff; floor <= n {
-			es.ring.trimBelow(floor)
-		} else {
-			es.ring.trimBelow(n)
-		}
-		if int64(es.ring.count) >= st.opts.maxWindow() {
-			return fmt.Errorf("loc: formula %s: event %q history exceeds %d instances; "+
-				"the formula requires unbounded memory on this trace", st.name, ev.Name, st.opts.maxWindow())
-		}
-		vals := es.ring.pushSlot()
-		for k, ann := range es.relAnns {
-			v, ok := ev.Annotation(ann)
-			if !ok {
-				return fmt.Errorf("loc: formula %s: event %q instance %d has no annotation %q",
-					st.name, ev.Name, n, ann)
-			}
-			vals[k] = v
-		}
-		vals[len(es.relSlots)] = ev.Time
-		vals[len(es.relSlots)+1] = float64(ev.Cycle)
-		if c := int64(es.ring.count); c > st.windowPeak {
-			st.windowPeak = c
-		}
-	}
-	return st.drain()
-}
-
-// drain evaluates every instance that has become evaluable.
-func (st *formulaState) drain() error {
-	for {
-		ok, skip := st.ready(st.next)
-		if !ok {
-			return nil
-		}
-		if skip {
-			if st.check != nil {
-				st.check.Skipped++
-			} else {
-				st.dist.Skipped++
-			}
-		} else {
-			st.gather(st.next)
-			st.evalInstance(st.next)
-		}
-		st.next++
-		st.trim()
-		if st.single {
-			// All indices are pinned: the formula has exactly one instance,
-			// which was just handled. Mark the stream done — otherwise every
-			// later instance would be trivially "ready" and the loop would
-			// never terminate.
-			st.done = true
-		}
-	}
-}
-
-// ready reports whether instance i can be evaluated now; skip means the
-// instance is vacuous (some relative index is negative).
-func (st *formulaState) ready(i int64) (ok, skip bool) {
-	if st.done {
-		return false, false
-	}
-	skip = false
-	for _, es := range st.events {
-		for k := range es.absIdx {
-			if !es.absSeen[k] {
-				return false, false
-			}
-		}
-		for _, off := range es.relOffs {
-			idx := i + off
-			if idx < 0 {
-				skip = true
-				continue
-			}
-			if idx >= es.count {
-				return false, false
-			}
-		}
-	}
-	return true, skip
-}
-
-func (st *formulaState) gather(i int64) {
-	for _, es := range st.events {
-		for k, slot := range es.absSlots {
-			st.refVals[slot] = es.absVals[k]
-		}
-		for k, slot := range es.relSlots {
-			vals := es.ring.get(i + es.relOffs[k])
-			st.refVals[slot] = vals[k]
-		}
-	}
-}
-
-func (st *formulaState) evalInstance(i int64) {
-	c := st.compiled
-	var lhs float64
-	lhs, st.stack = c.LHS.Eval(st.refVals, i, st.stack)
-	if st.check != nil {
-		var rhs float64
-		rhs, st.stack = c.RHS.Eval(st.refVals, i, st.stack)
-		st.check.Instances++
-		if lhs != lhs || rhs != rhs { // NaN
-			st.check.Indeterminate++
-			return
-		}
-		if !st.compiled.Analysis.Formula.Rel.Holds(lhs, rhs) {
-			st.violation(i, lhs, rhs)
-		}
-		return
-	}
-	st.dist.Instances++
-	st.dist.Hist.Add(lhs)
-}
-
-// violation records a failing instance: every violation feeds the total and
-// the time-density series; retained ones (and any new worst) additionally
-// capture full witness provenance and, when a recorder is attached, a
-// timeline span + instant.
-func (st *formulaState) violation(i int64, lhs, rhs float64) {
-	ch := st.check
-	ch.Total++
-	minT, maxT := st.witnessWindow(i)
-	if ch.Density == nil {
-		ch.Density = &Density{}
-	}
-	ch.Density.Add(maxT)
-	dev := deviation(st.compiled.Analysis.Formula.Rel, lhs, rhs)
-	retain := len(ch.Violations) < st.opts.maxViolations()
-	worse := ch.Worst == nil || dev > st.worstDev
-	if !retain && !worse {
-		return
-	}
-	v := Violation{Instance: i, LHS: lhs, RHS: rhs, Time: maxT, Witness: st.witness(i)}
-	if retain {
-		ch.Violations = append(ch.Violations, v)
-		if st.spans != nil {
-			args := map[string]float64{"i": float64(i), "lhs": lhs, "rhs": rhs}
-			st.spans.Span("assert", st.name, "assert", simTime(minT), simTime(maxT), args)
-			st.spans.Instant("assert", st.name, "assert", simTime(maxT), args)
-		}
-	}
-	if worse {
-		wv := v
-		ch.Worst = &wv
-		st.worstDev = dev
-	}
-}
-
-// witnessWindow returns the earliest and latest trace times (µs) bound by
-// instance i's references, without allocating.
-func (st *formulaState) witnessWindow(i int64) (minT, maxT float64) {
-	for n, sb := range st.slots {
-		var t float64
-		if sb.rel {
-			vals := sb.es.ring.get(i + sb.es.relOffs[sb.k])
-			t = vals[len(sb.es.relSlots)]
-		} else {
-			t = sb.es.absTime[sb.k]
-		}
-		if n == 0 || t < minT {
-			minT = t
-		}
-		if n == 0 || t > maxT {
-			maxT = t
-		}
-	}
-	return minT, maxT
-}
-
-// witness reconstructs the provenance of instance i: one Binding per
-// reference slot, in slot order.
-func (st *formulaState) witness(i int64) []Binding {
-	refs := st.compiled.Analysis.Refs
-	w := make([]Binding, len(refs))
-	for slot, sb := range st.slots {
-		r := refs[slot]
-		b := Binding{Ref: st.refStrs[slot], Event: r.Event, Ann: r.Ann}
-		if sb.rel {
-			idx := i + sb.es.relOffs[sb.k]
-			vals := sb.es.ring.get(idx)
-			n := len(sb.es.relSlots)
-			b.Index, b.Value, b.Time, b.Cycle = idx, vals[sb.k], vals[n], vals[n+1]
-		} else {
-			b.Index, b.Value = sb.es.absIdx[sb.k], sb.es.absVals[sb.k]
-			b.Time, b.Cycle = sb.es.absTime[sb.k], sb.es.absCycle[sb.k]
-		}
-		w[slot] = b
-	}
-	return w
 }
 
 // simTime converts a trace time in microseconds to the recorder's picosecond
@@ -701,31 +155,23 @@ func simTime(us float64) sim.Time {
 	return sim.Time(math.Round(us * float64(sim.Microsecond)))
 }
 
-// trim drops history no future instance can reference.
-func (st *formulaState) trim() {
-	for _, es := range st.events {
-		if es.window.HasRel {
-			es.ring.trimBelow(st.next + es.window.MinOff)
-		}
-	}
-}
-
 // Results returns the per-formula outcomes. The first formula that failed
 // with a runtime error (missing annotation, window overflow) is reported as
 // the error.
 func (r *Runner) Results() ([]Result, error) {
 	out := make([]Result, 0, len(r.formulas))
 	for _, st := range r.formulas {
-		if st.failed != nil {
-			return nil, st.failed
+		if err := st.ck.Err(); err != nil {
+			return nil, err
 		}
-		out = append(out, Result{
-			Name:       st.name,
-			Formula:    st.compiled.Analysis.Formula,
-			Check:      st.check,
-			Dist:       st.dist,
-			WindowPeak: st.windowPeak,
-		})
+		res := Result{Name: st.name, Formula: st.compiled.Analysis.Formula, WindowPeak: st.ck.WindowPeak}
+		if st.dist != nil {
+			st.dist.Instances, st.dist.Skipped = st.ck.Result.Instances, st.ck.Result.Skipped
+			res.Dist = st.dist
+		} else {
+			res.Check = &st.ck.Result
+		}
+		out = append(out, res)
 	}
 	return out, nil
 }
@@ -736,7 +182,16 @@ func (r *Runner) Results() ([]Result, error) {
 // track. Must be called before events are emitted.
 func (r *Runner) SetSpans(rec *span.Recorder) {
 	for _, st := range r.formulas {
-		st.spans = rec
+		if rec == nil {
+			st.ck.OnRetain = nil
+			continue
+		}
+		name := st.name
+		st.ck.OnRetain = func(v Violation, minT float64) {
+			args := map[string]float64{"i": float64(v.Instance), "lhs": v.LHS, "rhs": v.RHS}
+			rec.Span("assert", name, "assert", simTime(minT), simTime(v.Time), args)
+			rec.Instant("assert", name, "assert", simTime(v.Time), args)
+		}
 	}
 }
 
@@ -746,16 +201,14 @@ func (r *Runner) SetSpans(rec *span.Recorder) {
 func (r *Runner) PublishMetrics(reg *obs.Registry) {
 	for _, st := range r.formulas {
 		prefix := "loc_" + st.name + "_"
-		if st.check != nil {
-			reg.Counter(prefix + "instances_total").Add(uint64(st.check.Instances))
-			reg.Counter(prefix + "violations_total").Add(uint64(st.check.Total))
-			reg.Counter(prefix + "indeterminate_total").Add(uint64(st.check.Indeterminate))
-			reg.Counter(prefix + "skipped_total").Add(uint64(st.check.Skipped))
-		} else {
-			reg.Counter(prefix + "instances_total").Add(uint64(st.dist.Instances))
-			reg.Counter(prefix + "skipped_total").Add(uint64(st.dist.Skipped))
+		res := &st.ck.Result
+		reg.Counter(prefix + "instances_total").Add(uint64(res.Instances))
+		if st.dist == nil {
+			reg.Counter(prefix + "violations_total").Add(uint64(res.Total))
+			reg.Counter(prefix + "indeterminate_total").Add(uint64(res.Indeterminate))
 		}
-		reg.Gauge(prefix + "window_peak").SetMax(float64(st.windowPeak))
+		reg.Counter(prefix + "skipped_total").Add(uint64(res.Skipped))
+		reg.Gauge(prefix + "window_peak").SetMax(float64(st.ck.WindowPeak))
 	}
 }
 

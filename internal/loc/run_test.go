@@ -517,52 +517,6 @@ func TestRunnerNoFormulas(t *testing.T) {
 	}
 }
 
-func TestRingGrowth(t *testing.T) {
-	r := newRing(1, 1)
-	for k := int64(0); k < 1000; k++ {
-		r.pushSlot()[0] = float64(k)
-	}
-	for k := int64(0); k < 1000; k++ {
-		if got := r.get(k)[0]; got != float64(k) {
-			t.Fatalf("get(%d) = %v", k, got)
-		}
-	}
-	r.trimBelow(990)
-	if r.base != 990 || r.count != 10 {
-		t.Fatalf("after trim base=%d count=%d", r.base, r.count)
-	}
-	if got := r.get(995)[0]; got != 995 {
-		t.Fatalf("get(995) = %v", got)
-	}
-	r.pushSlot()[0] = 1000
-	if got := r.get(1000)[0]; got != 1000 {
-		t.Fatalf("get(1000) = %v", got)
-	}
-}
-
-func TestRingPreallocExact(t *testing.T) {
-	// A ring seeded with an exact bound should never reallocate while the
-	// retained count stays within the bound.
-	r := newRing(3, 101)
-	if r.cap() != 101 {
-		t.Fatalf("cap = %d, want 101", r.cap())
-	}
-	base := &r.data[0]
-	for k := 0; k < 500; k++ {
-		if r.count == 101 {
-			r.trimBelow(r.base + 1)
-		}
-		r.pushSlot()[0] = float64(k)
-	}
-	if &r.data[0] != base {
-		t.Fatal("ring reallocated despite staying within its exact bound")
-	}
-	// The prealloc is clamped so an absurd static bound cannot eat memory.
-	if big := newRing(1, 1<<40); big.cap() != ringPrealloc {
-		t.Fatalf("clamped cap = %d, want %d", big.cap(), ringPrealloc)
-	}
-}
-
 func TestRunnerAbsOnlySingleInstance(t *testing.T) {
 	// A formula whose references are all pinned to absolute indices has
 	// exactly one instance. The drain loop used to spin forever once the
@@ -603,6 +557,58 @@ func TestRunnerAbsOnlySingleInstance(t *testing.T) {
 	if ch.Instances != 1 || ch.Total != 0 || ch.Skipped != 0 {
 		t.Fatalf("instances=%d violations=%d skipped=%d, want exactly one passing instance",
 			ch.Instances, ch.Total, ch.Skipped)
+	}
+}
+
+// TestRunnerEmitAllocs pins the runner's allocation-free hot path: once the
+// rings are sized, a steady-state Emit of a passing check or a distribution
+// allocates nothing.
+func TestRunnerEmitAllocs(t *testing.T) {
+	for _, formula := range []string{
+		"cycle(deq[i]) - cycle(enq[i]) <= 50",
+		"cycle(deq[i+1]) - cycle(enq[i]) <= 50",
+		"cycle(forward[i+10]) - cycle(forward[i]) cdf [0, 200, 50]",
+	} {
+		t.Run(formula, func(t *testing.T) {
+			c, err := Compile(MustParse(formula), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewRunner(RunnerOptions{}, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := 0
+			emit := func() {
+				base := uint64(10 * k)
+				k++
+				for _, ev := range []trace.Event{
+					{Name: "enq", Cycle: base, Time: float64(base) / 600},
+					{Name: "deq", Cycle: base + 30, Time: float64(base+30) / 600},
+					{Name: "forward", Cycle: base + 30, Time: float64(base+30) / 600},
+				} {
+					if err := r.Emit(&ev); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for range 100 {
+				emit()
+			}
+			if n := testing.AllocsPerRun(1000, emit); n != 0 {
+				t.Errorf("steady-state Emit allocates %v times per event triple, want 0", n)
+			}
+			res, err := r.Results()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ch := res[0].Check; ch != nil && (ch.Instances < 1000 || !ch.Passed()) {
+				t.Fatalf("check = %+v, want >= 1000 passing instances", ch)
+			}
+			if d := res[0].Dist; d != nil && d.Instances < 1000 {
+				t.Fatalf("dist instances = %d, want >= 1000", d.Instances)
+			}
+		})
 	}
 }
 

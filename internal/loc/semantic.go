@@ -3,8 +3,8 @@ package loc
 import (
 	"fmt"
 	"math"
-	"sort"
 
+	"nepdvs/internal/lint/diag"
 	"nepdvs/internal/loc/interval"
 )
 
@@ -123,7 +123,7 @@ func evalInterval(e Expr, anns map[string]interval.Interval) interval.Interval {
 }
 
 // negate returns the complementary relation (¬(a ≤ b) ⇔ a > b, and so on).
-func (r RelOp) negate() RelOp {
+func negate(r RelOp) RelOp {
 	switch r {
 	case OpLE:
 		return OpGT
@@ -184,7 +184,7 @@ func checkVerdict(f *Formula, anns map[string]interval.Interval) (v Verdict, lhs
 	if alwaysHolds(f.Rel, lhs, rhs) {
 		return VerdictAlwaysTrue, lhs, rhs, false
 	}
-	if alwaysHolds(f.Rel.negate(), lhs, rhs) {
+	if alwaysHolds(negate(f.Rel), lhs, rhs) {
 		return VerdictAlwaysFalse, lhs, rhs, false
 	}
 	return VerdictUnknown, lhs, rhs, false
@@ -194,8 +194,8 @@ func checkVerdict(f *Formula, anns map[string]interval.Interval) (v Verdict, lhs
 // event vocabulary, then the relation verdict. A vacuous formula gets no
 // verdict diagnostics — it never fires, so claims about its relation would
 // only be noise.
-func semanticDiags(f *Formula, sch *Schema) []LintDiag {
-	var diags []LintDiag
+func semanticDiags(f *Formula, sch *Schema) []diag.Diag {
+	var diags []diag.Diag
 	if sch != nil && sch.Events != nil {
 		seen := map[string]bool{}
 		f.Walk(func(e Expr) {
@@ -208,7 +208,7 @@ func semanticDiags(f *Formula, sch *Schema) []LintDiag {
 			if sugg := didYouMean(n.Event, sch.Events); sugg != "" {
 				msg = fmt.Sprintf("formula can never fire: trace schema has no event %q (did you mean %q?)", n.Event, sugg)
 			}
-			diags = append(diags, LintDiag{Pos: n.Pos, Rule: LintVacuous, Msg: msg})
+			diags = append(diags, finding(n.Pos, LintVacuous, msg))
 		})
 		if len(diags) > 0 {
 			return diags
@@ -226,17 +226,17 @@ func semanticDiags(f *Formula, sch *Schema) []LintDiag {
 	v, lhs, rhs, identical := checkVerdict(f, sch.anns())
 	switch {
 	case v == VerdictAlwaysTrue && identical:
-		diags = append(diags, LintDiag{Pos: f.Pos, Rule: LintTautology,
-			Msg: "lhs and rhs are identical expressions; the relation always holds and the assertion cannot fail"})
+		diags = append(diags, finding(f.Pos, LintTautology,
+			"lhs and rhs are identical expressions; the relation always holds and the assertion cannot fail"))
 	case v == VerdictAlwaysTrue:
-		diags = append(diags, LintDiag{Pos: f.Pos, Rule: LintTautology,
-			Msg: fmt.Sprintf("relation always holds given declared annotation ranges (lhs in %s, rhs in %s); the assertion cannot fail", lhs, rhs)})
+		diags = append(diags, finding(f.Pos, LintTautology,
+			fmt.Sprintf("relation always holds given declared annotation ranges (lhs in %s, rhs in %s); the assertion cannot fail", lhs, rhs)))
 	case v == VerdictAlwaysFalse && identical:
-		diags = append(diags, LintDiag{Pos: f.Pos, Rule: LintContradiction,
-			Msg: "lhs and rhs are identical expressions; the relation never holds and every instance violates"})
+		diags = append(diags, finding(f.Pos, LintContradiction,
+			"lhs and rhs are identical expressions; the relation never holds and every instance violates"))
 	case v == VerdictAlwaysFalse:
-		diags = append(diags, LintDiag{Pos: f.Pos, Rule: LintContradiction,
-			Msg: fmt.Sprintf("relation never holds given declared annotation ranges (lhs in %s, rhs in %s); every instance violates", lhs, rhs)})
+		diags = append(diags, finding(f.Pos, LintContradiction,
+			fmt.Sprintf("relation never holds given declared annotation ranges (lhs in %s, rhs in %s); every instance violates", lhs, rhs)))
 	}
 	return diags
 }
@@ -333,7 +333,7 @@ func subsetOf(a, b relSet) bool {
 // formulas sharing a folded lhs (bit-identical values at runtime) with
 // constant rhs form a constraint group, reported when two constraints are
 // mutually unsatisfiable or one is implied by the other.
-func crossFormulaDiags(fs []*Formula) []LintDiag {
+func crossFormulaDiags(fs []*Formula) []diag.Diag {
 	type entry struct {
 		name string
 		pos  Pos
@@ -341,7 +341,7 @@ func crossFormulaDiags(fs []*Formula) []LintDiag {
 	}
 	groups := map[string][]entry{}
 	var order []string
-	var diags []LintDiag
+	var diags []diag.Diag
 	for k, f := range fs {
 		if f.Kind != KindCheck {
 			continue
@@ -375,14 +375,14 @@ func crossFormulaDiags(fs []*Formula) []LintDiag {
 				a, b := es[j], es[k]
 				switch {
 				case disjointSets(a.set, b.set):
-					diags = append(diags, LintDiag{Pos: b.pos, Rule: LintContradiction,
-						Msg: fmt.Sprintf("mutually unsatisfiable with formula %q: no value of %s satisfies both relations", a.name, key)})
+					diags = append(diags, finding(b.pos, LintContradiction,
+						fmt.Sprintf("mutually unsatisfiable with formula %q: no value of %s satisfies both relations", a.name, key)))
 				case subsetOf(a.set, b.set):
-					diags = append(diags, LintDiag{Pos: b.pos, Rule: LintSubsumed,
-						Msg: fmt.Sprintf("subsumed by formula %q: its relation is stricter on the same expression, so this assertion can only fail when %q already fails", a.name, a.name)})
+					diags = append(diags, finding(b.pos, LintSubsumed,
+						fmt.Sprintf("subsumed by formula %q: its relation is stricter on the same expression, so this assertion can only fail when %q already fails", a.name, a.name)))
 				case subsetOf(b.set, a.set):
-					diags = append(diags, LintDiag{Pos: a.pos, Rule: LintSubsumed,
-						Msg: fmt.Sprintf("subsumed by formula %q: its relation is stricter on the same expression, so this assertion can only fail when %q already fails", b.name, b.name)})
+					diags = append(diags, finding(a.pos, LintSubsumed,
+						fmt.Sprintf("subsumed by formula %q: its relation is stricter on the same expression, so this assertion can only fail when %q already fails", b.name, b.name)))
 				}
 			}
 		}
@@ -393,9 +393,9 @@ func crossFormulaDiags(fs []*Formula) []LintDiag {
 // AnalyzeFormula runs the full static analysis (syntactic lints plus the
 // semantic pass) over one formula. Cross-formula findings need the whole
 // file; use AnalyzeFile for those.
-func AnalyzeFormula(f *Formula, sch *Schema) []LintDiag {
+func AnalyzeFormula(f *Formula, sch *Schema) []diag.Diag {
 	diags := append(Lint(f, sch.AnnNames()), semanticDiags(f, sch)...)
-	sortLintDiags(diags)
+	diag.Sort(diags)
 	return diags
 }
 
@@ -403,35 +403,19 @@ func AnalyzeFormula(f *Formula, sch *Schema) []LintDiag {
 // every formula plus the cross-formula pass. Parse errors come back as a
 // single loc/parse diagnostic with the bool result false, exactly like
 // LintFile.
-func AnalyzeFile(src string, sch *Schema) ([]LintDiag, bool) {
+func AnalyzeFile(src string, sch *Schema) ([]diag.Diag, bool) {
 	fs, err := ParseFile(src)
 	if err != nil {
 		return parseDiags(err), false
 	}
-	var diags []LintDiag
+	var diags []diag.Diag
 	for _, f := range fs {
 		diags = append(diags, Lint(f, sch.AnnNames())...)
 		diags = append(diags, semanticDiags(f, sch)...)
 	}
 	diags = append(diags, crossFormulaDiags(fs)...)
-	sortLintDiags(diags)
+	diag.Sort(diags)
 	return diags, true
-}
-
-// ReportAnalysis is the static-analysis block of a formula report: why a
-// formula could or could not fail, independent of the trace, plus the
-// inferred retention requirement. It is a pure function of the formula
-// source over StandardRanges, so every producer (VM, generated checkers,
-// stored artifacts) derives identical bytes.
-type ReportAnalysis struct {
-	// Verdict is always-true, always-false or unknown for check formulas;
-	// omitted for distributions.
-	Verdict string `json:"verdict,omitempty"`
-	// Retention maps each referenced event to the instances the runner must
-	// retain for it; Exact records whether those bounds are tight (single
-	// event class) or trace-dependent minimums.
-	Retention map[string]int64 `json:"retention,omitempty"`
-	Exact     bool             `json:"exact,omitempty"`
 }
 
 // StaticAnalysis computes the report analysis block for one formula. It
@@ -457,31 +441,13 @@ func StaticAnalysis(f *Formula) *ReportAnalysis {
 	return ra
 }
 
-// sortLintDiags orders findings by position, then rule, then message — the
-// one ordering every diagnostics producer uses.
-func sortLintDiags(diags []LintDiag) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Col != b.Pos.Col {
-			return a.Pos.Col < b.Pos.Col
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Msg < b.Msg
-	})
-}
-
 // parseDiags converts a parse error into the uniform diagnostics stream.
 // *Error carries its own position, so the message is rendered without it —
 // one diag type, one renderer.
-func parseDiags(err error) []LintDiag {
+func parseDiags(err error) []diag.Diag {
 	pos, msg := Pos{Line: 1, Col: 1}, err.Error()
 	if le, ok := err.(*Error); ok {
 		pos, msg = le.Pos, le.Msg
 	}
-	return []LintDiag{{Pos: pos, Rule: LintParse, Msg: msg}}
+	return []diag.Diag{finding(pos, LintParse, msg)}
 }

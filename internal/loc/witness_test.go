@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nepdvs/internal/loc/rt"
 	"nepdvs/internal/obs"
 	"nepdvs/internal/span"
 	"nepdvs/internal/trace"
@@ -126,18 +127,18 @@ func TestDeviationRelationAware(t *testing.T) {
 
 func TestDensityDoubling(t *testing.T) {
 	var d Density
-	for k := 0; k < densityBins; k++ {
+	for k := 0; k < rt.DensityBins; k++ {
 		d.Add(float64(k) + 0.5)
 	}
-	if d.WidthUS != 1 || len(d.Counts) != densityBins || d.Total() != densityBins {
+	if d.WidthUS != 1 || len(d.Counts) != rt.DensityBins || d.Total() != rt.DensityBins {
 		t.Fatalf("pre-fold: width=%g bins=%d total=%d", d.WidthUS, len(d.Counts), d.Total())
 	}
 	// One violation past the last slot folds adjacent bins and doubles width.
-	d.Add(float64(densityBins))
-	if d.WidthUS != 2 || d.Total() != densityBins+1 {
+	d.Add(float64(rt.DensityBins))
+	if d.WidthUS != 2 || d.Total() != rt.DensityBins+1 {
 		t.Fatalf("post-fold: width=%g total=%d", d.WidthUS, d.Total())
 	}
-	if len(d.Counts) > densityBins {
+	if len(d.Counts) > rt.DensityBins {
 		t.Fatalf("bins grew past the cap: %d", len(d.Counts))
 	}
 	// Each folded bin covers two old 1 µs bins with one violation apiece.
@@ -154,7 +155,7 @@ func TestDensityAdversarialTimes(t *testing.T) {
 	if d.Total() != 5 {
 		t.Fatalf("total = %d, want 5", d.Total())
 	}
-	if len(d.Counts) > densityBins {
+	if len(d.Counts) > rt.DensityBins {
 		t.Fatalf("adversarial times grew bins unboundedly: %d", len(d.Counts))
 	}
 	// 1e308 forces many doublings but stays finite and within the cap.

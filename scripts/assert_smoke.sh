@@ -3,8 +3,9 @@
 # violating LOC preset through nepsim with -assertions and -timeline,
 # validate the report JSON schema, assert the report is byte-identical when
 # the same trace is re-checked with locheck and when the checker is
-# locgen-generated code, confirm the violations appear on the timeline's
-# assert track, and repeat the run to pin determinism. Exercises the same
+# locgen-generated code (for the preset and for every formula of the shipped
+# profiles), confirm the violations appear on the timeline's assert track,
+# and repeat the run to pin determinism. Exercises the same
 # surface as `make assert-smoke` in CI.
 set -eu
 
@@ -93,6 +94,34 @@ if ! cmp -s "$WORK/vm.json" "$WORK/gen.json"; then
     echo "assert-smoke: FAIL: generated checker report differs from the VM report" >&2
     exit 1
 fi
+
+echo "assert-smoke: every shipped formula, generated vs in-process"
+# Each named formula of the shipped profiles goes into its own one-formula
+# file. The locgen-generated checker and locheck (the VM) read the same
+# text trace, so they must exit alike and write byte-identical reports.
+for profile in profiles/standard.loc profiles/robustness.loc; do
+    grep -v '^#' "$profile" | tr '\n' ' ' | tr ';' '\n' | while read -r stmt; do
+        [ -n "$stmt" ] || continue
+        name=${stmt%%:*}
+        echo "$stmt;" >"$WORK/one.loc"
+        vm=0
+        "$LOCHECK" -f "$WORK/one.loc" -report "$WORK/one-vm.json" "$WORK/run.txt" \
+            >/dev/null || vm=$?
+        "$LOCGEN" -f "$WORK/one.loc" -o "$WORK/one.go"
+        $GO build -o "$WORK/bin/one" "$WORK/one.go"
+        gen=0
+        "$WORK/bin/one" -report "$WORK/one-gen.json" "$WORK/run.txt" >/dev/null || gen=$?
+        if [ "$vm" -gt 1 ] || [ "$gen" -ne "$vm" ]; then
+            echo "assert-smoke: FAIL: $profile $name: locheck exited $vm, generated checker $gen" >&2
+            exit 1
+        fi
+        if ! cmp -s "$WORK/one-vm.json" "$WORK/one-gen.json"; then
+            echo "assert-smoke: FAIL: $profile $name: generated checker report differs from the VM report" >&2
+            exit 1
+        fi
+        echo "assert-smoke:   $name: identical reports (exit $vm)"
+    done
+done
 
 echo "assert-smoke: repeating the run (determinism)"
 # shellcheck disable=SC2086
