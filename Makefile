@@ -44,7 +44,7 @@ analyze:
 	done
 
 # Short fuzz smoke over the binary-trace parser, the text-trace line
-# formatter, the generated checkers' text parser against the trace reader,
+# formatter, the in-place text-trace parser against its strings.Fields oracle,
 # the LOC front end and the two lint pipelines; CI runs the same budget.
 # Leave -fuzztime off for a real fuzzing session.
 FUZZTIME ?= 10s
@@ -78,12 +78,13 @@ bench-serve:
 # The regression gate (DESIGN.md §14). GATE_BENCHES covers the heaviest
 # end-to-end paths — the Figure 6 pipeline, the idle study, the shared §4.1
 # sweep — plus the registry-policy tick hot path, the streaming LOC
-# checker with witness capture, and the trace write path (a pipeline-event
-# run through the text and NPT1 writers). GATE_COUNT repeats give the
+# checker with witness capture, the trace write path (a pipeline-event
+# run through the text and NPT1 writers) and the trace read path (that
+# recording replayed from each format through both profiles). GATE_COUNT repeats give the
 # trajectory medians their noise immunity; GATE_THRESHOLD is deliberately
 # generous because CI machines vary — the gate exists to catch
 # order-of-magnitude mistakes (accidental O(n²), a dropped cache), not 10% drift.
-GATE_BENCHES ?= BenchmarkFig6$$|BenchmarkIdleStudy$$|BenchmarkTDVSSweep$$|BenchmarkPolicyTick$$|BenchmarkLOCCheck$$|BenchmarkTraceRecord$$
+GATE_BENCHES ?= BenchmarkFig6$$|BenchmarkIdleStudy$$|BenchmarkTDVSSweep$$|BenchmarkPolicyTick$$|BenchmarkLOCCheck$$|BenchmarkTraceRecord$$|BenchmarkTraceReplay$$
 GATE_COUNT ?= 5
 GATE_CYCLES ?= 200000
 GATE_THRESHOLD ?= 40

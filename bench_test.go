@@ -26,12 +26,14 @@ package nepdvs
 // cmd/benchdiff.
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -353,6 +355,94 @@ func BenchmarkTraceRecord(b *testing.B) {
 		}
 	}
 	s.end(b.Name(), reg)
+}
+
+// replayInput is the stored trace BenchmarkTraceReplay replays: one
+// ipfwdr×TDVS run with per-batch pipeline events, recorded once per process
+// in both formats.
+var replayInput = sync.OnceValues(func() (replayTraces, error) {
+	var r replayTraces
+	cfg, err := core.DefaultRunConfig(workload.IPFwdr, traffic.LevelHigh, 1)
+	if err != nil {
+		return r, err
+	}
+	cfg.Cycles = *benchCycles
+	cfg.Chip.EmitPipeline = true
+	cfg.Policy = core.TDVSPolicy(1000, 40000)
+	var text, npt1 bytes.Buffer
+	var count trace.CountingSink
+	tw, bw := trace.NewTextWriter(&text), trace.NewBinaryWriter(&npt1)
+	cfg.ExtraSink = trace.MultiSink{tw, bw, &count}
+	if _, err := core.Run(cfg); err != nil {
+		return r, err
+	}
+	if err := tw.Close(); err != nil {
+		return r, err
+	}
+	if err := bw.Close(); err != nil {
+		return r, err
+	}
+	for _, n := range count.Counts {
+		r.events += n
+	}
+	r.text, r.npt1 = text.Bytes(), npt1.Bytes()
+	for _, name := range []string{"standard.loc", "robustness.loc"} {
+		src, err := os.ReadFile(filepath.Join("profiles", name))
+		if err != nil {
+			return r, err
+		}
+		fs, err := loc.ParseFile(string(src))
+		if err != nil {
+			return r, err
+		}
+		for _, f := range fs {
+			c, err := loc.Compile(f, core.TraceSchema())
+			if err != nil {
+				return r, err
+			}
+			r.compiled = append(r.compiled, c)
+		}
+	}
+	return r, nil
+})
+
+type replayTraces struct {
+	text, npt1 []byte
+	events     uint64
+	compiled   []*loc.Compiled
+}
+
+// BenchmarkTraceReplay measures the check path over a stored trace: the
+// replayInput recording, held in memory so the disk stays out of the
+// number, read back by the text or NPT1 reader and checked against both
+// shipped formula profiles (profiles/standard.loc and robustness.loc). Its
+// mN_pipeline events carry instrs= extras, which BenchmarkLOCCheck's bare
+// forward trace does not, so the per-op cost gates the trace readers.
+func BenchmarkTraceReplay(b *testing.B) {
+	in, err := replayInput()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range []struct {
+		name string
+		data []byte
+	}{{"text", in.text}, {"npt1", in.npt1}} {
+		b.Run(f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			s := beginSample(b.N)
+			for i := 0; i < b.N; i++ {
+				src, err := trace.OpenSource(bytes.NewReader(f.data))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := loc.Run(src, loc.RunnerOptions{}, in.compiled...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			s.end(b.Name(), nil)
+			b.ReportMetric(float64(in.events)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
 }
 
 // BenchmarkTDVSSweep measures the shared §4.1 sweep that Figures 6–9 are

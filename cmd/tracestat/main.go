@@ -56,7 +56,8 @@ func run(jsonOut bool, timeline string, args []string) error {
 	}
 
 	// Sources are single-pass; when the timeline export needs a second pass
-	// the events are buffered once and replayed from memory.
+	// the events are buffered once and replayed from memory. A reader lends
+	// each event's Extra map only until its next Next, so each is cloned.
 	if timeline != "" {
 		var evs []trace.Event
 		for {
@@ -67,7 +68,7 @@ func run(jsonOut bool, timeline string, args []string) error {
 			if !ok {
 				break
 			}
-			evs = append(evs, ev)
+			evs = append(evs, ev.Clone())
 		}
 		events, err := span.FromTrace(&trace.SliceSource{Events: evs})
 		if err != nil {

@@ -1,12 +1,14 @@
 // Package rt is the LOC checker runtime: the streaming evaluator of one
 // compiled formula, its violation witnesses and report, and the text-trace
-// line parser. The in-process runner (package loc) drives one Checker per
-// formula; locgen embeds this very file, package clause rewritten, into every
-// generated checker. It therefore imports only the standard library.
+// reader, the one parser of that format. The in-process runner (package
+// loc) drives one Checker per formula; locgen embeds this very file, package
+// clause rewritten, into every generated checker. It therefore imports only
+// the standard library.
 package rt
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +17,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Event is one trace record. Its layout matches trace.Event field for
@@ -989,13 +993,26 @@ func (r *Report) Text() string {
 
 // TextReader parses the text trace format: one event per line, columns
 // cycle time energy total_pkt total_bit event [key=value ...]; blank lines
-// and #-comments are skipped. It accepts exactly the lines trace.TextReader
-// accepts, with bit-equal values.
+// and #-comments are skipped. Fields are separated by Unicode white space,
+// exactly as strings.Fields splits them. It is the one text-trace parser:
+// trace.TextReader wraps it, and generated checkers embed it.
+//
+// Lines are parsed in place from the scanner's buffer, names and extra keys
+// are interned and one extras map is reused, so a steady-state Next
+// allocates nothing.
 type TextReader struct {
 	sc   *bufio.Scanner
 	line int
 	err  error
+	// fields holds the byte spans of the current line's fields; extra is
+	// the reader-owned map handed out with each event that has extras.
+	fields []fieldSpan
+	extra  map[string]float64
+	strs   Interner
 }
+
+// fieldSpan is one field of a line: line[lo:hi].
+type fieldSpan struct{ lo, hi int }
 
 // NewTextReader wraps r.
 func NewTextReader(r io.Reader) *TextReader {
@@ -1004,19 +1021,23 @@ func NewTextReader(r io.Reader) *TextReader {
 	return &TextReader{sc: sc}
 }
 
-// Next parses the next event into ev, reusing its Extra map; ok is false at
-// the end of the trace.
+// Next parses the next event into ev; ok is false at the end of the trace.
+// ev.Extra is nil for an event without extras and otherwise the reader's
+// own map, which the next call clears and refills: a caller that keeps an
+// event must copy its Extra.
 func (t *TextReader) Next(ev *Event) (ok bool, err error) {
 	if t.err != nil {
 		return false, t.err
 	}
+	clear(t.extra)
 	for t.sc.Scan() {
 		t.line++
-		line := strings.TrimSpace(t.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := t.sc.Bytes()
+		t.fields = splitFields(t.fields[:0], line)
+		if len(t.fields) == 0 || line[t.fields[0].lo] == '#' {
 			continue
 		}
-		if err := ParseLine(line, ev); err != nil {
+		if err := t.parse(line, ev); err != nil {
 			t.err = fmt.Errorf("trace: line %d: %w", t.line, err)
 			return false, t.err
 		}
@@ -1026,46 +1047,128 @@ func (t *TextReader) Next(ev *Event) (ok bool, err error) {
 	return false, t.err
 }
 
-// ParseLine parses one non-comment text-trace line into ev, reusing its
-// Extra map.
-func ParseLine(line string, ev *Event) error {
-	fields := strings.Fields(line)
-	if len(fields) < 6 {
-		return fmt.Errorf("want at least 6 fields, got %d in %q", len(fields), line)
+// splitFields appends to dst the spans of line's fields: maximal runs of
+// bytes that are not Unicode white space, with invalid UTF-8 counting as
+// non-space, as in strings.Fields. ASCII bytes are classified by table; a
+// field is scanned byte by byte, since the continuation bytes of a
+// multi-byte rune never decode as white space.
+func splitFields(dst []fieldSpan, line []byte) []fieldSpan {
+	i := 0
+	for {
+		for i < len(line) {
+			if c := line[i]; c < utf8.RuneSelf {
+				if !asciiSpace[c] {
+					break
+				}
+				i++
+			} else if n := runeSpace(line[i:]); n > 0 {
+				i += n
+			} else {
+				break
+			}
+		}
+		if i == len(line) {
+			return dst
+		}
+		start := i
+		for i < len(line) {
+			if c := line[i]; c < utf8.RuneSelf {
+				if asciiSpace[c] {
+					break
+				}
+			} else if runeSpace(line[i:]) > 0 {
+				break
+			}
+			i++
+		}
+		dst = append(dst, fieldSpan{start, i})
+	}
+}
+
+// asciiSpace marks the ASCII white-space bytes.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// runeSpace returns the length of the rune b starts with if it is white
+// space, else 0.
+func runeSpace(b []byte) int {
+	if r, size := utf8.DecodeRune(b); unicode.IsSpace(r) {
+		return size
+	}
+	return 0
+}
+
+// parse decodes the current line, already split into t.fields, into ev.
+// Numbers go through strconv on non-escaping conversions, which do not
+// allocate; errors quote the offending field.
+func (t *TextReader) parse(line []byte, ev *Event) error {
+	f := t.fields
+	field := func(k int) []byte { return line[f[k].lo:f[k].hi] }
+	if len(f) < 6 {
+		return fmt.Errorf("want at least 6 fields, got %d in %q", len(f), line[f[0].lo:f[len(f)-1].hi])
 	}
 	var err error
-	if ev.Cycle, err = strconv.ParseUint(fields[0], 10, 64); err != nil {
-		return fmt.Errorf("bad cycle %q: %v", fields[0], err)
+	if ev.Cycle, err = strconv.ParseUint(string(field(0)), 10, 64); err != nil {
+		return fmt.Errorf("bad cycle %q: %v", field(0), err)
 	}
-	if ev.Time, err = strconv.ParseFloat(fields[1], 64); err != nil {
-		return fmt.Errorf("bad time %q: %v", fields[1], err)
+	if ev.Time, err = strconv.ParseFloat(string(field(1)), 64); err != nil {
+		return fmt.Errorf("bad time %q: %v", field(1), err)
 	}
-	if ev.Energy, err = strconv.ParseFloat(fields[2], 64); err != nil {
-		return fmt.Errorf("bad energy %q: %v", fields[2], err)
+	if ev.Energy, err = strconv.ParseFloat(string(field(2)), 64); err != nil {
+		return fmt.Errorf("bad energy %q: %v", field(2), err)
 	}
-	if ev.TotalPkt, err = strconv.ParseUint(fields[3], 10, 64); err != nil {
-		return fmt.Errorf("bad total_pkt %q: %v", fields[3], err)
+	if ev.TotalPkt, err = strconv.ParseUint(string(field(3)), 10, 64); err != nil {
+		return fmt.Errorf("bad total_pkt %q: %v", field(3), err)
 	}
-	if ev.TotalBit, err = strconv.ParseUint(fields[4], 10, 64); err != nil {
-		return fmt.Errorf("bad total_bit %q: %v", fields[4], err)
+	if ev.TotalBit, err = strconv.ParseUint(string(field(4)), 10, 64); err != nil {
+		return fmt.Errorf("bad total_bit %q: %v", field(4), err)
 	}
-	ev.Name = fields[5]
-	clear(ev.Extra)
-	for _, f := range fields[6:] {
-		k, vs, ok := strings.Cut(f, "=")
-		if !ok || k == "" {
-			return fmt.Errorf("bad extra annotation %q", f)
+	ev.Name = t.strs.Intern(field(5))
+	ev.Extra = nil
+	for k := 6; k < len(f); k++ {
+		kv := field(k)
+		eq := bytes.IndexByte(kv, '=')
+		if eq <= 0 {
+			return fmt.Errorf("bad extra annotation %q", kv)
 		}
-		v, err := strconv.ParseFloat(vs, 64)
+		v, err := strconv.ParseFloat(string(kv[eq+1:]), 64)
 		if err != nil {
-			return fmt.Errorf("bad extra annotation value %q: %v", f, err)
+			return fmt.Errorf("bad extra annotation value %q: %v", kv, err)
 		}
-		if ev.Extra == nil {
-			ev.Extra = make(map[string]float64, 2)
+		if t.extra == nil {
+			t.extra = make(map[string]float64, 2)
 		}
-		ev.Extra[k] = v
+		t.extra[t.strs.Intern(kv[:eq])] = v
+	}
+	if len(f) > 6 {
+		ev.Extra = t.extra
 	}
 	return nil
+}
+
+// InternCap bounds an Interner's table.
+const InternCap = 4096
+
+// Interner turns byte strings into shared strings, so a trace reader hands
+// out one string per distinct event name or annotation key instead of
+// allocating one per record. Names and keys come from untrusted input, so
+// the table stops growing at InternCap entries; past that, new strings are
+// allocated per call.
+type Interner struct{ m map[string]string }
+
+// Intern returns b as a string, shared with earlier calls for equal bytes
+// while the table has room.
+func (in *Interner) Intern(b []byte) string {
+	if s, ok := in.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(in.m) < InternCap {
+		if in.m == nil {
+			in.m = make(map[string]string)
+		}
+		in.m[s] = s
+	}
+	return s
 }
 
 // Table is a standalone analyzer's distribution sink: it bins every value

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"nepdvs/internal/loc/rt"
 )
 
 // Binary trace format. Long simulations emit tens of millions of events;
@@ -120,9 +122,15 @@ func (b *BinaryWriter) Close() error {
 // reports carries the byte offset of the failure, so a corrupted
 // multi-gigabyte trace file pinpoints its damage instead of just saying
 // "truncated".
+//
+// Fixed-width fields and extra keys are decoded straight from the bufio
+// buffer, keys are interned and one extras map is reused, so a
+// steady-state Next allocates nothing.
 type BinaryReader struct {
 	br      *bufio.Reader
 	names   []string
+	keys    rt.Interner
+	extra   map[string]float64 // reader-owned, handed out with each event
 	started bool
 	off     int64 // bytes consumed so far
 	err     error
@@ -133,19 +141,30 @@ func NewBinaryReader(r io.Reader) *BinaryReader {
 	return &BinaryReader{br: bufio.NewReaderSize(r, 1<<16)}
 }
 
-// readFull fills p, tracking the stream offset even on short reads.
-func (b *BinaryReader) readFull(p []byte) error {
-	n, err := io.ReadFull(b.br, p)
-	b.off += int64(n)
-	return err
+// next consumes the next n bytes and returns them in place: the slice is
+// valid only until the following read. n must not exceed the buffer size,
+// which bounds every field (maxNameLen). Like io.ReadFull, a short read
+// consumes what there is and reports io.EOF when that was nothing and
+// io.ErrUnexpectedEOF otherwise, so the offset stays exact.
+func (b *BinaryReader) next(n int) ([]byte, error) {
+	p, err := b.br.Peek(n)
+	d, _ := b.br.Discard(len(p))
+	b.off += int64(d)
+	if err != nil {
+		if err == io.EOF && len(p) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return p, nil
 }
 
 func (b *BinaryReader) f64() (float64, error) {
-	var tmp [8]byte
-	if err := b.readFull(tmp[:]); err != nil {
+	p, err := b.next(8)
+	if err != nil {
 		return 0, err
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(tmp[:])), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(p)), nil
 }
 
 // uvarint decodes one varint byte-by-byte so the offset stays exact.
@@ -179,6 +198,7 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 	if b.err != nil {
 		return Event{}, false, b.err
 	}
+	clear(b.extra)
 	fail := func(err error) (Event, bool, error) {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			err = fmt.Errorf("trace: truncated binary trace")
@@ -196,14 +216,14 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 		return v, err
 	}
 	if !b.started {
-		var magic [4]byte
-		if err := b.readFull(magic[:]); err != nil {
+		magic, err := b.next(len(binaryMagic))
+		if err != nil {
 			if err == io.EOF {
 				return Event{}, false, nil // empty trace
 			}
 			return fail(err)
 		}
-		if string(magic[:]) != binaryMagic {
+		if string(magic) != binaryMagic {
 			return fail(fmt.Errorf("trace: bad magic %q, not a binary trace", magic))
 		}
 		b.started = true
@@ -224,12 +244,12 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 		if nlen == 0 || nlen > maxNameLen {
 			return fail(fmt.Errorf("trace: implausible name length %d", nlen))
 		}
-		name := make([]byte, nlen)
-		if err := b.readFull(name); err != nil {
+		name, err := b.next(int(nlen))
+		if err != nil {
 			return fail(err)
 		}
-		b.names = append(b.names, string(name))
 		ev.Name = string(name)
+		b.names = append(b.names, ev.Name)
 	} else {
 		if nameID > uint64(len(b.names)) {
 			return fail(fmt.Errorf("trace: name id %d out of range (table has %d)", nameID, len(b.names)))
@@ -258,6 +278,12 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 	if nextra > maxExtras {
 		return fail(fmt.Errorf("trace: implausible extra count %d", nextra))
 	}
+	if nextra > 0 {
+		if b.extra == nil {
+			b.extra = make(map[string]float64, 2)
+		}
+		ev.Extra = b.extra
+	}
 	for i := uint64(0); i < nextra; i++ {
 		klen, err := uv()
 		if err != nil {
@@ -266,15 +292,16 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 		if klen == 0 || klen > maxExtraKey {
 			return fail(fmt.Errorf("trace: implausible extra key length %d", klen))
 		}
-		key := make([]byte, klen)
-		if err := b.readFull(key); err != nil {
+		key, err := b.next(int(klen))
+		if err != nil {
 			return fail(err)
 		}
+		k := b.keys.Intern(key)
 		v, err := b.f64()
 		if err != nil {
 			return fail(err)
 		}
-		ev.SetExtra(string(key), v)
+		b.extra[k] = v
 	}
 	return ev, true, nil
 }

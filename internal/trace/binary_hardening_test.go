@@ -43,7 +43,7 @@ func drain(t testing.TB, src Source, max int) ([]Event, error) {
 		if !ok {
 			return out, nil
 		}
-		out = append(out, ev)
+		out = append(out, ev.Clone())
 	}
 }
 

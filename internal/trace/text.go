@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
+
+	"nepdvs/internal/loc/rt"
 )
 
 // textHeader is the first line of every text trace. It mirrors the column
@@ -65,81 +65,19 @@ func (t *TextWriter) Close() error {
 	return t.bw.Flush()
 }
 
-// TextReader parses the text trace format as a Source.
-type TextReader struct {
-	sc   *bufio.Scanner
-	line int
-	err  error
-}
+// TextReader parses the text trace format as a Source. It is a thin
+// wrapper over rt.TextReader, the one text-trace parser, which the
+// locgen-generated checkers embed too.
+type TextReader struct{ r *rt.TextReader }
 
 // NewTextReader wraps r.
-func NewTextReader(r io.Reader) *TextReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	return &TextReader{sc: sc}
-}
+func NewTextReader(r io.Reader) *TextReader { return &TextReader{r: rt.NewTextReader(r)} }
 
 // Next implements Source.
 func (t *TextReader) Next() (Event, bool, error) {
-	if t.err != nil {
-		return Event{}, false, t.err
-	}
-	for t.sc.Scan() {
-		t.line++
-		line := strings.TrimSpace(t.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		ev, err := parseTextLine(line)
-		if err != nil {
-			t.err = fmt.Errorf("trace: line %d: %w", t.line, err)
-			return Event{}, false, t.err
-		}
-		return ev, true, nil
-	}
-	if err := t.sc.Err(); err != nil {
-		t.err = err
+	var ev rt.Event
+	if ok, err := t.r.Next(&ev); !ok {
 		return Event{}, false, err
 	}
-	return Event{}, false, nil
-}
-
-func parseTextLine(line string) (Event, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 6 {
-		return Event{}, fmt.Errorf("want at least 6 fields, got %d in %q", len(fields), line)
-	}
-	var ev Event
-	var err error
-	if ev.Cycle, err = strconv.ParseUint(fields[0], 10, 64); err != nil {
-		return Event{}, fmt.Errorf("bad cycle %q: %v", fields[0], err)
-	}
-	if ev.Time, err = strconv.ParseFloat(fields[1], 64); err != nil {
-		return Event{}, fmt.Errorf("bad time %q: %v", fields[1], err)
-	}
-	if ev.Energy, err = strconv.ParseFloat(fields[2], 64); err != nil {
-		return Event{}, fmt.Errorf("bad energy %q: %v", fields[2], err)
-	}
-	if ev.TotalPkt, err = strconv.ParseUint(fields[3], 10, 64); err != nil {
-		return Event{}, fmt.Errorf("bad total_pkt %q: %v", fields[3], err)
-	}
-	if ev.TotalBit, err = strconv.ParseUint(fields[4], 10, 64); err != nil {
-		return Event{}, fmt.Errorf("bad total_bit %q: %v", fields[4], err)
-	}
-	ev.Name = fields[5]
-	if ev.Name == "" {
-		return Event{}, fmt.Errorf("empty event name in %q", line)
-	}
-	for _, f := range fields[6:] {
-		k, vs, ok := strings.Cut(f, "=")
-		if !ok || k == "" {
-			return Event{}, fmt.Errorf("bad extra annotation %q", f)
-		}
-		v, err := strconv.ParseFloat(vs, 64)
-		if err != nil {
-			return Event{}, fmt.Errorf("bad extra annotation value %q: %v", f, err)
-		}
-		ev.SetExtra(k, v)
-	}
-	return ev, nil
+	return Event(ev), true, nil
 }

@@ -19,9 +19,15 @@
 // the paper's Figure 4 snapshot, and a compact binary format for long runs.
 // Both stream — readers never hold more than one event in memory, so the
 // 8·10⁶-cycle runs of the paper analyze in O(1) space.
+//
+// Both directions are allocation-free in steady state, and both lend out
+// the Extra map: a Sink sees an event only for the duration of Emit, and an
+// event a Source returns keeps its Extra only until the next call to Next.
+// Code that keeps events copies them with Event.Clone.
 package trace
 
 import (
+	"maps"
 	"slices"
 	"strconv"
 )
@@ -102,6 +108,14 @@ func (e *Event) SetExtra(name string, v float64) {
 	e.Extra[name] = v
 }
 
+// Clone returns a copy of e with its own Extra map, for code that keeps an
+// event past the Emit or Next call that lent it.
+func (e *Event) Clone() Event {
+	cp := *e
+	cp.Extra = maps.Clone(e.Extra)
+	return cp
+}
+
 // String renders one event in the text-trace line format.
 func (e *Event) String() string {
 	line, _ := e.appendText(nil, nil)
@@ -150,6 +164,11 @@ func sortedKeys(keys []string, extra map[string]float64) []string {
 // Source is a stream of events. Next returns the next event, or ok = false
 // at end of stream; a non-nil error reports a malformed stream. Sources are
 // single-pass.
+//
+// The returned event's Extra map is owned by the source: the file readers
+// clear and refill one map on every Next, so that reading allocates
+// nothing. A caller that keeps an event past the next call must copy it
+// with Event.Clone. Name is an ordinary string and safe to keep.
 type Source interface {
 	Next() (ev Event, ok bool, err error)
 }
@@ -157,8 +176,8 @@ type Source interface {
 // Sink consumes events as a simulation produces them. The event and its
 // Extra map are valid only for the duration of Emit: producers reuse both
 // for the next event, so a sink must neither modify them nor keep a
-// reference past the call. A sink that keeps an event must copy it,
-// Extra included, as Collector does.
+// reference past the call. A sink that keeps an event must copy it with
+// Event.Clone, as Collector does.
 type Sink interface {
 	Emit(ev *Event) error
 }
@@ -187,14 +206,7 @@ type Collector struct {
 
 // Emit implements Sink.
 func (c *Collector) Emit(ev *Event) error {
-	cp := *ev
-	if ev.Extra != nil {
-		cp.Extra = make(map[string]float64, len(ev.Extra))
-		for k, v := range ev.Extra {
-			cp.Extra[k] = v
-		}
-	}
-	c.Events = append(c.Events, cp)
+	c.Events = append(c.Events, ev.Clone())
 	return nil
 }
 

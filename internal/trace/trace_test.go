@@ -91,7 +91,7 @@ func roundTrip(t *testing.T, evs []Event, mkW func(*bytes.Buffer) Sink, done fun
 		if !ok {
 			break
 		}
-		got = append(got, ev)
+		got = append(got, ev.Clone())
 	}
 	return got
 }
