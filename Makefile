@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check lint analyze fuzz bench bench-obs bench-serve bench-baseline bench-gate profile serve-smoke serve-cluster-smoke timeline-smoke assert-smoke
+.PHONY: build vet test race check lint analyze fuzz bench bench-obs bench-serve bench-baseline bench-gate profile serve-smoke serve-cluster-smoke timeline-smoke assert-smoke results-check
 
 build:
 	$(GO) build ./...
@@ -141,3 +141,11 @@ timeline-smoke:
 # rerun determinism.
 assert-smoke:
 	sh scripts/assert_smoke.sh
+
+# Results byte-identity: regenerate every paper-scale report into a temp
+# dir and require it to match the committed results/ exactly. The manifest
+# is excluded because it records host wall time.
+results-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/dvsexplore -outdir "$$tmp" -quiet all >/dev/null && \
+	diff -r -x manifest.json "$$tmp" results
