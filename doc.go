@@ -13,7 +13,8 @@
 //	internal/npu          the NPU model: 6×4-context MEs, SRAM/SDRAM, IX bus,
 //	                      ports, FIFOs, per-ME DVS with transition penalties
 //	internal/power        C·V²·f energy accounting
-//	internal/dvs          TDVS / EDVS / combined controllers and the VF ladder
+//	internal/policy       the VF ladder, one window loop and the TDVS / EDVS /
+//	                      combined / oracle / PID / PSM decide steps
 //	internal/traffic      synthetic edge-router traffic (diurnal + MMPP)
 //	internal/workload     ipfwdr, url, nat, md4 in microengine assembly
 //	internal/trace        event traces (text + binary), streaming sinks

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"nepdvs/internal/dvs"
 	"nepdvs/internal/fault"
 	"nepdvs/internal/loc"
 	"nepdvs/internal/loc/interval"
@@ -214,7 +213,7 @@ type RunResult struct {
 	// LOC holds one result per formula, in source order.
 	LOC []loc.Result
 	// DVSStats is the controller's activity (nil for NoDVS).
-	DVSStats *dvs.Stats
+	DVSStats *policy.Stats
 	// MonitorFraction is the TDVS monitor energy share (0 when disabled).
 	MonitorFraction float64
 	// Faults reports the fault injector's activity (nil when the run had no
@@ -513,9 +512,9 @@ func runSim(ctx context.Context, cfg RunConfig, capture bool) (res *RunResult, s
 	if inj != nil {
 		pchip = policy.Intercept(chip, inj.Tap(k))
 	}
-	var policyStats func() dvs.Stats
+	var loop *policy.Loop
 	if fac != nil {
-		inst, err := fac.New(policy.Env{
+		loop, err = fac.Start(policy.Env{
 			Kernel:   k,
 			Chip:     pchip,
 			RefMHz:   cfg.Chip.RefMHz,
@@ -527,7 +526,6 @@ func runSim(ctx context.Context, cfg RunConfig, capture bool) (res *RunResult, s
 		if err != nil {
 			return nil, nil, err
 		}
-		policyStats = inst.Stats
 	}
 
 	if err := chip.Inject(pkts); err != nil {
@@ -588,8 +586,8 @@ func runSim(ctx context.Context, cfg RunConfig, capture bool) (res *RunResult, s
 		}
 		res.LOC = locRes
 	}
-	if policyStats != nil {
-		st := policyStats()
+	if loop != nil {
+		st := loop.Stats()
 		res.DVSStats = &st
 	}
 	if inj != nil {

@@ -28,10 +28,10 @@ import (
 	"time"
 
 	"nepdvs/internal/core"
-	"nepdvs/internal/dvs"
 	"nepdvs/internal/loc"
 	"nepdvs/internal/obs"
 	"nepdvs/internal/plot"
+	"nepdvs/internal/policy"
 	"nepdvs/internal/sim"
 	"nepdvs/internal/stats"
 	"nepdvs/internal/traffic"
@@ -199,7 +199,7 @@ func Fig2() (Report, error) {
 
 // Fig5 reproduces the scaling-value table for a 1000 Mbps top threshold.
 func Fig5() (Report, error) {
-	l, err := dvs.NewLadder(1000)
+	l, err := policy.NewLadder(1000)
 	if err != nil {
 		return Report{}, err
 	}

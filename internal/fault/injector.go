@@ -155,7 +155,7 @@ func (in *Injector) PortFault(port int, at sim.Time) (resume sim.Time, drop bool
 }
 
 // Tap binds the injector to a kernel as a DVS-facing sensor/actuator tap
-// (it satisfies dvs.Tap). The tap maintains its own distorted cumulative
+// (it satisfies policy.Tap). The tap maintains its own distorted cumulative
 // traffic counter: misreads scale per-reading deltas, never the cumulative
 // total, so a fault window distorts exactly the windows it covers.
 func (in *Injector) Tap(k *sim.Kernel) *SensorTap {
@@ -171,7 +171,7 @@ type SensorTap struct {
 	lastOut  uint64
 }
 
-// TrafficBits implements dvs.Tap: inside a sensor_misread window the
+// TrafficBits implements policy.Tap: inside a sensor_misread window the
 // reading's delta is scaled by the fault magnitude.
 func (t *SensorTap) TrafficBits(real uint64) uint64 {
 	delta := real - t.lastReal
@@ -192,7 +192,7 @@ func (t *SensorTap) TrafficBits(real uint64) uint64 {
 	return t.lastOut
 }
 
-// TransitionAllowed implements dvs.Tap: VF transitions are refused inside
+// TransitionAllowed implements policy.Tap: VF transitions are refused inside
 // a vf_stuck window.
 func (t *SensorTap) TransitionAllowed(me int) bool {
 	for _, w := range t.in.stuck {

@@ -30,7 +30,6 @@ const (
 // service layer (server, jobs, cache, obs) is outside this set and earns
 // its exemptions rule-by-rule in lint.allow instead.
 var DeterministicPackages = []string{
-	"internal/dvs",
 	"internal/loc",
 	"internal/loc/interval",
 	"internal/npu",

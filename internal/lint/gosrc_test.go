@@ -101,3 +101,21 @@ func TestModulePath(t *testing.T) {
 		t.Errorf("ModulePath = %q, want %q", mod, "fixture")
 	}
 }
+
+// TestDeterministicPackagesExist keeps the protected list honest: a
+// deleted or renamed package must not leave a stale entry behind.
+func TestDeterministicPackagesExist(t *testing.T) {
+	dirs, err := FindGoPackages("../..")
+	if err != nil {
+		t.Fatalf("FindGoPackages: %v", err)
+	}
+	have := map[string]bool{}
+	for _, d := range dirs {
+		have[d] = true
+	}
+	for _, d := range DeterministicPackages {
+		if !have[d] {
+			t.Errorf("DeterministicPackages lists %q, which is not a Go package directory", d)
+		}
+	}
+}

@@ -15,8 +15,8 @@
 //
 // Voltage/frequency scaling is exposed per microengine (SetMEVF) and
 // chip-wide (SetAllVF); each transition stalls the affected engines for the
-// configured penalty (10 µs in the paper). DVS policies live in package dvs
-// and drive the chip through these methods.
+// configured penalty (10 µs in the paper). DVS policies live in package
+// policy and drive the chip through these methods.
 package npu
 
 import (

@@ -134,7 +134,7 @@ func (r policyRun) run(t *testing.T, batch int64, fused bool) chipObs {
 	if !fused {
 		unfuse(chip, progs)
 	}
-	if _, err := r.fac.New(policy.Env{
+	if _, err := r.fac.Start(policy.Env{
 		Kernel: k, Chip: chip, RefMHz: cfg.RefMHz, Duration: r.dur,
 		Params: r.params, Packets: r.pkts,
 	}); err != nil {

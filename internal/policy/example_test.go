@@ -1,15 +1,15 @@
-package dvs_test
+package policy_test
 
 import (
 	"fmt"
 	"log"
 
-	"nepdvs/internal/dvs"
+	"nepdvs/internal/policy"
 )
 
 // ExampleNewLadder reproduces the paper's Figure 5 scaling table.
 func ExampleNewLadder() {
-	ladder, err := dvs.NewLadder(1000)
+	ladder, err := policy.NewLadder(1000)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -22,9 +22,9 @@ func ExampleNewLadder() {
 
 // ExampleOracleLevel shows the rung a perfect traffic predictor picks.
 func ExampleOracleLevel() {
-	ladder := dvs.MustLadder(1000)
+	ladder := policy.MustLadder(1000)
 	for _, mbps := range []float64{1200, 950, 700} {
-		level := dvs.OracleLevel(ladder, mbps)
+		level := policy.OracleLevel(ladder, mbps)
 		fmt.Printf("%v Mbps -> %v\n", mbps, ladder.Steps[level].VF)
 	}
 	// Output:

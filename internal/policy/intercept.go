@@ -1,10 +1,25 @@
 package policy
 
 import (
-	"nepdvs/internal/dvs"
 	"nepdvs/internal/power"
 	"nepdvs/internal/sim"
 )
+
+// Tap observes and may distort the policy-facing chip surface. It is the
+// policy layer's fault-injection hook: a tap can corrupt what the traffic
+// sensor reports and refuse transitions (a stuck regulator), without the
+// policies knowing they are being lied to — exactly the failure model a
+// robustness analysis needs. Satisfied by *fault.SensorTap.
+type Tap interface {
+	// TrafficBits maps the chip's real cumulative traffic counter to what
+	// the monitor reads. Implementations distort per-reading deltas, not
+	// the cumulative value, so a fault window affects exactly the monitor
+	// windows it covers.
+	TrafficBits(real uint64) uint64
+	// TransitionAllowed reports whether a transition may proceed now; me
+	// is the target microengine, or -1 for a chip-wide transition.
+	TransitionAllowed(me int) bool
+}
 
 // Intercept wraps a chip so every policy built on the result sees the
 // fault tap's view: traffic readings pass through Tap.TrafficBits, and
@@ -13,11 +28,11 @@ import (
 // actuator the same way it blocks the ladder. Idle-time and queue
 // occupancy readings pass through unchanged: both are per-ME/chip hardware
 // state, not separately faultable monitors in our model.
-func Intercept(c Chip, t dvs.Tap) Chip { return &tappedChip{chip: c, tap: t} }
+func Intercept(c Chip, t Tap) Chip { return &tappedChip{chip: c, tap: t} }
 
 type tappedChip struct {
 	chip Chip
-	tap  dvs.Tap
+	tap  Tap
 }
 
 func (x *tappedChip) NumMEs() int                          { return x.chip.NumMEs() }

@@ -1,11 +1,74 @@
-package dvs
+package policy
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"nepdvs/internal/sim"
 )
+
+func TestLadderFig5(t *testing.T) {
+	l := MustLadder(1000)
+	if l.Levels() != 5 {
+		t.Fatalf("levels = %d, want 5", l.Levels())
+	}
+	// Paper Figure 5 exactly.
+	wantMHz := []float64{600, 550, 500, 450, 400}
+	wantV := []float64{1.3, 1.25, 1.2, 1.15, 1.1}
+	wantTh := []float64{1000, 916, 833, 750, 666}
+	for k, s := range l.Steps {
+		if s.VF.MHz != wantMHz[k] {
+			t.Errorf("step %d MHz = %v, want %v", k, s.VF.MHz, wantMHz[k])
+		}
+		if diff := s.VF.Volts - wantV[k]; diff > 1e-9 || diff < -1e-9 {
+			t.Errorf("step %d V = %v, want %v", k, s.VF.Volts, wantV[k])
+		}
+		if s.ThresholdMbps != wantTh[k] {
+			t.Errorf("step %d threshold = %v, want %v", k, s.ThresholdMbps, wantTh[k])
+		}
+	}
+	out := l.String()
+	if !strings.Contains(out, "916") || !strings.Contains(out, "1.15") {
+		t.Errorf("ladder table:\n%s", out)
+	}
+}
+
+func TestLadderErrors(t *testing.T) {
+	for _, top := range []float64{0, -10, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewLadder(top); err == nil {
+			t.Errorf("top threshold %v accepted", top)
+		}
+	}
+}
+
+// Property: ladder VF and thresholds are strictly decreasing, and Clamp
+// always lands in range.
+func TestLadderMonotoneProperty(t *testing.T) {
+	f := func(topRaw uint16, lvl int8) bool {
+		top := float64(topRaw%5000) + 600
+		l, err := NewLadder(top)
+		if err != nil {
+			return false
+		}
+		for k := 1; k < l.Levels(); k++ {
+			if l.Steps[k].VF.MHz >= l.Steps[k-1].VF.MHz ||
+				l.Steps[k].VF.Volts >= l.Steps[k-1].VF.Volts ||
+				l.Steps[k].ThresholdMbps >= l.Steps[k-1].ThresholdMbps {
+				return false
+			}
+			if l.Steps[k].VF.PowerScale() >= l.Steps[k-1].VF.PowerScale() {
+				return false
+			}
+		}
+		c := l.Clamp(int(lvl))
+		return c >= 0 && c < l.Levels()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestOracleLevel(t *testing.T) {
 	l := MustLadder(1000) // thresholds 1000, 916, 833, 750, 666
@@ -42,58 +105,6 @@ func TestOracleLevelMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOracleFollowsSchedule(t *testing.T) {
-	var k sim.Kernel
-	chip := newFakeChip(6)
-	w := winDur(20000)
-	// Window volumes: high, high, low, low, high.
-	vols := []float64{1200, 1200, 500, 500, 1200}
-	or, err := NewOracle(&k, chip, MustLadder(1000), 20000, refMHz, vols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Window 0 boundary: next window (1) is high -> stay at 0.
-	k.RunUntil(w)
-	if or.Level() != 0 {
-		t.Fatalf("after w0, level = %d", or.Level())
-	}
-	// Window 1 boundary: window 2 is low (500 < all thresholds) -> bottom.
-	k.RunUntil(2 * w)
-	if or.Level() != 4 {
-		t.Fatalf("after w1, level = %d, want 4", or.Level())
-	}
-	// Window 3 boundary: window 4 is high -> straight back to the top in
-	// one jump (no ladder walking).
-	k.RunUntil(4 * w)
-	if or.Level() != 0 {
-		t.Fatalf("after w3, level = %d, want 0", or.Level())
-	}
-	st := or.Stats()
-	if st.Transitions != 2 {
-		t.Fatalf("transitions = %d, want 2 (one down-jump, one up-jump)", st.Transitions)
-	}
-	// Past the end of the schedule: the last volume repeats; no panic.
-	k.RunUntil(10 * w)
-	if or.Level() != 0 {
-		t.Fatalf("after schedule end, level = %d", or.Level())
-	}
-	or.Stop()
-}
-
-func TestOracleErrors(t *testing.T) {
-	var k sim.Kernel
-	chip := newFakeChip(2)
-	if _, err := NewOracle(&k, chip, MustLadder(1000), 0, refMHz, []float64{1}); err == nil {
-		t.Error("zero window accepted")
-	}
-	if _, err := NewOracle(&k, chip, Ladder{}, 100, refMHz, []float64{1}); err == nil {
-		t.Error("empty ladder accepted")
-	}
-	if _, err := NewOracle(&k, chip, MustLadder(1000), 100, refMHz, nil); err == nil {
-		t.Error("empty schedule accepted")
 	}
 }
 

@@ -1,12 +1,6 @@
 package policy
 
-import (
-	"fmt"
-
-	"nepdvs/internal/dvs"
-	"nepdvs/internal/sim"
-	"nepdvs/internal/span"
-)
+import "fmt"
 
 // pid is a control-theoretic DVS policy after Xia & Tian: the plant output
 // is the receive-queue occupancy, the setpoint a target fill fraction, and
@@ -21,64 +15,6 @@ import (
 
 // pidScale is the fixed-point gain denominator.
 const pidScale = 1024
-
-type pidPolicy struct {
-	ladder dvs.Ladder
-	chip   Chip
-	window sim.Time
-
-	kp, ki, kd int64 // gains × pidScale
-	setpoint   int64 // queue-fill setpoint in per-mille
-	maxI       int64 // anti-windup clamp on the integral term
-
-	integral int64
-	lastErr  int64
-	level    int
-
-	ticker *sim.Ticker
-	stats  dvs.Stats
-	spans  *span.Recorder
-}
-
-func (p *pidPolicy) Stats() dvs.Stats { return p.stats }
-func (p *pidPolicy) Stop()            { p.ticker.Stop() }
-
-func (p *pidPolicy) tick(at sim.Time) {
-	used, capacity := p.chip.QueueOccupancy()
-	occ := int64(used) * 1000 / int64(capacity)
-	p.stats.Windows++
-	p.stats.TimeAtLevel[p.level]++
-
-	// Positive error: queue above setpoint, the chip is too slow.
-	e := occ - p.setpoint
-	p.integral += e
-	if p.integral > p.maxI {
-		p.integral = p.maxI
-	} else if p.integral < -p.maxI {
-		p.integral = -p.maxI
-	}
-	deriv := e - p.lastErr
-	p.lastErr = e
-
-	// Control value in per-mille: u ≥ 0 demands full speed (level 0);
-	// u = −1000 demands the bottom rung. The mapping is absolute, not
-	// incremental, so the controller can jump rungs when the error is
-	// large — the feedback analogue of the oracle's direct placement.
-	u := (p.kp*e + p.ki*p.integral + p.kd*deriv) / pidScale
-	next := p.ladder.Clamp(int(-u * int64(p.ladder.Levels()) / 1000))
-	if p.spans != nil {
-		p.spans.Counter(dvs.Track, "pid_occupancy_pm", at, float64(occ))
-		p.spans.Counter(dvs.Track, "pid_level", at, float64(next))
-	}
-	if next != p.level {
-		if p.spans != nil {
-			dvs.RecordTransition(p.spans, at, -1, p.level, next)
-		}
-		p.level = next
-		p.stats.Transitions++
-		p.chip.SetAllVF(p.ladder.Steps[next].VF)
-	}
-}
 
 func init() {
 	var pid *Factory
@@ -109,29 +45,37 @@ func init() {
 			}
 			return fracOpen("pid", "setpoint_frac", pid.Param(p, "setpoint_frac"))
 		},
-		New: func(e Env) (Instance, error) {
-			window := sim.NewClock(e.RefMHz).Cycles(int64(pid.Param(e.Params, "window_cycles")))
-			if window <= 0 {
-				return nil, fmt.Errorf("policy: pid: empty control period")
-			}
-			ctl := &pidPolicy{
-				ladder:   dvs.MustLadder(1000), // thresholds unused; VF rungs only
-				chip:     e.Chip,
-				window:   window,
-				kp:       int64(pid.Param(e.Params, "kp") * pidScale),
-				ki:       int64(pid.Param(e.Params, "ki") * pidScale),
-				kd:       int64(pid.Param(e.Params, "kd") * pidScale),
-				setpoint: int64(pid.Param(e.Params, "setpoint_frac") * 1000),
-				spans:    e.Spans,
-			}
-			if ctl.ki > 0 {
+		New: func(e Env) (Spec, error) {
+			ladder := MustLadder(1000) // thresholds unused; VF rungs only
+			kp := int64(pid.Param(e.Params, "kp") * pidScale)
+			ki := int64(pid.Param(e.Params, "ki") * pidScale)
+			kd := int64(pid.Param(e.Params, "kd") * pidScale)
+			setpoint := int64(pid.Param(e.Params, "setpoint_frac") * 1000) // per-mille
+			// maxI is the anti-windup clamp on the integral term.
+			var maxI int64
+			if ki > 0 {
 				// Clamp the integral so its contribution alone cannot
 				// exceed the full control range (±1000 per-mille).
-				ctl.maxI = 1000 * pidScale / ctl.ki
+				maxI = 1000 * pidScale / ki
 			}
-			ctl.stats.TimeAtLevel = make([]uint64, ctl.ladder.Levels())
-			ctl.ticker = sim.NewTicker(e.Kernel, window, ctl.tick)
-			return ctl, nil
+			var integral, lastErr int64
+			return Spec{Drive: ChipVF, Ladder: ladder, Series: "pid_level",
+				Decide: func(w *Window, cur, next []int) {
+					occ := int64(w.QueueUsed) * 1000 / int64(w.QueueCap)
+					// Positive error: queue above setpoint, the chip is too slow.
+					e := occ - setpoint
+					integral = max(-maxI, min(integral+e, maxI))
+					deriv := e - lastErr
+					lastErr = e
+					// Control value in per-mille: u ≥ 0 demands full speed
+					// (level 0); u = −1000 demands the bottom rung. The
+					// mapping is absolute, not incremental, so the
+					// controller can jump rungs when the error is large —
+					// the feedback analogue of the oracle's direct placement.
+					u := (kp*e + ki*integral + kd*deriv) / pidScale
+					next[0] = ladder.Clamp(int(-u * int64(ladder.Levels()) / 1000))
+					w.Sample("pid_occupancy_pm", float64(occ))
+				}}, nil
 		},
 	}
 	Register(pid)

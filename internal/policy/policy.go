@@ -1,17 +1,22 @@
-// Package policy is the DVS/DPM policy plugin framework: a registry of
-// named factories over a shared contract. A policy observes the chip
-// through a narrow monitor surface — window traffic volume, per-ME idle
-// residency, receive-queue occupancy — and acts by walking the VF ladder
-// or gating microengines into sleep states, paying the chip model's
-// transition penalties either way.
+// Package policy is the DVS/DPM policy layer: a registry of named
+// factories over one window loop. A policy observes the chip through a
+// narrow monitor surface — window traffic volume, per-ME idle residency,
+// receive-queue occupancy — and acts by walking the VF ladder or gating
+// microengines into sleep states, paying the chip model's transition
+// penalties either way.
 //
-// The built-in controllers (tdvs, edvs, combined, oracle — see
-// internal/dvs) register themselves here next to the plugins this package
-// adds: pid, a control-theoretic feedback controller driven by
-// queue-occupancy error (after Xia & Tian), and psm, a power-state machine
-// with sleep states below the VF ladder (after Conti). core resolves
-// PolicyConfig{Name, Params} through this registry, so a new scenario is a
-// new Register call — core never changes.
+// Each policy is a decision law: a factory entry plus one decide step that,
+// given a window's readings and the levels in force, writes the next
+// levels. The package owns everything around that step (loop.go): the
+// ticker, the sensor bookkeeping, the actuator, the statistics and the
+// timeline series. The paper's two laws register here — tdvs (the chip
+// steps against traffic volume through the Figure 5 ladder) and edvs (each
+// ME steps against its idle fraction) — next to two ablations (combined,
+// oracle), pid, a control-theoretic feedback law on queue-occupancy error
+// (after Xia & Tian), and psm, a power-state machine with sleep states
+// below the VF ladder (after Conti). core resolves PolicyConfig{Name,
+// Params} through this registry, so a new scenario is a new Register
+// call — core never changes.
 //
 // Everything a policy computes must derive from simulation state only:
 // registered factories become part of the deterministic core, and
@@ -20,10 +25,11 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
-	"nepdvs/internal/dvs"
+	"nepdvs/internal/power"
 	"nepdvs/internal/sim"
 	"nepdvs/internal/span"
 	"nepdvs/internal/traffic"
@@ -35,19 +41,26 @@ import (
 type Params map[string]float64
 
 // Chip is the monitor/actuator surface a policy sees, satisfied by
-// *npu.Chip (and by Intercept's faulted view of it). It extends the DVS
-// transition surface with the queue-pressure sensor and the DPM sleep
-// actuator.
+// *npu.Chip (and by Intercept's faulted view of it).
 type Chip interface {
-	dvs.Chip
+	// NumMEs returns the microengine count.
+	NumMEs() int
+	// TrafficBits returns cumulative bits arrived at the device ports.
+	TrafficBits() uint64
+	// MEIdle returns cumulative idle time of one ME, excluding DVS stalls.
+	MEIdle(i int) sim.Time
 	// QueueOccupancy returns the receive-FIFO fill and capacity.
 	QueueOccupancy() (used, capacity int)
+	// SetMEVF transitions one ME (stall penalty applies).
+	SetMEVF(i int, vf power.VF)
+	// SetAllVF transitions every ME (stall penalty applies to each).
+	SetAllVF(vf power.VF)
 	// SetMESleep moves one ME to DPM state depth (0 awake, 1 sleep,
 	// 2 deep sleep); waking applies a depth-scaled stall penalty.
 	SetMESleep(i, depth int)
 }
 
-// Env is everything a factory gets to build its policy instance.
+// Env is everything a factory and its loop get from the run.
 type Env struct {
 	Kernel *sim.Kernel
 	Chip   Chip
@@ -63,13 +76,6 @@ type Env struct {
 	// Packets is the materialized arrival schedule — the oracle's
 	// lookahead input. Policies must only read it.
 	Packets []traffic.Packet
-}
-
-// Instance is a live policy attached to a run's kernel. The controller
-// ticks itself; core only collects statistics at run end.
-type Instance interface {
-	Stats() dvs.Stats
-	Stop()
 }
 
 // ParamDoc declares one parameter of a policy.
@@ -96,10 +102,11 @@ type Factory struct {
 	// the chip charges the per-packet monitor-update energy.
 	Monitor bool
 	// Validate checks a parameter set without building anything; it runs
-	// after unknown-key and required-key screening.
+	// after unknown-key, finiteness and required-key screening.
 	Validate func(Params) error
-	// New builds the instance. Params have passed Validate.
-	New func(Env) (Instance, error)
+	// New builds the policy's decide step and loop shape (see Start).
+	// Params have passed Validate.
+	New func(Env) (Spec, error)
 }
 
 // Param resolves a parameter value against the factory's defaults.
@@ -198,9 +205,9 @@ func Lookup(name string) (*Factory, error) {
 }
 
 // Validate checks a named policy's parameter set: the name must resolve,
-// every key must be declared, required keys must be present, and the
-// factory's own checks must pass. The empty name accepts only an empty
-// parameter set.
+// every key must be declared, every value must be finite, required keys
+// must be present, and the factory's own checks must pass. The empty name
+// accepts only an empty parameter set.
 func Validate(name string, p Params) error {
 	f, err := Lookup(name)
 	if err != nil {
@@ -237,6 +244,11 @@ func Validate(name string, p Params) error {
 			}
 			return fmt.Errorf("policy: %s: unknown parameter %q%s; accepted: %s",
 				f.Name, k, hint, strings.Join(declared, ", "))
+		}
+		// NaN slips through every range check, and ±Inf makes no
+		// meaningful rate, gain or fraction.
+		if v := p[k]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("policy: %s: %s must be finite, got %v", f.Name, k, v)
 		}
 	}
 	for _, d := range f.Params {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -9,7 +10,8 @@ import (
 	"nepdvs/internal/sim"
 )
 
-// fakeChip scripts the monitor surface and records every actuation.
+// fakeChip scripts the monitor surface and records every actuation. Every
+// ME boots at the top rung, as on the real chip.
 type fakeChip struct {
 	n     int
 	bits  uint64
@@ -18,24 +20,39 @@ type fakeChip struct {
 	cap   int
 	sleep []int
 	meVF  []power.VF
-	vfSet int // SetMEVF + SetAllVF invocations
+	meSet []int      // SetMEVF invocations per ME
+	allVF []power.VF // SetAllVF commands, in order
+	vfSet int        // SetMEVF + SetAllVF invocations
 }
 
 func newFakeChip(n int) *fakeChip {
-	return &fakeChip{n: n, idle: make([]sim.Time, n), sleep: make([]int, n), meVF: make([]power.VF, n), cap: 64}
+	f := &fakeChip{n: n, idle: make([]sim.Time, n), sleep: make([]int, n), meVF: make([]power.VF, n), meSet: make([]int, n), cap: 64}
+	for i := range f.meVF {
+		f.meVF[i] = MustLadder(1000).Steps[0].VF
+	}
+	return f
 }
 
 func (f *fakeChip) NumMEs() int                          { return f.n }
 func (f *fakeChip) TrafficBits() uint64                  { return f.bits }
 func (f *fakeChip) MEIdle(i int) sim.Time                { return f.idle[i] }
 func (f *fakeChip) QueueOccupancy() (used, capacity int) { return f.used, f.cap }
-func (f *fakeChip) SetMEVF(i int, v power.VF)            { f.meVF[i] = v; f.vfSet++ }
+func (f *fakeChip) SetMEVF(i int, v power.VF)            { f.meVF[i] = v; f.meSet[i]++; f.vfSet++ }
 func (f *fakeChip) SetMESleep(i, depth int)              { f.sleep[i] = depth }
 func (f *fakeChip) SetAllVF(v power.VF) {
 	for i := range f.meVF {
 		f.meVF[i] = v
 	}
+	f.allVF = append(f.allVF, v)
 	f.vfSet++
+}
+
+// level returns ME i's rung on the Figure 5 ladder (0 = 600 MHz).
+func (f *fakeChip) level(i int) int { return int((600 - f.meVF[i].MHz) / 50) }
+
+// addMbps adds traffic corresponding to a rate sustained over a window.
+func (f *fakeChip) addMbps(mbps float64, window sim.Time) {
+	f.bits += uint64(mbps * 1e6 * window.Seconds())
 }
 
 const refMHz = 600
@@ -160,6 +177,14 @@ func TestValidateErrors(t *testing.T) {
 		{"psm", Params{"deep_windows": 1.5}, "non-negative integer"},
 		{"psm", Params{"deep_windows": -1}, "non-negative integer"},
 
+		{"tdvs", Params{"top_threshold_mbps": math.NaN(), "window_cycles": 100}, "must be finite"},
+		{"tdvs", Params{"top_threshold_mbps": math.Inf(1), "window_cycles": 100}, "must be finite"},
+		{"tdvs", Params{"top_threshold_mbps": 1000, "window_cycles": 100, "hysteresis": math.NaN()}, "must be finite"},
+		{"edvs", Params{"window_cycles": 100, "idle_frac": math.NaN()}, "must be finite"},
+		{"edvs", Params{"window_cycles": math.Inf(1), "idle_frac": 0.1}, "must be finite"},
+		{"pid", Params{"kp": math.Inf(-1)}, "must be finite"},
+		{"psm", Params{"deep_windows": math.NaN()}, "must be finite"},
+
 		{"frobnicate", nil, "unknown policy"},
 	}
 	for _, c := range cases {
@@ -229,12 +254,12 @@ func TestDescribeAll(t *testing.T) {
 
 // fakeTap scripts the fault view: a traffic scale and a transition gate.
 type fakeTap struct {
-	allow  bool
-	scaled uint64
-	asked  []int
+	allow bool
+	scale float64
+	asked []int
 }
 
-func (f *fakeTap) TrafficBits(raw uint64) uint64 { return f.scaled }
+func (f *fakeTap) TrafficBits(raw uint64) uint64 { return uint64(float64(raw) * f.scale) }
 func (f *fakeTap) TransitionAllowed(me int) bool {
 	f.asked = append(f.asked, me)
 	return f.allow
@@ -242,16 +267,20 @@ func (f *fakeTap) TransitionAllowed(me int) bool {
 
 func TestInterceptGating(t *testing.T) {
 	chip := newFakeChip(2)
-	chip.bits = 111
+	chip.bits = 4000
 	chip.used = 7
-	tap := &fakeTap{allow: false, scaled: 42}
+	chip.idle[1] = 7 * sim.Microsecond
+	tap := &fakeTap{allow: false, scale: 0.5}
 	var c Chip = Intercept(chip, tap)
 
-	if got := c.TrafficBits(); got != 42 {
-		t.Errorf("TrafficBits = %d, want the tap's 42", got)
+	if got := c.TrafficBits(); got != 2000 {
+		t.Errorf("TrafficBits = %d, want the tap's 2000", got)
 	}
 	if used, capacity := c.QueueOccupancy(); used != 7 || capacity != 64 {
 		t.Errorf("QueueOccupancy = %d/%d, want passthrough 7/64", used, capacity)
+	}
+	if c.NumMEs() != 2 || c.MEIdle(1) != 7*sim.Microsecond {
+		t.Error("NumMEs/MEIdle not passed through")
 	}
 
 	// Blocked: nothing reaches the chip.
@@ -271,13 +300,26 @@ func TestInterceptGating(t *testing.T) {
 	c.SetMEVF(0, vf)
 	c.SetAllVF(vf)
 	c.SetMESleep(1, 2)
-	if chip.vfSet != 2 || chip.sleep[1] != 2 {
+	if chip.vfSet != 2 || chip.sleep[1] != 2 || chip.allVF[0] != vf {
 		t.Errorf("allowed transitions dropped: vfSet=%d sleep=%v", chip.vfSet, chip.sleep)
+	}
+
+	// A real policy runs against the tapped view: offered load just above
+	// the 1000 Mbps top threshold reads as ~520 Mbps through the halving
+	// tap, so tdvs scales down instead of holding the top rung.
+	var k sim.Kernel
+	chip = newFakeChip(6)
+	buildLoop(t, &k, Intercept(chip, &fakeTap{allow: true, scale: 0.5}), "tdvs",
+		Params{"top_threshold_mbps": 1000, "window_cycles": 20000})
+	chip.addMbps(1040, winDur(20000))
+	k.RunUntil(winDur(20000))
+	if len(chip.allVF) != 1 || chip.allVF[0].MHz >= 600 {
+		t.Errorf("misled tdvs commanded %v, want one down-scale", chip.allVF)
 	}
 }
 
-// buildInstance resolves and constructs a policy on a fresh kernel/chip.
-func buildInstance(t *testing.T, k *sim.Kernel, chip Chip, name string, p Params) Instance {
+// buildLoop resolves and starts a policy on a fresh kernel/chip.
+func buildLoop(t *testing.T, k *sim.Kernel, chip Chip, name string, p Params) *Loop {
 	t.Helper()
 	fac, err := Lookup(name)
 	if err != nil {
@@ -286,18 +328,17 @@ func buildInstance(t *testing.T, k *sim.Kernel, chip Chip, name string, p Params
 	if err := Validate(name, p); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := fac.New(Env{Kernel: k, Chip: chip, RefMHz: refMHz, Duration: winDur(1_000_000), Params: p})
+	l, err := fac.Start(Env{Kernel: k, Chip: chip, RefMHz: refMHz, Duration: winDur(1_000_000), Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inst
+	return l
 }
 
 func TestPIDScalesWithQueueError(t *testing.T) {
 	var k sim.Kernel
 	chip := newFakeChip(6)
-	inst := buildInstance(t, &k, chip, "pid", Params{"window_cycles": 20000})
-	defer inst.Stop()
+	inst := buildLoop(t, &k, chip, "pid", Params{"window_cycles": 20000})
 	w := winDur(20000)
 
 	// Empty queue: the error is negative, the controller scales down.
@@ -327,7 +368,7 @@ func TestPIDScalesWithQueueError(t *testing.T) {
 	for _, n := range st.TimeAtLevel {
 		at += n
 	}
-	if at != st.Windows*uint64(chip.n)/uint64(chip.n) && at != st.Windows {
+	if at != st.Windows {
 		t.Errorf("TimeAtLevel sums to %d, want %d", at, st.Windows)
 	}
 }
@@ -335,8 +376,7 @@ func TestPIDScalesWithQueueError(t *testing.T) {
 func TestPSMSleepDeepenWake(t *testing.T) {
 	var k sim.Kernel
 	chip := newFakeChip(4)
-	inst := buildInstance(t, &k, chip, "psm", Params{"window_cycles": 20000, "deep_windows": 3})
-	defer inst.Stop()
+	inst := buildLoop(t, &k, chip, "psm", Params{"window_cycles": 20000, "deep_windows": 3})
 	w := winDur(20000)
 
 	idleWindow := func(win int) {
@@ -382,8 +422,7 @@ func TestPSMSleepDeepenWake(t *testing.T) {
 func TestPSMNeverTouchesVF(t *testing.T) {
 	var k sim.Kernel
 	chip := newFakeChip(2)
-	inst := buildInstance(t, &k, chip, "psm", nil)
-	defer inst.Stop()
+	buildLoop(t, &k, chip, "psm", nil)
 	w := winDur(40000)
 	for win := 1; win <= 6; win++ {
 		for i := range chip.idle {
@@ -397,18 +436,26 @@ func TestPSMNeverTouchesVF(t *testing.T) {
 }
 
 // FuzzPolicyValidate: no parameter set may panic the validator or the
-// canonicalizer, and canonicalizing a valid set must stay valid.
+// canonicalizer, every accepted set is finite, and canonicalizing a valid
+// set must stay valid.
 func FuzzPolicyValidate(f *testing.F) {
 	f.Add("tdvs", "top_threshold_mbps", 1000.0, 40000.0)
 	f.Add("pid", "kp", -1.0, 0.0)
 	f.Add("psm", "deep_windows", 1.5, -3.0)
 	f.Add("", "x", 0.0, 0.0)
 	f.Add("TDVS+EDVS", "idle_frac", 0.1, 1e300)
+	f.Add("tdvs", "hysteresis", math.NaN(), 40000.0)
+	f.Add("pid", "kd", 0.5, math.Inf(1))
 	f.Fuzz(func(t *testing.T, name, key string, v, w float64) {
 		p := Params{key: v, "window_cycles": w}
 		err := Validate(name, p)
 		cname, cp := Canonicalize(name, p)
 		if err == nil {
+			for k, v := range cp {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("valid (%q, %v) carries non-finite %s = %v", name, p, k, v)
+				}
+			}
 			if err2 := Validate(cname, cp); err2 != nil {
 				t.Fatalf("canonicalized form of valid (%q, %v) invalid: %v", name, p, err2)
 			}

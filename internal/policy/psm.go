@@ -1,12 +1,6 @@
 package policy
 
-import (
-	"fmt"
-
-	"nepdvs/internal/dvs"
-	"nepdvs/internal/sim"
-	"nepdvs/internal/span"
-)
+import "fmt"
 
 // psm is a dynamic power management policy after Conti's power-state
 // machine: instead of walking the VF ladder, each ME is driven through
@@ -20,82 +14,12 @@ import (
 // VF is untouched: psm composes the orthogonal knob to DVS, which is
 // exactly why it earns a row in the policy_compare figure.
 
-// psm states.
+// psm states, the sleepDepths DPM depths.
 const (
 	psmAwake = iota
 	psmSleep
 	psmDeep
-	psmStates
 )
-
-type psmPolicy struct {
-	chip   Chip
-	window sim.Time
-
-	sleepIdleFrac float64
-	wakeQueueFrac float64
-	deepWindows   int
-
-	states    []int
-	asleepFor []int // consecutive windows spent asleep, per ME
-	lastIdle  []sim.Time
-
-	ticker *sim.Ticker
-	stats  dvs.Stats
-	spans  *span.Recorder
-	// perMEState are the precomputed "psm_state_me%d" counter names.
-	perMEState []string
-}
-
-func (p *psmPolicy) Stats() dvs.Stats { return p.stats }
-func (p *psmPolicy) Stop()            { p.ticker.Stop() }
-
-func (p *psmPolicy) tick(at sim.Time) {
-	used, capacity := p.chip.QueueOccupancy()
-	qfrac := float64(used) / float64(capacity)
-	wakeAll := qfrac >= p.wakeQueueFrac
-	p.stats.Windows++
-	if p.spans != nil {
-		p.spans.Counter(dvs.Track, "psm_queue_frac", at, qfrac)
-	}
-	for i := range p.states {
-		idle := p.chip.MEIdle(i)
-		frac := float64(idle-p.lastIdle[i]) / float64(p.window)
-		p.lastIdle[i] = idle
-		p.stats.TimeAtLevel[p.states[i]]++
-
-		next := p.states[i]
-		switch {
-		case wakeAll:
-			next = psmAwake
-		case p.states[i] == psmAwake:
-			if frac > p.sleepIdleFrac {
-				next = psmSleep
-			}
-		default:
-			// Asleep and no queue pressure: stay down, deepening after
-			// deep_windows consecutive windows (0 disables deep sleep).
-			p.asleepFor[i]++
-			if p.deepWindows > 0 && p.asleepFor[i] >= p.deepWindows {
-				next = psmDeep
-			}
-		}
-		if next == psmAwake {
-			p.asleepFor[i] = 0
-		}
-		if p.spans != nil {
-			p.spans.Counter(dvs.Track, p.perMEState[i], at, float64(next))
-		}
-		if next != p.states[i] {
-			if p.spans != nil {
-				dvs.RecordTransition(p.spans, at, i, p.states[i], next)
-			}
-			p.states[i] = next
-			p.stats.Transitions++
-			p.chip.SetMESleep(i, next)
-		}
-	}
-}
 
 func init() {
 	var psm *Factory
@@ -123,29 +47,38 @@ func init() {
 			}
 			return nil
 		},
-		New: func(e Env) (Instance, error) {
-			window := sim.NewClock(e.RefMHz).Cycles(int64(psm.Param(e.Params, "window_cycles")))
-			if window <= 0 {
-				return nil, fmt.Errorf("policy: psm: empty state-machine period")
-			}
-			n := e.Chip.NumMEs()
-			ctl := &psmPolicy{
-				chip:          e.Chip,
-				window:        window,
-				sleepIdleFrac: psm.Param(e.Params, "sleep_idle_frac"),
-				wakeQueueFrac: psm.Param(e.Params, "wake_queue_frac"),
-				deepWindows:   int(psm.Param(e.Params, "deep_windows")),
-				states:        make([]int, n),
-				asleepFor:     make([]int, n),
-				lastIdle:      make([]sim.Time, n),
-				spans:         e.Spans,
-			}
-			if e.Spans != nil {
-				ctl.perMEState = dvs.MELevelCounters("psm_state", n)
-			}
-			ctl.stats.TimeAtLevel = make([]uint64, psmStates)
-			ctl.ticker = sim.NewTicker(e.Kernel, window, ctl.tick)
-			return ctl, nil
+		New: func(e Env) (Spec, error) {
+			sleepIdle := psm.Param(e.Params, "sleep_idle_frac")
+			wakeQueue := psm.Param(e.Params, "wake_queue_frac")
+			deepWindows := int(psm.Param(e.Params, "deep_windows"))
+			asleepFor := make([]int, e.Chip.NumMEs()) // consecutive asleep windows, per ME
+			return Spec{Drive: MESleep, Series: "psm_state",
+				Decide: func(w *Window, cur, next []int) {
+					qfrac := float64(w.QueueUsed) / float64(w.QueueCap)
+					wakeAll := qfrac >= wakeQueue
+					w.Sample("psm_queue_frac", qfrac)
+					for i, state := range cur {
+						switch {
+						case wakeAll:
+							next[i] = psmAwake
+						case state == psmAwake:
+							if w.Idle[i] > sleepIdle {
+								next[i] = psmSleep
+							}
+						default:
+							// Asleep and no queue pressure: stay down,
+							// deepening after deep_windows consecutive
+							// windows (0 disables deep sleep).
+							asleepFor[i]++
+							if deepWindows > 0 && asleepFor[i] >= deepWindows {
+								next[i] = psmDeep
+							}
+						}
+						if next[i] == psmAwake {
+							asleepFor[i] = 0
+						}
+					}
+				}}, nil
 		},
 	}
 	Register(psm)
