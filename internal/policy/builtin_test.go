@@ -221,3 +221,70 @@ func TestTimeAtLevelAccounting(t *testing.T) {
 		}
 	}
 }
+
+// rejects asserts that Validate refuses each parameter set for policy name.
+func rejects(t *testing.T, name string, sets ...Params) {
+	t.Helper()
+	for _, p := range sets {
+		if err := Validate(name, p); err == nil {
+			t.Errorf("Validate(%q, %v) accepted", name, p)
+		}
+	}
+}
+
+// startRejects asserts that Start, given unscreened parameters, refuses
+// to build policy name rather than run a loop that can never act.
+func startRejects(t *testing.T, name string, duration sim.Time, sets ...Params) {
+	t.Helper()
+	fac, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range sets {
+		var k sim.Kernel
+		if _, err := fac.Start(Env{Kernel: &k, Chip: newFakeChip(2), RefMHz: refMHz, Duration: duration, Params: p}); err == nil {
+			t.Errorf("%s: Start(%v) accepted", name, p)
+		}
+	}
+}
+
+func TestTDVSErrors(t *testing.T) {
+	rejects(t, "tdvs",
+		Params{"top_threshold_mbps": 1000, "window_cycles": 0},  // zero window
+		Params{"top_threshold_mbps": 0, "window_cycles": 20000}, // empty ladder
+		Params{"top_threshold_mbps": 1000, "window_cycles": 20000, "hysteresis": 1.5},
+		Params{"top_threshold_mbps": 1000, "window_cycles": 20000, "hysteresis": -0.1})
+	startRejects(t, "tdvs", winDur(1_000_000),
+		Params{"top_threshold_mbps": 1000, "window_cycles": 0},
+		Params{"top_threshold_mbps": 0, "window_cycles": 20000})
+}
+
+func TestEDVSErrors(t *testing.T) {
+	rejects(t, "edvs",
+		Params{"window_cycles": 20000, "idle_frac": 0},
+		Params{"window_cycles": 20000, "idle_frac": 1},
+		Params{"window_cycles": 0, "idle_frac": 0.1})
+	startRejects(t, "edvs", winDur(1_000_000),
+		Params{"window_cycles": 0, "idle_frac": 0.1})
+}
+
+func TestCombinedErrors(t *testing.T) {
+	rejects(t, "combined",
+		Params{"top_threshold_mbps": 1000, "window_cycles": -5, "idle_frac": 0.1},
+		Params{"top_threshold_mbps": 0, "window_cycles": 20000, "idle_frac": 0.1}, // empty ladder
+		Params{"top_threshold_mbps": 1000, "window_cycles": 20000, "idle_frac": 2})
+	startRejects(t, "combined", winDur(1_000_000),
+		Params{"top_threshold_mbps": 1000, "window_cycles": -5, "idle_frac": 0.1},
+		Params{"top_threshold_mbps": 0, "window_cycles": 20000, "idle_frac": 0.1})
+}
+
+func TestOracleErrors(t *testing.T) {
+	rejects(t, "oracle",
+		Params{"top_threshold_mbps": 1000, "window_cycles": 0},
+		Params{"top_threshold_mbps": 0, "window_cycles": 100}) // empty ladder
+	startRejects(t, "oracle", winDur(1_000_000),
+		Params{"top_threshold_mbps": 1000, "window_cycles": 0},
+		Params{"top_threshold_mbps": 0, "window_cycles": 100})
+	// A zero-length run has no window volumes: an empty schedule.
+	startRejects(t, "oracle", 0, Params{"top_threshold_mbps": 1000, "window_cycles": 100})
+}

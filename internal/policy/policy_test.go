@@ -267,20 +267,12 @@ func (f *fakeTap) TransitionAllowed(me int) bool {
 
 func TestInterceptGating(t *testing.T) {
 	chip := newFakeChip(2)
-	chip.bits = 4000
 	chip.used = 7
-	chip.idle[1] = 7 * sim.Microsecond
-	tap := &fakeTap{allow: false, scale: 0.5}
+	tap := &fakeTap{allow: false, scale: 1}
 	var c Chip = Intercept(chip, tap)
 
-	if got := c.TrafficBits(); got != 2000 {
-		t.Errorf("TrafficBits = %d, want the tap's 2000", got)
-	}
 	if used, capacity := c.QueueOccupancy(); used != 7 || capacity != 64 {
 		t.Errorf("QueueOccupancy = %d/%d, want passthrough 7/64", used, capacity)
-	}
-	if c.NumMEs() != 2 || c.MEIdle(1) != 7*sim.Microsecond {
-		t.Error("NumMEs/MEIdle not passed through")
 	}
 
 	// Blocked: nothing reaches the chip.
@@ -300,15 +292,58 @@ func TestInterceptGating(t *testing.T) {
 	c.SetMEVF(0, vf)
 	c.SetAllVF(vf)
 	c.SetMESleep(1, 2)
-	if chip.vfSet != 2 || chip.sleep[1] != 2 || chip.allVF[0] != vf {
+	if chip.vfSet != 2 || chip.sleep[1] != 2 {
 		t.Errorf("allowed transitions dropped: vfSet=%d sleep=%v", chip.vfSet, chip.sleep)
 	}
+}
 
-	// A real policy runs against the tapped view: offered load just above
-	// the 1000 Mbps top threshold reads as ~520 Mbps through the halving
-	// tap, so tdvs scales down instead of holding the top rung.
+func TestInterceptPassThrough(t *testing.T) {
+	chip := newFakeChip(6)
+	chip.bits = 4000
+	chip.idle[3] = 7 * sim.Microsecond
+	tap := &fakeTap{allow: true, scale: 1}
+	c := Intercept(chip, tap)
+	if c.NumMEs() != 6 || c.MEIdle(3) != 7*sim.Microsecond {
+		t.Error("NumMEs/MEIdle not passed through")
+	}
+	if got := c.TrafficBits(); got != 4000 {
+		t.Errorf("TrafficBits = %d, want 4000", got)
+	}
+	vf := power.VF{MHz: 500, Volts: 1.2}
+	c.SetMEVF(2, vf)
+	if chip.meVF[2] != vf || chip.meSet[2] != 1 {
+		t.Error("allowed SetMEVF did not reach the chip")
+	}
+	c.SetAllVF(vf)
+	if len(chip.allVF) != 1 || chip.allVF[0] != vf {
+		t.Error("allowed SetAllVF did not reach the chip")
+	}
+	if len(tap.asked) != 2 || tap.asked[0] != 2 || tap.asked[1] != -1 {
+		t.Errorf("tap consulted with %v, want [2 -1]", tap.asked)
+	}
+}
+
+func TestInterceptDistortsAndBlocks(t *testing.T) {
+	chip := newFakeChip(6)
+	chip.bits = 4000
+	c := Intercept(chip, &fakeTap{allow: false, scale: 0.5})
+	if got := c.TrafficBits(); got != 2000 {
+		t.Errorf("distorted TrafficBits = %d, want 2000", got)
+	}
+	c.SetMEVF(1, power.VF{MHz: 400, Volts: 1.1})
+	c.SetAllVF(power.VF{MHz: 400, Volts: 1.1})
+	if chip.vfSet != 0 || len(chip.allVF) != 0 {
+		t.Error("blocked transitions reached the chip")
+	}
+}
+
+// TestTDVSThroughIntercept proves a real policy runs against the tapped
+// chip: offered load just above the 1000 Mbps top threshold reads as
+// ~520 Mbps through the halving tap, so tdvs scales down instead of
+// holding the top rung, and the wrapped chip still receives the command.
+func TestTDVSThroughIntercept(t *testing.T) {
 	var k sim.Kernel
-	chip = newFakeChip(6)
+	chip := newFakeChip(6)
 	buildLoop(t, &k, Intercept(chip, &fakeTap{allow: true, scale: 0.5}), "tdvs",
 		Params{"top_threshold_mbps": 1000, "window_cycles": 20000})
 	chip.addMbps(1040, winDur(20000))
