@@ -643,9 +643,9 @@ type Point struct {
 
 // TDVSGrid expands sweep axes into design points in the canonical
 // threshold-major order. Every sweep path — local SweepTDVS, the job
-// queue, a federated coordinator sharding points across nodes — expands
-// through this one function, so point order (and thus artifact layout) is
-// identical everywhere.
+// queue, a federated coordinator sharding points across nodes — runs
+// through Sweep, which expands the grid here, so point order (and thus
+// artifact layout) is identical everywhere.
 func TDVSGrid(thresholds []float64, windows []int64) []Point {
 	points := make([]Point, 0, len(thresholds)*len(windows))
 	for _, th := range thresholds {
@@ -656,10 +656,9 @@ func TDVSGrid(thresholds []float64, windows []int64) []Point {
 	return points
 }
 
-// TDVSPointConfig derives the exact config SweepTDVS runs for one grid
-// point. Federated sweeps build per-point configs through this same
-// function, which is what makes a remote point's run key — and therefore
-// its cache entry and result — identical to the local sweep's.
+// TDVSPointConfig derives the exact config Sweep hands its PointRunner for
+// one grid point, whichever runner that is: a remote point's run key — and
+// therefore its cache entry and result — is identical to the local sweep's.
 func TDVSPointConfig(base RunConfig, pt Point) RunConfig {
 	cfg := base
 	p := TDVSPolicy(pt.ThresholdMbps, pt.WindowCycles)
@@ -685,13 +684,13 @@ type SweepResult struct {
 	Retries int
 }
 
-// runWithRetry executes a run and, on failure, tries exactly once more,
+// RunWithRetry executes a run and, on failure, tries exactly once more,
 // reporting how many extra attempts were spent. The retry absorbs transient
 // failures (a watchdog firing on a loaded machine); deterministic failures —
 // injected panics, config errors — fail both attempts, and the second error
 // is returned. A canceled context is never retried: the caller asked the
-// work to stop.
-func runWithRetry(ctx context.Context, cfg RunConfig) (*RunResult, int, error) {
+// work to stop. It is the local PointRunner.
+func RunWithRetry(ctx context.Context, cfg RunConfig) (*RunResult, int, error) {
 	res, err := RunContext(ctx, cfg)
 	if err == nil || ctx.Err() != nil {
 		return res, 0, err
@@ -700,64 +699,88 @@ func runWithRetry(ctx context.Context, cfg RunConfig) (*RunResult, int, error) {
 	return res, 1, err
 }
 
-// defaultParallelism resolves the convention shared by every parallel
-// entry point: zero or negative means "one worker per CPU".
-func defaultParallelism(p int) int {
+// PointRunner executes one sweep point's config and reports the extra
+// attempts it spent. RunWithRetry runs the point in-process; a federated
+// sweep places it on a cluster node. Whatever the runner, a point's result
+// must depend on its config alone — that is what keeps sweep artifacts
+// byte-identical across executors.
+type PointRunner func(ctx context.Context, cfg RunConfig) (res *RunResult, retries int, err error)
+
+// Parallelism resolves the convention shared by every parallel entry
+// point: zero or negative means one worker per CPU.
+func Parallelism(p int) int {
 	if p <= 0 {
 		return runtime.NumCPU()
 	}
 	return p
 }
 
-// SweepTDVS runs the cross product of thresholds × windows (each with the
-// base config's benchmark, traffic and formulas), in parallel across
-// goroutines — each run owns its kernel, so runs are independent. Results
-// are returned in deterministic (threshold-major) order. A parallelism of
-// zero or below means runtime.NumCPU().
-//
-// The sweep is resilient: a point whose run panics, times out or otherwise
-// fails (after one retry) records its error in its SweepResult while the
-// remaining points complete. If any point failed the returned error
-// summarizes the damage — callers that need every point treat it as fatal;
-// callers doing robustness exploration inspect the per-point Errs. Only
-// when every point fails is the result slice nil.
-func SweepTDVS(base RunConfig, thresholds []float64, windows []int64, parallelism int) ([]SweepResult, error) {
-	return SweepTDVSContext(context.Background(), base, thresholds, windows, parallelism, nil)
-}
-
-// SweepTDVSContext is SweepTDVS under a context, with an optional per-point
-// observer. Cancelling the context interrupts in-flight runs (each records
-// the cancellation as its point's error) and skips points not yet started.
-// onPoint, when non-nil, is called once per completed point, concurrently
-// from sweep workers — the job queue hangs per-job progress off it.
-func SweepTDVSContext(ctx context.Context, base RunConfig, thresholds []float64, windows []int64, parallelism int, onPoint func(SweepResult)) ([]SweepResult, error) {
-	if len(thresholds) == 0 || len(windows) == 0 {
-		return nil, fmt.Errorf("core: empty sweep axes")
-	}
-	parallelism = defaultParallelism(parallelism)
-	points := TDVSGrid(thresholds, windows)
-	results := make([]SweepResult, len(points))
+// ForEach calls fn(i) for every i in [0, n), at most Parallelism(parallelism)
+// calls at a time, and returns once all of them have returned. It is the
+// one bounded fan-out behind every parallel entry point: sweeps,
+// replication and the experiments' run batches.
+func ForEach(n, parallelism int, fn func(i int)) {
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallelism)
-	for i, pt := range points {
-		i, pt := i, pt
+	sem := make(chan struct{}, Parallelism(parallelism))
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			res, retries, err := runWithRetry(ctx, TDVSPointConfig(base, pt))
-			if err != nil {
-				results[i] = SweepResult{Point: pt, Err: fmt.Errorf("core: point %+v: %w", pt, err), Retries: retries}
-			} else {
-				results[i] = SweepResult{Point: pt, Result: res, Retries: retries}
-			}
-			if onPoint != nil {
-				onPoint(results[i])
-			}
+			fn(i)
 		}()
 	}
 	wg.Wait()
+}
+
+// SweepTDVS runs the cross product of thresholds × windows (each with the
+// base config's benchmark, traffic and formulas) in-process, in parallel
+// across goroutines — each run owns its kernel, so runs are independent.
+// It is Sweep with the local RunWithRetry runner and no observer.
+func SweepTDVS(base RunConfig, thresholds []float64, windows []int64, parallelism int) ([]SweepResult, error) {
+	return Sweep(context.Background(), base, thresholds, windows, parallelism, RunWithRetry, nil)
+}
+
+// Sweep is the one sweep executor: it expands the grid (TDVSGrid), derives
+// each point's config (TDVSPointConfig) and hands it to run, at most
+// Parallelism(parallelism) points at a time. Results are returned in the
+// deterministic threshold-major order whatever the runner, so local, queued
+// and federated sweeps differ only in where a point runs.
+//
+// The sweep is resilient: a point whose run panics, times out or otherwise
+// fails records its error in its SweepResult while the remaining points
+// complete. If any point failed the returned error summarizes the damage —
+// callers that need every point treat it as fatal; callers doing robustness
+// exploration inspect the per-point Errs. Only when every point fails is
+// the result slice nil.
+//
+// Cancelling ctx interrupts in-flight runs and skips points not yet
+// started; each records the cancellation as its error. onPoint, when
+// non-nil, is called once per finished point, concurrently from sweep
+// workers — the job queue hangs per-job progress off it.
+func Sweep(ctx context.Context, base RunConfig, thresholds []float64, windows []int64, parallelism int, run PointRunner, onPoint func(SweepResult)) ([]SweepResult, error) {
+	if len(thresholds) == 0 || len(windows) == 0 {
+		return nil, fmt.Errorf("core: empty sweep axes")
+	}
+	points := TDVSGrid(thresholds, windows)
+	results := make([]SweepResult, len(points))
+	ForEach(len(points), parallelism, func(i int) {
+		pt := points[i]
+		var res *RunResult
+		retries, err := 0, ctx.Err()
+		if err == nil {
+			res, retries, err = run(ctx, TDVSPointConfig(base, pt))
+		}
+		if err != nil {
+			results[i] = SweepResult{Point: pt, Err: fmt.Errorf("core: point %+v: %w", pt, err), Retries: retries}
+		} else {
+			results[i] = SweepResult{Point: pt, Result: res, Retries: retries}
+		}
+		if onPoint != nil {
+			onPoint(results[i])
+		}
+	})
 	var failed int
 	var first error
 	for _, r := range results {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -293,6 +295,42 @@ func TestSweepSurvivesFaultedPoints(t *testing.T) {
 	}
 	if !errors.Is(results[3].Err, context.DeadlineExceeded) {
 		t.Errorf("hung point error = %v, want a deadline error", results[3].Err)
+	}
+}
+
+// TestSweepCancelSkipsUnstarted: cancelling a sweep must keep points not
+// yet started out of the simulator entirely — no workload assembly, no
+// run hook, no cache lookup — and record the cancellation as their error.
+func TestSweepCancelSkipsUnstarted(t *testing.T) {
+	base := shortCfg(t, workload.IPFwdr, traffic.LevelMedium)
+	base.Cycles = 100_000
+	var runs atomic.Int32
+	SetRunHook(func(time.Duration, error) { runs.Add(1) })
+	defer SetRunHook(nil)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	results, err := Sweep(ctx, base, []float64{800, 1000}, []int64{20_000, 40_000}, 1, RunWithRetry,
+		func(SweepResult) { cancel() })
+	if err == nil || !strings.Contains(err.Error(), "3 of 4") {
+		t.Fatalf("sweep error = %v, want 3 of 4 points failed", err)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("canceled sweep ran %d simulations, want 1", n)
+	}
+	if len(results) != 4 || results[0].Result == nil || results[0].Err != nil {
+		t.Fatalf("first point should have completed: %+v", results)
+	}
+	for _, r := range results[1:] {
+		if !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("point %+v error = %v, want context.Canceled", r.Point, r.Err)
+		}
+		if r.Result != nil || r.Retries != 0 {
+			t.Errorf("skipped point %+v carries a result or retries", r.Point)
+		}
+		if want := fmt.Sprintf("core: point %+v: context canceled", r.Point); r.Err == nil || r.Err.Error() != want {
+			t.Errorf("skipped point error = %v, want %q", r.Err, want)
+		}
 	}
 }
 

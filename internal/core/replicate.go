@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"nepdvs/internal/stats"
 )
@@ -92,24 +91,13 @@ func Replicate(cfg RunConfig, seeds []int64, parallelism int) (*ReplicatedResult
 	if cfg.Packets != nil {
 		return nil, fmt.Errorf("core: cannot replicate a fixed packet schedule")
 	}
-	parallelism = defaultParallelism(parallelism)
 	out := &ReplicatedResult{Runs: make([]*RunResult, len(seeds))}
 	errs := make([]error, len(seeds))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallelism)
-	for i, seed := range seeds {
-		i, seed := i, seed
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			c := cfg
-			c.Traffic.Seed = seed
-			out.Runs[i], _, errs[i] = runWithRetry(context.Background(), c)
-		}()
-	}
-	wg.Wait()
+	ForEach(len(seeds), parallelism, func(i int) {
+		c := cfg
+		c.Traffic.Seed = seeds[i]
+		out.Runs[i], _, errs[i] = RunWithRetry(context.Background(), c)
+	})
 	for i, err := range errs {
 		if err != nil {
 			out.Failures = append(out.Failures, SeedFailure{Seed: seeds[i], Err: err})

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"nepdvs/internal/core"
 	"nepdvs/internal/plot"
@@ -62,22 +61,12 @@ func AblationPenalty(o Options) (Report, error) {
 		err error
 	}
 	rows := make([]row, len(penalties))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.Parallelism)
-	for i, p := range penalties {
-		i, p := i, p
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			cfg := base
-			cfg.Chip.DVSPenalty = p
-			cfg.Policy = core.TDVSPolicy(1000, 20000)
-			rows[i].res, rows[i].err = core.Run(cfg)
-		}()
-	}
-	wg.Wait()
+	core.ForEach(len(penalties), o.Parallelism, func(i int) {
+		cfg := base
+		cfg.Chip.DVSPenalty = penalties[i]
+		cfg.Policy = core.TDVSPolicy(1000, 20000)
+		rows[i].res, rows[i].err = core.Run(cfg)
+	})
 	var b strings.Builder
 	b.WriteString("# penalty_us\ttransitions\tpower_w\tsent_mbps\tloss\n")
 	for i, p := range penalties {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"time"
 
 	"nepdvs/internal/core"
@@ -412,23 +411,13 @@ func Fig10(o Options) (Report, error) {
 	for _, w := range Windows {
 		runs = append(runs, out{label: fmt.Sprintf("%dK", w/1000)})
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.Parallelism)
-	for i := range runs {
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			cfg := base
-			if runs[i].label != "noDVS" {
-				cfg.Policy = core.EDVSPolicy(Windows[i-1], 0.10)
-			}
-			runs[i].res, runs[i].err = core.Run(cfg)
-		}()
-	}
-	wg.Wait()
+	core.ForEach(len(runs), o.Parallelism, func(i int) {
+		cfg := base
+		if runs[i].label != "noDVS" {
+			cfg.Policy = core.EDVSPolicy(Windows[i-1], 0.10)
+		}
+		runs[i].res, runs[i].err = core.Run(cfg)
+	})
 	var b strings.Builder
 	var charts []NamedChart
 	for _, part := range []string{"power", "throughput"} {
@@ -490,32 +479,16 @@ func Fig11(o Options) (Report, []Fig11Cell, error) {
 		}
 	}
 	errs := make([]error, len(cells))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.Parallelism)
-	idx := 0
-	for _, bench := range workload.All {
-		for _, lv := range levels {
-			for _, pol := range policies {
-				i, bench, lv, pol := idx, bench, lv, pol
-				idx++
-				wg.Add(1)
-				sem <- struct{}{}
-				go func() {
-					defer wg.Done()
-					defer func() { <-sem }()
-					cfg, err := o.baseConfig(bench, lv)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					cfg.Formulas = core.PowerFormula(100, 0.4, 1.8, 0.01)
-					cfg.Policy = pol
-					cells[i].Result, errs[i] = core.Run(cfg)
-				}()
-			}
+	core.ForEach(len(cells), o.Parallelism, func(i int) {
+		cfg, err := o.baseConfig(cells[i].Bench, cells[i].Level)
+		if err != nil {
+			errs[i] = err
+			return
 		}
-	}
-	wg.Wait()
+		cfg.Formulas = core.PowerFormula(100, 0.4, 1.8, 0.01)
+		cfg.Policy = policies[i%len(policies)] // cells nest policy innermost
+		cells[i].Result, errs[i] = core.Run(cfg)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return Report{}, nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"nepdvs/internal/core"
 	"nepdvs/internal/loc"
@@ -165,19 +164,9 @@ func PolicyCompare(o Options) (Report, error) {
 	}
 	results := make([]*core.RunResult, len(cfgs))
 	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.Parallelism)
-	for i := range cfgs {
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = core.Run(cfgs[i])
-		}()
-	}
-	wg.Wait()
+	core.ForEach(len(cfgs), o.Parallelism, func(i int) {
+		results[i], errs[i] = core.Run(cfgs[i])
+	})
 	for i, err := range errs {
 		if err != nil {
 			return Report{}, fmt.Errorf("experiments: policy_compare %v: %w", cfgs[i].Policy, err)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"nepdvs/internal/core"
 	"nepdvs/internal/fault"
@@ -94,27 +93,17 @@ func FaultSweep(o Options) (Report, error) {
 			cells = append(cells, faultCell{Intensity: FaultIntensities[i], Policy: pol})
 		}
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, o.Parallelism)
-	for ci := range cells {
-		ci := ci
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			cfg, err := o.baseConfig(workload.IPFwdr, traffic.LevelHigh)
-			if err != nil {
-				cells[ci].Err = err
-				return
-			}
-			cfg.Formulas = RobustnessFormulas()
-			cfg.Policy = cells[ci].Policy
-			cfg.FaultPlan = plans[ci/len(policies)]
-			cells[ci].Result, cells[ci].Err = core.Run(cfg)
-		}()
-	}
-	wg.Wait()
+	core.ForEach(len(cells), o.Parallelism, func(ci int) {
+		cfg, err := o.baseConfig(workload.IPFwdr, traffic.LevelHigh)
+		if err != nil {
+			cells[ci].Err = err
+			return
+		}
+		cfg.Formulas = RobustnessFormulas()
+		cfg.Policy = cells[ci].Policy
+		cfg.FaultPlan = plans[ci/len(policies)]
+		cells[ci].Result, cells[ci].Err = core.Run(cfg)
+	})
 
 	var b strings.Builder
 	b.WriteString("# intensity\tpolicy\tpower_w\tsent_mbps\tloss\tfaults_armed\tviolations\tinstances\tviol_rate\n")

@@ -2,41 +2,22 @@ package federation
 
 import (
 	"context"
-	"sync"
 
-	"nepdvs/internal/core"
 	"nepdvs/internal/jobs"
 )
 
 // Executor adapts a pool into the job queue's executor: sweep jobs fan
 // out across the cluster, everything else (and every job on a pool with
-// no remote members) runs through the ordinary local jobs.Execute. The
-// artifact a federated sweep stores goes through jobs.NewSweepArtifact
-// exactly like a local one, which is the byte-identity contract.
+// no remote members) runs through the ordinary local jobs.Execute. A
+// federated sweep goes through the same jobs.ExecuteSweep as a local one,
+// with the pool's runner and parallelism, which is the byte-identity
+// contract.
 func Executor(p *Pool) jobs.Executor {
 	return func(ctx context.Context, spec jobs.Spec, progress func(done, retries int)) (any, error) {
 		if p == nil || spec.Kind != jobs.KindSweep || !p.hasRemote() {
 			return jobs.Execute(ctx, spec, progress)
 		}
-		var mu sync.Mutex
-		done, retries := 0, 0
-		onPoint := func(r core.SweepResult) {
-			mu.Lock()
-			done++
-			retries += r.Retries
-			d, rt := done, retries
-			mu.Unlock()
-			if progress != nil {
-				progress(d, rt)
-			}
-		}
-		results, err := p.Sweep(ctx, spec.Config, spec.Sweep.Thresholds, spec.Sweep.Windows, onPoint)
-		if results == nil {
-			return nil, err
-		}
-		// Partial failure still yields an artifact, the sweep's own
-		// resilience contract (see core.SweepTDVS).
-		return jobs.NewSweepArtifact(results), nil
+		return jobs.ExecuteSweep(ctx, spec, p.parallelism, p.runPoint, progress)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -259,23 +260,23 @@ func TestDrainingNodeIsRoutedAround(t *testing.T) {
 	}
 }
 
-// TestExecutorMatchesLocalExecute drives the same sweep spec through the
+// TestExecutorMatchesLocalExecute drives the same sweep specs through the
 // plain local executor and the federated one (2-node cluster) and
 // compares the stored artifacts byte for byte — the queue-level identity
-// the cluster smoke test asserts end to end.
+// the cluster smoke test asserts end to end. The second spec injects a
+// panic into one grid point, pinning that a failed point's error string
+// reads the same whichever executor ran it.
 func TestExecutorMatchesLocalExecute(t *testing.T) {
 	base := testConfig(t)
-	spec := jobs.Spec{Kind: jobs.KindSweep, Config: base, Sweep: &jobs.SweepSpec{
-		Thresholds: []float64{800, 1600}, Windows: []int64{40000},
-	}}
-
-	local, err := jobs.Execute(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(local)
-	if err != nil {
-		t.Fatal(err)
+	grid := &jobs.SweepSpec{Thresholds: []float64{800, 1600}, Windows: []int64{40000}}
+	faulted := base
+	faulted.FaultPlan = &fault.Plan{Seed: 1, Faults: []fault.Fault{{
+		Kind: fault.KindPanic, OnsetCycle: 20_000,
+		Only: fault.Scope{ThresholdMbps: 1600, WindowCycles: 40000},
+	}}}
+	specs := []jobs.Spec{
+		{Kind: jobs.KindSweep, Config: base, Sweep: grid},
+		{Kind: jobs.KindSweep, Config: faulted, Sweep: grid},
 	}
 
 	n1, n2 := startNode(t, "w1"), startNode(t, "w2")
@@ -283,16 +284,32 @@ func TestExecutorMatchesLocalExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, err := Executor(pool)(context.Background(), spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := json.Marshal(fed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatal("federated executor artifact differs from local Execute")
+	for i, spec := range specs {
+		local, err := jobs.Execute(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed, err := Executor(pool)(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(fed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("spec %d: federated executor artifact differs from local Execute", i)
+		}
+		if i == 1 {
+			p := fed.(*jobs.SweepArtifact).Points
+			if p[0].Err != "" || !strings.HasPrefix(p[1].Err, "core: point {ThresholdMbps:1600 WindowCycles:40000}: core: run panicked") {
+				t.Fatalf("faulted sweep errs = %q, %q; want only point 2 failed with a panic", p[0].Err, p[1].Err)
+			}
+		}
 	}
 
 	// A run spec bypasses federation entirely.

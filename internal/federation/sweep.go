@@ -6,8 +6,8 @@ package federation
 // the assigned node's run cache, submit the run, poll with a straggler
 // budget, fetch the artifact. Any failure along the way steals the point
 // to the next-ranked survivor; when every member is exhausted the point
-// runs locally. The assembled results are in the same canonical
-// threshold-major order as core.SweepTDVS, so marshaling them through
+// runs locally. The grid, the point configs, the result order and the
+// failure summary are core.Sweep's own, so marshaling the results through
 // jobs.NewSweepArtifact yields bytes identical to a single-node run.
 
 import (
@@ -15,123 +15,57 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"nepdvs/internal/core"
 	"nepdvs/internal/jobs"
 	"nepdvs/internal/server"
 )
 
-// localRun executes one point in-process with the engine's retry-once
-// convention (mirroring core's sweep workers).
-func localRun(ctx context.Context, cfg core.RunConfig) (*core.RunResult, int, error) {
-	res, err := core.RunContext(ctx, cfg)
-	if err == nil || ctx.Err() != nil {
-		return res, 0, err
-	}
-	res, err = core.RunContext(ctx, cfg)
-	return res, 1, err
-}
-
-// Sweep runs the TDVS grid across the pool. Results come back in the
-// canonical threshold-major order with the same partial-failure contract
-// as core.SweepTDVS: a failed point records its error in its SweepResult,
-// the returned error summarizes the damage, and only when every point
-// fails is the slice nil. onPoint, when non-nil, observes each completed
-// point from scheduler goroutines.
+// Sweep runs the TDVS grid across the pool: core.Sweep with runPoint as
+// the point runner, so results come back in the canonical threshold-major
+// order with core's partial-failure contract. onPoint, when non-nil,
+// observes each finished point from scheduler goroutines.
 func (p *Pool) Sweep(ctx context.Context, base core.RunConfig, thresholds []float64, windows []int64, onPoint func(core.SweepResult)) ([]core.SweepResult, error) {
-	if len(thresholds) == 0 || len(windows) == 0 {
-		return nil, fmt.Errorf("federation: empty sweep axes")
-	}
-	points := core.TDVSGrid(thresholds, windows)
-	results := make([]core.SweepResult, len(points))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, p.parallelism)
-	for i, pt := range points {
-		i, pt := i, pt
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = p.runPoint(ctx, base, pt)
-			if onPoint != nil {
-				onPoint(results[i])
-			}
-		}()
-	}
-	wg.Wait()
-	var failed int
-	var first error
-	for _, r := range results {
-		if r.Err != nil {
-			failed++
-			if first == nil {
-				first = r.Err
-			}
-		}
-	}
-	switch {
-	case failed == len(results):
-		return nil, fmt.Errorf("federation: all %d sweep points failed (first: %w)", failed, first)
-	case failed > 0:
-		return results, fmt.Errorf("federation: %d of %d sweep points failed (first: %w)", failed, len(results), first)
-	}
-	return results, nil
+	return core.Sweep(ctx, base, thresholds, windows, p.parallelism, p.runPoint, onPoint)
 }
 
-// pointErr wraps a point's terminal error exactly as core's sweep workers
-// do, so failed points read identically in federated and local artifacts.
-func pointErr(pt core.Point, err error) error {
-	return fmt.Errorf("core: point %+v: %w", pt, err)
-}
-
-// runPoint drives one grid point through the fabric: candidates in
-// rendezvous order, steal on any non-terminal failure, local execution as
-// the floor.
-func (p *Pool) runPoint(ctx context.Context, base core.RunConfig, pt core.Point) core.SweepResult {
-	cfg := core.TDVSPointConfig(base, pt)
+// runPoint is the pool's core.PointRunner: it places one point's config on
+// the fabric — candidates in rendezvous order, steal on any non-terminal
+// failure, local execution (core.RunWithRetry) as the floor. Each steal
+// counts as a retry.
+func (p *Pool) runPoint(ctx context.Context, cfg core.RunConfig) (*core.RunResult, int, error) {
 	retries := 0
 	key, kerr := core.RunKey(cfg)
 	if kerr == nil {
 		for _, m := range p.candidates(key) {
 			if ctx.Err() != nil {
-				return core.SweepResult{Point: pt, Err: pointErr(pt, ctx.Err()), Retries: retries}
+				return nil, retries, ctx.Err()
 			}
 			if m.Local() {
-				res, r, err := localRun(ctx, cfg)
-				retries += r
-				if err != nil {
-					return core.SweepResult{Point: pt, Err: pointErr(pt, err), Retries: retries}
-				}
-				return core.SweepResult{Point: pt, Result: res, Retries: retries}
+				res, r, err := core.RunWithRetry(ctx, cfg)
+				return res, retries + r, err
 			}
 			res, terminal, err := p.runRemote(ctx, m, cfg, key)
-			if err == nil {
-				return core.SweepResult{Point: pt, Result: res, Retries: retries}
-			}
-			if terminal {
-				// The node is fine; the run itself failed. Stealing a
-				// deterministic failure just fails it again elsewhere.
-				return core.SweepResult{Point: pt, Err: pointErr(pt, err), Retries: retries}
+			if err == nil || terminal {
+				// A terminal error means the node is fine and the run
+				// itself failed: stealing a deterministic failure just
+				// fails it again elsewhere.
+				return res, retries, err
 			}
 			retries++
 			if p.steals != nil {
 				p.steals.Inc()
 			}
 			p.log.Info("point stolen", "member", m.Name, "key", key[:12],
-				"threshold", pt.ThresholdMbps, "window", pt.WindowCycles, "err", err)
+				"threshold", cfg.Policy.Param("top_threshold_mbps"),
+				"window", cfg.Policy.Param("window_cycles"), "err", err)
 		}
 	}
 	// Graceful degradation: no member could take the point (all down, all
 	// draining and failing, or the key itself would not derive). A cluster
 	// of one is the floor.
-	res, r, err := localRun(ctx, cfg)
-	retries += r
-	if err != nil {
-		return core.SweepResult{Point: pt, Err: pointErr(pt, err), Retries: retries}
-	}
-	return core.SweepResult{Point: pt, Result: res, Retries: retries}
+	res, r, err := core.RunWithRetry(ctx, cfg)
+	return res, retries + r, err
 }
 
 // runRemote executes one point on one remote member. The terminal return

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"nepdvs/internal/core"
 	"nepdvs/internal/obs"
 )
 
@@ -227,7 +228,7 @@ type Queue struct {
 // New builds a queue and starts its workers.
 func New(opts Options) *Queue {
 	q := &Queue{
-		workers:  defaultWorkers(opts.Workers),
+		workers:  core.Parallelism(opts.Workers),
 		capacity: opts.Capacity,
 		exec:     opts.Exec,
 		byID:     make(map[string]*job),

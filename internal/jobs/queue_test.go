@@ -413,6 +413,26 @@ func TestSpecValidateAndKey(t *testing.T) {
 	if k3, _ := specN(2).Key(); k3 == k1 {
 		t.Error("distinct configs share a key")
 	}
+	// A sweep's parallelism is scheduling too: its artifact is the same
+	// bytes at any parallelism. The grid itself is identity.
+	sweepSpec := func(par int, windows ...int64) Spec {
+		return Spec{Kind: KindSweep, Config: good.Config,
+			Sweep: &SweepSpec{Thresholds: []float64{800}, Windows: windows, Parallelism: par}}
+	}
+	ks, err := sweepSpec(0, 40000).Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := sweepSpec(4, 40000)
+	if kp, _ := par.Key(); kp != ks {
+		t.Error("sweep parallelism changed the spec key")
+	}
+	if par.Sweep.Parallelism != 4 {
+		t.Error("Key modified the spec's sweep grid")
+	}
+	if kw, _ := sweepSpec(4, 20000).Key(); kw == ks {
+		t.Error("distinct sweep grids share a key")
+	}
 
 	bad := []Spec{
 		{Kind: "nope", Config: core.RunConfig{}},

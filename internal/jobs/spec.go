@@ -33,7 +33,8 @@ type SweepSpec struct {
 	Thresholds []float64 `json:"thresholds"`
 	Windows    []int64   `json:"windows"`
 	// Parallelism bounds concurrent points inside this one job; zero or
-	// below means runtime.NumCPU() (the core.SweepTDVS convention).
+	// below means runtime.NumCPU() (core.Parallelism). It does not
+	// participate in the dedup key.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
@@ -99,8 +100,9 @@ func (s Spec) Validate() error {
 func (s SweepSpec) Points() int { return len(s.Thresholds) * len(s.Windows) }
 
 // keySpec is Spec minus the fields that must not affect identity. Priority
-// is scheduling, not content; two requests for the same work at different
-// priorities dedup onto one job.
+// and a sweep's Parallelism are scheduling, not content: two requests for
+// the same work at different priorities or parallelism dedup onto one job,
+// whose artifact is the same bytes either way.
 type keySpec struct {
 	Kind   Kind           `json:"kind"`
 	Config core.RunConfig `json:"config"`
@@ -111,7 +113,13 @@ type keySpec struct {
 // Identical submissions share a key, which is what the queue's singleflight
 // dedup collapses on.
 func (s Spec) Key() (string, error) {
-	b, err := json.Marshal(keySpec{Kind: s.Kind, Config: s.Config, Sweep: s.Sweep})
+	sweep := s.Sweep
+	if sweep != nil && sweep.Parallelism != 0 {
+		grid := *sweep
+		grid.Parallelism = 0
+		sweep = &grid
+	}
+	b, err := json.Marshal(keySpec{Kind: s.Kind, Config: s.Config, Sweep: sweep})
 	if err != nil {
 		return "", fmt.Errorf("jobs: spec key: %w", err)
 	}

@@ -124,8 +124,9 @@ type Benchmark struct {
 }
 
 // Trajectory is one point of a benchmark suite's performance history — the
-// document committed as BENCH_sim.json / BENCH_obs.json / BENCH_serve.json
-// and compared by cmd/benchdiff.
+// document committed as BENCH_sim.json / BENCH_serve.json (and written,
+// uncommitted, as BENCH_obs.json by make bench-obs) and compared by
+// cmd/benchdiff.
 type Trajectory struct {
 	// Schema is the document version; always SchemaVersion on write.
 	Schema int `json:"schema"`
