@@ -143,44 +143,51 @@ func run(cycles int64, par int, seed int64, outdir, metricsDir string, quiet boo
 	}
 	prog.Finish()
 
-	var outputs []string
+	// Every report file's path is known before the first write, so two
+	// outputs mapping to one path fail the invocation before anything
+	// lands on disk.
+	type file struct {
+		path, note string
+		data       []byte
+	}
+	var files []file
 	if outdir != "" {
-		if err := os.MkdirAll(outdir, 0o755); err != nil {
-			return err
-		}
 		for _, r := range reports {
-			path := filepath.Join(outdir, r.ID+".dat")
-			content := fmt.Sprintf("# %s\n%s", r.Title, r.Body)
-			if err := obs.AtomicWriteFile(path, []byte(content), 0o644); err != nil {
-				return err
-			}
-			outputs = append(outputs, path)
-			fmt.Printf("wrote %s (%s)\n", path, r.Title)
+			dat := fmt.Sprintf("# %s\n%s", r.Title, r.Body)
+			files = append(files, file{filepath.Join(outdir, r.ID+".dat"), " (" + r.Title + ")", []byte(dat)})
 			for _, ch := range r.Charts {
-				svgPath := filepath.Join(outdir, ch.Name+".svg")
-				if err := obs.AtomicWriteFile(svgPath, []byte(ch.SVG), 0o644); err != nil {
-					return err
-				}
-				outputs = append(outputs, svgPath)
-				fmt.Printf("wrote %s\n", svgPath)
+				files = append(files, file{path: filepath.Join(outdir, r.ID+ch.Name+".svg"), data: []byte(ch.SVG)})
 			}
 			if r.Assertions != nil {
 				ab, err := r.Assertions.JSON()
 				if err != nil {
 					return err
 				}
-				aPath := filepath.Join(outdir, r.ID+".assertions.json")
-				if err := obs.AtomicWriteFile(aPath, ab, 0o644); err != nil {
-					return err
-				}
-				outputs = append(outputs, aPath)
-				fmt.Printf("wrote %s\n", aPath)
+				files = append(files, file{path: filepath.Join(outdir, r.ID+".assertions.json"), data: ab})
 			}
+		}
+		seen := map[string]bool{}
+		for _, f := range files {
+			if seen[f.path] {
+				return fmt.Errorf("two outputs map to %s", f.path)
+			}
+			seen[f.path] = true
+		}
+		if err := os.MkdirAll(outdir, 0o755); err != nil {
+			return err
 		}
 	} else {
 		for _, r := range reports {
 			fmt.Println(r)
 		}
+	}
+	var outputs []string
+	for _, f := range files {
+		if err := obs.AtomicWriteFile(f.path, f.data, 0o644); err != nil {
+			return err
+		}
+		outputs = append(outputs, f.path)
+		fmt.Printf("wrote %s%s\n", f.path, f.note)
 	}
 
 	snap := reg.Snapshot()

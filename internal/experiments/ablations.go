@@ -137,7 +137,7 @@ func Summary(o Options) (Report, error) {
 		ID:     "summary",
 		Title:  "Policy comparison at high traffic, mean ± sd over 3 traffic seeds",
 		Body:   b.String(),
-		Charts: []NamedChart{{Name: "summary", SVG: svg}},
+		Charts: []NamedChart{{SVG: svg}},
 	}, nil
 }
 

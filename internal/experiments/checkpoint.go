@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"nepdvs/internal/core"
 )
@@ -18,9 +19,7 @@ import (
 // rather than computed. ck may be nil (always runs).
 func RunCheckpointed(id string, o Options, ck *core.Checkpoint) (rs []Report, resumed bool, err error) {
 	if ck != nil {
-		var stored []Report
-		// An unreadable entry is treated as missing: recompute, overwrite.
-		if ok, err := ck.Load(id, &stored); err == nil && ok {
+		if stored, ok := loadStep(ck, id); ok {
 			return stored, true, nil
 		}
 	}
@@ -44,17 +43,33 @@ func RunAllCheckpointed(o Options, ck *core.Checkpoint) ([]Report, error) {
 	if ck == nil {
 		return RunAll(o)
 	}
-	skip := func(id string) ([]Report, bool) {
-		var stored []Report
-		ok, err := ck.Load(id, &stored)
-		if err != nil || !ok {
-			// A missing — or unreadable — entry is simply recomputed and
-			// overwritten; atomic writes make corruption a rerun, not a
-			// wedge.
-			return nil, false
-		}
-		return stored, true
-	}
+	skip := func(id string) ([]Report, bool) { return loadStep(ck, id) }
 	save := func(id string, rs []Report) error { return ck.Save(id, rs) }
 	return runAllSteps(o, skip, save)
+}
+
+// loadStep returns the reports ck holds for step id. A missing — or
+// unreadable — entry reports false, so the step is recomputed and its
+// entry overwritten; atomic writes make corruption a rerun, not a wedge.
+func loadStep(ck *core.Checkpoint, id string) ([]Report, bool) {
+	var rs []Report
+	if ok, err := ck.Load(id, &rs); err != nil || !ok {
+		return nil, false
+	}
+	// Entries written before chart names became suffixes of the report ID
+	// hold whole file stems: the report ID plus the suffix, or another
+	// figure's ID for the only chart of a sweep-* report ("fig8" under
+	// sweep-md4-power). Suffixes are empty or start with "-".
+	for i, r := range rs {
+		for j, ch := range r.Charts {
+			if ch.Name == "" || strings.HasPrefix(ch.Name, "-") {
+				continue
+			}
+			rs[i].Charts[j].Name = ""
+			if strings.HasPrefix(ch.Name, r.ID) {
+				rs[i].Charts[j].Name = ch.Name[len(r.ID):]
+			}
+		}
+	}
+	return rs, true
 }

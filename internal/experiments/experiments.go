@@ -39,7 +39,12 @@ import (
 
 // NamedChart is one rendered SVG figure attached to a report.
 type NamedChart struct {
-	Name string // file-name stem, e.g. "fig6-threshold-1000"
+	// Name is the file-name suffix after the report ID, e.g.
+	// "-threshold-1000" for fig6-threshold-1000.svg; a report's only chart
+	// has the empty suffix; any other suffix starts with "-". Deriving
+	// chart files from unique report IDs keeps two reports from ever
+	// writing the same chart.
+	Name string
 	SVG  string
 }
 
@@ -192,7 +197,7 @@ func Fig2() (Report, error) {
 		ID:     "fig2",
 		Title:  "Example IP packets distribution (synthetic edge-router day model)",
 		Body:   traffic.RenderBins(bins),
-		Charts: []NamedChart{{Name: "fig2", SVG: svg}},
+		Charts: []NamedChart{{SVG: svg}},
 	}, nil
 }
 
@@ -257,7 +262,7 @@ func distOf(r *core.RunResult, name string) (*loc.DistResult, error) {
 // renderSweepDistributions emits, per threshold, a labelled block with one
 // distribution table per window size plus the noDVS reference — the layout
 // of Figures 6 and 7 — and one SVG chart per threshold.
-func renderSweepDistributions(d *TDVSSweepData, formula, figID, xLabel string) (string, []NamedChart, error) {
+func renderSweepDistributions(d *TDVSSweepData, formula, xLabel string) (string, []NamedChart, error) {
 	var b strings.Builder
 	var charts []NamedChart
 	for _, th := range Thresholds {
@@ -290,14 +295,14 @@ func renderSweepDistributions(d *TDVSSweepData, formula, figID, xLabel string) (
 		if err != nil {
 			return "", nil, err
 		}
-		charts = append(charts, NamedChart{Name: fmt.Sprintf("%s-threshold-%g", figID, th), SVG: svg})
+		charts = append(charts, NamedChart{Name: fmt.Sprintf("-threshold-%g", th), SVG: svg})
 	}
 	return b.String(), charts, nil
 }
 
 // Fig6 renders the power distributions of the TDVS sweep (formula (2)).
 func Fig6(d *TDVSSweepData) (Report, error) {
-	body, charts, err := renderSweepDistributions(d, "power", "fig6", "Power (W)")
+	body, charts, err := renderSweepDistributions(d, "power", "Power (W)")
 	if err != nil {
 		return Report{}, err
 	}
@@ -306,7 +311,7 @@ func Fig6(d *TDVSSweepData) (Report, error) {
 
 // Fig7 renders the throughput distributions of the TDVS sweep (formula (3)).
 func Fig7(d *TDVSSweepData) (Report, error) {
-	body, charts, err := renderSweepDistributions(d, "throughput", "fig7", "Throughput (Mbps)")
+	body, charts, err := renderSweepDistributions(d, "throughput", "Throughput (Mbps)")
 	if err != nil {
 		return Report{}, err
 	}
@@ -333,7 +338,7 @@ func (d *TDVSSweepData) surface(formula string, upper bool, zLabel string) (*sta
 }
 
 // surfaceChart renders a percentile surface as a heat map.
-func surfaceChart(s *stats.Surface, name, title string) ([]NamedChart, error) {
+func surfaceChart(s *stats.Surface, title string) ([]NamedChart, error) {
 	xs, ys := s.Axes()
 	z := make([][]float64, len(xs))
 	for i, x := range xs {
@@ -354,7 +359,7 @@ func surfaceChart(s *stats.Surface, name, title string) ([]NamedChart, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []NamedChart{{Name: name, SVG: svg}}, nil
+	return []NamedChart{{SVG: svg}}, nil
 }
 
 // Fig8 renders the power surface: the vertex at (threshold, window) is the
@@ -367,7 +372,7 @@ func Fig8(d *TDVSSweepData) (Report, error) {
 	body := s.Render()
 	x, y, z := s.MinZ()
 	body += fmt.Sprintf("# min power point: threshold=%g window=%g power=%.3f W\n", x, y, z)
-	charts, err := surfaceChart(s, "fig8", "p80 power (W) with TDVS")
+	charts, err := surfaceChart(s, "p80 power (W) with TDVS")
 	if err != nil {
 		return Report{}, err
 	}
@@ -384,7 +389,7 @@ func Fig9(d *TDVSSweepData) (Report, error) {
 	body := s.Render()
 	x, y, z := s.MaxZ()
 	body += fmt.Sprintf("# max throughput point: threshold=%g window=%g throughput=%.0f Mbps\n", x, y, z)
-	charts, err := surfaceChart(s, "fig9", "p80 throughput (Mbps) with TDVS")
+	charts, err := surfaceChart(s, "p80 throughput (Mbps) with TDVS")
 	if err != nil {
 		return Report{}, err
 	}
@@ -445,7 +450,7 @@ func Fig10(o Options) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		charts = append(charts, NamedChart{Name: "fig10-" + part, SVG: svg})
+		charts = append(charts, NamedChart{Name: "-" + part, SVG: svg})
 	}
 	return Report{ID: "fig10", Title: "Power and performance distribution for EDVS (ipfwdr)", Body: b.String(), Charts: charts}, nil
 }

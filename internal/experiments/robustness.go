@@ -174,7 +174,7 @@ func FaultSweep(o Options) (Report, error) {
 		ID:         "fault_sweep",
 		Title:      "Robustness assertions under swept fault intensity (ipfwdr, TDVS/EDVS/PID/PSM)",
 		Body:       b.String(),
-		Charts:     []NamedChart{{Name: "fault_sweep", SVG: svg}},
+		Charts:     []NamedChart{{SVG: svg}},
 		Assertions: loc.BuildReport(all),
 	}, nil
 }

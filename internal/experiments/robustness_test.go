@@ -159,4 +159,32 @@ func TestRunCheckpointedResume(t *testing.T) {
 	if first[0].Body != second[0].Body {
 		t.Error("resumed report body differs from the computed one")
 	}
+
+	// Entries written when chart names were whole file stems resume with
+	// the names mapped to report-ID suffixes.
+	if err := ck.Save("fig6", []Report{{ID: "fig6", Charts: []NamedChart{{Name: "fig6-threshold-800"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Save("sweep-md4", []Report{
+		{ID: "sweep-md4-power", Charts: []NamedChart{{Name: "fig8"}}},
+		{ID: "sweep-md4-throughput", Charts: []NamedChart{{Name: "fig9"}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, id := range []string{"fig6", "sweep-md4"} {
+		rs, resumed, err := RunCheckpointed(id, o, ck)
+		if err != nil || !resumed {
+			t.Fatalf("%s: resumed=%v err=%v", id, resumed, err)
+		}
+		for _, r := range rs {
+			names = append(names, r.ID+r.Charts[0].Name)
+		}
+	}
+	if got, want := strings.Join(names, " "), "fig6-threshold-800 sweep-md4-power sweep-md4-throughput"; got != want {
+		t.Errorf("legacy chart files = %q, want %q", got, want)
+	}
+	if runs != ran {
+		t.Errorf("legacy entries simulated %d runs", runs-ran)
+	}
 }
