@@ -373,21 +373,26 @@ func TestCLIErrors(t *testing.T) {
 	cases := []struct {
 		tool string
 		args []string
+		code int // required exit status; 0 accepts any failure
 	}{
-		{"nepsim", []string{"-bench", "bogus"}},
-		{"nepsim", []string{"-policy", "bogus"}},
-		{"nepsim", []string{"-level", "bogus"}},
-		{"locheck", []string{}},
-		{"locheck", []string{"-e", "syntax error (", "/dev/null"}},
-		{"locgen", []string{}},
-		{"trafficgen", []string{"-mbps", "-5"}},
-		{"dvsexplore", []string{"nonexistent-experiment"}},
-		{"tracestat", []string{"/nonexistent/file"}},
+		{"nepsim", []string{"-bench", "bogus"}, 0},
+		{"nepsim", []string{"-policy", "bogus"}, 0},
+		{"nepsim", []string{"-level", "bogus"}, 0},
+		{"locheck", []string{}, 0},
+		{"locheck", []string{"-e", "syntax error (", "/dev/null"}, 0},
+		{"locgen", []string{}, 0},
+		{"trafficgen", []string{"-mbps", "-5"}, 0},
+		// A bad selection is a usage error raised before fig10 simulates.
+		{"dvsexplore", []string{"fig10", "nonexistent-experiment"}, 2},
+		{"dvsexplore", []string{"fig1", "fig1"}, 2},
+		{"tracestat", []string{"/nonexistent/file"}, 0},
 	}
 	for _, c := range cases {
 		out, err := runTool(t, filepath.Join(bins, c.tool), c.args...)
 		if err == nil {
 			t.Errorf("%s %v: expected failure\n%s", c.tool, c.args, out)
+		} else if ee, ok := err.(*exec.ExitError); c.code != 0 && (!ok || ee.ExitCode() != c.code) {
+			t.Errorf("%s %v: %v, want exit status %d\n%s", c.tool, c.args, err, c.code, out)
 		}
 	}
 }

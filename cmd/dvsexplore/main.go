@@ -8,16 +8,22 @@
 // metrics (metrics.json and metrics.prom) into the given directory, and
 // whenever results are written a manifest.json lands next to them.
 //
-// The exploration is resilient: a failing experiment is recorded (in the
-// manifest's failures list and the exit status) while the others complete,
-// -run-timeout bounds each simulation run with a wall-clock watchdog, and
-// -checkpoint makes the whole exploration restartable — finished
+// The selection is validated first: an unknown or repeated experiment ID is
+// a usage error (exit 2) raised before any simulation starts. The
+// exploration is then resilient: named experiments and `all` run through
+// one loop, and a failing experiment is recorded (in the manifest's
+// failures list and the exit status) while the others complete and land on
+// disk. -run-timeout bounds each simulation run with a wall-clock watchdog,
+// and -checkpoint makes the whole exploration restartable — finished
 // experiments are recorded in the checkpoint directory and a rerun resumes
-// them instead of re-simulating. All result files are written atomically,
-// so a killed run never leaves truncated artifacts. With -cache, completed
-// runs land in a content-addressed result cache shared with nepsim and dvsd:
-// a rerun (or an overlapping exploration) serves identical runs from disk
-// instead of simulating, and the manifest records the hit/miss counts.
+// them instead of re-simulating, leaving them out of the progress total.
+// Every output path is checked before the first write, so two outputs that
+// map to one file fail the invocation, and all result files are written
+// atomically, so a killed run never leaves truncated artifacts. With
+// -cache, completed runs land in a content-addressed result cache shared
+// with nepsim and dvsd: a rerun (or an overlapping exploration) serves
+// identical runs from disk instead of simulating, and the manifest records
+// the hit/miss counts.
 //
 // Examples:
 //
@@ -71,6 +77,9 @@ func main() {
 		fmt.Print(policy.DescribeAll())
 		return
 	}
+	if _, err := experiments.NewPlan(flag.Args(), nil); err != nil {
+		cli.DieUsage("dvsexplore", err)
+	}
 	if err := run(*cycles, *par, *seed, *outdir, *metricsDir, *quiet,
 		*runTimeout, *checkpoint, *cacheDir, *cpuprofile, *memprofile, flag.Args()); err != nil {
 		cli.Die("dvsexplore", err)
@@ -94,6 +103,13 @@ func run(cycles int64, par int, seed int64, outdir, metricsDir string, quiet boo
 			return err
 		}
 	}
+	plan, err := experiments.NewPlan(args, ck)
+	if err != nil {
+		return err
+	}
+	for _, id := range plan.Resumed() {
+		fmt.Fprintf(os.Stderr, "dvsexplore: %s resumed from checkpoint\n", id)
+	}
 
 	o := experiments.Options{Cycles: cycles, Parallelism: par, Seed: seed, RunTimeout: runTimeout}
 	reg := obs.NewRegistry()
@@ -107,41 +123,23 @@ func run(cycles int64, par int, seed int64, outdir, metricsDir string, quiet boo
 		core.SetRunCache(store)
 		defer core.SetRunCache(nil)
 	}
-	prog := obs.NewProgress(os.Stderr, "runs", experiments.PlannedRuns(args),
+	prog := obs.NewProgress(os.Stderr, "runs", plan.PlannedRuns(),
 		obs.StderrIsTerminal() && !quiet)
 	remove := experiments.ObserveRuns(reg, func(wall time.Duration, failed bool) {
 		prog.RunDone(failed)
 	})
 	defer remove()
 
-	// The exploration is resilient: one failing experiment is recorded and
+	// The exploration is resilient: a failing experiment is recorded and
 	// the rest still run, land on disk and are accounted for in the
 	// manifest. A non-nil return at the end turns the failures into a
 	// non-zero exit.
-	var reports []experiments.Report
-	var failures []string
-	runAll := len(args) == 0 || (len(args) == 1 && args[0] == "all")
-	if runAll {
-		rs, err := experiments.RunAllCheckpointed(o, ck)
-		if err != nil {
-			failures = append(failures, err.Error())
-		}
-		reports = rs
-	} else {
-		for _, id := range args {
-			rs, resumed, err := experiments.RunCheckpointed(id, o, ck)
-			if err != nil {
-				failures = append(failures, fmt.Sprintf("%s: %v", id, err))
-				fmt.Fprintf(os.Stderr, "dvsexplore: %s failed: %v\n", id, err)
-				continue
-			}
-			if resumed {
-				fmt.Fprintf(os.Stderr, "dvsexplore: %s resumed from checkpoint\n", id)
-			}
-			reports = append(reports, rs...)
-		}
-	}
+	reports, errs := plan.Execute(o)
 	prog.Finish()
+	var failures []string
+	for _, err := range errs {
+		failures = append(failures, err.Error())
+	}
 
 	// Every report file's path is known before the first write, so two
 	// outputs mapping to one path fail the invocation before anything
@@ -215,7 +213,7 @@ func run(cycles int64, par int, seed int64, outdir, metricsDir string, quiet boo
 	}
 	if manifestDir != "" {
 		ids := args
-		if runAll {
+		if len(ids) == 0 {
 			ids = []string{"all"}
 		}
 		m := obs.NewManifest("dvsexplore", os.Args[1:])

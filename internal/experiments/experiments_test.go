@@ -304,8 +304,8 @@ func TestSummary(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	ids := IDs()
-	if len(ids) != len(Registry) {
-		t.Fatalf("IDs() returned %d of %d", len(ids), len(Registry))
+	if len(ids) != len(table) {
+		t.Fatalf("IDs() returned %d of %d", len(ids), len(table))
 	}
 	for _, id := range []string{"fig1", "fig6", "fig11", "idle", "ablation-penalty"} {
 		found := false

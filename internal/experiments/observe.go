@@ -7,66 +7,6 @@ import (
 	"nepdvs/internal/obs"
 )
 
-// runCounts maps each experiment ID to the number of core.Run invocations
-// it performs when run standalone. The counts are static because every
-// experiment's design grid is fixed by the paper (§4.1–§4.3): a TDVS sweep
-// is one noDVS baseline plus the 4×4 threshold×window cross product, and so
-// on. A registry cross-check test keeps this table in sync with Registry.
-var runCounts = map[string]int{
-	"fig1":  0, // analytic, no simulation
-	"fig2":  0,
-	"fig5":  0,
-	"fig6":  sweepRuns,
-	"fig7":  sweepRuns,
-	"fig8":  sweepRuns,
-	"fig9":  sweepRuns,
-	"fig10": len(Windows) + 1, // noDVS baseline + one EDVS run per window
-	"fig11": 4 * 3 * 3,        // benchmarks × traffic levels × policies
-	"idle":  1,
-
-	"ablation-hysteresis": 4,     // hysteresis bands
-	"ablation-penalty":    5,     // penalty points
-	"ablation-combined":   4,     // policies
-	"ablation-oracle":     2 * 2, // windows × {TDVS, oracle}
-
-	"summary": 4 * 4 * 3, // benchmarks × policies × seeds
-
-	"fault_sweep": 4 * 4, // intensities × policies
-
-	"policy_compare": 4, // one run per registry policy
-
-	"sweep-url": sweepRuns,
-	"sweep-nat": sweepRuns,
-	"sweep-md4": sweepRuns,
-}
-
-// sweepRuns is the cost of one RunTDVSSweep: a noDVS baseline plus the
-// full threshold×window grid.
-var sweepRuns = 1 + len(Thresholds)*len(Windows)
-
-// PlannedRuns reports how many core.Run invocations the given experiment
-// selection will perform, using dvsexplore's argument convention: an empty
-// list or the single argument "all" means RunAll, which shares one TDVS
-// sweep across Figures 6–9 instead of re-running it four times. Unknown IDs
-// count as zero — Run rejects them before any simulation starts, so the
-// estimate stays an upper bound on surviving work.
-func PlannedRuns(args []string) int {
-	if len(args) == 0 || (len(args) == 1 && args[0] == "all") {
-		total := 0
-		for _, n := range runCounts {
-			total += n
-		}
-		// Figures 6–9 share a single sweep in RunAll; three of the four
-		// standalone sweep costs are not paid.
-		return total - 3*sweepRuns
-	}
-	total := 0
-	for _, id := range args {
-		total += runCounts[id]
-	}
-	return total
-}
-
 // ObserveRuns installs a process-wide core run hook that feeds per-run
 // observability: every completed simulation run increments
 // experiments_runs_completed (or experiments_runs_failed) and records its

@@ -10,42 +10,6 @@ import (
 	"nepdvs/internal/workload"
 )
 
-// The run-count table must track the registry exactly: a new experiment
-// without a planned count would silently break progress totals.
-func TestRunCountsCoverRegistry(t *testing.T) {
-	for id := range Registry {
-		if _, ok := runCounts[id]; !ok {
-			t.Errorf("experiment %q missing from runCounts", id)
-		}
-	}
-	for id := range runCounts {
-		if _, ok := Registry[id]; !ok {
-			t.Errorf("runCounts entry %q not in Registry", id)
-		}
-	}
-}
-
-func TestPlannedRuns(t *testing.T) {
-	cases := []struct {
-		args []string
-		want int
-	}{
-		{nil, 195},
-		{[]string{"all"}, 195},
-		{[]string{"fig10"}, 5},
-		{[]string{"fig6", "fig7"}, 2 * sweepRuns}, // standalone figs re-run the sweep
-		{[]string{"fig1", "idle", "summary"}, 0 + 1 + 48},
-		{[]string{"fault_sweep"}, 16},
-		{[]string{"policy_compare"}, 4},
-		{[]string{"no-such-experiment"}, 0},
-	}
-	for _, c := range cases {
-		if got := PlannedRuns(c.args); got != c.want {
-			t.Errorf("PlannedRuns(%v) = %d, want %d", c.args, got, c.want)
-		}
-	}
-}
-
 func TestObserveRuns(t *testing.T) {
 	reg := obs.NewRegistry()
 	var calls int

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"nepdvs/internal/core"
 	"nepdvs/internal/traffic"
@@ -95,96 +93,5 @@ func TestFaultSweepReport(t *testing.T) {
 		if !strings.Contains(r.Body, h) {
 			t.Errorf("body lacks %q section", h)
 		}
-	}
-}
-
-// TestAllStepsCoverRegistry keeps the ordered RunAll step list and the
-// Registry map in lockstep: a new experiment must appear in both.
-func TestAllStepsCoverRegistry(t *testing.T) {
-	seen := map[string]bool{}
-	for _, st := range allSteps {
-		if seen[st.id] {
-			t.Errorf("duplicate step %q", st.id)
-		}
-		seen[st.id] = true
-		if _, ok := Registry[st.id]; !ok {
-			t.Errorf("step %q not in Registry", st.id)
-		}
-	}
-	for id := range Registry {
-		if !seen[id] {
-			t.Errorf("registry experiment %q missing from allSteps", id)
-		}
-	}
-}
-
-// TestRunCheckpointedResume: the second run against the same checkpoint
-// replays the stored reports without simulating anything.
-func TestRunCheckpointedResume(t *testing.T) {
-	ck, err := core.OpenCheckpoint(filepath.Join(t.TempDir(), "ck"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runs int
-	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { runs++ })
-	defer remove()
-
-	o := testOpts
-	o.Cycles = 300_000
-	first, resumed, err := RunCheckpointed("idle", o, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed {
-		t.Error("first execution claims to have resumed")
-	}
-	if runs == 0 {
-		t.Error("first execution simulated nothing")
-	}
-	ran := runs
-
-	second, resumed, err := RunCheckpointed("idle", o, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed {
-		t.Error("second execution did not resume from the checkpoint")
-	}
-	if runs != ran {
-		t.Errorf("resumed execution simulated %d extra runs", runs-ran)
-	}
-	if len(first) != len(second) || len(first) == 0 || first[0].ID != second[0].ID {
-		t.Errorf("resumed reports differ: %d vs %d", len(first), len(second))
-	}
-	if first[0].Body != second[0].Body {
-		t.Error("resumed report body differs from the computed one")
-	}
-
-	// Entries written when chart names were whole file stems resume with
-	// the names mapped to report-ID suffixes.
-	if err := ck.Save("fig6", []Report{{ID: "fig6", Charts: []NamedChart{{Name: "fig6-threshold-800"}}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Save("sweep-md4", []Report{
-		{ID: "sweep-md4-power", Charts: []NamedChart{{Name: "fig8"}}},
-		{ID: "sweep-md4-throughput", Charts: []NamedChart{{Name: "fig9"}}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, id := range []string{"fig6", "sweep-md4"} {
-		rs, resumed, err := RunCheckpointed(id, o, ck)
-		if err != nil || !resumed {
-			t.Fatalf("%s: resumed=%v err=%v", id, resumed, err)
-		}
-		for _, r := range rs {
-			names = append(names, r.ID+r.Charts[0].Name)
-		}
-	}
-	if got, want := strings.Join(names, " "), "fig6-threshold-800 sweep-md4-power sweep-md4-throughput"; got != want {
-		t.Errorf("legacy chart files = %q, want %q", got, want)
-	}
-	if runs != ran {
-		t.Errorf("legacy entries simulated %d runs", runs-ran)
 	}
 }
