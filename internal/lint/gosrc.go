@@ -30,15 +30,19 @@ const (
 // service layer (server, jobs, cache, obs) is outside this set and earns
 // its exemptions rule-by-rule in lint.allow instead.
 var DeterministicPackages = []string{
+	"internal/experiments",
 	"internal/loc",
 	"internal/loc/interval",
 	"internal/npu",
+	"internal/plot",
 	"internal/policy",
 	"internal/power",
 	"internal/sim",
 	"internal/span",
 	"internal/stats",
 	"internal/trace",
+	"internal/traffic",
+	"internal/workload",
 }
 
 // defaultProgramLayer lists directory prefixes that ARE programs rather

@@ -248,13 +248,15 @@ func (c *Chip) ME(i int) *ME { return c.mes[i] }
 // SinkErr reports the first trace-sink failure, if any.
 func (c *Chip) SinkErr() error { return c.sinkErr }
 
-// Inject schedules the arrival of a packet stream at the device ports.
+// Inject schedules the arrival of a packet stream at the device ports. It
+// checks every packet's port first, so a rejected stream schedules nothing.
 func (c *Chip) Inject(pkts []traffic.Packet) error {
 	for _, p := range pkts {
 		if p.Port < 0 || p.Port >= c.cfg.Ports {
 			return fmt.Errorf("npu: packet %d on port %d, chip has %d ports", p.ID, p.Port, c.cfg.Ports)
 		}
-		p := p
+	}
+	for _, p := range pkts {
 		c.k.Schedule(p.Arrival, func() { c.portArrive(p) })
 	}
 	return nil

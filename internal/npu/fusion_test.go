@@ -259,6 +259,7 @@ main:
 		src  string
 		tx   *isa.Program
 		pkts []traffic.Packet
+		ring int // TxRingDepth, 0 for the default
 	}{
 		{
 			// The imm overwrites the popped register, so only the pop's
@@ -406,6 +407,132 @@ push:
 			tx:   drain,
 			pkts: burst(60, 150*sim.Nanosecond),
 		},
+		{
+			// A counted loop entered with its counter at 0: the subi
+			// wraps it below the exit value, so only the deadline ends
+			// the loop.
+			name: "alu-loop-wraps",
+			src: `
+	imm     r11, 0
+loop:
+	addi    r15, r15, 17
+	shli    r13, r15, 3
+	xor     r15, r15, r13
+	subi    r11, r11, 1
+	imm     r12, 0
+	bne     r11, r12, loop
+	scr.w   r11, r15
+	halt
+`,
+		},
+		{
+			// Counted loops shorter than and longer than the 42 whole
+			// iterations of a default batch, one with a nonzero exit
+			// value and a stride of 2, each turn ended by a scratch write.
+			name: "alu-loop-short-long",
+			src: `
+top:
+	imm     r11, 5
+short:
+	addi    r15, r15, 17
+	shli    r13, r15, 3
+	xor     r15, r15, r13
+	subi    r11, r11, 1
+	imm     r12, 0
+	bne     r11, r12, short
+	scr.w   r11, r15
+	imm     r14, 100
+long:
+	addi    r5, r5, 3
+	shli    r6, r5, 7
+	xor     r5, r5, r6
+	subi    r14, r14, 2
+	imm     r7, 4
+	bne     r14, r7, long
+	scr.w   r14, r5
+	br      top
+`,
+		},
+		{
+			// A one-slot ring: contexts spin on a full ring while another
+			// is ready and busy in an ALU loop longer than a batch, so no
+			// round of the batch is all spin.
+			name: "push-spin-beside-alu",
+			src: `
+main:
+	rx.pop  r0
+	imm     r1, -1
+	beq     r0, r1, main
+	imm     r11, 80
+busy:
+	addi    r15, r15, 17
+	shli    r13, r15, 3
+	xor     r15, r15, r13
+	subi    r11, r11, 1
+	imm     r12, 0
+	bne     r11, r12, busy
+push:
+	tx.push r2, r0
+	imm     r3, 0
+	beq     r2, r3, main
+	ctx
+	br      push
+`,
+			tx:   drain,
+			pkts: burst(40, 150*sim.Nanosecond),
+			ring: 1,
+		},
+		{
+			// A ring that never drains: after the first push every
+			// context spins, each joining the spin when its SDRAM read
+			// completes between the ME's batches.
+			name: "push-spin-memory-wake",
+			src: `
+main:
+	rx.pop  r0
+	imm     r1, -1
+	beq     r0, r1, main
+	sdram.r r4, r0, 4
+push:
+	tx.push r2, r0
+	imm     r3, 0
+	beq     r2, r3, main
+	ctx
+	br      push
+`,
+			pkts: burst(6, 3*sim.Microsecond),
+			ring: 1,
+		},
+		{
+			// A retry whose beq ignores the push status: the context
+			// keeps pushing while the ring has room, and the transmitting
+			// ME counts what it pops, so a push skipped as a spin shows.
+			name: "push-status-ignored",
+			src: `
+main:
+	rx.pop  r0
+	imm     r1, -1
+	beq     r0, r1, main
+	imm     r5, 1
+push:
+	tx.push r2, r0
+	imm     r3, 0
+	beq     r5, r3, main
+	ctx
+	br      push
+`,
+			tx: isa.MustAssemble("count", `
+main:
+	tx.pop  r0
+	imm     r1, -1
+	beq     r0, r1, main
+	addi    r9, r9, 1
+	scr.w   r9, r0
+	br      main
+`),
+			pkts: burst(2, 3*sim.Microsecond),
+			ring: 8,
+		},
 	}
 	for _, tc := range cases {
 		prog := isa.MustAssemble(tc.name, tc.src)
@@ -414,7 +541,11 @@ push:
 			second = tc.tx
 		}
 		for _, ctxs := range []int{1, 4} {
-			microPair(t, fmt.Sprintf("%s/ctx%d", tc.name, ctxs), microConfig(ctxs),
+			cfg := microConfig(ctxs)
+			if tc.ring > 0 {
+				cfg.TxRingDepth = tc.ring
+			}
+			microPair(t, fmt.Sprintf("%s/ctx%d", tc.name, ctxs), cfg,
 				[]*isa.Program{prog, second}, tc.pkts, 60*sim.Microsecond)
 		}
 	}
@@ -423,7 +554,7 @@ push:
 // TestPredecodeFusionTable pins which heads predecode tags: whole
 // sequences only, never reading past the end of the code.
 func TestPredecodeFusionTable(t *testing.T) {
-	for op := opImmBeq; op <= opAluStep; op++ {
+	for op := opImmBeq; op <= opTxRetry; op++ {
 		if name := op.Name(); name != "" {
 			t.Fatalf("fused op %d collides with ISA op %q", op, name)
 		}
@@ -444,6 +575,45 @@ main:
 	bne     r14, r12, main
 	imm     r2, 4
 	beq     r2, r2, main
+loop:
+	addi    r15, r15, 17
+	shli    r13, r15, 3
+	xor     r15, r15, r13
+	subi    r11, r11, 1
+	imm     r12, 0
+	bne     r11, r12, loop
+rx:
+	addi    r15, r15, 17
+	shli    r13, r15, 3
+	xor     r15, r15, r13
+	subi    r15, r15, 1
+	imm     r12, 0
+	bne     r15, r12, rx
+ry:
+	addi    r15, r15, 17
+	shli    r13, r15, 3
+	xor     r15, r15, r13
+	subi    r13, r13, 1
+	imm     r12, 0
+	bne     r13, r12, ry
+rz:
+	addi    r15, r15, 17
+	shli    r13, r15, 3
+	xor     r15, r15, r13
+	subi    r11, r11, 1
+	imm     r11, 0
+	bne     r11, r11, rz
+push:
+	tx.push r2, r0
+	imm     r3, 0
+	beq     r2, r3, main
+	ctx
+	br      push
+	tx.push r2, r0
+	imm     r3, 0
+	beq     r2, r3, main
+	ctx
+	br      push
 	rx.pop  r0
 	imm     r1, -1
 	addi    r15, r15, 17
@@ -452,11 +622,28 @@ main:
 	want := []isa.Op{
 		opRxPoll, opImmBeq, isa.OpBeq,
 		opTxPoll, opImmBeq, isa.OpBeq,
+		// bne to another label: the body and the tail, not the loop.
 		opAluStep, isa.OpShli, isa.OpXor,
 		opSubiImmBne, opImmBne, isa.OpBne,
 		opImmBeq, isa.OpBeq,
+		// The self-loop.
+		opAluLoop, isa.OpShli, isa.OpXor,
+		opSubiImmBne, opImmBne, isa.OpBne,
+		// The counter aliases rX, then rY; then the imm writes it.
+		opAluStep, isa.OpShli, isa.OpXor,
+		opSubiImmBne, opImmBne, isa.OpBne,
+		opAluStep, isa.OpShli, isa.OpXor,
+		opSubiImmBne, opImmBne, isa.OpBne,
+		opAluStep, isa.OpShli, isa.OpXor,
+		opSubiImmBne, opImmBne, isa.OpBne,
+		// The push retry, then a copy whose br goes to the first.
+		opTxRetry, opImmBeq, isa.OpBeq, isa.OpCtx, isa.OpBr,
+		isa.OpTxPush, opImmBeq, isa.OpBeq, isa.OpCtx, isa.OpBr,
 		isa.OpRxPop, isa.OpImm,
 		isa.OpAddi, isa.OpShli,
+	}
+	if len(want) != len(prog.Code) {
+		t.Fatalf("want %d tags for %d instructions", len(want), len(prog.Code))
 	}
 	code := predecode(prog)
 	for i, in := range code {
@@ -468,15 +655,42 @@ main:
 			t.Errorf("code[%d] operands changed by fusion", i)
 		}
 	}
-	// Every benchmark's receive poll and the transmit poll are fused.
-	progs, err := workload.Programs(workload.IPFwdr, workload.DefaultParams(), 6, 4)
+	// Every benchmark's receive poll, push retry and ALU loop, and the
+	// transmit poll and ALU loop, are fused, so a workload edit cannot
+	// drop a fast path unnoticed.
+	p := workload.DefaultParams()
+	tx, err := workload.TxProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, op := range map[int]isa.Op{0: opRxPoll, 5: opTxPoll} {
-		pc := progs[i].Labels["main"]
-		if got := predecode(progs[i])[pc].op; got != op {
-			t.Errorf("program %d main: tagged %d, want %d", i, got, op)
+	type tagged struct {
+		prog *isa.Program
+		tags map[string]isa.Op // label → the op its head must carry
+	}
+	heads := []tagged{{tx, map[string]isa.Op{"main": opTxPoll, "stage": opAluLoop}}}
+	aluLabels := map[workload.Name]string{workload.IPFwdr: "cksum", workload.URL: "scan", workload.NAT: "rewrite"}
+	for _, bench := range workload.All {
+		prog, err := workload.Program(bench, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tags := map[string]isa.Op{"main": opRxPoll, "push": opTxRetry}
+		if l, ok := aluLabels[bench]; ok {
+			tags[l] = opAluLoop
+		}
+		heads = append(heads, tagged{prog, tags})
+	}
+	for _, h := range heads {
+		code := predecode(h.prog)
+		for label, op := range h.tags {
+			pc, ok := h.prog.Labels[label]
+			if !ok {
+				t.Errorf("%s: no label %q", h.prog.Name, label)
+				continue
+			}
+			if got := code[pc].op; got != op {
+				t.Errorf("%s %s: tagged %d, want %d", h.prog.Name, label, got, op)
+			}
 		}
 	}
 }

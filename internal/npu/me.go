@@ -65,22 +65,29 @@ const (
 	opSubiImmBne                        // subi; imm; bne: the counted-loop tail
 	opRxPoll                            // rx.pop; imm; beq: the receive poll
 	opTxPoll                            // tx.pop; imm; beq: the transmit-ring poll
+	opAluLoop                           // the whole counted ALU self-loop, see aluSelfLoop
 	opAluStep                           // addi; shli; xor: the shared ALU-loop body
+	opTxRetry                           // tx.push; imm; beq; ctx; br: the push-retry spin
 )
 
 // predecode lowers a program into the interpreter's compact form and tags
-// the head of every superinstruction sequence with its fused opcode.
+// the head of every superinstruction sequence with its fused opcode. The
+// first matching row wins; a row with a shape predicate also needs its
+// members' operands to pass it.
 func predecode(prog *isa.Program) []dinstr {
 	fusions := []struct {
-		seq []isa.Op
-		op  isa.Op
+		seq   []isa.Op
+		op    isa.Op
+		shape func(seq []isa.Instr, head int) bool
 	}{
-		{[]isa.Op{isa.OpImm, isa.OpBeq}, opImmBeq},
-		{[]isa.Op{isa.OpImm, isa.OpBne}, opImmBne},
-		{[]isa.Op{isa.OpSubi, isa.OpImm, isa.OpBne}, opSubiImmBne},
-		{[]isa.Op{isa.OpRxPop, isa.OpImm, isa.OpBeq}, opRxPoll},
-		{[]isa.Op{isa.OpTxPop, isa.OpImm, isa.OpBeq}, opTxPoll},
-		{[]isa.Op{isa.OpAddi, isa.OpShli, isa.OpXor}, opAluStep},
+		{[]isa.Op{isa.OpAddi, isa.OpShli, isa.OpXor, isa.OpSubi, isa.OpImm, isa.OpBne}, opAluLoop, aluSelfLoop},
+		{[]isa.Op{isa.OpTxPush, isa.OpImm, isa.OpBeq, isa.OpCtx, isa.OpBr}, opTxRetry, pushRetry},
+		{[]isa.Op{isa.OpImm, isa.OpBeq}, opImmBeq, nil},
+		{[]isa.Op{isa.OpImm, isa.OpBne}, opImmBne, nil},
+		{[]isa.Op{isa.OpSubi, isa.OpImm, isa.OpBne}, opSubiImmBne, nil},
+		{[]isa.Op{isa.OpRxPop, isa.OpImm, isa.OpBeq}, opRxPoll, nil},
+		{[]isa.Op{isa.OpTxPop, isa.OpImm, isa.OpBeq}, opTxPoll, nil},
+		{[]isa.Op{isa.OpAddi, isa.OpShli, isa.OpXor}, opAluStep, nil},
 	}
 	code := make([]dinstr, len(prog.Code))
 	for i, in := range prog.Code {
@@ -98,11 +105,35 @@ func predecode(prog *isa.Program) []dinstr {
 					continue next
 				}
 			}
+			if f.shape != nil && !f.shape(prog.Code[i:i+len(f.seq)], i) {
+				continue
+			}
 			code[i].op = f.op
 			break
 		}
 	}
 	return code
+}
+
+// aluSelfLoop accepts the counted ALU loop workload.aluLoop emits,
+//
+//	head: addi rX, rX, c; shli rY, rX, s; xor rX, rX, rY
+//	      subi rC, rC, d; imm rZ, v; bne rC, rZ, head
+//
+// with rX, rY, rC and rZ pairwise distinct, so that an iteration is four
+// independent register updates and one exit test on rC.
+func aluSelfLoop(s []isa.Instr, head int) bool {
+	x, y, c, z := s[0].Rd, s[1].Rd, s[3].Rd, s[4].Rd
+	return s[0].Ra == x && s[1].Ra == x && s[2].Rd == x && s[2].Ra == x && s[2].Rb == y &&
+		s[3].Ra == c && s[5].Ra == c && s[5].Rb == z && int(s[5].Target) == head &&
+		x != y && x != c && x != z && y != c && y != z && c != z
+}
+
+// pushRetry accepts the transmit retry of the receive skeleton: the br
+// after the ctx goes back to the tx.push, so a context whose push failed
+// starts its next turn on the br.
+func pushRetry(s []isa.Instr, head int) bool {
+	return int(s[4].Target) == head
 }
 
 // noTime marks "no pending idle timestamp".
@@ -473,6 +504,14 @@ func (me *ME) step() {
 	regs := &ctx.regs
 	var cycles, instrs int64
 	batchCap := me.chip.cfg.BatchCycles
+	// Round fixed point of the push-retry spin (see opTxRetry): where and
+	// at which counts the running context's turn began, whether opTxRetry
+	// found the turn to be a fixed point, how many such turns ran in a row
+	// and the counts at the start of the first of them.
+	turnPC, turnCycles, turnInstrs := pc, cycles, instrs
+	fixed := false
+	spin := 0
+	var roundCycles, roundInstrs int64
 	for cycles < batchCap {
 		in := &code[pc]
 		cycles += in.cycles
@@ -627,6 +666,40 @@ func (me *ME) step() {
 			instrs++
 			pc = branch(pc, regs[b.ra] != regs[b.rb], b)
 			continue
+		case opAluLoop:
+			// The whole counted loop, while whole iterations fit below the
+			// cap. An iteration is whole when its bne starts below the
+			// cap, that is when it starts at or before last. The exit test
+			// runs after every iteration, as the bne would. aluSelfLoop
+			// keeps rX, rY, rC and rZ distinct, so they live in locals and
+			// are written back once.
+			sh, sb, im, bn := &code[pc+1], &code[pc+3], &code[pc+4], &code[pc+5]
+			iter := in.cycles + sh.cycles + code[pc+2].cycles + sb.cycles + im.cycles + bn.cycles
+			last := batchCap - 1 + bn.cycles - iter
+			if start := cycles - in.cycles; start <= last {
+				cycles, instrs = start, instrs-1
+				x, y, c := regs[in.rd], int64(0), regs[sb.rd]
+				add, shift, dec, exit := in.imm, uint64(sh.imm), sb.imm, im.imm
+				for {
+					x += add
+					y = x << (shift & 63)
+					x ^= y
+					c -= dec
+					cycles += iter
+					instrs += 6
+					if c == exit {
+						pc += 6
+						break
+					}
+					if cycles > last {
+						break
+					}
+				}
+				regs[in.rd], regs[sh.rd], regs[sb.rd], regs[im.rd] = x, y, c, exit
+				continue
+			}
+			// Not one whole iteration fits: run the members one at a time.
+			fallthrough
 		case opAluStep:
 			regs[in.rd] = regs[in.ra] + in.imm
 			pc++
@@ -692,6 +765,38 @@ func (me *ME) step() {
 				}
 			}
 			continue
+		case opTxRetry:
+			m, b := &code[pc+1], &code[pc+2]
+			head := pc
+			oldD, oldM := regs[in.rd], regs[m.rd]
+			pushed := me.chip.txRingPush(regs[in.ra])
+			if pushed {
+				regs[in.rd] = 0
+			} else {
+				regs[in.rd] = 1
+			}
+			pc++
+			if cycles >= batchCap {
+				continue
+			}
+			cycles += m.cycles
+			instrs++
+			regs[m.rd] = m.imm
+			pc++
+			if cycles >= batchCap {
+				continue
+			}
+			cycles += b.cycles
+			instrs++
+			pc = branch(pc, regs[b.ra] == regs[b.rb], b)
+			// The turn is a fixed point if it began on the retry's br, so
+			// that it is br; tx.push; imm; beq and then the ctx at pc,
+			// which ends it where it began; if the push, its only access
+			// to shared state, failed; and if it left both registers it
+			// wrote as they were. The ctx turn end counts such turns.
+			fixed = !pushed && pc == head+3 && turnPC == head+4 && instrs == turnInstrs+4 &&
+				regs[in.rd] == oldD && regs[m.rd] == oldM
+			continue
 
 		// The ops below end the context's turn.
 		case isa.OpHalt:
@@ -732,15 +837,44 @@ func (me *ME) step() {
 			panic(fmt.Sprintf("npu: me%d: unimplemented opcode %v", me.idx, in.op))
 		}
 		ctx.pc = pc
-		if in.op == isa.OpCtx {
+		if in.op != isa.OpCtx {
+			spin = 0
+			if !me.swap() {
+				break
+			}
+		} else {
 			// Voluntary swap: stay ready, move on.
 			me.swapVoluntary()
-		} else if !me.swap() {
-			break
+			if !fixed {
+				spin = 0
+			} else {
+				if spin == 0 {
+					roundCycles, roundInstrs = turnCycles, turnInstrs
+				}
+				if spin++; spin == me.readyCount() {
+					// Round fixed point. Every ready context has just had
+					// a fixed-point turn, in round-robin order, and nothing
+					// else runs inside a batch: the ring cannot drain and
+					// no context can wake, so every later round of this
+					// batch repeats this one. Round j is whole when its
+					// last instruction, this ctx, starts below the cap;
+					// skip the k whole rounds in O(1). The partial tail
+					// runs normally.
+					if rem := batchCap - cycles; rem > 0 {
+						round, roundN := cycles-roundCycles, instrs-roundInstrs
+						k := (rem - 1 + in.cycles) / round
+						cycles += k * round
+						instrs += k * roundN
+					}
+					spin = 0
+				}
+				fixed = false
+			}
 		}
 		ctx = &me.ctxs[me.cur]
 		pc = ctx.pc
 		regs = &ctx.regs
+		turnPC, turnCycles, turnInstrs = pc, cycles, instrs
 	}
 	ctx.pc = pc
 
@@ -810,6 +944,16 @@ func (me *ME) swapVoluntary() {
 	if ci := me.pickReady(); ci >= 0 {
 		me.cur = ci
 	}
+}
+
+func (me *ME) readyCount() int {
+	n := 0
+	for i := range me.ctxs {
+		if me.ctxs[i].state == ctxReady {
+			n++
+		}
+	}
+	return n
 }
 
 func (me *ME) liveContexts() int {

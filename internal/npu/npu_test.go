@@ -390,10 +390,24 @@ func TestIdleSampling(t *testing.T) {
 
 func TestInjectRejectsBadPort(t *testing.T) {
 	cfg := DefaultConfig()
-	_, chip := buildChip(t, cfg, workload.IPFwdr, nil)
+	k, chip := buildChip(t, cfg, workload.IPFwdr, nil)
 	err := chip.Inject([]traffic.Packet{{Port: 99, Size: 100}})
 	if err == nil {
 		t.Fatal("bad port accepted")
+	}
+	// A bad port after good packets rejects the whole batch: no arrival
+	// of it is left scheduled beside the MEs' first steps.
+	before := k.Pending()
+	err = chip.Inject([]traffic.Packet{
+		{ID: 0, Arrival: sim.Microsecond, Port: 0, Size: 64},
+		{ID: 1, Arrival: 2 * sim.Microsecond, Port: 1, Size: 64},
+		{ID: 2, Arrival: 3 * sim.Microsecond, Port: -1, Size: 64},
+	})
+	if err == nil {
+		t.Fatal("good-then-bad batch accepted")
+	}
+	if n := k.Pending(); n != before {
+		t.Fatalf("rejected batch left %d events scheduled", n-before)
 	}
 }
 

@@ -168,6 +168,8 @@ main:
 	beq     r0, r1, main      ; poll: the ME stays busy when idle-of-work
 `
 
+// rxEpilogue's retry loop is also a shape npu.predecode fuses: turns that
+// find the ring full are skipped a whole round at a time.
 const rxEpilogue = `
 push:
 	tx.push r2, r0
@@ -178,7 +180,10 @@ push:
 `
 
 // aluLoop emits a counted arithmetic loop: iters iterations of 6
-// instructions (including loop control).
+// instructions (including loop control). npu.predecode fuses exactly this
+// shape, a self-loop over four distinct registers, into one handler that
+// runs whole iterations in Go locals; keep it when editing the loop, or
+// the interpreter falls back to dispatching each instruction.
 func aluLoop(label string, counterReg string, iters int64) string {
 	return fmt.Sprintf(`
 	imm     %[2]s, %[3]d
