@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check lint analyze fuzz bench bench-obs bench-serve bench-baseline bench-gate profile serve-smoke serve-cluster-smoke timeline-smoke assert-smoke results-check
+.PHONY: build vet test race check lint analyze fuzz bench bench-obs bench-serve bench-baseline bench-gate profile serve-smoke timeline-smoke assert-smoke results-check
 
 build:
 	$(GO) build ./...
@@ -121,12 +121,6 @@ profile:
 # cached sweep, assert the cache hit counter and byte-identical artifacts.
 serve-smoke:
 	sh scripts/serve_smoke.sh
-
-# Federation smoke: boot a 3-node cluster, SIGKILL one node mid-sweep, and
-# assert the federated artifact is byte-identical to a single-node run
-# (DESIGN.md §15).
-serve-cluster-smoke:
-	sh scripts/cluster_smoke.sh
 
 # Timeline smoke: a ~1k-packet nepsim -timeline run validated with
 # timelinecheck (spans on every ME track, byte-identical across reruns) plus

@@ -7,6 +7,8 @@ package nepdvs
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -393,6 +395,61 @@ func TestCLIErrors(t *testing.T) {
 			t.Errorf("%s %v: expected failure\n%s", c.tool, c.args, out)
 		} else if ee, ok := err.(*exec.ExitError); c.code != 0 && (!ok || ee.ExitCode() != c.code) {
 			t.Errorf("%s %v: %v, want exit status %d\n%s", c.tool, c.args, err, c.code, out)
+		}
+	}
+}
+
+// TestCLIDvsctlExitCodes pins dvsctl's side of the internal/cli exit
+// convention: invocation mistakes exit 2 before any request is sent, an
+// unreachable daemon is a runtime failure (1), and an -out file that cannot
+// be written is an I/O failure (4).
+func TestCLIDvsctlExitCodes(t *testing.T) {
+	bins := buildTools(t)
+	dvsctl := filepath.Join(bins, "dvsctl")
+	work := t.TempDir()
+	cfg := filepath.Join(work, "cfg.json")
+	if err := os.WriteFile(cfg, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Nothing listens on port 1, so any request fails to connect.
+	down := "127.0.0.1:1"
+	// A stand-in daemon that serves one artifact, for the write failure.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("{}"))
+	}))
+	defer srv.Close()
+	up := strings.TrimPrefix(srv.URL, "http://")
+
+	cases := []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"unknown command", []string{"-addr", down, "bogus"}, 2},
+		{"run without -config", []string{"-addr", down, "run"}, 2},
+		{"sweep without -config", []string{"-addr", down, "sweep", "-thresholds", "800", "-windows", "20000"}, 2},
+		{"unparsable -thresholds", []string{"-addr", down, "sweep", "-config", cfg, "-thresholds", "8x0", "-windows", "20000"}, 2},
+		{"empty -thresholds", []string{"-addr", down, "sweep", "-config", cfg, "-windows", "20000"}, 2},
+		{"unparsable -windows", []string{"-addr", down, "sweep", "-config", cfg, "-thresholds", "800", "-windows", "2.5"}, 2},
+		{"status without JOB_ID", []string{"-addr", down, "status"}, 2},
+		{"cancel with two JOB_IDs", []string{"-addr", down, "cancel", "j-1", "j-2"}, 2},
+		{"fetch with two JOB_IDs", []string{"-addr", down, "fetch", "j-1", "j-2"}, 2},
+		{"wait without JOB_ID", []string{"-addr", down, "wait"}, 2},
+		{"timeline without JOB_ID", []string{"-addr", down, "timeline"}, 2},
+		{"assertions with two JOB_IDs", []string{"-addr", down, "assertions", "j-1", "j-2"}, 2},
+		{"no daemon", []string{"-addr", down, "status", "j-1"}, 1},
+		{"unwritable -out", []string{"-addr", up, "fetch", "-out", filepath.Join(work, "no-such-dir", "r.json"), "j-1"}, 4},
+	}
+	for _, c := range cases {
+		out, err := runTool(t, dvsctl, c.args...)
+		code := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			code = ee.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if code != c.code {
+			t.Errorf("%s: dvsctl %v exit %d, want %d\n%s", c.name, c.args, code, c.code, out)
 		}
 	}
 }

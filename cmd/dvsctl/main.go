@@ -28,10 +28,12 @@
 //
 // Requests retry transient connection errors with capped exponential
 // backoff and jitter, and honor Retry-After on 503 (a loaded queue); a 503
-// without Retry-After means the daemon is draining and fails fast. With
-// "sweep -peers", dvsctl itself coordinates a federated sweep across a
-// cluster of daemons (see internal/federation) instead of submitting to
-// one.
+// without Retry-After means the daemon is draining and fails fast.
+//
+// Exit status follows internal/cli: 2 for a usage error (unknown command,
+// missing -config, unparsable -thresholds/-windows, missing or extra
+// JOB_ID), 4 when an -out file cannot be written, 1 for anything else that
+// fails (the daemon unreachable, a job that failed).
 //
 // Examples:
 //
@@ -43,11 +45,9 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,8 +59,7 @@ import (
 
 	"nepdvs/internal/cli"
 	"nepdvs/internal/core"
-	"nepdvs/internal/federation"
-	"nepdvs/internal/jobs"
+	"nepdvs/internal/obs"
 	"nepdvs/internal/server"
 	"nepdvs/internal/traffic"
 	"nepdvs/internal/workload"
@@ -84,7 +83,7 @@ func main() {
 	if id == "" {
 		id = newRequestID()
 	}
-	c := client{base: "http://" + *addr, requestID: id}
+	c := newClient("http://"+*addr, id)
 	cmd, rest := args[0], args[1:]
 	var err error
 	switch cmd {
@@ -120,31 +119,6 @@ func main() {
 	}
 }
 
-// client is a thin JSON-over-HTTP helper bound to one daemon. Every request
-// carries the invocation's X-Request-ID and goes through the federation
-// client's retry policy: transient connection errors retry with capped
-// exponential backoff and jitter, a 503 with Retry-After honors the header,
-// and a bare 503 (the daemon draining) fails fast.
-type client struct {
-	base      string
-	requestID string
-}
-
-// fed builds the retrying transport for this client.
-func (c client) fed() *federation.Client {
-	h := http.Header{}
-	if c.requestID != "" {
-		h.Set(server.RequestIDHeader, c.requestID)
-	}
-	return &federation.Client{
-		Base:      c.base,
-		Budget:    4,
-		BaseDelay: 100 * time.Millisecond,
-		MaxDelay:  2 * time.Second,
-		Header:    h,
-	}
-}
-
 // newRequestID mints the invocation's trace ID.
 func newRequestID() string {
 	var b [8]byte
@@ -154,21 +128,11 @@ func newRequestID() string {
 	return "r-" + hex.EncodeToString(b[:])
 }
 
-// do performs a request with retries and decodes the response: into out on
-// 2xx, into the server's error envelope otherwise.
-func (c client) do(method, path string, body, out any) error {
-	_, err := c.fed().DoJSON(context.Background(), method, path, body, out)
-	if errors.Is(err, federation.ErrDraining) {
-		return fmt.Errorf("daemon at %s is shutting down; retry after it restarts", c.base)
-	}
-	return err
-}
-
 // readConfig loads a core.RunConfig from a JSON file ("-" = stdin).
 func readConfig(path string) (core.RunConfig, error) {
 	var cfg core.RunConfig
 	if path == "" {
-		return cfg, fmt.Errorf("-config is required (use 'dvsctl config' to generate one)")
+		cli.DieUsage("dvsctl", fmt.Errorf("-config is required (use 'dvsctl config' to generate one)"))
 	}
 	var src []byte
 	var err error
@@ -261,7 +225,6 @@ func cmdSweep(c client, args []string) error {
 	priority := fs.Int("priority", 0, "queue priority (higher runs first)")
 	wait := fs.Bool("wait", false, "block until the job finishes")
 	out := fs.String("out", "", "with -wait: write the artifact to this file (- = stdout)")
-	peers := fs.String("peers", "", "federate from this client across these nodes (name=url or url, comma-separated) instead of submitting to -addr")
 	fs.Parse(args)
 	cfg, err := readConfig(*config)
 	if err != nil {
@@ -269,53 +232,14 @@ func cmdSweep(c client, args []string) error {
 	}
 	ths, err := parseFloats(*thresholds)
 	if err != nil {
-		return fmt.Errorf("-thresholds: %w", err)
+		cli.DieUsage("dvsctl", fmt.Errorf("-thresholds: %w", err))
 	}
 	wins, err := parseInts(*windows)
 	if err != nil {
-		return fmt.Errorf("-windows: %w", err)
-	}
-	if *peers != "" {
-		return clientSweep(*peers, cfg, ths, wins, *out)
+		cli.DieUsage("dvsctl", fmt.Errorf("-windows: %w", err))
 	}
 	req := server.SweepRequest{Config: cfg, Thresholds: ths, Windows: wins, Parallelism: *par, Priority: *priority}
 	return submit(c, "/v1/sweeps", req, *wait, *out)
-}
-
-// clientSweep federates a sweep from this process: dvsctl itself is the
-// coordinator, sharding points across the named nodes, stealing from dead
-// ones, and degrading to in-process execution when everyone is down. The
-// artifact written is byte-identical to a server-side sweep of the same
-// grid.
-func clientSweep(peers string, cfg core.RunConfig, ths []float64, wins []int64, out string) error {
-	members, err := federation.ParseMembers(peers)
-	if err != nil {
-		return err
-	}
-	pool, err := federation.New(federation.Options{Members: members})
-	if err != nil {
-		return err
-	}
-	results, sweepErr := pool.Sweep(context.Background(), cfg, ths, wins, nil)
-	if results == nil {
-		return sweepErr
-	}
-	if sweepErr != nil {
-		fmt.Fprintf(os.Stderr, "dvsctl: %v\n", sweepErr)
-	}
-	raw, err := json.Marshal(jobs.NewSweepArtifact(results))
-	if err != nil {
-		return err
-	}
-	if out == "" || out == "-" {
-		_, err := os.Stdout.Write(raw)
-		return err
-	}
-	if err := os.WriteFile(out, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "dvsctl: wrote %s (%d bytes)\n", out, len(raw))
-	return nil
 }
 
 func parseFloats(s string) ([]float64, error) {
@@ -350,11 +274,27 @@ func parseInts(s string) ([]int64, error) {
 	return out, nil
 }
 
-func oneID(cmd string, args []string) (string, error) {
+// oneID returns the single JOB_ID argument, exiting 2 when there is not
+// exactly one.
+func oneID(cmd string, args []string) string {
 	if len(args) != 1 {
-		return "", fmt.Errorf("usage: dvsctl %s JOB_ID", cmd)
+		cli.DieUsage("dvsctl", fmt.Errorf("usage: dvsctl %s JOB_ID", cmd))
 	}
-	return args[0], nil
+	return args[0]
+}
+
+// writeOut delivers a downloaded artifact: to stdout for "" or "-",
+// otherwise atomically to the file, exiting 4 when the write fails.
+func writeOut(path string, raw []byte) error {
+	if path == "" || path == "-" {
+		_, err := os.Stdout.Write(raw)
+		return err
+	}
+	if err := obs.AtomicWriteFile(path, raw, 0o644); err != nil {
+		cli.DieIO("dvsctl", err)
+	}
+	fmt.Fprintf(os.Stderr, "dvsctl: wrote %s (%d bytes)\n", path, len(raw))
+	return nil
 }
 
 func cmdJobs(c client) error {
@@ -366,10 +306,7 @@ func cmdJobs(c client) error {
 }
 
 func cmdStatus(c client, args []string) error {
-	id, err := oneID("status", args)
-	if err != nil {
-		return err
-	}
+	id := oneID("status", args)
 	var raw []byte
 	if err := c.do(http.MethodGet, "/v1/jobs/"+id, nil, &raw); err != nil {
 		return err
@@ -410,10 +347,7 @@ func cmdWait(c client, args []string) error {
 	fs := flag.NewFlagSet("dvsctl wait", flag.ExitOnError)
 	timeout := fs.Duration("timeout", 0, "give up after this long (0 = wait forever)")
 	fs.Parse(args)
-	id, err := oneID("wait", fs.Args())
-	if err != nil {
-		return err
-	}
+	id := oneID("wait", fs.Args())
 	if *timeout > 0 {
 		done := make(chan error, 1)
 		go func() { done <- waitJob(c, id) }()
@@ -432,25 +366,14 @@ func fetchArtifact(c client, id, out string) error {
 	if err := c.do(http.MethodGet, "/v1/jobs/"+id+"/artifacts/result.json", nil, &raw); err != nil {
 		return err
 	}
-	if out == "" || out == "-" {
-		_, err := os.Stdout.Write(raw)
-		return err
-	}
-	if err := os.WriteFile(out, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "dvsctl: wrote %s (%d bytes)\n", out, len(raw))
-	return nil
+	return writeOut(out, raw)
 }
 
 func cmdFetch(c client, args []string) error {
 	fs := flag.NewFlagSet("dvsctl fetch", flag.ExitOnError)
 	out := fs.String("out", "-", "destination file (- = stdout)")
 	fs.Parse(args)
-	id, err := oneID("fetch", fs.Args())
-	if err != nil {
-		return err
-	}
+	id := oneID("fetch", fs.Args())
 	return fetchArtifact(c, id, *out)
 }
 
@@ -460,23 +383,12 @@ func cmdTimeline(c client, args []string) error {
 	fs := flag.NewFlagSet("dvsctl timeline", flag.ExitOnError)
 	out := fs.String("out", "-", "destination file (- = stdout); load it in ui.perfetto.dev")
 	fs.Parse(args)
-	id, err := oneID("timeline", fs.Args())
-	if err != nil {
-		return err
-	}
+	id := oneID("timeline", fs.Args())
 	var raw []byte
 	if err := c.do(http.MethodGet, "/v1/jobs/"+id+"/timeline", nil, &raw); err != nil {
 		return err
 	}
-	if *out == "" || *out == "-" {
-		_, err := os.Stdout.Write(raw)
-		return err
-	}
-	if err := os.WriteFile(*out, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "dvsctl: wrote %s (%d bytes)\n", *out, len(raw))
-	return nil
+	return writeOut(*out, raw)
 }
 
 // cmdAssertions downloads a finished job's assertion report: per-formula
@@ -487,30 +399,16 @@ func cmdAssertions(c client, args []string) error {
 	fs := flag.NewFlagSet("dvsctl assertions", flag.ExitOnError)
 	out := fs.String("out", "-", "destination file (- = stdout)")
 	fs.Parse(args)
-	id, err := oneID("assertions", fs.Args())
-	if err != nil {
-		return err
-	}
+	id := oneID("assertions", fs.Args())
 	var raw []byte
 	if err := c.do(http.MethodGet, "/v1/jobs/"+id+"/assertions", nil, &raw); err != nil {
 		return err
 	}
-	if *out == "" || *out == "-" {
-		_, err := os.Stdout.Write(raw)
-		return err
-	}
-	if err := os.WriteFile(*out, raw, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "dvsctl: wrote %s (%d bytes)\n", *out, len(raw))
-	return nil
+	return writeOut(*out, raw)
 }
 
 func cmdCancel(c client, args []string) error {
-	id, err := oneID("cancel", args)
-	if err != nil {
-		return err
-	}
+	id := oneID("cancel", args)
 	var raw []byte
 	if err := c.do(http.MethodDelete, "/v1/jobs/"+id, nil, &raw); err != nil {
 		return err

@@ -9,18 +9,10 @@
 // is checkpointed atomically so the next boot resumes it. With -manifest a
 // shutdown manifest records the final metrics and cache summary.
 //
-// With -peers the daemon federates: sweep jobs shard across the named peer
-// nodes by rendezvous hashing on each point's content-addressed run key,
-// peer run caches are consulted before simulating, and points on nodes
-// that die, drain or straggle are stolen by the survivors (see
-// internal/federation and DESIGN.md §15). Points assigned to this node
-// execute in-process.
-//
 // Examples:
 //
 //	dvsd -addr 127.0.0.1:8377 -cache /var/tmp/dvs-cache
 //	dvsd -addr 127.0.0.1:0 -addr-file dvsd.addr -state queue.json
-//	dvsd -addr 127.0.0.1:7071 -node n1 -peers n2=127.0.0.1:7072,n3=127.0.0.1:7073
 //	dvsctl -addr "$(cat dvsd.addr)" health
 package main
 
@@ -41,27 +33,23 @@ import (
 	"nepdvs/internal/cli"
 	"nepdvs/internal/core"
 	"nepdvs/internal/experiments"
-	"nepdvs/internal/federation"
 	"nepdvs/internal/jobs"
 	"nepdvs/internal/obs"
 	"nepdvs/internal/server"
 )
 
 type options struct {
-	addr          string
-	addrFile      string
-	workers       int
-	queueCap      int
-	cacheDir      string
-	cacheMax      int
-	state         string
-	drainTimeout  time.Duration
-	manifest      string
-	logLevel      string
-	logFormat     string
-	peers         string
-	node          string
-	probeInterval time.Duration
+	addr         string
+	addrFile     string
+	workers      int
+	queueCap     int
+	cacheDir     string
+	cacheMax     int
+	state        string
+	drainTimeout time.Duration
+	manifest     string
+	logLevel     string
+	logFormat    string
 }
 
 // newLogger builds the daemon's structured logger on stderr. Format "json"
@@ -95,9 +83,6 @@ func main() {
 	flag.StringVar(&o.manifest, "manifest", "", "write a shutdown manifest (metrics + cache summary) to this file")
 	flag.StringVar(&o.logLevel, "log-level", "info", "log verbosity: debug, info, warn or error")
 	flag.StringVar(&o.logFormat, "log-format", "text", "log format: text or json")
-	flag.StringVar(&o.peers, "peers", "", "comma-separated peer nodes (name=url or url): federate sweep jobs across them")
-	flag.StringVar(&o.node, "node", "local", "this node's member name in the federation")
-	flag.DurationVar(&o.probeInterval, "probe-interval", 2*time.Second, "with -peers: how often to probe peer health")
 	flag.Parse()
 	if err := run(o, os.Args[1:]); err != nil {
 		cli.Die("dvsd", err)
@@ -125,31 +110,10 @@ func run(o options, rawArgs []string) error {
 		defer core.SetRunCache(nil)
 	}
 
-	// With -peers this daemon coordinates: sweep jobs shard across the
-	// cluster by rendezvous hashing, with this process as the local member.
-	// Points assigned to self execute in-process, never over loopback HTTP.
-	var pool *federation.Pool
-	if o.peers != "" {
-		peers, err := federation.ParseMembers(o.peers)
-		if err != nil {
-			return err
-		}
-		members := append([]federation.Member{{Name: o.node}}, peers...)
-		pool, err = federation.New(federation.Options{Members: members, Registry: reg, Logger: log})
-		if err != nil {
-			return err
-		}
-		log.Info("federation enabled", "node", o.node, "peers", len(peers))
-	}
-
 	// RunMetrics folds per-run simulation counters — including the
 	// per-formula loc_* assertion metrics and the loc_eval_seconds latency
 	// histogram — into this daemon's /metrics registry.
-	qopts := jobs.Options{Workers: o.workers, Capacity: o.queueCap, Registry: reg, RunMetrics: reg, Logger: log}
-	if pool != nil {
-		qopts.Exec = federation.Executor(pool)
-	}
-	q := jobs.New(qopts)
+	q := jobs.New(jobs.Options{Workers: o.workers, Capacity: o.queueCap, Registry: reg, RunMetrics: reg, Logger: log})
 	if o.state != "" {
 		n, err := q.Restore(o.state)
 		if err != nil {
@@ -173,20 +137,12 @@ func run(o options, rawArgs []string) error {
 	}
 	log.Info("listening", "addr", bound)
 
-	srvOpts := server.Options{Queue: q, Registry: reg, Logger: log}
-	if store != nil {
-		// Expose this node's run cache to federated peers (GET /v1/cache/{key}).
-		srvOpts.Cache = store
-	}
-	hs := &http.Server{Handler: server.New(srvOpts)}
+	hs := &http.Server{Handler: server.New(server.Options{Queue: q, Registry: reg, Logger: log})}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if pool != nil {
-		go pool.Run(ctx, o.probeInterval)
-	}
 	select {
 	case err := <-serveErr:
 		return err
@@ -218,9 +174,7 @@ func run(o options, rawArgs []string) error {
 			QueueCap int    `json:"queue_cap"`
 			CacheDir string `json:"cache_dir,omitempty"`
 			State    string `json:"state,omitempty"`
-			Node     string `json:"node,omitempty"`
-			Peers    string `json:"peers,omitempty"`
-		}{bound, o.workers, o.queueCap, o.cacheDir, o.state, o.node, o.peers}
+		}{bound, o.workers, o.queueCap, o.cacheDir, o.state}
 		snap := reg.Snapshot()
 		m.Metrics = &snap
 		if store != nil {

@@ -41,6 +41,7 @@ import (
 	"nepdvs/internal/core"
 	"nepdvs/internal/lint/diag"
 	"nepdvs/internal/loc"
+	"nepdvs/internal/obs"
 	"nepdvs/internal/trace"
 )
 
@@ -56,10 +57,12 @@ func main() {
 	flag.Parse()
 	code, err := run(*expr, *file, *noSchema, *lintOnly, *analyze, *report, flag.Args())
 	if err != nil {
-		// I/O failures (unreadable formula file or trace) exit 4; everything
-		// else reaching here is a usage or parse problem and exits 2.
+		// I/O failures (unreadable formula file or trace, unwritable
+		// report) exit 4; everything else reaching here is a usage or parse
+		// problem and exits 2.
 		var pe *fs.PathError
-		if errors.As(err, &pe) {
+		var le *os.LinkError
+		if errors.As(err, &pe) || errors.As(err, &le) {
 			cli.DieIO("locheck", err)
 		}
 		cli.DieUsage("locheck", err)
@@ -144,8 +147,7 @@ func run(expr, file string, noSchema, lintOnly, analyze bool, report string, arg
 		if err != nil {
 			return 0, err
 		}
-		if err := os.WriteFile(report, b, 0o644); err != nil {
-			// os.WriteFile returns *fs.PathError, so main exits 4 (I/O).
+		if err := obs.AtomicWriteFile(report, b, 0o644); err != nil {
 			return 0, err
 		}
 	}

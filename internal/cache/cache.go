@@ -214,9 +214,9 @@ func (s *Store) Lookup(key string) (*core.CachedRun, bool) {
 	return cr, true
 }
 
-// verifyEntry checks an on-disk envelope (schema, declared key, payload
-// checksum) and returns the raw CachedRun payload.
-func verifyEntry(b []byte, key string) (json.RawMessage, error) {
+// decodeEntry checks an on-disk envelope (schema, declared key, payload
+// checksum) and decodes its CachedRun payload.
+func decodeEntry(b []byte, key string) (*core.CachedRun, error) {
 	var fe fileEntry
 	if err := json.Unmarshal(b, &fe); err != nil {
 		return nil, fmt.Errorf("cache: entry %s: %w", key[:12], err)
@@ -231,49 +231,14 @@ func verifyEntry(b []byte, key string) (json.RawMessage, error) {
 	if hex.EncodeToString(sum[:]) != fe.SHA256 {
 		return nil, fmt.Errorf("cache: entry %s: payload checksum mismatch", key[:12])
 	}
-	return fe.Payload, nil
-}
-
-func decodeEntry(b []byte, key string) (*core.CachedRun, error) {
-	payload, err := verifyEntry(b, key)
-	if err != nil {
-		return nil, err
-	}
 	var cr core.CachedRun
-	if err := json.Unmarshal(payload, &cr); err != nil {
+	if err := json.Unmarshal(fe.Payload, &cr); err != nil {
 		return nil, fmt.Errorf("cache: entry %s: payload: %w", key[:12], err)
 	}
 	if cr.Result == nil {
 		return nil, fmt.Errorf("cache: entry %s: no result", key[:12])
 	}
 	return &cr, nil
-}
-
-// Payload returns the verified raw CachedRun payload for key — the bytes a
-// peer cache endpoint serves so a federated coordinator can consult this
-// node's store before simulating. The same failure semantics as Lookup:
-// any defect is a miss, and a defective resident entry is counted and
-// dropped.
-func (s *Store) Payload(key string) (json.RawMessage, bool) {
-	name, ok := entryName(key)
-	if !ok {
-		inc(s.misses)
-		return nil, false
-	}
-	b, err := os.ReadFile(filepath.Join(s.dir, name))
-	if err != nil {
-		inc(s.misses)
-		return nil, false
-	}
-	payload, err := verifyEntry(b, key)
-	if err != nil {
-		inc(s.errors)
-		inc(s.misses)
-		s.remove(key)
-		return nil, false
-	}
-	inc(s.hits)
-	return payload, true
 }
 
 // Store implements core.RunCache: marshal, checksum, write atomically,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -252,50 +251,5 @@ func TestStoreRejectsBadKeys(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Errorf("bad keys created %d files", len(entries))
-	}
-}
-
-// TestStorePayload covers the peer-cache read path: the verified raw
-// payload must decode to the same CachedRun Lookup returns, a corrupt
-// entry must miss and be dropped, and a bogus key must miss cheaply.
-func TestStorePayload(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := strings.Repeat("ef", 32)
-	want := &core.CachedRun{Result: &core.RunResult{MonitorFraction: 0.25}}
-	s.Store(key, []byte(`{}`), want)
-
-	raw, ok := s.Payload(key)
-	if !ok {
-		t.Fatal("Payload miss for a stored key")
-	}
-	var got core.CachedRun
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatalf("payload does not decode: %v", err)
-	}
-	if got.Result == nil || got.Result.MonitorFraction != 0.25 {
-		t.Fatalf("payload decoded to %+v", got.Result)
-	}
-
-	if _, ok := s.Payload("not-a-key"); ok {
-		t.Error("Payload hit on a malformed key")
-	}
-	if _, ok := s.Payload(strings.Repeat("00", 32)); ok {
-		t.Error("Payload hit on an absent key")
-	}
-
-	// Corrupt the entry on disk: the payload read detects it and drops it.
-	name, _ := entryName(key)
-	path := filepath.Join(s.Dir(), name)
-	if err := os.WriteFile(path, []byte(`{"schema":1,"key":"`+key+`","sha256":"00","payload":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Payload(key); ok {
-		t.Error("Payload served a corrupt entry")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("corrupt entry not dropped after Payload detection")
 	}
 }

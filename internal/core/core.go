@@ -642,10 +642,9 @@ type Point struct {
 }
 
 // TDVSGrid expands sweep axes into design points in the canonical
-// threshold-major order. Every sweep path — local SweepTDVS, the job
-// queue, a federated coordinator sharding points across nodes — runs
-// through Sweep, which expands the grid here, so point order (and thus
-// artifact layout) is identical everywhere.
+// threshold-major order. Every sweep path — SweepTDVS and the job queue —
+// runs through Sweep, which expands the grid here, so point order (and
+// thus artifact layout) is identical everywhere.
 func TDVSGrid(thresholds []float64, windows []int64) []Point {
 	points := make([]Point, 0, len(thresholds)*len(windows))
 	for _, th := range thresholds {
@@ -656,9 +655,10 @@ func TDVSGrid(thresholds []float64, windows []int64) []Point {
 	return points
 }
 
-// TDVSPointConfig derives the exact config Sweep hands its PointRunner for
-// one grid point, whichever runner that is: a remote point's run key — and
-// therefore its cache entry and result — is identical to the local sweep's.
+// TDVSPointConfig derives the exact config Sweep runs for one grid point:
+// the base config with its policy replaced by the point's TDVS policy
+// (keeping the base hysteresis). A point's run key — and therefore its
+// cache entry and result — depends on this config alone.
 func TDVSPointConfig(base RunConfig, pt Point) RunConfig {
 	cfg := base
 	p := TDVSPolicy(pt.ThresholdMbps, pt.WindowCycles)
@@ -677,9 +677,8 @@ type SweepResult struct {
 	Result *RunResult
 	Err    error
 	// Retries counts execution attempts beyond the first this point needed
-	// (the local engine retries once; a federated sweep may also steal the
-	// point to another node). Scheduling bookkeeping, not content: it never
-	// serializes into sweep artifacts, which must stay byte-identical
+	// (RunWithRetry retries once). Scheduling bookkeeping, not content: it
+	// never serializes into sweep artifacts, which must stay byte-identical
 	// however many attempts a point took.
 	Retries int
 }
@@ -689,7 +688,7 @@ type SweepResult struct {
 // failures (a watchdog firing on a loaded machine); deterministic failures —
 // injected panics, config errors — fail both attempts, and the second error
 // is returned. A canceled context is never retried: the caller asked the
-// work to stop. It is the local PointRunner.
+// work to stop.
 func RunWithRetry(ctx context.Context, cfg RunConfig) (*RunResult, int, error) {
 	res, err := RunContext(ctx, cfg)
 	if err == nil || ctx.Err() != nil {
@@ -698,13 +697,6 @@ func RunWithRetry(ctx context.Context, cfg RunConfig) (*RunResult, int, error) {
 	res, err = RunContext(ctx, cfg)
 	return res, 1, err
 }
-
-// PointRunner executes one sweep point's config and reports the extra
-// attempts it spent. RunWithRetry runs the point in-process; a federated
-// sweep places it on a cluster node. Whatever the runner, a point's result
-// must depend on its config alone — that is what keeps sweep artifacts
-// byte-identical across executors.
-type PointRunner func(ctx context.Context, cfg RunConfig) (res *RunResult, retries int, err error)
 
 // Parallelism resolves the convention shared by every parallel entry
 // point: zero or negative means one worker per CPU.
@@ -737,16 +729,16 @@ func ForEach(n, parallelism int, fn func(i int)) {
 // SweepTDVS runs the cross product of thresholds × windows (each with the
 // base config's benchmark, traffic and formulas) in-process, in parallel
 // across goroutines — each run owns its kernel, so runs are independent.
-// It is Sweep with the local RunWithRetry runner and no observer.
+// It is Sweep with no observer.
 func SweepTDVS(base RunConfig, thresholds []float64, windows []int64, parallelism int) ([]SweepResult, error) {
-	return Sweep(context.Background(), base, thresholds, windows, parallelism, RunWithRetry, nil)
+	return Sweep(context.Background(), base, thresholds, windows, parallelism, nil)
 }
 
 // Sweep is the one sweep executor: it expands the grid (TDVSGrid), derives
-// each point's config (TDVSPointConfig) and hands it to run, at most
-// Parallelism(parallelism) points at a time. Results are returned in the
-// deterministic threshold-major order whatever the runner, so local, queued
-// and federated sweeps differ only in where a point runs.
+// each point's config (TDVSPointConfig) and runs it with RunWithRetry, at
+// most Parallelism(parallelism) points at a time. Results are returned in
+// the deterministic threshold-major order, so SweepTDVS and queued sweep
+// jobs produce the same results.
 //
 // The sweep is resilient: a point whose run panics, times out or otherwise
 // fails records its error in its SweepResult while the remaining points
@@ -759,7 +751,7 @@ func SweepTDVS(base RunConfig, thresholds []float64, windows []int64, parallelis
 // started; each records the cancellation as its error. onPoint, when
 // non-nil, is called once per finished point, concurrently from sweep
 // workers — the job queue hangs per-job progress off it.
-func Sweep(ctx context.Context, base RunConfig, thresholds []float64, windows []int64, parallelism int, run PointRunner, onPoint func(SweepResult)) ([]SweepResult, error) {
+func Sweep(ctx context.Context, base RunConfig, thresholds []float64, windows []int64, parallelism int, onPoint func(SweepResult)) ([]SweepResult, error) {
 	if len(thresholds) == 0 || len(windows) == 0 {
 		return nil, fmt.Errorf("core: empty sweep axes")
 	}
@@ -770,7 +762,7 @@ func Sweep(ctx context.Context, base RunConfig, thresholds []float64, windows []
 		var res *RunResult
 		retries, err := 0, ctx.Err()
 		if err == nil {
-			res, retries, err = run(ctx, TDVSPointConfig(base, pt))
+			res, retries, err = RunWithRetry(ctx, TDVSPointConfig(base, pt))
 		}
 		if err != nil {
 			results[i] = SweepResult{Point: pt, Err: fmt.Errorf("core: point %+v: %w", pt, err), Retries: retries}

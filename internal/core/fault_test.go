@@ -310,7 +310,7 @@ func TestSweepCancelSkipsUnstarted(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	results, err := Sweep(ctx, base, []float64{800, 1000}, []int64{20_000, 40_000}, 1, RunWithRetry,
+	results, err := Sweep(ctx, base, []float64{800, 1000}, []int64{20_000, 40_000}, 1,
 		func(SweepResult) { cancel() })
 	if err == nil || !strings.Contains(err.Error(), "3 of 4") {
 		t.Fatalf("sweep error = %v, want 3 of 4 points failed", err)

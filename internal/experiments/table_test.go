@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,8 +78,9 @@ func TestRunCheckpointedResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var runs int
-	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { runs++ })
+	// The hook fires from concurrent run workers.
+	var runs atomic.Int64
+	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { runs.Add(1) })
 	defer remove()
 
 	o := testOpts
@@ -99,17 +101,17 @@ func TestRunCheckpointedResume(t *testing.T) {
 	if len(resumed) > 0 {
 		t.Error("first execution claims to have resumed")
 	}
-	if runs == 0 {
+	if runs.Load() == 0 {
 		t.Error("first execution simulated nothing")
 	}
-	ran := runs
+	ran := runs.Load()
 
 	second, resumed := execute("idle")
 	if !slices.Equal(resumed, []string{"idle"}) {
 		t.Errorf("second execution resumed %v, want [idle]", resumed)
 	}
-	if runs != ran {
-		t.Errorf("resumed execution simulated %d extra runs", runs-ran)
+	if runs.Load() != ran {
+		t.Errorf("resumed execution simulated %d extra runs", runs.Load()-ran)
 	}
 	if len(first) != len(second) || len(first) == 0 || first[0].ID != second[0].ID {
 		t.Errorf("resumed reports differ: %d vs %d", len(first), len(second))
@@ -137,8 +139,8 @@ func TestRunCheckpointedResume(t *testing.T) {
 	if got, want := strings.Join(names, " "), "fig6-threshold-800 sweep-md4-power sweep-md4-throughput"; got != want {
 		t.Errorf("legacy chart files = %q, want %q", got, want)
 	}
-	if runs != ran {
-		t.Errorf("legacy entries simulated %d runs", runs-ran)
+	if runs.Load() != ran {
+		t.Errorf("legacy entries simulated %d runs", runs.Load()-ran)
 	}
 }
 
@@ -189,8 +191,9 @@ func TestTableRunCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	var runs int
-	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { runs++ })
+	// The hook fires from concurrent run workers.
+	var runs atomic.Int64
+	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { runs.Add(1) })
 	defer remove()
 
 	shared := sync.OnceValues(func() (*TDVSSweepData, error) {
@@ -198,7 +201,7 @@ func TestTableRunCounts(t *testing.T) {
 	})
 	sweepRan := false
 	for _, e := range table {
-		before := runs
+		before := runs.Load()
 		if _, err := e.Run(testOpts, shared); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
@@ -207,7 +210,7 @@ func TestTableRunCounts(t *testing.T) {
 			want = 0
 		}
 		sweepRan = sweepRan || e.Shared
-		if got := runs - before; got != want {
+		if got := int(runs.Load() - before); got != want {
 			t.Errorf("%s ran %d simulations, want %d", e.ID, got, want)
 		}
 	}
@@ -215,7 +218,7 @@ func TestTableRunCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs != p.PlannedRuns() {
-		t.Errorf("table ran %d simulations, all plans %d", runs, p.PlannedRuns())
+	if got := int(runs.Load()); got != p.PlannedRuns() {
+		t.Errorf("table ran %d simulations, all plans %d", got, p.PlannedRuns())
 	}
 }

@@ -26,35 +26,26 @@ func Execute(ctx context.Context, spec Spec, progress func(done, retries int)) (
 		}
 		return &RunArtifact{Result: res}, nil
 	case KindSweep:
-		return ExecuteSweep(ctx, spec, spec.Sweep.Parallelism, core.RunWithRetry, progress)
+		var mu sync.Mutex
+		done, retries := 0, 0
+		onPoint := func(r core.SweepResult) {
+			mu.Lock()
+			done++
+			retries += r.Retries
+			d, rt := done, retries
+			mu.Unlock()
+			if progress != nil {
+				progress(d, rt)
+			}
+		}
+		results, err := core.Sweep(ctx, spec.Config, spec.Sweep.Thresholds, spec.Sweep.Windows, spec.Sweep.Parallelism, onPoint)
+		if results == nil {
+			return nil, err
+		}
+		// Partial failure still yields an artifact; the failed points carry
+		// their errors inside it, which is the sweep's own resilience
+		// contract (see core.Sweep).
+		return NewSweepArtifact(results), nil
 	}
 	return nil, fmt.Errorf("jobs: unknown kind %q", spec.Kind)
-}
-
-// ExecuteSweep runs a sweep spec through core.Sweep with the given point
-// runner and parallelism, counting finished points and spent retries into
-// progress, and returns the sweep artifact. The local Execute and the
-// federated executor differ only in the runner they pass, which is why
-// their artifacts are the same bytes.
-func ExecuteSweep(ctx context.Context, spec Spec, parallelism int, run core.PointRunner, progress func(done, retries int)) (any, error) {
-	var mu sync.Mutex
-	done, retries := 0, 0
-	onPoint := func(r core.SweepResult) {
-		mu.Lock()
-		done++
-		retries += r.Retries
-		d, rt := done, retries
-		mu.Unlock()
-		if progress != nil {
-			progress(d, rt)
-		}
-	}
-	results, err := core.Sweep(ctx, spec.Config, spec.Sweep.Thresholds, spec.Sweep.Windows, parallelism, run, onPoint)
-	if results == nil {
-		return nil, err
-	}
-	// Partial failure still yields an artifact; the failed points carry
-	// their errors inside it, which is the sweep's own resilience contract
-	// (see core.Sweep).
-	return NewSweepArtifact(results), nil
 }

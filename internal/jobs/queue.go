@@ -55,9 +55,9 @@ type Status struct {
 	PointsTotal int    `json:"points_total"`
 	Err         string `json:"err,omitempty"`
 	// Retries counts execution attempts beyond the first spent inside the
-	// job so far: per-point engine retries for a local sweep, plus remote
-	// resubmissions and steals for a federated one. Before this field,
-	// retry-once outcomes were visible only in sweep failure records.
+	// job so far: the per-point retries of a sweep (core.RunWithRetry).
+	// Before this field, retry-once outcomes were visible only in sweep
+	// failure records.
 	Retries int `json:"retries,omitempty"`
 	// Requeues counts how many times the job was interrupted and returned
 	// to the pending queue (drain timeouts). Persisted across restarts via
@@ -155,8 +155,7 @@ func (h *pendingHeap) Pop() any {
 // Executor turns a spec into its artifact. progress, when called, reports
 // the running count of completed points and of retries (execution attempts
 // beyond the first) spent so far. The production executor is Execute;
-// federated queues wrap it (see internal/federation); tests substitute
-// deterministic stand-ins.
+// tests substitute deterministic stand-ins.
 type Executor func(ctx context.Context, spec Spec, progress func(done, retries int)) (any, error)
 
 // Options configures a Queue.

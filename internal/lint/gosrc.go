@@ -31,6 +31,7 @@ const (
 // its exemptions rule-by-rule in lint.allow instead.
 var DeterministicPackages = []string{
 	"internal/experiments",
+	"internal/fault",
 	"internal/loc",
 	"internal/loc/interval",
 	"internal/npu",

@@ -13,7 +13,6 @@
 //	DELETE /v1/jobs/{id}                     cancel a job
 //	GET    /v1/jobs/{id}/artifacts/result.json   finished job's output
 //	GET    /v1/jobs/{id}/timeline            finished job's stage timeline (Perfetto JSON)
-//	GET    /v1/cache/{key}                   this node's cached run for a content key
 //	GET    /metrics                          Prometheus text exposition
 //	GET    /healthz                          liveness probe (+ queue depth)
 //
@@ -73,19 +72,11 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// CacheReader is the slice of the run cache the peer endpoint needs: the
-// verified raw CachedRun payload for a content key. *cache.Store implements
-// it; federation tests substitute in-memory stubs.
-type CacheReader interface {
-	Payload(key string) (json.RawMessage, bool)
-}
-
 // Server routes HTTP traffic onto a job queue. Create with New; it
 // implements http.Handler.
 type Server struct {
 	queue    *jobs.Queue
 	registry *obs.Registry
-	cache    CacheReader
 	log      *slog.Logger
 	hRequest *obs.Histogram
 	mux      *http.ServeMux
@@ -97,10 +88,6 @@ type Options struct {
 	Queue *jobs.Queue
 	// Registry backs GET /metrics. Nil serves an empty exposition.
 	Registry *obs.Registry
-	// Cache, when non-nil, backs GET /v1/cache/{key} so federated peers can
-	// consult this node's content-addressed run store before simulating.
-	// Nil 404s every cache request.
-	Cache CacheReader
 	// Logger receives one structured record per request, carrying the
 	// request's trace ID, status and latency. Nil means silent.
 	Logger *slog.Logger
@@ -108,7 +95,7 @@ type Options struct {
 
 // New builds the server and its routes.
 func New(opts Options) *Server {
-	s := &Server{queue: opts.Queue, registry: opts.Registry, cache: opts.Cache, log: opts.Logger, mux: http.NewServeMux()}
+	s := &Server{queue: opts.Queue, registry: opts.Registry, log: opts.Logger, mux: http.NewServeMux()}
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -125,7 +112,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/artifacts/result.json", s.handleArtifact)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/timeline", s.handleTimeline)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/assertions", s.handleAssertions)
-	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheLookup)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return s
@@ -340,24 +326,6 @@ func (s *Server) handleAssertions(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleCacheLookup serves this node's cached run for a content key — the
-// federation peer-cache protocol. A hit returns the verified CachedRun
-// payload (core.CachedRun JSON); anything else, including a node running
-// without a cache, is a plain 404 the coordinator treats as a miss.
-func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
-	if s.cache == nil {
-		writeError(w, http.StatusNotFound, "no cache on this node")
-		return
-	}
-	payload, ok := s.cache.Payload(r.PathValue("key"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "no cached run for key")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(payload)
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if s.registry == nil {
@@ -367,8 +335,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // healthzResponse is the GET /healthz body. Status is always "ok" when the
-// handler answers at all; the queue depths let a federated coordinator's
-// prober see load, not just liveness.
+// handler answers at all; the queue depths show load, not just
+// liveness.
 type healthzResponse struct {
 	Status  string `json:"status"`
 	Queued  int    `json:"queued"`

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -333,61 +332,6 @@ func TestServerDrainingReturns503(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit to drained queue: %d, want 503", resp.StatusCode)
-	}
-}
-
-// stubCache is an in-memory CacheReader for the peer cache endpoint.
-type stubCache map[string]string
-
-func (c stubCache) Payload(key string) (json.RawMessage, bool) {
-	p, ok := c[key]
-	return json.RawMessage(p), ok
-}
-
-func TestServerCacheEndpoint(t *testing.T) {
-	release := make(chan struct{})
-	close(release)
-	q := jobs.New(jobs.Options{Workers: 1, Capacity: 8, Exec: func(ctx context.Context, spec jobs.Spec, _ func(done, retries int)) (any, error) {
-		return &jobs.RunArtifact{}, nil
-	}})
-	defer q.Shutdown(context.Background())
-	key := strings.Repeat("ab", 32)
-	payload := `{"result":{"MonitorFraction":0.5}}`
-	srv := httptest.NewServer(New(Options{Queue: q, Cache: stubCache{key: payload}}))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/v1/cache/" + key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cache hit: %d %s", resp.StatusCode, body)
-	}
-	if string(body) != payload {
-		t.Errorf("cache payload = %s, want %s (byte-for-byte)", body, payload)
-	}
-
-	resp, err = http.Get(srv.URL + "/v1/cache/" + strings.Repeat("cd", 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("cache miss: %d, want 404", resp.StatusCode)
-	}
-
-	// A node without a cache 404s rather than erroring.
-	bare := httptest.NewServer(New(Options{Queue: q}))
-	defer bare.Close()
-	resp, err = http.Get(bare.URL + "/v1/cache/" + key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("cacheless node: %d, want 404", resp.StatusCode)
 	}
 }
 

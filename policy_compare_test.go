@@ -1,6 +1,6 @@
 package nepdvs
 
-// End-to-end acceptance for the policy_compare experiment (DESIGN.md §16):
+// End-to-end acceptance for the policy_compare experiment (DESIGN.md §15):
 // the ranking artifact must be byte-identical across repeat local runs, and
 // a report assembled from results served over the dvsd HTTP path must match
 // the locally-simulated report byte for byte. Both properties fall out of

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Smoke test for assertion observability (DESIGN.md §17): run a deliberately
+# Smoke test for assertion observability (DESIGN.md §16): run a deliberately
 # violating LOC preset through nepsim with -assertions and -timeline,
 # validate the report JSON schema, assert the report is byte-identical when
 # the same trace is re-checked with locheck and when the checker is
