@@ -123,7 +123,7 @@ func run(cycles int64, par int, seed int64, outdir, metricsDir string, quiet boo
 		core.SetRunCache(store)
 		defer core.SetRunCache(nil)
 	}
-	prog := obs.NewProgress(os.Stderr, "runs", plan.PlannedRuns(),
+	prog := obs.NewProgress(os.Stderr, "runs", plan.PlannedRuns(o),
 		obs.StderrIsTerminal() && !quiet)
 	remove := experiments.ObserveRuns(reg, func(wall time.Duration, failed bool) {
 		prog.RunDone(failed)

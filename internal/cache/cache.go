@@ -187,30 +187,36 @@ func inc(c *obs.Counter) {
 	}
 }
 
-// Lookup implements core.RunCache. Any defect — missing file, bad JSON,
+// Lookup implements core.RunCache, logging the hit or miss at debug level
+// under the context's trace ID. Any defect — missing file, bad JSON,
 // schema or key mismatch, payload checksum failure — is a miss; defects in
 // an existing file additionally count as cache_errors and delete the entry.
-func (s *Store) Lookup(key string) (*core.CachedRun, bool) {
+func (s *Store) Lookup(ctx context.Context, key string) (cr *core.CachedRun, ok bool) {
+	defer func() {
+		msg := "cache miss"
+		if ok {
+			inc(s.hits)
+			msg = "cache hit"
+		} else {
+			inc(s.misses)
+		}
+		s.log.Debug(msg, "trace_id", obs.TraceIDFrom(ctx), "key", short(key))
+	}()
 	name, ok := entryName(key)
 	if !ok {
-		inc(s.misses)
 		return nil, false
 	}
-	path := filepath.Join(s.dir, name)
-	b, err := os.ReadFile(path)
+	b, err := os.ReadFile(filepath.Join(s.dir, name))
 	if err != nil {
-		inc(s.misses)
 		return nil, false
 	}
-	cr, err := decodeEntry(b, key)
+	cr, err = decodeEntry(b, key)
 	if err != nil {
 		// The file exists but cannot be trusted: count it, drop it, miss.
 		inc(s.errors)
-		inc(s.misses)
 		s.remove(key)
 		return nil, false
 	}
-	inc(s.hits)
 	return cr, true
 }
 
@@ -242,9 +248,11 @@ func decodeEntry(b []byte, key string) (*core.CachedRun, error) {
 }
 
 // Store implements core.RunCache: marshal, checksum, write atomically,
-// evict past MaxEntries. Failures count as cache_errors and are otherwise
+// evict past MaxEntries, and log the store at debug level under the
+// context's trace ID. Failures count as cache_errors and are otherwise
 // swallowed — the caller already has its result.
-func (s *Store) Store(key string, material []byte, cr *core.CachedRun) {
+func (s *Store) Store(ctx context.Context, key string, material []byte, cr *core.CachedRun) {
+	defer s.log.Debug("cache store", "trace_id", obs.TraceIDFrom(ctx), "key", short(key))
 	name, ok := entryName(key)
 	if !ok {
 		inc(s.errors)
@@ -330,25 +338,6 @@ func (s *Store) Len() int {
 
 // Dir returns the backing directory.
 func (s *Store) Dir() string { return s.dir }
-
-// LookupCtx implements core.CtxRunCache: the same lookup, attributed to the
-// request that caused it in the debug log. The context never changes what
-// is returned.
-func (s *Store) LookupCtx(ctx context.Context, key string) (*core.CachedRun, bool) {
-	cr, ok := s.Lookup(key)
-	if ok {
-		s.log.Debug("cache hit", "trace_id", obs.TraceIDFrom(ctx), "key", short(key))
-	} else {
-		s.log.Debug("cache miss", "trace_id", obs.TraceIDFrom(ctx), "key", short(key))
-	}
-	return cr, ok
-}
-
-// StoreCtx implements core.CtxRunCache.
-func (s *Store) StoreCtx(ctx context.Context, key string, material []byte, cr *core.CachedRun) {
-	s.Store(key, material, cr)
-	s.log.Debug("cache store", "trace_id", obs.TraceIDFrom(ctx), "key", short(key))
-}
 
 // short truncates a key for log lines, tolerating malformed keys.
 func short(key string) string {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -126,7 +127,7 @@ func TestStoreCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, ok := s.Lookup(key); ok {
+	if _, ok := s.Lookup(context.Background(), key); ok {
 		t.Fatal("corrupted entry served as a hit")
 	}
 	c := counters(reg)
@@ -140,7 +141,7 @@ func TestStoreCorruptionDetected(t *testing.T) {
 	if _, err := core.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Lookup(key); !ok {
+	if _, ok := s.Lookup(context.Background(), key); !ok {
 		t.Error("entry not restored after corruption recovery")
 	}
 }
@@ -156,7 +157,7 @@ func TestStoreEviction(t *testing.T) {
 
 	mk := func(i int) string {
 		key := fmt.Sprintf("%064x", i+1)
-		s.Store(key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{}})
+		s.Store(context.Background(), key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{}})
 		return key
 	}
 	k1, k2, k3 := mk(1), mk(2), mk(3)
@@ -186,7 +187,7 @@ func TestStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := fmt.Sprintf("%064x", 42)
-	s.Store(key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{}})
+	s.Store(context.Background(), key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{}})
 
 	s2, err := Open(dir, Options{})
 	if err != nil {
@@ -195,7 +196,7 @@ func TestStoreReopen(t *testing.T) {
 	if s2.Len() != 1 {
 		t.Fatalf("reopened Len = %d, want 1", s2.Len())
 	}
-	if _, ok := s2.Lookup(key); !ok {
+	if _, ok := s2.Lookup(context.Background(), key); !ok {
 		t.Error("entry not readable after reopen")
 	}
 }
@@ -216,8 +217,8 @@ func TestStoreConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 16; i++ {
 				key := fmt.Sprintf("%060x%04x", g, i)
-				s.Store(key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{}})
-				s.Lookup(key)
+				s.Store(context.Background(), key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{}})
+				s.Lookup(context.Background(), key)
 			}
 		}()
 	}
@@ -240,10 +241,10 @@ func TestStoreRejectsBadKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"", "short", "../../etc/passwd", string(make([]byte, 64))} {
-		if _, ok := s.Lookup(key); ok {
+		if _, ok := s.Lookup(context.Background(), key); ok {
 			t.Errorf("Lookup(%q) hit", key)
 		}
-		s.Store(key, nil, &core.CachedRun{Result: &core.RunResult{}})
+		s.Store(context.Background(), key, nil, &core.CachedRun{Result: &core.RunResult{}})
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -11,9 +11,9 @@ import (
 	"nepdvs/internal/obs"
 )
 
-// TestStoreImplementsCtxRunCache asserts the context-aware path satisfies
-// the core interface and attributes operations to the context's trace ID in
-// the debug log.
+// TestStoreImplementsCtxRunCache asserts the store satisfies the
+// context-aware core.RunCache and attributes operations to the context's
+// trace ID in the debug log.
 func TestStoreImplementsCtxRunCache(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug}))
@@ -21,7 +21,7 @@ func TestStoreImplementsCtxRunCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var _ core.CtxRunCache = s
+	var _ core.RunCache = s
 
 	cfg := core.RunConfig{Cycles: 123}
 	key, err := core.RunKey(cfg)
@@ -30,11 +30,11 @@ func TestStoreImplementsCtxRunCache(t *testing.T) {
 	}
 	ctx := obs.WithTraceID(context.Background(), "r-cachetest")
 
-	if _, ok := s.LookupCtx(ctx, key); ok {
+	if _, ok := s.Lookup(ctx, key); ok {
 		t.Fatal("lookup hit on empty store")
 	}
-	s.StoreCtx(ctx, key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{Config: cfg}})
-	if _, ok := s.LookupCtx(ctx, key); !ok {
+	s.Store(ctx, key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{Config: cfg}})
+	if _, ok := s.Lookup(ctx, key); !ok {
 		t.Fatal("lookup missed after store")
 	}
 

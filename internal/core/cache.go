@@ -57,40 +57,17 @@ type CachedRun struct {
 // safe for concurrent use; Lookup must return an independent value on every
 // call (callers patch the result's config in place). Store failures are the
 // implementation's to count and swallow — a broken cache must never fail a
-// simulation that already succeeded.
+// simulation that already succeeded. Both methods receive the run's
+// context, which carries the request trace ID on the service path, so hits,
+// misses and stores can be attributed in structured logs; the context must
+// not change what is looked up or stored.
 type RunCache interface {
 	// Lookup returns the cached run for key, if present and intact.
-	Lookup(key string) (*CachedRun, bool)
+	Lookup(ctx context.Context, key string) (*CachedRun, bool)
 	// Store records the run under key. material is the canonical key
 	// material (RunKeyMaterial) for audit; implementations may persist it
 	// alongside the payload.
-	Store(key string, material []byte, cr *CachedRun)
-}
-
-// CtxRunCache is the optional context-aware extension of RunCache. A cache
-// that implements it is consulted through these methods instead, receiving
-// the run's context — which carries the request trace ID on the service
-// path — so hits, misses and stores can be attributed in structured logs.
-// The context must not change what is looked up or stored.
-type CtxRunCache interface {
-	RunCache
-	LookupCtx(ctx context.Context, key string) (*CachedRun, bool)
-	StoreCtx(ctx context.Context, key string, material []byte, cr *CachedRun)
-}
-
-func cacheLookup(ctx context.Context, c RunCache, key string) (*CachedRun, bool) {
-	if cc, ok := c.(CtxRunCache); ok {
-		return cc.LookupCtx(ctx, key)
-	}
-	return c.Lookup(key)
-}
-
-func cacheStore(ctx context.Context, c RunCache, key string, material []byte, cr *CachedRun) {
-	if cc, ok := c.(CtxRunCache); ok {
-		cc.StoreCtx(ctx, key, material, cr)
-		return
-	}
-	c.Store(key, material, cr)
+	Store(ctx context.Context, key string, material []byte, cr *CachedRun)
 }
 
 var runCache atomic.Pointer[RunCache]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -22,7 +23,7 @@ type memCache struct {
 
 func newMemCache() *memCache { return &memCache{entries: make(map[string][]byte)} }
 
-func (m *memCache) Lookup(key string) (*CachedRun, bool) {
+func (m *memCache) Lookup(_ context.Context, key string) (*CachedRun, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	b, ok := m.entries[key]
@@ -37,7 +38,7 @@ func (m *memCache) Lookup(key string) (*CachedRun, bool) {
 	return &cr, true
 }
 
-func (m *memCache) Store(key string, material []byte, cr *CachedRun) {
+func (m *memCache) Store(_ context.Context, key string, material []byte, cr *CachedRun) {
 	b, err := json.Marshal(cr)
 	if err != nil {
 		return
@@ -278,8 +279,8 @@ func TestRunCacheBypassedByExtraSink(t *testing.T) {
 	}
 }
 
-// TestSweepDefaultParallelism pins the parallelism<=0 convention: the sweep
-// must complete (one worker per CPU) rather than deadlock on an empty
+// TestSweepDefaultParallelism pins the parallelism<=0 convention: a sweep
+// and a batch must complete (one worker per CPU) rather than deadlock on an empty
 // semaphore.
 func TestSweepDefaultParallelism(t *testing.T) {
 	cfg := cacheTestConfig(t)
@@ -294,7 +295,9 @@ func TestSweepDefaultParallelism(t *testing.T) {
 			t.Fatalf("parallelism %d: bad results %+v", p, rs)
 		}
 	}
-	if _, err := Replicate(cfg, []int64{1, 2}, 0); err != nil {
-		t.Fatalf("replicate with default parallelism: %v", err)
+	for _, r := range RunBatch(context.Background(), []RunConfig{cfg, cfg}, 0, nil) {
+		if r.Err != nil {
+			t.Fatalf("batch with default parallelism: %v", r.Err)
+		}
 	}
 }

@@ -277,8 +277,8 @@ func EventSchemaFor(chip npu.Config) *loc.Schema {
 func EventSchema() *loc.Schema { return EventSchemaFor(npu.DefaultConfig()) }
 
 // RunError wraps a failure inside the simulation itself — a panic recovered
-// from the model (possibly an injected one) — as an ordinary error so sweep
-// and replication machinery can record it instead of dying.
+// from the model (possibly an injected one) — as an ordinary error so batch
+// and sweep machinery can record it instead of dying.
 type RunError struct {
 	// Panicked reports that the run died by panic; Value is the panic value
 	// rendered as text and Stack the goroutine stack at recovery.
@@ -315,8 +315,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 // returns the stored result without simulating — the run hook does not
 // fire, and the stored metrics snapshot merges into cfg.Metrics in place of
 // a live publish — and a miss stores the completed result for the next
-// identical run. A cache that also implements CtxRunCache is consulted
-// through its context-aware methods, so lookups can observe trace IDs.
+// identical run. The cache sees the run's context, so lookups can observe
+// trace IDs.
 func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 	cache := loadRunCache()
 	var key string
@@ -328,7 +328,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 			material = m
 			sum := sha256.Sum256(m)
 			key = hex.EncodeToString(sum[:])
-			if cr, ok := cacheLookup(ctx, cache, key); ok && cr.Result != nil {
+			if cr, ok := cache.Lookup(ctx, key); ok && cr.Result != nil {
 				res := cr.Result
 				// The stored config round-tripped through JSON and lost the
 				// non-serializable fields; hand back the caller's own.
@@ -344,7 +344,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 	}
 	res, snap, err := runSim(ctx, cfg, key != "")
 	if err == nil && key != "" {
-		cacheStore(ctx, cache, key, material, &CachedRun{Result: res, Metrics: snap})
+		cache.Store(ctx, key, material, &CachedRun{Result: res, Metrics: snap})
 	}
 	return res, err
 }
@@ -642,8 +642,8 @@ type Point struct {
 }
 
 // TDVSGrid expands sweep axes into design points in the canonical
-// threshold-major order. Every sweep path — SweepTDVS and the job queue —
-// runs through Sweep, which expands the grid here, so point order (and
+// threshold-major order. Every sweep path — SweepTDVS, the job queue and
+// the experiments' sweeps — expands the grid here, so point order (and
 // thus artifact layout) is identical everywhere.
 func TDVSGrid(thresholds []float64, windows []int64) []Point {
 	points := make([]Point, 0, len(thresholds)*len(windows))
@@ -709,8 +709,8 @@ func Parallelism(p int) int {
 
 // ForEach calls fn(i) for every i in [0, n), at most Parallelism(parallelism)
 // calls at a time, and returns once all of them have returned. It is the
-// one bounded fan-out behind every parallel entry point: sweeps,
-// replication and the experiments' run batches.
+// one bounded fan-out behind every parallel entry point; RunBatch is built
+// on it.
 func ForEach(n, parallelism int, fn func(i int)) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, Parallelism(parallelism))
@@ -726,6 +726,39 @@ func ForEach(n, parallelism int, fn func(i int)) {
 	wg.Wait()
 }
 
+// BatchResult is the outcome of one config of a RunBatch. Exactly one of
+// Result and Err is set.
+type BatchResult struct {
+	Result *RunResult
+	Err    error
+	// Retries counts attempts beyond the first (see RunWithRetry).
+	Retries int
+}
+
+// RunBatch is the one batch executor: it runs every config with
+// RunWithRetry, at most Parallelism(parallelism) at a time, and returns the
+// outcomes in config order. At parallelism 1 the configs run in order.
+//
+// The batch is resilient: a config whose run still fails after its retry
+// records its error while the others complete. Cancelling ctx interrupts
+// in-flight runs and skips configs not yet started; each records ctx's
+// error. onDone, when non-nil, is called once per finished config,
+// concurrently from batch workers.
+func RunBatch(ctx context.Context, cfgs []RunConfig, parallelism int, onDone func(i int, r BatchResult)) []BatchResult {
+	out := make([]BatchResult, len(cfgs))
+	ForEach(len(cfgs), parallelism, func(i int) {
+		r := BatchResult{Err: ctx.Err()}
+		if r.Err == nil {
+			r.Result, r.Retries, r.Err = RunWithRetry(ctx, cfgs[i])
+		}
+		out[i] = r
+		if onDone != nil {
+			onDone(i, r)
+		}
+	})
+	return out
+}
+
 // SweepTDVS runs the cross product of thresholds × windows (each with the
 // base config's benchmark, traffic and formulas) in-process, in parallel
 // across goroutines — each run owns its kernel, so runs are independent.
@@ -734,40 +767,34 @@ func SweepTDVS(base RunConfig, thresholds []float64, windows []int64, parallelis
 	return Sweep(context.Background(), base, thresholds, windows, parallelism, nil)
 }
 
-// Sweep is the one sweep executor: it expands the grid (TDVSGrid), derives
-// each point's config (TDVSPointConfig) and runs it with RunWithRetry, at
-// most Parallelism(parallelism) points at a time. Results are returned in
-// the deterministic threshold-major order, so SweepTDVS and queued sweep
-// jobs produce the same results.
+// Sweep expands the grid (TDVSGrid), derives each point's config
+// (TDVSPointConfig) and runs the points as one RunBatch. Results are
+// returned in the deterministic threshold-major order, so SweepTDVS and
+// queued sweep jobs produce the same results.
 //
-// The sweep is resilient: a point whose run panics, times out or otherwise
-// fails records its error in its SweepResult while the remaining points
-// complete. If any point failed the returned error summarizes the damage —
-// callers that need every point treat it as fatal; callers doing robustness
-// exploration inspect the per-point Errs. Only when every point fails is
-// the result slice nil.
+// A point whose run panics, times out or otherwise fails records its error
+// in its SweepResult while the remaining points complete. If any point
+// failed the returned error summarizes the damage — callers that need every
+// point treat it as fatal; callers doing robustness exploration inspect the
+// per-point Errs. Only when every point fails is the result slice nil.
 //
-// Cancelling ctx interrupts in-flight runs and skips points not yet
-// started; each records the cancellation as its error. onPoint, when
-// non-nil, is called once per finished point, concurrently from sweep
-// workers — the job queue hangs per-job progress off it.
+// Cancellation follows RunBatch. onPoint, when non-nil, is called once per
+// finished point, concurrently from batch workers — the job queue hangs
+// per-job progress off it.
 func Sweep(ctx context.Context, base RunConfig, thresholds []float64, windows []int64, parallelism int, onPoint func(SweepResult)) ([]SweepResult, error) {
 	if len(thresholds) == 0 || len(windows) == 0 {
 		return nil, fmt.Errorf("core: empty sweep axes")
 	}
 	points := TDVSGrid(thresholds, windows)
+	cfgs := make([]RunConfig, len(points))
+	for i, pt := range points {
+		cfgs[i] = TDVSPointConfig(base, pt)
+	}
 	results := make([]SweepResult, len(points))
-	ForEach(len(points), parallelism, func(i int) {
-		pt := points[i]
-		var res *RunResult
-		retries, err := 0, ctx.Err()
-		if err == nil {
-			res, retries, err = RunWithRetry(ctx, TDVSPointConfig(base, pt))
-		}
-		if err != nil {
-			results[i] = SweepResult{Point: pt, Err: fmt.Errorf("core: point %+v: %w", pt, err), Retries: retries}
-		} else {
-			results[i] = SweepResult{Point: pt, Result: res, Retries: retries}
+	RunBatch(ctx, cfgs, parallelism, func(i int, r BatchResult) {
+		results[i] = SweepResult{Point: points[i], Result: r.Result, Retries: r.Retries}
+		if r.Err != nil {
+			results[i].Err = fmt.Errorf("core: point %+v: %w", points[i], r.Err)
 		}
 		if onPoint != nil {
 			onPoint(results[i])

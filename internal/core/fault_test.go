@@ -334,9 +334,9 @@ func TestSweepCancelSkipsUnstarted(t *testing.T) {
 	}
 }
 
-// TestReplicatePartialFailure: one bad seed is recorded and excluded while
-// the surviving seeds aggregate normally.
-func TestReplicatePartialFailure(t *testing.T) {
+// TestRunBatchSurvivesFailedRun: a run that still fails after its retry
+// records its error in place while the rest of the batch completes.
+func TestRunBatchSurvivesFailedRun(t *testing.T) {
 	cfg := shortCfg(t, workload.IPFwdr, traffic.LevelLow)
 	cfg.Cycles = 300_000
 	cfg.FaultPlan = &fault.Plan{
@@ -345,42 +345,25 @@ func TestReplicatePartialFailure(t *testing.T) {
 			{Kind: fault.KindPanic, OnsetCycle: 20_000, Only: fault.Scope{Seed: 2}},
 		},
 	}
-	rep, err := Replicate(cfg, []int64{1, 2, 3}, 3)
-	if err != nil {
-		t.Fatal(err)
+	cfgs := make([]RunConfig, 3)
+	for i := range cfgs {
+		cfgs[i] = cfg
+		cfgs[i].Traffic.Seed = int64(i + 1)
 	}
-	if len(rep.Failures) != 1 || rep.Failures[0].Seed != 2 {
-		t.Fatalf("Failures = %+v, want exactly seed 2", rep.Failures)
+	rs := RunBatch(context.Background(), cfgs, 3, nil)
+	for i, r := range rs {
+		if (r.Result == nil) == (r.Err == nil) {
+			t.Errorf("run %d has inconsistent result/err: %+v", i, r)
+		}
+		if want := i == 1; (r.Err != nil) != want {
+			t.Errorf("run %d failed = %v, want %v", i, r.Err != nil, want)
+		}
 	}
 	var re *RunError
-	if !errors.As(rep.Failures[0].Err, &re) || !re.Panicked {
-		t.Errorf("seed-2 failure = %v, want a panicked *RunError", rep.Failures[0].Err)
+	if !errors.As(rs[1].Err, &re) || !re.Panicked {
+		t.Errorf("seed-2 failure = %v, want a panicked *RunError", rs[1].Err)
 	}
-	if len(rep.Runs) != 3 || rep.Runs[0] == nil || rep.Runs[1] != nil || rep.Runs[2] == nil {
-		t.Fatalf("Runs layout wrong: %v", rep.Runs)
-	}
-	wantSeeds := []int64{1, 3}
-	if len(rep.PowerW.Seeds) != 2 || rep.PowerW.Seeds[0] != wantSeeds[0] || rep.PowerW.Seeds[1] != wantSeeds[1] {
-		t.Errorf("PowerW.Seeds = %v, want %v", rep.PowerW.Seeds, wantSeeds)
-	}
-	if len(rep.PowerW.Values) != 2 || len(rep.SentMbps.Values) != 2 || len(rep.LossFrac.Values) != 2 {
-		t.Errorf("aggregates hold %d/%d/%d values, want 2 each",
-			len(rep.PowerW.Values), len(rep.SentMbps.Values), len(rep.LossFrac.Values))
-	}
-}
-
-// TestReplicateAllSeedsFail: total failure is an error, not a silent empty
-// aggregate.
-func TestReplicateAllSeedsFail(t *testing.T) {
-	cfg := shortCfg(t, workload.IPFwdr, traffic.LevelLow)
-	cfg.Cycles = 300_000
-	cfg.FaultPlan = &fault.Plan{
-		Seed:   1,
-		Faults: []fault.Fault{{Kind: fault.KindPanic, OnsetCycle: 20_000}},
-	}
-	if _, err := Replicate(cfg, []int64{1, 2}, 2); err == nil {
-		t.Fatal("all-failing replication reported no error")
-	} else if !strings.Contains(err.Error(), "all 2 replication seeds failed") {
-		t.Errorf("unexpected error: %v", err)
+	if rs[1].Retries != 1 || rs[0].Retries != 0 {
+		t.Errorf("retries = %d/%d, want 0 for a clean run and 1 for the failed one", rs[0].Retries, rs[1].Retries)
 	}
 }

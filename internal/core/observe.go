@@ -7,7 +7,7 @@ import (
 
 // RunHook observes every completed Run — successful or not — with the
 // wall-clock time it took and its error, if any. Hooks see every run,
-// including the ones spawned internally by SweepTDVS and Replicate, which
+// including the ones spawned internally by RunBatch and Sweep, which
 // makes them the one place to hang live progress reporting and per-run
 // wall-time metrics without threading a callback through every sweep layer.
 // Cache hits (SetRunCache) are not runs and do not fire the hook: the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -128,8 +129,11 @@ func TestTimelineRecordsFaultWindows(t *testing.T) {
 // bug in the bypass tests below.
 type countingCache struct{ lookups, stores int }
 
-func (c *countingCache) Lookup(string) (*CachedRun, bool) { c.lookups++; return nil, false }
-func (c *countingCache) Store(string, []byte, *CachedRun) { c.stores++ }
+func (c *countingCache) Lookup(context.Context, string) (*CachedRun, bool) {
+	c.lookups++
+	return nil, false
+}
+func (c *countingCache) Store(context.Context, string, []byte, *CachedRun) { c.stores++ }
 
 // TestTimelineBypassesCache asserts a run carrying a recorder never probes
 // or populates the run cache — a hit could not replay the span stream.

@@ -15,9 +15,11 @@
 // plus three ablations beyond the paper (hysteresis, penalty sweep, and the
 // combined TDVS+EDVS policy the paper declined to build).
 //
-// Every runner returns a Report whose Body is gnuplot-style text: the same
-// rows/series the paper plots. Absolute values are calibrated to our
-// substrate; the shapes are the reproduction target (see EXPERIMENTS.md).
+// Every experiment declares its simulations as run configs and renders
+// Reports from their results; Plan.Execute runs the configs. A Report's
+// Body is gnuplot-style text: the same rows/series the paper plots.
+// Absolute values are calibrated to our substrate; the shapes are the
+// reproduction target (see EXPERIMENTS.md).
 package experiments
 
 import (
@@ -229,26 +231,48 @@ func (d *TDVSSweepData) find(th float64, w int64) (*core.RunResult, error) {
 	return nil, fmt.Errorf("experiments: no sweep result at threshold %v window %d", th, w)
 }
 
-// RunTDVSSweep executes the paper's §4.1 exploration: ipfwdr at the
-// high-traffic sample, thresholds 800–1400 × windows 20k–80k, plus the
-// noDVS baseline, all with the formula (2) and (3) analyzers attached.
+// sweepConfigs declares the paper's §4.1 exploration for a benchmark: the
+// high-traffic sample, the noDVS baseline, then thresholds 800–1400 ×
+// windows 20k–80k in TDVSGrid order, all with the formula (2) and (3)
+// analyzers attached.
+func sweepConfigs(bench workload.Name) func(Options) ([]core.RunConfig, error) {
+	return func(o Options) ([]core.RunConfig, error) {
+		base, err := o.baseConfig(bench, traffic.LevelHigh)
+		if err != nil {
+			return nil, err
+		}
+		base.Formulas = core.StandardFormulas()
+		cfgs := []core.RunConfig{base}
+		for _, pt := range core.TDVSGrid(Thresholds, Windows) {
+			cfgs = append(cfgs, core.TDVSPointConfig(base, pt))
+		}
+		return cfgs, nil
+	}
+}
+
+// sweepData assembles the results of sweepConfigs.
+func sweepData(bench workload.Name, o Options, rs []*core.RunResult) *TDVSSweepData {
+	d := &TDVSSweepData{Bench: bench, Options: o, NoDVS: rs[0]}
+	for i, pt := range core.TDVSGrid(Thresholds, Windows) {
+		d.Results = append(d.Results, core.SweepResult{Point: pt, Result: rs[i+1]})
+	}
+	return d
+}
+
+// RunTDVSSweep executes the paper's §4.1 exploration (sweepConfigs) as one
+// batch: at Parallelism 1 the noDVS baseline runs first, then the grid in
+// threshold-major order.
 func RunTDVSSweep(bench workload.Name, o Options) (*TDVSSweepData, error) {
 	o = o.withDefaults()
-	base, err := o.baseConfig(bench, traffic.LevelHigh)
+	cfgs, err := sweepConfigs(bench)(o)
 	if err != nil {
 		return nil, err
 	}
-	base.Formulas = core.StandardFormulas()
-
-	noDVS, err := core.Run(base)
+	rs, err := runAll(cfgs, o, map[string]*core.RunResult{})
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.SweepTDVS(base, Thresholds, Windows, o.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return &TDVSSweepData{Bench: bench, Options: o, NoDVS: noDVS, Results: res}, nil
+	return sweepData(bench, o, rs), nil
 }
 
 func distOf(r *core.RunResult, name string) (*loc.DistResult, error) {
@@ -396,33 +420,30 @@ func Fig9(d *TDVSSweepData) (Report, error) {
 	return Report{ID: "fig9", Title: "80th-percentile throughput surface with TDVS (" + string(d.Bench) + ")", Body: body, Charts: charts}, nil
 }
 
-// Fig10 runs the §4.2 EDVS study: ipfwdr, idle threshold 10%, windows
-// 20k–80k plus noDVS, rendering both power and throughput distributions.
-func Fig10(o Options) (Report, error) {
-	o = o.withDefaults()
+// fig10Configs declares the §4.2 EDVS study: ipfwdr, idle threshold 10%,
+// noDVS then windows 20k–80k.
+func fig10Configs(o Options) ([]core.RunConfig, error) {
 	base, err := o.baseConfig(workload.IPFwdr, traffic.LevelHigh)
 	if err != nil {
-		return Report{}, err
+		return nil, err
 	}
 	base.Formulas = core.StandardFormulas()
-
-	type out struct {
-		label string
-		res   *core.RunResult
-		err   error
-	}
-	runs := make([]out, 0, len(Windows)+1)
-	runs = append(runs, out{label: "noDVS"})
+	cfgs := []core.RunConfig{base}
 	for _, w := range Windows {
-		runs = append(runs, out{label: fmt.Sprintf("%dK", w/1000)})
-	}
-	core.ForEach(len(runs), o.Parallelism, func(i int) {
 		cfg := base
-		if runs[i].label != "noDVS" {
-			cfg.Policy = core.EDVSPolicy(Windows[i-1], 0.10)
-		}
-		runs[i].res, runs[i].err = core.Run(cfg)
-	})
+		cfg.Policy = core.EDVSPolicy(w, 0.10)
+		cfgs = append(cfgs, cfg)
+	}
+	return cfgs, nil
+}
+
+// fig10Report renders both the power and throughput distributions of the
+// EDVS study.
+func fig10Report(_ Options, rs []*core.RunResult) (Report, error) {
+	labels := []string{"noDVS"}
+	for _, w := range Windows {
+		labels = append(labels, fmt.Sprintf("%dK", w/1000))
+	}
 	var b strings.Builder
 	var charts []NamedChart
 	for _, part := range []string{"power", "throughput"} {
@@ -435,16 +456,13 @@ func Fig10(o Options) (Report, error) {
 			Title: "EDVS " + part, XLabel: xLabel, YLabel: "Normalized # of instances",
 			YFixed: true, YMin: 0, YMax: 1,
 		}
-		for _, r := range runs {
-			if r.err != nil {
-				return Report{}, r.err
-			}
-			dist, err := distOf(r.res, part)
+		for i, res := range rs {
+			dist, err := distOf(res, part)
 			if err != nil {
 				return Report{}, err
 			}
-			fmt.Fprintf(&b, "# series %s\n%s\n", r.label, dist.Render())
-			chart.Series = append(chart.Series, distSeries(r.label, dist))
+			fmt.Fprintf(&b, "# series %s\n%s\n", labels[i], dist.Render())
+			chart.Series = append(chart.Series, distSeries(labels[i], dist))
 		}
 		svg, err := chart.Render()
 		if err != nil {
@@ -455,71 +473,67 @@ func Fig10(o Options) (Report, error) {
 	return Report{ID: "fig10", Title: "Power and performance distribution for EDVS (ipfwdr)", Body: b.String(), Charts: charts}, nil
 }
 
-// Fig11Cell is one subgraph of the comparison grid.
-type Fig11Cell struct {
-	Bench  workload.Name
-	Level  traffic.Level
-	Policy string
-	Result *core.RunResult
+// fig11Policies are the §4.3 comparison's policies at their §4.1/§4.2
+// operating points (TDVS: 1400 Mbps / 40k — the power-oriented optimum;
+// EDVS: 10% / 40k).
+var fig11Policies = []core.PolicyConfig{
+	{},
+	core.EDVSPolicy(40000, 0.10),
+	core.TDVSPolicy(1400, 40000),
 }
 
-// Fig11 runs the §4.3 comparison: all four benchmarks × three traffic
-// levels × {noDVS, EDVS, TDVS} with the policies at their §4.1/§4.2
-// operating points (TDVS: 1400 Mbps / 40k — the power-oriented optimum;
-// EDVS: 10% / 40k), rendering the power distribution of each cell.
-func Fig11(o Options) (Report, []Fig11Cell, error) {
-	o = o.withDefaults()
-	levels := []traffic.Level{traffic.LevelLow, traffic.LevelMedium, traffic.LevelHigh}
-	policies := []core.PolicyConfig{
-		{},
-		core.EDVSPolicy(40000, 0.10),
-		core.TDVSPolicy(1400, 40000),
-	}
-	var cells []Fig11Cell
+// fig11Levels are the three traffic levels of the §4.3 comparison.
+var fig11Levels = []traffic.Level{traffic.LevelLow, traffic.LevelMedium, traffic.LevelHigh}
+
+// fig11Configs declares the §4.3 comparison: all four benchmarks × three
+// traffic levels × {noDVS, EDVS, TDVS}, policy innermost.
+func fig11Configs(o Options) ([]core.RunConfig, error) {
+	var cfgs []core.RunConfig
 	for _, bench := range workload.All {
-		for _, lv := range levels {
-			for _, pol := range policies {
-				cells = append(cells, Fig11Cell{Bench: bench, Level: lv, Policy: pol.String()})
+		for _, lv := range fig11Levels {
+			for _, pol := range fig11Policies {
+				cfg, err := o.baseConfig(bench, lv)
+				if err != nil {
+					return nil, err
+				}
+				cfg.Formulas = core.PowerFormula(100, 0.4, 1.8, 0.01)
+				cfg.Policy = pol
+				cfgs = append(cfgs, cfg)
 			}
 		}
 	}
-	errs := make([]error, len(cells))
-	core.ForEach(len(cells), o.Parallelism, func(i int) {
-		cfg, err := o.baseConfig(cells[i].Bench, cells[i].Level)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		cfg.Formulas = core.PowerFormula(100, 0.4, 1.8, 0.01)
-		cfg.Policy = policies[i%len(policies)] // cells nest policy innermost
-		cells[i].Result, errs[i] = core.Run(cfg)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return Report{}, nil, err
-		}
-	}
-	var b strings.Builder
-	for _, c := range cells {
-		dist, err := distOf(c.Result, "power")
-		if err != nil {
-			return Report{}, nil, err
-		}
-		fmt.Fprintf(&b, "## %s / %s traffic / %s (mean %.3f W, sent %.0f Mbps, loss %.4f)\n%s\n",
-			c.Bench, c.Level, c.Policy,
-			c.Result.Stats.AvgPowerW, c.Result.Stats.SentMbps(), c.Result.Stats.LossFrac(),
-			dist.Render())
-	}
-	return Report{ID: "fig11", Title: "Power comparisons for employing DVS", Body: b.String()}, cells, nil
+	return cfgs, nil
 }
 
-// IdleStudy reproduces the §4.2 idle-time distribution analysis: per-ME
+// fig11Report renders the power distribution of each comparison cell.
+func fig11Report(_ Options, rs []*core.RunResult) (Report, error) {
+	var b strings.Builder
+	i := 0
+	for _, bench := range workload.All {
+		for _, lv := range fig11Levels {
+			for _, pol := range fig11Policies {
+				res := rs[i]
+				i++
+				dist, err := distOf(res, "power")
+				if err != nil {
+					return Report{}, err
+				}
+				fmt.Fprintf(&b, "## %s / %s traffic / %s (mean %.3f W, sent %.0f Mbps, loss %.4f)\n%s\n",
+					bench, lv, pol,
+					res.Stats.AvgPowerW, res.Stats.SentMbps(), res.Stats.LossFrac(),
+					dist.Render())
+			}
+		}
+	}
+	return Report{ID: "fig11", Title: "Power comparisons for employing DVS", Body: b.String()}, nil
+}
+
+// idleConfigs declares the §4.2 idle-time distribution analysis: per-ME
 // per-window idle fractions under high traffic, via LOC hist analyzers.
-func IdleStudy(o Options) (Report, error) {
-	o = o.withDefaults()
+func idleConfigs(o Options) ([]core.RunConfig, error) {
 	cfg, err := o.baseConfig(workload.IPFwdr, traffic.LevelHigh)
 	if err != nil {
-		return Report{}, err
+		return nil, err
 	}
 	cfg.Chip.IdleSampleWindow = sim.NewClock(cfg.Chip.RefMHz).Cycles(40000)
 	var formulas []string
@@ -527,14 +541,16 @@ func IdleStudy(o Options) (Report, error) {
 		formulas = append(formulas, core.IdleFormula(me))
 	}
 	cfg.Formulas = strings.Join(formulas, "\n")
-	res, err := core.Run(cfg)
-	if err != nil {
-		return Report{}, err
-	}
+	return []core.RunConfig{cfg}, nil
+}
+
+func idleReport(_ Options, rs []*core.RunResult) (Report, error) {
+	res := rs[0]
+	chip := res.Config.Chip
 	var b strings.Builder
-	for me := 0; me < cfg.Chip.NumMEs; me++ {
+	for me := 0; me < chip.NumMEs; me++ {
 		role := "receiving"
-		if me >= cfg.Chip.RxMEs {
+		if me >= chip.RxMEs {
 			role = "transmitting"
 		}
 		lr, ok := res.LOCByName(fmt.Sprintf("idle_m%d", me))

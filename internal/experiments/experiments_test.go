@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -159,11 +161,21 @@ func TestSweepFiguresShapes(t *testing.T) {
 	}
 }
 
-func TestFig10Shapes(t *testing.T) {
-	r, err := Fig10(testOpts)
+// runOne runs one single-report experiment alone.
+func runOne(t *testing.T, id string, o Options) Report {
+	t.Helper()
+	rs, err := Run(id, o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rs) != 1 {
+		t.Fatalf("%s returned %d reports", id, len(rs))
+	}
+	return rs[0]
+}
+
+func TestFig10Shapes(t *testing.T) {
+	r := runOne(t, "fig10", testOpts)
 	if c := strings.Count(r.Body, "# series"); c != 2*(len(Windows)+1) {
 		t.Errorf("fig10 has %d series, want %d", c, 2*(len(Windows)+1))
 	}
@@ -186,24 +198,29 @@ func TestFig2Chart(t *testing.T) {
 }
 
 func TestFig11Shapes(t *testing.T) {
-	r, cells, err := Fig11(testOpts)
+	o := testOpts.withDefaults()
+	cfgs, err := fig11Configs(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 4*3*3 {
-		t.Fatalf("fig11 has %d cells, want 36", len(cells))
+	if len(cfgs) != 4*3*3 {
+		t.Fatalf("fig11 has %d cells, want 36", len(cfgs))
+	}
+	rs, err := runAll(cfgs, o, map[string]*core.RunResult{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := fig11Report(o, rs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if c := strings.Count(r.Body, "## "); c != 36 {
 		t.Errorf("fig11 renders %d cells", c)
 	}
+	// Cells nest benchmark, traffic level, policy (innermost).
 	find := func(b workload.Name, lv traffic.Level, p string) *core.RunResult {
-		for _, c := range cells {
-			if c.Bench == b && c.Level == lv && c.Policy == p {
-				return c.Result
-			}
-		}
-		t.Fatalf("cell %v/%v/%v missing", b, lv, p)
-		return nil
+		pi := slices.IndexFunc(fig11Policies, func(pol core.PolicyConfig) bool { return pol.String() == p })
+		return rs[(slices.Index(workload.All, b)*len(fig11Levels)+slices.Index(fig11Levels, lv))*len(fig11Policies)+pi]
 	}
 	// §4.3 claims at the paper's operating points:
 	// (1) nat shows no power savings from EDVS at any traffic level.
@@ -241,10 +258,7 @@ func TestFig11Shapes(t *testing.T) {
 }
 
 func TestIdleStudy(t *testing.T) {
-	r, err := IdleStudy(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runOne(t, "idle", testOpts)
 	if c := strings.Count(r.Body, "## ME"); c != 6 {
 		t.Errorf("idle study covers %d MEs", c)
 	}
@@ -254,33 +268,21 @@ func TestIdleStudy(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	hy, err := AblationHysteresis(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hy := runOne(t, "ablation-hysteresis", testOpts)
 	if len(strings.Split(strings.TrimSpace(hy.Body), "\n")) != 5 {
 		t.Errorf("hysteresis ablation rows:\n%s", hy.Body)
 	}
-	pe, err := AblationPenalty(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pe := runOne(t, "ablation-penalty", testOpts)
 	if !strings.Contains(pe.Body, "penalty_us") {
 		t.Errorf("penalty ablation:\n%s", pe.Body)
 	}
-	cb, err := AblationCombined(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cb := runOne(t, "ablation-combined", testOpts)
 	for _, want := range []string{"noDVS", "tdvs", "edvs", "combined"} {
 		if !strings.Contains(cb.Body, want) {
 			t.Errorf("combined ablation missing %s:\n%s", want, cb.Body)
 		}
 	}
-	or, err := AblationOracle(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	or := runOne(t, "ablation-oracle", testOpts)
 	if !strings.Contains(or.Body, "oracle") || strings.Count(or.Body, "\n") != 5 {
 		t.Errorf("oracle ablation:\n%s", or.Body)
 	}
@@ -289,16 +291,42 @@ func TestAblations(t *testing.T) {
 func TestSummary(t *testing.T) {
 	o := testOpts
 	o.Cycles = 400_000
-	r, err := Summary(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runOne(t, "summary", o)
 	// Header + 4 benchmarks × 4 policies.
 	if got := strings.Count(strings.TrimSpace(r.Body), "\n"); got != 16 {
 		t.Errorf("summary rows = %d:\n%s", got, r.Body)
 	}
 	if !strings.Contains(r.Body, "±") {
 		t.Error("summary missing error bars")
+	}
+	// Each row replicates over distinct traffic realizations, so its runs
+	// differ: power and throughput cannot both have zero spread.
+	for _, line := range strings.Split(strings.TrimSpace(r.Body), "\n")[1:] {
+		f := strings.Split(line, "\t")
+		if strings.HasSuffix(f[2], "± 0.000") && strings.HasSuffix(f[3], "± 0") {
+			t.Errorf("row %q has no across-seed spread", line)
+		}
+	}
+}
+
+func TestReplicationMoments(t *testing.T) {
+	r := Replication{Values: []float64{1, 2, 3, 4}}
+	if got := r.Mean(); got != 2.5 {
+		t.Errorf("Mean = %v", got)
+	}
+	if got := r.StdDev(); math.Abs(got-1.2909944487358056) > 1e-12 {
+		t.Errorf("StdDev = %v", got)
+	}
+	if !strings.Contains(r.String(), "±") {
+		t.Errorf("String = %q", r.String())
+	}
+	single := Replication{Values: []float64{5}}
+	if single.StdDev() != 0 {
+		t.Error("single-seed sd should be 0")
+	}
+	var empty Replication
+	if !math.IsNaN(empty.Mean()) || !math.IsNaN(empty.StdDev()) {
+		t.Error("empty replication moments should be NaN")
 	}
 }
 

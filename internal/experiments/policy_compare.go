@@ -153,24 +153,3 @@ func PolicyCompareReport(results []*core.RunResult) (Report, error) {
 		Assertions: loc.BuildReport(all),
 	}, nil
 }
-
-// PolicyCompare runs every registry policy at its canonical operating
-// point and ranks the results.
-func PolicyCompare(o Options) (Report, error) {
-	o = o.withDefaults()
-	cfgs, err := PolicyCompareConfigs(o)
-	if err != nil {
-		return Report{}, err
-	}
-	results := make([]*core.RunResult, len(cfgs))
-	errs := make([]error, len(cfgs))
-	core.ForEach(len(cfgs), o.Parallelism, func(i int) {
-		results[i], errs[i] = core.Run(cfgs[i])
-	})
-	for i, err := range errs {
-		if err != nil {
-			return Report{}, fmt.Errorf("experiments: policy_compare %v: %w", cfgs[i].Policy, err)
-		}
-	}
-	return PolicyCompareReport(results)
-}

@@ -49,62 +49,53 @@ func RobustnessFormulas() string {
 	}, "\n")
 }
 
-// faultCell is one (intensity, policy) point of the fault sweep.
-type faultCell struct {
-	Intensity float64
-	Policy    core.PolicyConfig
-	Result    *core.RunResult
-	Err       error
+// faultSweepPolicies are the policies every fault intensity is run under.
+var faultSweepPolicies = []core.PolicyConfig{
+	core.TDVSPolicy(1000, 40000),
+	core.EDVSPolicy(40000, 0.10),
+	core.NewPolicy("pid", nil),
+	core.NewPolicy("psm", nil),
 }
 
-// FaultSweep runs the robustness ablation: the RobustnessFormulas presets
-// over intensities × {TDVS, EDVS, PID, PSM}, with one deterministic fault
-// plan per intensity shared by every policy so they face identical fault
-// schedules. The report carries the per-assertion violation counts and a
-// violation-rate surface over intensity.
-func FaultSweep(o Options) (Report, error) {
-	o = o.withDefaults()
-	policies := []core.PolicyConfig{
-		core.TDVSPolicy(1000, 40000),
-		core.EDVSPolicy(40000, 0.10),
-		core.NewPolicy("pid", nil),
-		core.NewPolicy("psm", nil),
+// faultSweepConfigs declares the robustness ablation: the
+// RobustnessFormulas presets over intensities × {TDVS, EDVS, PID, PSM},
+// policy innermost, with one deterministic fault plan per intensity shared
+// by every policy so they face identical fault schedules.
+func faultSweepConfigs(o Options) ([]core.RunConfig, error) {
+	base, err := o.baseConfig(workload.IPFwdr, traffic.LevelHigh)
+	if err != nil {
+		return nil, err
 	}
-	plans := make([]*fault.Plan, len(FaultIntensities))
+	base.Formulas = RobustnessFormulas()
+	var cfgs []core.RunConfig
 	for i, in := range FaultIntensities {
-		if in == 0 {
-			continue
+		var plan *fault.Plan
+		if in != 0 {
+			p, err := fault.GeneratePlan(fault.Spec{
+				Seed:      faultSweepSeed + int64(i),
+				Intensity: in,
+				Cycles:    o.Cycles,
+				Ports:     npu.DefaultConfig().Ports,
+			})
+			if err != nil {
+				return nil, err
+			}
+			plan = &p
 		}
-		p, err := fault.GeneratePlan(fault.Spec{
-			Seed:      faultSweepSeed + int64(i),
-			Intensity: in,
-			Cycles:    o.Cycles,
-			Ports:     npu.DefaultConfig().Ports,
-		})
-		if err != nil {
-			return Report{}, err
+		for _, pol := range faultSweepPolicies {
+			cfg := base
+			cfg.Policy = pol
+			cfg.FaultPlan = plan
+			cfgs = append(cfgs, cfg)
 		}
-		plans[i] = &p
 	}
+	return cfgs, nil
+}
 
-	var cells []faultCell
-	for i := range FaultIntensities {
-		for _, pol := range policies {
-			cells = append(cells, faultCell{Intensity: FaultIntensities[i], Policy: pol})
-		}
-	}
-	core.ForEach(len(cells), o.Parallelism, func(ci int) {
-		cfg, err := o.baseConfig(workload.IPFwdr, traffic.LevelHigh)
-		if err != nil {
-			cells[ci].Err = err
-			return
-		}
-		cfg.Formulas = RobustnessFormulas()
-		cfg.Policy = cells[ci].Policy
-		cfg.FaultPlan = plans[ci/len(policies)]
-		cells[ci].Result, cells[ci].Err = core.Run(cfg)
-	})
-
+// faultSweepReport carries the per-assertion violation counts and a
+// violation-rate surface over intensity.
+func faultSweepReport(_ Options, rs []*core.RunResult) (Report, error) {
+	policies := faultSweepPolicies
 	var b strings.Builder
 	b.WriteString("# intensity\tpolicy\tpower_w\tsent_mbps\tloss\tfaults_armed\tviolations\tinstances\tviol_rate\n")
 	chart := &plot.LineChart{
@@ -118,13 +109,11 @@ func FaultSweep(o Options) (Report, error) {
 		series[pi].Name = pol.String()
 	}
 	var detail strings.Builder
-	for ci, c := range cells {
-		if c.Err != nil {
-			return Report{}, fmt.Errorf("experiments: fault_sweep intensity %g policy %v: %w", c.Intensity, c.Policy, c.Err)
-		}
+	for ci, res := range rs {
+		intensity, pol := FaultIntensities[ci/len(policies)], policies[ci%len(policies)]
 		var viol, inst int64
-		fmt.Fprintf(&detail, "## intensity %g / %s\n", c.Intensity, c.Policy)
-		for _, lr := range c.Result.LOC {
+		fmt.Fprintf(&detail, "## intensity %g / %s\n", intensity, pol)
+		for _, lr := range res.LOC {
 			ck := lr.Check
 			if ck == nil {
 				continue
@@ -139,19 +128,19 @@ func FaultSweep(o Options) (Report, error) {
 				lr.Name, status, ck.Total, ck.Instances, ck.Indeterminate)
 		}
 		armed := 0
-		if c.Result.Faults != nil {
-			armed = c.Result.Faults.Armed
+		if res.Faults != nil {
+			armed = res.Faults.Armed
 		}
 		rate := 0.0
 		if inst > 0 {
 			rate = float64(viol) / float64(inst)
 		}
 		fmt.Fprintf(&b, "%.2f\t%s\t%.3f\t%.0f\t%.4f\t%d\t%d\t%d\t%.4f\n",
-			c.Intensity, c.Policy,
-			c.Result.Stats.AvgPowerW, c.Result.Stats.SentMbps(), c.Result.Stats.LossFrac(),
+			intensity, pol,
+			res.Stats.AvgPowerW, res.Stats.SentMbps(), res.Stats.LossFrac(),
 			armed, viol, inst, rate)
 		pi := ci % len(policies)
-		series[pi].X = append(series[pi].X, c.Intensity)
+		series[pi].X = append(series[pi].X, intensity)
 		series[pi].Y = append(series[pi].Y, rate)
 	}
 	chart.Series = series
@@ -164,9 +153,9 @@ func FaultSweep(o Options) (Report, error) {
 	// Attach the unified assertion report: every cell's formula results
 	// under "in<intensity>/<policy>/" prefixes, in cell order.
 	var all []loc.Result
-	for _, c := range cells {
-		for _, lr := range c.Result.LOC {
-			lr.Name = fmt.Sprintf("in%g/%s/%s", c.Intensity, c.Policy, lr.Name)
+	for ci, res := range rs {
+		for _, lr := range res.LOC {
+			lr.Name = fmt.Sprintf("in%g/%s/%s", FaultIntensities[ci/len(policies)], policies[ci%len(policies)], lr.Name)
 			all = append(all, lr)
 		}
 	}

@@ -52,10 +52,7 @@ func TestRobustnessPresetsGreen(t *testing.T) {
 // intensity × policy rows, a violation-rate chart, and a clean zero-
 // intensity baseline.
 func TestFaultSweepReport(t *testing.T) {
-	r, err := FaultSweep(testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runOne(t, "fault_sweep", testOpts)
 	if r.ID != "fault_sweep" {
 		t.Errorf("ID = %q", r.ID)
 	}

@@ -1,70 +1,62 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"nepdvs/internal/core"
 	"nepdvs/internal/workload"
 )
 
-// Experiment is one entry of the experiment table: an ID, the number of
-// core.Run invocations it performs when run alone, and its runner. Shared
-// entries (Figures 6–9) render the ipfwdr TDVS sweep that shared runs at
-// most once per execution, so their Runs — the sweep's cost — is paid once
-// however many of them run.
+// Experiment is one entry of the experiment table: an ID, the simulations
+// it needs and the renderer of its reports. Configs is nil for an analytic
+// experiment. Report receives the results of Configs(o) in order and must
+// treat them as read-only: a plan runs each distinct run key once and hands
+// the same result to every step that declares it.
 type Experiment struct {
-	ID     string
-	Runs   int
-	Shared bool
-	Run    func(o Options, shared func() (*TDVSSweepData, error)) ([]Report, error)
+	ID      string
+	Configs func(o Options) ([]core.RunConfig, error)
+	Report  func(o Options, results []*core.RunResult) ([]Report, error)
 }
 
-// sweepRuns is the cost of one RunTDVSSweep: a noDVS baseline plus the
-// full threshold×window grid.
-var sweepRuns = 1 + len(Thresholds)*len(Windows)
-
 // table is every experiment in presentation order, the order of
-// `dvsexplore all` and its reports. The run counts are static because
-// every design grid is fixed by the paper (§4.1–§4.3).
+// `dvsexplore all` and its reports.
 var table = []Experiment{
-	one("fig1", 0, func(Options) (Report, error) { return Fig1(), nil }), // analytic, no simulation
-	one("fig2", 0, func(Options) (Report, error) { return Fig2() }),
-	one("fig5", 0, func(Options) (Report, error) { return Fig5() }),
+	one("fig1", nil, func(Options, []*core.RunResult) (Report, error) { return Fig1(), nil }), // analytic, no simulation
+	one("fig2", nil, func(Options, []*core.RunResult) (Report, error) { return Fig2() }),
+	one("fig5", nil, func(Options, []*core.RunResult) (Report, error) { return Fig5() }),
 	view("fig6", Fig6),
 	view("fig7", Fig7),
 	view("fig8", Fig8),
 	view("fig9", Fig9),
-	one("fig10", len(Windows)+1, Fig10),               // noDVS baseline + one EDVS run per window
-	one("ablation-hysteresis", 4, AblationHysteresis), // hysteresis bands
-	one("ablation-penalty", 5, AblationPenalty),       // penalty points
-	one("ablation-combined", 4, AblationCombined),     // policies
-	one("ablation-oracle", 2*2, AblationOracle),       // windows × {TDVS, oracle}
-	one("idle", 1, IdleStudy),
-	one("fig11", 4*3*3, func(o Options) (Report, error) { // benchmarks × traffic levels × policies
-		r, _, err := Fig11(o)
-		return r, err
-	}),
+	one("fig10", fig10Configs, fig10Report),
+	one("ablation-hysteresis", hysteresisConfigs, hysteresisReport),
+	one("ablation-penalty", penaltyConfigs, penaltyReport),
+	one("ablation-combined", combinedConfigs, combinedReport),
+	one("ablation-oracle", oracleConfigs, oracleReport),
+	one("idle", idleConfigs, idleReport),
+	one("fig11", fig11Configs, fig11Report),
 	// The paper ends §4.1 noting its optimal configuration "is specific to
 	// this particular ipfwdr application"; these repeat the full sweep for
 	// the other three benchmarks.
 	benchSweep(workload.URL),
 	benchSweep(workload.NAT),
 	benchSweep(workload.MD4),
-	one("fault_sweep", 4*4, FaultSweep),     // intensities × policies
-	one("policy_compare", 4, PolicyCompare), // one run per registry policy
-	one("summary", 4*4*3, Summary),          // benchmarks × policies × seeds
+	one("fault_sweep", faultSweepConfigs, faultSweepReport),
+	one("policy_compare", PolicyCompareConfigs, func(_ Options, rs []*core.RunResult) (Report, error) {
+		return PolicyCompareReport(rs)
+	}),
+	one("summary", summaryConfigs, summaryReport),
 }
 
-// one adapts a single-report experiment that does not draw on the shared
-// sweep.
-func one(id string, runs int, f func(Options) (Report, error)) Experiment {
-	return Experiment{ID: id, Runs: runs, Run: func(o Options, _ func() (*TDVSSweepData, error)) ([]Report, error) {
-		r, err := f(o)
+// one adapts a single-report experiment.
+func one(id string, configs func(Options) ([]core.RunConfig, error), report func(Options, []*core.RunResult) (Report, error)) Experiment {
+	return Experiment{ID: id, Configs: configs, Report: func(o Options, rs []*core.RunResult) ([]Report, error) {
+		r, err := report(o, rs)
 		if err != nil {
 			return nil, err
 		}
@@ -72,30 +64,19 @@ func one(id string, runs int, f func(Options) (Report, error)) Experiment {
 	}}
 }
 
-// view adapts a figure rendered from the shared ipfwdr sweep.
+// view adapts a figure rendered from the ipfwdr TDVS sweep.
 func view(id string, fig func(*TDVSSweepData) (Report, error)) Experiment {
-	return Experiment{ID: id, Runs: sweepRuns, Shared: true, Run: func(_ Options, shared func() (*TDVSSweepData, error)) ([]Report, error) {
-		d, err := shared()
-		if err != nil {
-			return nil, err
-		}
-		r, err := fig(d)
-		if err != nil {
-			return nil, err
-		}
-		return []Report{r}, nil
-	}}
+	return one(id, sweepConfigs(workload.IPFwdr), func(o Options, rs []*core.RunResult) (Report, error) {
+		return fig(sweepData(workload.IPFwdr, o, rs))
+	})
 }
 
 // benchSweep runs the §4.1 design-space sweep for a non-ipfwdr benchmark
 // and reports its Figures 8/9-style percentile surfaces plus the optimal
 // points.
 func benchSweep(bench workload.Name) Experiment {
-	return Experiment{ID: "sweep-" + string(bench), Runs: sweepRuns, Run: func(o Options, _ func() (*TDVSSweepData, error)) ([]Report, error) {
-		d, err := RunTDVSSweep(bench, o)
-		if err != nil {
-			return nil, err
-		}
+	return Experiment{ID: "sweep-" + string(bench), Configs: sweepConfigs(bench), Report: func(o Options, rs []*core.RunResult) ([]Report, error) {
+		d := sweepData(bench, o, rs)
 		p, err := Fig8(d)
 		if err != nil {
 			return nil, err
@@ -108,6 +89,80 @@ func benchSweep(bench workload.Name) Experiment {
 		t.ID = fmt.Sprintf("sweep-%s-throughput", bench)
 		return []Report{p, t}, nil
 	}}
+}
+
+// run computes the experiment's reports, simulating only the configs memo
+// does not already hold (see runAll).
+func (e Experiment) run(o Options, memo map[string]*core.RunResult) ([]Report, error) {
+	var results []*core.RunResult
+	if e.Configs != nil {
+		cfgs, err := e.Configs(o)
+		if err != nil {
+			return nil, err
+		}
+		if results, err = runAll(cfgs, o, memo); err != nil {
+			return nil, err
+		}
+	}
+	return e.Report(o, results)
+}
+
+// newRuns returns each config's run key ("" when none can be derived) and
+// the indexes of the configs that must be simulated: the first config of
+// each key memo does not hold, and every config without a key. It only
+// indexes memo, so what it returns never depends on map order.
+func newRuns(cfgs []core.RunConfig, memo map[string]*core.RunResult) (keys []string, todo []int) {
+	keys = make([]string, len(cfgs))
+	claimed := map[string]bool{}
+	for i, cfg := range cfgs {
+		if k, err := core.RunKey(cfg); err == nil {
+			keys[i] = k
+			if _, ok := memo[k]; ok || claimed[k] {
+				continue
+			}
+			claimed[k] = true
+		}
+		todo = append(todo, i)
+	}
+	return keys, todo
+}
+
+// runAll returns the results of cfgs in order. It simulates the configs
+// newRuns picks as one core.RunBatch and records their results in memo
+// under their run keys, so a later call with an equal config reuses the
+// result instead of simulating again. A run that still fails after its
+// retry fails the call.
+func runAll(cfgs []core.RunConfig, o Options, memo map[string]*core.RunResult) ([]*core.RunResult, error) {
+	keys, todo := newRuns(cfgs, memo)
+	batch := make([]core.RunConfig, len(todo))
+	for j, i := range todo {
+		batch[j] = cfgs[i]
+	}
+	out := make([]*core.RunResult, len(cfgs))
+	var first error
+	for j, r := range core.RunBatch(context.Background(), batch, o.Parallelism, nil) {
+		i := todo[j]
+		if r.Err != nil {
+			if first == nil {
+				first = fmt.Errorf("experiments: run %d of %d (%s, %s, seed %d): %w",
+					i+1, len(cfgs), cfgs[i].Bench, cfgs[i].Policy, cfgs[i].Traffic.Seed, r.Err)
+			}
+			continue
+		}
+		out[i] = r.Result
+		if keys[i] != "" {
+			memo[keys[i]] = r.Result
+		}
+	}
+	if first != nil {
+		return nil, first
+	}
+	for i, r := range out {
+		if r == nil {
+			out[i] = memo[keys[i]]
+		}
+	}
+	return out, nil
 }
 
 // IDs returns the experiment IDs in sorted order.
@@ -132,8 +187,8 @@ func Run(id string, o Options) ([]Report, error) {
 
 // Plan is a validated selection of experiments together with the reports a
 // checkpoint already holds for them. PlannedRuns and Execute share that one
-// skip decision, so a progress total taken from PlannedRuns counts exactly
-// the runs Execute starts.
+// skip decision and one run-key deduplication, so a progress total taken
+// from PlannedRuns counts exactly the runs Execute starts.
 type Plan struct {
 	steps  []Experiment
 	stored map[string][]Report // reports resumed from ck, by step ID
@@ -172,19 +227,32 @@ func NewPlan(args []string, ck *core.Checkpoint) (*Plan, error) {
 	return p, nil
 }
 
-// PlannedRuns returns the number of core.Run invocations Execute performs:
-// the runs of each step not resumed from the checkpoint, with the shared
-// sweep counted once if any such step draws on it.
-func (p *Plan) PlannedRuns() int {
-	total, shared := 0, false
+// PlannedRuns returns the number of simulations Execute(o) performs: the
+// distinct run keys over the configs of every step not resumed from the
+// checkpoint. It walks the same configs through the same newRuns as
+// Execute, so the two cannot drift apart. A step whose configs cannot be
+// built runs nothing.
+func (p *Plan) PlannedRuns(o Options) int {
+	o = o.withDefaults()
+	memo := map[string]*core.RunResult{}
+	n := 0
 	for _, e := range p.steps {
-		if _, ok := p.stored[e.ID]; ok || (e.Shared && shared) {
+		if _, ok := p.stored[e.ID]; ok || e.Configs == nil {
 			continue
 		}
-		shared = shared || e.Shared
-		total += e.Runs
+		cfgs, err := e.Configs(o)
+		if err != nil {
+			continue
+		}
+		keys, todo := newRuns(cfgs, memo)
+		n += len(todo)
+		for _, i := range todo {
+			if keys[i] != "" {
+				memo[keys[i]] = nil
+			}
+		}
 	}
-	return total
+	return n
 }
 
 // Resumed returns the IDs of the steps resumed from the checkpoint, in plan
@@ -203,19 +271,18 @@ func (p *Plan) Resumed() []string {
 // order. A resumed step replays its stored reports; a computed step is
 // recorded in the checkpoint before the next begins. A failing step's
 // error, prefixed with its ID, is collected and the loop moves on, so every
-// other step's reports are still returned. The shared ipfwdr sweep runs
-// only if some computed step asks for it.
+// other step's reports are still returned. A run whose key an earlier step
+// already produced is not simulated again.
 func (p *Plan) Execute(o Options) ([]Report, []error) {
-	shared := sync.OnceValues(func() (*TDVSSweepData, error) {
-		return RunTDVSSweep(workload.IPFwdr, o)
-	})
+	o = o.withDefaults()
+	memo := map[string]*core.RunResult{}
 	var out []Report
 	var errs []error
 	for _, e := range p.steps {
 		rs, ok := p.stored[e.ID]
 		if !ok {
 			var err error
-			rs, err = e.Run(o, shared)
+			rs, err = e.run(o, memo)
 			if err == nil && p.ck != nil {
 				err = p.ck.Save(e.ID, rs)
 			}

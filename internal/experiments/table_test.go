@@ -1,29 +1,30 @@
 package experiments
 
 import (
-	"errors"
 	"path/filepath"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"nepdvs/internal/core"
-	"nepdvs/internal/workload"
 )
 
 func TestPlannedRuns(t *testing.T) {
+	sweep := 1 + len(Thresholds)*len(Windows)
 	cases := []struct {
 		args []string
 		want int
 	}{
-		{nil, 195},
-		{[]string{"all"}, 195},
+		{nil, 188},
+		{[]string{"all"}, 188},
 		{[]string{"fig10"}, 5},
-		{[]string{"fig6", "fig7"}, sweepRuns}, // named figures share the sweep too
+		{[]string{"fig6", "fig7"}, sweep}, // named figures share the sweep too
+		{[]string{"fig6", "fig10"}, sweep + 4},
 		{[]string{"fig1", "idle", "summary"}, 0 + 1 + 48},
+		{[]string{"ablation-combined", "summary"}, 48},
+		{[]string{"ablation-hysteresis", "ablation-penalty", "ablation-oracle"}, 4 + 4 + 3},
 		{[]string{"fault_sweep"}, 16},
 		{[]string{"policy_compare"}, 4},
 	}
@@ -32,7 +33,7 @@ func TestPlannedRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.PlannedRuns(); got != c.want {
+		if got := p.PlannedRuns(testOpts); got != c.want {
 			t.Errorf("PlannedRuns(%v) = %d, want %d", c.args, got, c.want)
 		}
 	}
@@ -42,8 +43,8 @@ func TestPlannedRuns(t *testing.T) {
 		}
 	}
 
-	// Resumed steps leave the total; the shared sweep stays in it while
-	// some step that draws on it still runs.
+	// Resumed steps leave the total; the sweep stays in it while some step
+	// that draws on it still runs.
 	ck, err := core.OpenCheckpoint(filepath.Join(t.TempDir(), "ck"))
 	if err != nil {
 		t.Fatal(err)
@@ -58,14 +59,14 @@ func TestPlannedRuns(t *testing.T) {
 		want int
 	}{
 		{[]string{"fig6", "fig7", "fig10"}, 0},
-		{[]string{"fig6", "fig8"}, sweepRuns},
-		{nil, 195 - 5},
+		{[]string{"fig6", "fig8"}, sweep},
+		{nil, 188 - 4}, // fig10's noDVS baseline is the sweep's
 	} {
 		p, err := NewPlan(c.args, ck)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.PlannedRuns(); got != c.want {
+		if got := p.PlannedRuns(testOpts); got != c.want {
 			t.Errorf("resumed PlannedRuns(%v) = %d, want %d", c.args, got, c.want)
 		}
 	}
@@ -144,22 +145,31 @@ func TestRunCheckpointedResume(t *testing.T) {
 	}
 }
 
-// TestExecuteSurvivesFailingStep runs the whole table with fig7 failing:
-// every other step's reports are still returned and checkpointed, and the
-// failure names its step.
+// TestExecuteSurvivesFailingStep runs the whole table with two steps whose
+// configs hold a run that cannot succeed: fig7 (all of whose other runs
+// fig6 already produced) and summary (one traffic seed of one cell). Each
+// failing step fails whole, naming the run; every other step's reports are
+// still returned and checkpointed.
 func TestExecuteSurvivesFailingStep(t *testing.T) {
 	ck, err := core.OpenCheckpoint(filepath.Join(t.TempDir(), "ck"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	invalid := func(configs func(Options) ([]core.RunConfig, error), i int) func(Options) ([]core.RunConfig, error) {
+		return func(o Options) ([]core.RunConfig, error) {
+			cfgs, err := configs(o)
+			cfgs[i].Policy = core.TDVSPolicy(1000, -1)
+			return cfgs, err
+		}
 	}
 	steps := slices.Clone(table)
 	var want []string
 	for i, e := range steps {
 		switch {
 		case e.ID == "fig7":
-			steps[i].Run = func(Options, func() (*TDVSSweepData, error)) ([]Report, error) {
-				return nil, errors.New("forced failure")
-			}
+			steps[i].Configs = invalid(e.Configs, 3)
+		case e.ID == "summary":
+			steps[i].Configs = invalid(e.Configs, 1) // ipfwdr, noDVS, second seed
 		case strings.HasPrefix(e.ID, "sweep-"):
 			want = append(want, e.ID+"-power", e.ID+"-throughput")
 		default:
@@ -167,8 +177,13 @@ func TestExecuteSurvivesFailingStep(t *testing.T) {
 		}
 	}
 	rs, errs := (&Plan{steps: steps, ck: ck}).Execute(testOpts)
-	if len(errs) != 1 || errs[0].Error() != "fig7: forced failure" {
-		t.Errorf("errors = %v, want [fig7: forced failure]", errs)
+	if len(errs) != 2 {
+		t.Fatalf("errors = %v, want one for fig7 and one for summary", errs)
+	}
+	for i, prefix := range []string{"fig7: experiments: run 4 of 17 (ipfwdr, tdvs, seed 1): ", "summary: experiments: run 2 of 48 (ipfwdr, tdvs, seed 2): "} {
+		if msg := errs[i].Error(); !strings.HasPrefix(msg, prefix) || !strings.Contains(msg, "window_cycles") {
+			t.Errorf("error %d = %q, want prefix %q naming window_cycles", i, msg, prefix)
+		}
 	}
 	var got []string
 	for _, r := range rs {
@@ -178,15 +193,15 @@ func TestExecuteSurvivesFailingStep(t *testing.T) {
 		t.Errorf("reports = %v, want %v", got, want)
 	}
 	for _, e := range steps {
-		if ck.Has(e.ID) != (e.ID != "fig7") {
+		if failed := e.ID == "fig7" || e.ID == "summary"; ck.Has(e.ID) == failed {
 			t.Errorf("checkpoint holds %s: %v", e.ID, ck.Has(e.ID))
 		}
 	}
 }
 
-// TestTableRunCounts runs every entry and checks its declared Runs against
-// the runs the core run hook counts; a shared entry after the first finds
-// the sweep already run. The total is what `all` plans.
+// TestTableRunCounts executes the whole table and checks that the run hook
+// fires exactly PlannedRuns times: each distinct run key is simulated once,
+// however many steps declare it.
 func TestTableRunCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -196,29 +211,47 @@ func TestTableRunCounts(t *testing.T) {
 	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { runs.Add(1) })
 	defer remove()
 
-	shared := sync.OnceValues(func() (*TDVSSweepData, error) {
-		return RunTDVSSweep(workload.IPFwdr, testOpts)
-	})
-	sweepRan := false
-	for _, e := range table {
-		before := runs.Load()
-		if _, err := e.Run(testOpts, shared); err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		want := e.Runs
-		if e.Shared && sweepRan {
-			want = 0
-		}
-		sweepRan = sweepRan || e.Shared
-		if got := int(runs.Load() - before); got != want {
-			t.Errorf("%s ran %d simulations, want %d", e.ID, got, want)
-		}
-	}
 	p, err := NewPlan(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := int(runs.Load()); got != p.PlannedRuns() {
-		t.Errorf("table ran %d simulations, all plans %d", got, p.PlannedRuns())
+	if _, errs := p.Execute(testOpts); len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	if got, want := int(runs.Load()), p.PlannedRuns(testOpts); got != want || want != 188 {
+		t.Errorf("table ran %d simulations, all plans %d, want 188", got, want)
+	}
+}
+
+// TestParallelismInvariance runs the steps that once looped over their runs
+// serially at parallelism 1 and 4: the reports must be byte-identical.
+func TestParallelismInvariance(t *testing.T) {
+	ids := []string{"ablation-hysteresis", "ablation-oracle", "ablation-combined", "idle", "summary"}
+	render := func(par int) []string {
+		p, err := NewPlan(ids, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, errs := p.Execute(Options{Cycles: 200_000, Parallelism: par, Seed: 1})
+		if len(errs) > 0 {
+			t.Fatal(errs)
+		}
+		var out []string
+		for _, r := range rs {
+			out = append(out, r.String())
+			for _, ch := range r.Charts {
+				out = append(out, ch.SVG)
+			}
+		}
+		return out
+	}
+	serial, parallel := render(1), render(4)
+	if len(serial) != len(ids)+1 { // summary carries one chart
+		t.Fatalf("got %d report parts, want %d", len(serial), len(ids)+1)
+	}
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Errorf("part %d differs between parallelism 1 and 4:\n%s\n---\n%s", i, serial[i], parallel[i])
+		}
 	}
 }

@@ -200,14 +200,17 @@ func insertSorted(xs []int64, v int64) []int64 {
 	return xs
 }
 
-func schemaList(schema map[string]bool) string {
+// schemaNames returns the names a schema map declares, sorted.
+func schemaNames(schema map[string]bool) []string {
 	names := make([]string, 0, len(schema))
 	for n := range schema {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	return fmt.Sprint(names)
+	return names
 }
+
+func schemaList(schema map[string]bool) string { return fmt.Sprint(schemaNames(schema)) }
 
 // StandardSchema returns the annotation schema of NPU simulation traces:
 // the five standard annotations plus any extras the caller declares.

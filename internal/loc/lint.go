@@ -3,7 +3,6 @@ package loc
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"nepdvs/internal/lint/diag"
 )
@@ -86,7 +85,7 @@ func Lint(f *Formula, schema map[string]bool) []diag.Diag {
 		seenRef[r] = true
 		if schema != nil && !schema[n.Ann] {
 			msg := fmt.Sprintf("unknown annotation %q (trace schema has %s)", n.Ann, schemaList(schema))
-			if sugg := didYouMean(n.Ann, schema); sugg != "" {
+			if sugg := diag.Suggest(n.Ann, schemaNames(schema)); sugg != "" {
 				msg = fmt.Sprintf("unknown annotation %q (did you mean %q?)", n.Ann, sugg)
 			}
 			report(n.Pos, LintUnknownAnn, "%s", msg)
@@ -190,58 +189,4 @@ func lintDivZero(e Expr, report func(Pos, string, string, ...any)) {
 			report(b.Pos, LintDivZero, "division by constant zero yields ±Inf or NaN on every instance")
 		}
 	})
-}
-
-// didYouMean returns the schema annotation closest to name when the edit
-// distance is small enough to look like a typo.
-func didYouMean(name string, schema map[string]bool) string {
-	best, bestDist := "", 3 // suggest only within edit distance 2
-	names := make([]string, 0, len(schema))
-	for n := range schema {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if d := editDistance(strings.ToLower(name), strings.ToLower(n)); d < bestDist {
-			best, bestDist = n, d
-		}
-	}
-	return best
-}
-
-// editDistance is the Levenshtein distance over bytes.
-func editDistance(a, b string) int {
-	if len(a) == 0 {
-		return len(b)
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

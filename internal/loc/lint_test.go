@@ -160,22 +160,3 @@ b: cycle(forward[i]) / (1 - 1) >= 0;
 		t.Fatalf("clean LintFile: diags=%v parsed=%v", ds, parsed)
 	}
 }
-
-func TestEditDistance(t *testing.T) {
-	cases := []struct {
-		a, b string
-		d    int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"cycle", "cycle", 0},
-		{"cycl", "cycle", 1},
-		{"cylce", "cycle", 2},
-		{"watts", "cycle", 5},
-	}
-	for _, c := range cases {
-		if got := editDistance(c.a, c.b); got != c.d {
-			t.Errorf("editDistance(%q, %q) = %d, want %d", c.a, c.b, got, c.d)
-		}
-	}
-}

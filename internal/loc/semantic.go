@@ -205,7 +205,7 @@ func semanticDiags(f *Formula, sch *Schema) []diag.Diag {
 			}
 			seen[n.Event] = true
 			msg := fmt.Sprintf("formula can never fire: trace schema has no event %q", n.Event)
-			if sugg := didYouMean(n.Event, sch.Events); sugg != "" {
+			if sugg := diag.Suggest(n.Event, schemaNames(sch.Events)); sugg != "" {
 				msg = fmt.Sprintf("formula can never fire: trace schema has no event %q (did you mean %q?)", n.Event, sugg)
 			}
 			diags = append(diags, finding(n.Pos, LintVacuous, msg))

@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strings"
 
+	"nepdvs/internal/lint/diag"
 	"nepdvs/internal/power"
 	"nepdvs/internal/sim"
 	"nepdvs/internal/span"
@@ -184,7 +185,7 @@ func Canonical(name string) (string, error) {
 	}
 	known := append(Names(), "nodvs")
 	hint := ""
-	if s := didYouMean(name, known); s != "" {
+	if s := diag.Suggest(name, known); s != "" {
 		hint = fmt.Sprintf(" (did you mean %q?)", s)
 	}
 	return "", fmt.Errorf("policy: unknown policy %q%s; known policies: %s",
@@ -239,7 +240,7 @@ func Validate(name string, p Params) error {
 		}
 		if !ok {
 			hint := ""
-			if s := didYouMean(k, declared); s != "" {
+			if s := diag.Suggest(k, declared); s != "" {
 				hint = fmt.Sprintf(" (did you mean %q?)", s)
 			}
 			return fmt.Errorf("policy: %s: unknown parameter %q%s; accepted: %s",
@@ -311,49 +312,4 @@ func DescribeAll() string {
 		}
 	}
 	return b.String()
-}
-
-// didYouMean suggests the closest known name within edit distance 2 (the
-// same heuristic as loc/unknown-ann).
-func didYouMean(name string, known []string) string {
-	const maxDist = 2
-	best, bestDist := "", maxDist+1
-	for _, k := range known {
-		d := editDistance(strings.ToLower(name), strings.ToLower(k))
-		if d < bestDist {
-			best, bestDist = k, d
-		}
-	}
-	return best
-}
-
-// editDistance is the Levenshtein distance over bytes.
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

@@ -64,7 +64,7 @@ func TestPolicyCompareDeterministic(t *testing.T) {
 // to the locally-simulated one.
 func TestPolicyCompareServicePath(t *testing.T) {
 	o := policyCompareOpts()
-	local, err := experiments.PolicyCompare(o)
+	local, err := experiments.Run("policy_compare", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestPolicyCompareServicePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if served.Body != local.Body {
-		t.Errorf("service-path report differs from local simulation:\n--- local ---\n%s\n--- served ---\n%s", local.Body, served.Body)
+	if served.Body != local[0].Body {
+		t.Errorf("service-path report differs from local simulation:\n--- local ---\n%s\n--- served ---\n%s", local[0].Body, served.Body)
 	}
 }
