@@ -137,9 +137,15 @@ assert-smoke:
 	sh scripts/assert_smoke.sh
 
 # Results byte-identity: regenerate every paper-scale report into a temp
-# dir and require it to match the committed results/ exactly. The manifest
-# is excluded because it records host wall time.
+# dir with a checkpoint, then resume a second exploration from that
+# checkpoint (it must simulate nothing), and require both outputs to match
+# the committed results/ exactly. The manifest is excluded because it
+# records host wall time.
 results-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/dvsexplore -outdir "$$tmp" -quiet all >/dev/null && \
-	diff -r -x manifest.json "$$tmp" results
+	$(GO) build -o "$$tmp/dvsexplore" ./cmd/dvsexplore && \
+	"$$tmp/dvsexplore" -outdir "$$tmp/a" -checkpoint "$$tmp/ck" -quiet all >/dev/null && \
+	"$$tmp/dvsexplore" -outdir "$$tmp/b" -checkpoint "$$tmp/ck" -quiet all >/dev/null 2>&1 && \
+	grep -q '"experiments_runs_completed": 0,' "$$tmp/b/manifest.json" && \
+	diff -r -x manifest.json "$$tmp/a" results && \
+	diff -r -x manifest.json "$$tmp/b" results

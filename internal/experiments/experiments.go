@@ -268,7 +268,7 @@ func RunTDVSSweep(bench workload.Name, o Options) (*TDVSSweepData, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs, err := runAll(cfgs, o, map[string]*core.RunResult{})
+	rs, err := runAll(cfgs, o)
 	if err != nil {
 		return nil, err
 	}

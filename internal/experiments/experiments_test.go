@@ -206,7 +206,7 @@ func TestFig11Shapes(t *testing.T) {
 	if len(cfgs) != 4*3*3 {
 		t.Fatalf("fig11 has %d cells, want 36", len(cfgs))
 	}
-	rs, err := runAll(cfgs, o, map[string]*core.RunResult{})
+	rs, err := runAll(cfgs, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"nepdvs/internal/core"
 	"nepdvs/internal/workload"
@@ -91,78 +92,69 @@ func benchSweep(bench workload.Name) Experiment {
 	}}
 }
 
-// run computes the experiment's reports, simulating only the configs memo
-// does not already hold (see runAll).
-func (e Experiment) run(o Options, memo map[string]*core.RunResult) ([]Report, error) {
-	var results []*core.RunResult
-	if e.Configs != nil {
-		cfgs, err := e.Configs(o)
-		if err != nil {
-			return nil, err
-		}
-		if results, err = runAll(cfgs, o, memo); err != nil {
-			return nil, err
-		}
-	}
-	return e.Report(o, results)
+// runPool is a plan's simulations: the distinct run configs of every step
+// not resumed from the checkpoint, in plan order, plus each step's configs
+// as indexes into them and each step's Configs error.
+type runPool struct {
+	cfgs []core.RunConfig
+	runs [][]int // by step; empty for a step that runs nothing
+	errs []error // by step
 }
 
-// newRuns returns each config's run key ("" when none can be derived) and
-// the indexes of the configs that must be simulated: the first config of
-// each key memo does not hold, and every config without a key. It only
-// indexes memo, so what it returns never depends on map order.
-func newRuns(cfgs []core.RunConfig, memo map[string]*core.RunResult) (keys []string, todo []int) {
-	keys = make([]string, len(cfgs))
-	claimed := map[string]bool{}
-	for i, cfg := range cfgs {
-		if k, err := core.RunKey(cfg); err == nil {
-			keys[i] = k
-			if _, ok := memo[k]; ok || claimed[k] {
-				continue
-			}
-			claimed[k] = true
-		}
-		todo = append(todo, i)
-	}
-	return keys, todo
-}
-
-// runAll returns the results of cfgs in order. It simulates the configs
-// newRuns picks as one core.RunBatch and records their results in memo
-// under their run keys, so a later call with an equal config reuses the
-// result instead of simulating again. A run that still fails after its
-// retry fails the call.
-func runAll(cfgs []core.RunConfig, o Options, memo map[string]*core.RunResult) ([]*core.RunResult, error) {
-	keys, todo := newRuns(cfgs, memo)
-	batch := make([]core.RunConfig, len(todo))
-	for j, i := range todo {
-		batch[j] = cfgs[i]
-	}
-	out := make([]*core.RunResult, len(cfgs))
-	var first error
-	for j, r := range core.RunBatch(context.Background(), batch, o.Parallelism, nil) {
-		i := todo[j]
-		if r.Err != nil {
-			if first == nil {
-				first = fmt.Errorf("experiments: run %d of %d (%s, %s, seed %d): %w",
-					i+1, len(cfgs), cfgs[i].Bench, cfgs[i].Policy, cfgs[i].Traffic.Seed, r.Err)
-			}
+// pool walks the plan's steps once. A config whose run key an earlier
+// config already claimed reuses that config's index; a config without a
+// key always gets its own. The walk only indexes a map, so the pool never
+// depends on map order.
+func (p *Plan) pool(o Options) runPool {
+	pl := runPool{runs: make([][]int, len(p.steps)), errs: make([]error, len(p.steps))}
+	byKey := map[string]int{}
+	for s, e := range p.steps {
+		if _, ok := p.stored[e.ID]; ok || e.Configs == nil {
 			continue
 		}
-		out[i] = r.Result
-		if keys[i] != "" {
-			memo[keys[i]] = r.Result
+		cfgs, err := e.Configs(o)
+		if err != nil {
+			pl.errs[s] = err
+			continue
+		}
+		for _, cfg := range cfgs {
+			k, err := core.RunKey(cfg)
+			j, ok := byKey[k]
+			if err != nil || !ok {
+				j = len(pl.cfgs)
+				pl.cfgs = append(pl.cfgs, cfg)
+				if err == nil {
+					byKey[k] = j
+				}
+			}
+			pl.runs[s] = append(pl.runs[s], j)
 		}
 	}
-	if first != nil {
-		return nil, first
-	}
-	for i, r := range out {
-		if r == nil {
-			out[i] = memo[keys[i]]
+	return pl
+}
+
+// results returns step s's run results in its Configs order, given the
+// outcomes of the pool's runs. A run that still failed after its retry
+// fails the step.
+func (pl runPool) results(s int, out []core.BatchResult) ([]*core.RunResult, error) {
+	rs := make([]*core.RunResult, len(pl.runs[s]))
+	for i, j := range pl.runs[s] {
+		if err := out[j].Err; err != nil {
+			c := pl.cfgs[j]
+			return nil, fmt.Errorf("experiments: run %d of %d (%s, %s, seed %d): %w",
+				i+1, len(rs), c.Bench, c.Policy, c.Traffic.Seed, err)
 		}
+		rs[i] = out[j].Result
 	}
-	return out, nil
+	return rs, nil
+}
+
+// runAll returns the results of cfgs in order, simulating each distinct run
+// key once in one core.RunBatch. A run that still fails after its retry
+// fails the call.
+func runAll(cfgs []core.RunConfig, o Options) ([]*core.RunResult, error) {
+	pl := (&Plan{steps: []Experiment{{Configs: func(Options) ([]core.RunConfig, error) { return cfgs, nil }}}}).pool(o)
+	return pl.results(0, core.RunBatch(context.Background(), pl.cfgs, o.Parallelism, nil))
 }
 
 // IDs returns the experiment IDs in sorted order.
@@ -186,9 +178,9 @@ func Run(id string, o Options) ([]Report, error) {
 }
 
 // Plan is a validated selection of experiments together with the reports a
-// checkpoint already holds for them. PlannedRuns and Execute share that one
-// skip decision and one run-key deduplication, so a progress total taken
-// from PlannedRuns counts exactly the runs Execute starts.
+// checkpoint already holds for them. PlannedRuns and Execute take their runs
+// from one pool, so a progress total taken from PlannedRuns counts exactly
+// the runs Execute starts.
 type Plan struct {
 	steps  []Experiment
 	stored map[string][]Report // reports resumed from ck, by step ID
@@ -228,31 +220,10 @@ func NewPlan(args []string, ck *core.Checkpoint) (*Plan, error) {
 }
 
 // PlannedRuns returns the number of simulations Execute(o) performs: the
-// distinct run keys over the configs of every step not resumed from the
-// checkpoint. It walks the same configs through the same newRuns as
-// Execute, so the two cannot drift apart. A step whose configs cannot be
-// built runs nothing.
+// size of the pool Execute runs. A step whose configs cannot be built runs
+// nothing.
 func (p *Plan) PlannedRuns(o Options) int {
-	o = o.withDefaults()
-	memo := map[string]*core.RunResult{}
-	n := 0
-	for _, e := range p.steps {
-		if _, ok := p.stored[e.ID]; ok || e.Configs == nil {
-			continue
-		}
-		cfgs, err := e.Configs(o)
-		if err != nil {
-			continue
-		}
-		keys, todo := newRuns(cfgs, memo)
-		n += len(todo)
-		for _, i := range todo {
-			if keys[i] != "" {
-				memo[keys[i]] = nil
-			}
-		}
-	}
-	return n
+	return len(p.pool(o.withDefaults()).cfgs)
 }
 
 // Resumed returns the IDs of the steps resumed from the checkpoint, in plan
@@ -267,32 +238,57 @@ func (p *Plan) Resumed() []string {
 	return ids
 }
 
-// Execute runs the plan's steps in order and returns their reports in that
-// order. A resumed step replays its stored reports; a computed step is
-// recorded in the checkpoint before the next begins. A failing step's
-// error, prefixed with its ID, is collected and the loop moves on, so every
-// other step's reports are still returned. A run whose key an earlier step
-// already produced is not simulated again.
+// Execute runs the plan's pool as one core.RunBatch and returns the steps'
+// reports in plan order. A resumed step replays its stored reports; a
+// computed step renders and is recorded in the checkpoint as soon as the
+// last run it declares finishes. A failing step's error, prefixed with its
+// ID, is collected and every other step's reports are still returned.
 func (p *Plan) Execute(o Options) ([]Report, []error) {
 	o = o.withDefaults()
-	memo := map[string]*core.RunResult{}
-	var out []Report
-	var errs []error
-	for _, e := range p.steps {
+	pl := p.pool(o)
+	reports := make([][]Report, len(p.steps))
+	errs := make([]error, len(p.steps))
+	out := make([]core.BatchResult, len(pl.cfgs))
+	finish := func(s int) {
+		e := p.steps[s]
 		rs, ok := p.stored[e.ID]
-		if !ok {
-			var err error
-			rs, err = e.run(o, memo)
+		err := pl.errs[s]
+		if !ok && err == nil {
+			var results []*core.RunResult
+			if results, err = pl.results(s, out); err == nil {
+				rs, err = e.Report(o, results)
+			}
 			if err == nil && p.ck != nil {
 				err = p.ck.Save(e.ID, rs)
 			}
-			if err != nil {
-				errs = append(errs, fmt.Errorf("%s: %w", e.ID, err))
+		}
+		if err != nil {
+			errs[s] = fmt.Errorf("%s: %w", e.ID, err)
+		}
+		reports[s] = rs
+	}
+	for s, runs := range pl.runs {
+		if len(runs) == 0 {
+			finish(s)
+		}
+	}
+	var mu sync.Mutex
+	done := make([]bool, len(pl.cfgs))
+	core.RunBatch(context.Background(), pl.cfgs, o.Parallelism, func(j int, r core.BatchResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		out[j], done[j] = r, true
+		for s, runs := range pl.runs {
+			if slices.Contains(runs, j) && !slices.ContainsFunc(runs, func(i int) bool { return !done[i] }) {
+				finish(s)
 			}
 		}
-		out = append(out, rs...)
+	})
+	var all []Report
+	for _, rs := range reports {
+		all = append(all, rs...)
 	}
-	return out, errs
+	return all, slices.DeleteFunc(errs, func(err error) bool { return err == nil })
 }
 
 // loadStep returns the reports ck holds for step id. A missing — or

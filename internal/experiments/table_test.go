@@ -145,16 +145,39 @@ func TestRunCheckpointedResume(t *testing.T) {
 	}
 }
 
-// TestExecuteSurvivesFailingStep runs the whole table with two steps whose
-// configs hold a run that cannot succeed: fig7 (all of whose other runs
-// fig6 already produced) and summary (one traffic seed of one cell). Each
-// failing step fails whole, naming the run; every other step's reports are
-// still returned and checkpointed.
-func TestExecuteSurvivesFailingStep(t *testing.T) {
+// TestExecuteSavesStepOnItsLastRun: at parallelism 1 fig10's five runs
+// come first, and fig10 is in the checkpoint before idle's run begins, not
+// only once the whole plan has finished.
+func TestExecuteSavesStepOnItsLastRun(t *testing.T) {
 	ck, err := core.OpenCheckpoint(filepath.Join(t.TempDir(), "ck"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// At parallelism 1 the runs are serial, so the hook needs no lock.
+	var saved []bool
+	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { saved = append(saved, ck.Has("fig10")) })
+	defer remove()
+	p, err := NewPlan([]string{"fig10", "idle"}, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := testOpts
+	o.Parallelism = 1
+	if _, errs := p.Execute(o); len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	// The hook fires at the end of each run, before the batch hands the run
+	// to its steps.
+	if want := []bool{false, false, false, false, false, true}; !slices.Equal(saved, want) {
+		t.Errorf("fig10 in checkpoint at each run's end = %v, want %v", saved, want)
+	}
+}
+
+// TestExecuteSurvivesFailingStep runs plans in which some steps' configs
+// hold a run that cannot succeed. Each failing step fails whole, naming the
+// run; every other step's reports are still returned and checkpointed, and
+// a failing run two steps declare is attempted only once, plus its retry.
+func TestExecuteSurvivesFailingStep(t *testing.T) {
 	invalid := func(configs func(Options) ([]core.RunConfig, error), i int) func(Options) ([]core.RunConfig, error) {
 		return func(o Options) ([]core.RunConfig, error) {
 			cfgs, err := configs(o)
@@ -162,49 +185,97 @@ func TestExecuteSurvivesFailingStep(t *testing.T) {
 			return cfgs, err
 		}
 	}
-	steps := slices.Clone(table)
-	var want []string
-	for i, e := range steps {
-		switch {
-		case e.ID == "fig7":
-			steps[i].Configs = invalid(e.Configs, 3)
-		case e.ID == "summary":
-			steps[i].Configs = invalid(e.Configs, 1) // ipfwdr, noDVS, second seed
-		case strings.HasPrefix(e.ID, "sweep-"):
-			want = append(want, e.ID+"-power", e.ID+"-throughput")
-		default:
-			want = append(want, e.ID)
-		}
-	}
-	rs, errs := (&Plan{steps: steps, ck: ck}).Execute(testOpts)
-	if len(errs) != 2 {
-		t.Fatalf("errors = %v, want one for fig7 and one for summary", errs)
-	}
-	for i, prefix := range []string{"fig7: experiments: run 4 of 17 (ipfwdr, tdvs, seed 1): ", "summary: experiments: run 2 of 48 (ipfwdr, tdvs, seed 2): "} {
-		if msg := errs[i].Error(); !strings.HasPrefix(msg, prefix) || !strings.Contains(msg, "window_cycles") {
-			t.Errorf("error %d = %q, want prefix %q naming window_cycles", i, msg, prefix)
-		}
-	}
-	var got []string
-	for _, r := range rs {
-		got = append(got, r.ID)
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("reports = %v, want %v", got, want)
-	}
-	for _, e := range steps {
-		if failed := e.ID == "fig7" || e.ID == "summary"; ck.Has(e.ID) == failed {
-			t.Errorf("checkpoint holds %s: %v", e.ID, ck.Has(e.ID))
-		}
+	cases := []struct {
+		name     string
+		ids      []string       // nil: the whole table
+		broken   map[string]int // step ID -> index of its invalid config
+		errs     []string       // error prefixes, in plan order
+		attempts int64          // failed run attempts
+	}{{
+		// fig6 already produced all of fig7's other runs; summary's
+		// invalid run is one traffic seed of one cell.
+		name:   "whole table",
+		broken: map[string]int{"fig7": 3, "summary": 1},
+		errs: []string{
+			"fig7: experiments: run 4 of 17 (ipfwdr, tdvs, seed 1): ",
+			"summary: experiments: run 2 of 48 (ipfwdr, tdvs, seed 2): ",
+		},
+		attempts: 2 * 2,
+	}, {
+		name:   "shared run",
+		ids:    []string{"fig6", "fig8", "fig9", "fig10"},
+		broken: map[string]int{"fig8": 3, "fig9": 3},
+		errs: []string{
+			"fig8: experiments: run 4 of 17 (ipfwdr, tdvs, seed 1): ",
+			"fig9: experiments: run 4 of 17 (ipfwdr, tdvs, seed 1): ",
+		},
+		attempts: 2,
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ck, err := core.OpenCheckpoint(filepath.Join(t.TempDir(), "ck"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The hook fires from concurrent run workers.
+			var attempts atomic.Int64
+			remove := ObserveRuns(nil, func(_ time.Duration, failed bool) {
+				if failed {
+					attempts.Add(1)
+				}
+			})
+			defer remove()
+
+			p, err := NewPlan(c.ids, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := slices.Clone(p.steps)
+			var want []string
+			for i, e := range steps {
+				if j, ok := c.broken[e.ID]; ok {
+					steps[i].Configs = invalid(e.Configs, j)
+				} else if strings.HasPrefix(e.ID, "sweep-") {
+					want = append(want, e.ID+"-power", e.ID+"-throughput")
+				} else {
+					want = append(want, e.ID)
+				}
+			}
+			rs, errs := (&Plan{steps: steps, ck: ck}).Execute(testOpts)
+			if len(errs) != len(c.errs) {
+				t.Fatalf("errors = %v, want %d", errs, len(c.errs))
+			}
+			for i, prefix := range c.errs {
+				if msg := errs[i].Error(); !strings.HasPrefix(msg, prefix) || !strings.Contains(msg, "window_cycles") {
+					t.Errorf("error %d = %q, want prefix %q naming window_cycles", i, msg, prefix)
+				}
+			}
+			if got := attempts.Load(); got != c.attempts {
+				t.Errorf("failed run attempts = %d, want %d", got, c.attempts)
+			}
+			var got []string
+			for _, r := range rs {
+				got = append(got, r.ID)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("reports = %v, want %v", got, want)
+			}
+			for _, e := range steps {
+				if _, failed := c.broken[e.ID]; ck.Has(e.ID) == failed {
+					t.Errorf("checkpoint holds %s: %v", e.ID, ck.Has(e.ID))
+				}
+			}
+		})
 	}
 }
 
-// TestTableRunCounts executes the whole table and checks that the run hook
-// fires exactly PlannedRuns times: each distinct run key is simulated once,
+// TestParallelismInvariance executes the whole table at parallelism 1 and
+// 4: the reports and charts must be byte-identical. The run hook fires
+// exactly PlannedRuns times: each distinct run key is simulated once,
 // however many steps declare it.
-func TestTableRunCounts(t *testing.T) {
+func TestParallelismInvariance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment")
+		t.Skip("runs every experiment twice")
 	}
 	// The hook fires from concurrent run workers.
 	var runs atomic.Int64
@@ -215,24 +286,10 @@ func TestTableRunCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, errs := p.Execute(testOpts); len(errs) > 0 {
-		t.Fatal(errs)
-	}
-	if got, want := int(runs.Load()), p.PlannedRuns(testOpts); got != want || want != 188 {
-		t.Errorf("table ran %d simulations, all plans %d, want 188", got, want)
-	}
-}
-
-// TestParallelismInvariance runs the steps that once looped over their runs
-// serially at parallelism 1 and 4: the reports must be byte-identical.
-func TestParallelismInvariance(t *testing.T) {
-	ids := []string{"ablation-hysteresis", "ablation-oracle", "ablation-combined", "idle", "summary"}
 	render := func(par int) []string {
-		p, err := NewPlan(ids, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, errs := p.Execute(Options{Cycles: 200_000, Parallelism: par, Seed: 1})
+		o := testOpts
+		o.Parallelism = par
+		rs, errs := p.Execute(o)
 		if len(errs) > 0 {
 			t.Fatal(errs)
 		}
@@ -245,9 +302,13 @@ func TestParallelismInvariance(t *testing.T) {
 		}
 		return out
 	}
-	serial, parallel := render(1), render(4)
-	if len(serial) != len(ids)+1 { // summary carries one chart
-		t.Fatalf("got %d report parts, want %d", len(serial), len(ids)+1)
+	serial := render(1)
+	if got, want := int(runs.Load()), p.PlannedRuns(testOpts); got != want || want != 188 {
+		t.Errorf("table ran %d simulations, plans %d, want 188", got, want)
+	}
+	parallel := render(4)
+	if len(serial) != len(parallel) {
+		t.Fatalf("%d report parts at parallelism 1, %d at 4", len(serial), len(parallel))
 	}
 	for i := range serial {
 		if serial[i] != parallel[i] {

@@ -55,17 +55,6 @@ func NewProgress(w io.Writer, label string, total int, enabled bool) *Progress {
 	return p
 }
 
-// AddTotal grows the expected unit count (for work discovered mid-flight).
-func (p *Progress) AddTotal(n int) {
-	if !p.enabled {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.total += n
-	p.redrawLocked()
-}
-
 // RunDone records one completed unit and redraws.
 func (p *Progress) RunDone(failed bool) {
 	if !p.enabled {

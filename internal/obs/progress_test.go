@@ -59,19 +59,9 @@ func TestProgressDisabledIsSilent(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewProgress(&buf, "runs", 10, false)
 	p.RunDone(false)
-	p.AddTotal(3)
 	p.Finish()
 	if buf.Len() != 0 {
 		t.Errorf("disabled progress wrote %q", buf.String())
-	}
-}
-
-func TestProgressAddTotal(t *testing.T) {
-	var buf bytes.Buffer
-	p := newTestProgress(&buf, 1)
-	p.AddTotal(9)
-	if !strings.Contains(buf.String(), "0/10") {
-		t.Errorf("AddTotal not reflected: %q", buf.String())
 	}
 }
 

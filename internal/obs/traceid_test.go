@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestTraceIDRoundTrip(t *testing.T) {
@@ -28,7 +27,6 @@ func TestTraceIDRoundTrip(t *testing.T) {
 func TestProgressNonTTYWritesNoEscapes(t *testing.T) {
 	var buf strings.Builder
 	p := NewProgress(&buf, "runs", 5, false)
-	p.AddTotal(3)
 	for i := 0; i < 8; i++ {
 		p.RunDone(i%2 == 0)
 	}
@@ -38,35 +36,5 @@ func TestProgressNonTTYWritesNoEscapes(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "\r") {
 		t.Fatalf("non-TTY progress emitted redraw escapes: %q", buf.String())
-	}
-}
-
-// TestProgressETAStableUnderAddTotal asserts growing the total after runs
-// completed keeps the ETA estimate consistent with the observed per-run
-// rate — it must scale with the remaining count, never go negative or stall.
-func TestProgressETAStableUnderAddTotal(t *testing.T) {
-	var buf strings.Builder
-	p := NewProgress(&buf, "runs", 4, true)
-	p.minRedraw = 0
-	p.now = (&fakeClock{t: time.Unix(100, 0), step: time.Second}).now
-	p.start = time.Unix(100, 0)
-	p.RunDone(false)
-	p.RunDone(false)
-
-	eta1, ok := func() (time.Duration, bool) { p.mu.Lock(); defer p.mu.Unlock(); return p.eta() }()
-	if !ok || eta1 <= 0 {
-		t.Fatalf("eta after 2/4 = %v, %v", eta1, ok)
-	}
-
-	p.AddTotal(4) // work discovered mid-flight: now 2/8 done
-	eta2, ok := func() (time.Duration, bool) { p.mu.Lock(); defer p.mu.Unlock(); return p.eta() }()
-	if !ok || eta2 <= 0 {
-		t.Fatalf("eta after AddTotal = %v, %v", eta2, ok)
-	}
-	if eta2 < eta1 {
-		t.Fatalf("eta shrank when work grew: %v -> %v", eta1, eta2)
-	}
-	if !strings.Contains(buf.String(), "2/8") {
-		t.Fatalf("AddTotal after RunDone not reflected: %q", buf.String())
 	}
 }

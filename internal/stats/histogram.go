@@ -255,28 +255,6 @@ func (h *Histogram) QuantileLower(q float64) float64 {
 	return math.Inf(-1)
 }
 
-// Merge adds other's samples into h. The analysis periods must match exactly.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other.Min != h.Min || other.Max != h.Max || other.Step != h.Step {
-		return fmt.Errorf("stats: merging histograms with different periods <%v,%v,%v> vs <%v,%v,%v>",
-			h.Min, h.Max, h.Step, other.Min, other.Max, other.Step)
-	}
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-	h.total += other.total
-	h.nan += other.nan
-	h.sum += other.sum
-	h.sumSq += other.sumSq
-	if other.lo < h.lo {
-		h.lo = other.lo
-	}
-	if other.hi > h.hi {
-		h.hi = other.hi
-	}
-	return nil
-}
-
 // String renders a compact summary, useful in logs and error messages.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("hist<%g,%g,%g> n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",

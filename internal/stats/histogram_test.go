@@ -143,24 +143,6 @@ func TestQuantileOverflow(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := MustHistogram(0, 10, 1)
-	b := MustHistogram(0, 10, 1)
-	a.Add(1)
-	b.Add(2)
-	b.Add(math.NaN())
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != 2 || a.NaNs() != 1 {
-		t.Errorf("after merge Total=%d NaNs=%d, want 2,1", a.Total(), a.NaNs())
-	}
-	c := MustHistogram(0, 5, 1)
-	if err := a.Merge(c); err == nil {
-		t.Error("merging mismatched periods should error")
-	}
-}
-
 func TestRenderViews(t *testing.T) {
 	h := MustHistogram(0, 2, 1)
 	h.Add(0.5)
