@@ -269,19 +269,36 @@ func TestExecuteSurvivesFailingStep(t *testing.T) {
 	}
 }
 
-// TestParallelismInvariance executes the whole table at parallelism 1 and
-// 4: the reports and charts must be byte-identical. The run hook fires
-// exactly PlannedRuns times: each distinct run key is simulated once,
+// TestTableRunCounts executes the whole table once: the run hook fires
+// exactly PlannedRuns times, so each distinct run key is simulated once,
 // however many steps declare it.
-func TestParallelismInvariance(t *testing.T) {
+func TestTableRunCounts(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment twice")
+		t.Skip("runs every experiment")
 	}
 	// The hook fires from concurrent run workers.
 	var runs atomic.Int64
 	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { runs.Add(1) })
 	defer remove()
 
+	p, err := NewPlan(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, errs := p.Execute(testOpts); len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	if got, want := int(runs.Load()), p.PlannedRuns(testOpts); got != want || want != 188 {
+		t.Errorf("table ran %d simulations, plans %d, want 188", got, want)
+	}
+}
+
+// TestParallelismInvariance executes the whole table at parallelism 1 and
+// 4: the reports and charts must be byte-identical.
+func TestParallelismInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment twice")
+	}
 	p, err := NewPlan(nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -302,11 +319,7 @@ func TestParallelismInvariance(t *testing.T) {
 		}
 		return out
 	}
-	serial := render(1)
-	if got, want := int(runs.Load()), p.PlannedRuns(testOpts); got != want || want != 188 {
-		t.Errorf("table ran %d simulations, plans %d, want 188", got, want)
-	}
-	parallel := render(4)
+	serial, parallel := render(1), render(4)
 	if len(serial) != len(parallel) {
 		t.Fatalf("%d report parts at parallelism 1, %d at 4", len(serial), len(parallel))
 	}
