@@ -44,13 +44,15 @@ analyze:
 	done
 
 # Short fuzz smoke over the binary-trace parser, the text-trace line
-# formatter, the in-place text-trace parser against its strings.Fields oracle,
-# the LOC front end and the two lint pipelines; CI runs the same budget.
+# formatter, its number formatting against strconv, the in-place text-trace
+# parser against its strings.Fields oracle, the LOC front end and the two
+# lint pipelines; CI runs the same budget.
 # Leave -fuzztime off for a real fuzzing session.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzBinaryReader -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz=FuzzTextLine -fuzztime=$(FUZZTIME) ./internal/trace/
+	$(GO) test -fuzz=FuzzAppendNumber -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz=FuzzTextLineVsReader -fuzztime=$(FUZZTIME) ./internal/loc/rt/
 	$(GO) test -fuzz=FuzzLOCLexer -fuzztime=$(FUZZTIME) ./internal/loc/
 	$(GO) test -fuzz=FuzzLOCParse -fuzztime=$(FUZZTIME) ./internal/loc/
@@ -139,12 +141,16 @@ assert-smoke:
 # Results byte-identity: regenerate every paper-scale report into a temp
 # dir with a checkpoint, then resume a second exploration from that
 # checkpoint (it must simulate nothing), and require both outputs to match
-# the committed results/ exactly. The manifest is excluded because it
-# records host wall time.
+# the committed results/ exactly. The manifest is excluded from the diff
+# because it records host wall time; its run count must still match the
+# fresh exploration's.
 results-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/dvsexplore" ./cmd/dvsexplore && \
 	"$$tmp/dvsexplore" -outdir "$$tmp/a" -checkpoint "$$tmp/ck" -quiet all >/dev/null && \
+	want=$$(grep -o '"experiments_runs_completed": [0-9]*' results/manifest.json) && \
+	got=$$(grep -o '"experiments_runs_completed": [0-9]*' "$$tmp/a/manifest.json") && \
+	{ [ "$$got" = "$$want" ] || { echo "results-check: fresh manifest has $$got, results/manifest.json has $$want"; exit 1; }; } && \
 	"$$tmp/dvsexplore" -outdir "$$tmp/b" -checkpoint "$$tmp/ck" -quiet all >/dev/null 2>&1 && \
 	grep -q '"experiments_runs_completed": 0,' "$$tmp/b/manifest.json" && \
 	diff -r -x manifest.json "$$tmp/a" results && \

@@ -35,12 +35,14 @@ var goldenPolicies = []struct {
 
 // goldenDigests runs cfg with every observable surface attached and
 // returns the SHA-256 of the NPT1 trace, the metrics snapshot JSON, the
-// Chrome timeline JSON and the JSON of RunResult.DVSStats, in that order.
-func goldenDigests(t *testing.T, cfg RunConfig) ([4]string, *RunResult) {
+// Chrome timeline JSON, the JSON of RunResult.DVSStats and the text trace,
+// in that order.
+func goldenDigests(t *testing.T, cfg RunConfig) ([5]string, *RunResult) {
 	t.Helper()
-	var tr bytes.Buffer
+	var tr, txt bytes.Buffer
 	bw := trace.NewBinaryWriter(&tr)
-	cfg.ExtraSink = bw
+	tw := trace.NewTextWriter(&txt)
+	cfg.ExtraSink = trace.MultiSink{bw, tw}
 	cfg.Metrics = obs.NewRegistry()
 	rec := span.NewRecorder()
 	cfg.Spans = rec
@@ -49,6 +51,9 @@ func goldenDigests(t *testing.T, cfg RunConfig) ([4]string, *RunResult) {
 		t.Fatal(err)
 	}
 	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
@@ -63,8 +68,8 @@ func goldenDigests(t *testing.T, cfg RunConfig) ([4]string, *RunResult) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out [4]string
-	for i, b := range [][]byte{tr.Bytes(), snap.Bytes(), timeline, stats} {
+	var out [5]string
+	for i, b := range [][]byte{tr.Bytes(), snap.Bytes(), timeline, stats, txt.Bytes()} {
 		out[i] = fmt.Sprintf("%x", sha256.Sum256(b))
 	}
 	return out, res
@@ -72,8 +77,8 @@ func goldenDigests(t *testing.T, cfg RunConfig) ([4]string, *RunResult) {
 
 // TestPolicyGolden is the policy layer's characterization test: each
 // registry policy, clean and under an intensity-0.8 fault plan, must
-// reproduce the recorded digests of its trace, metrics, timeline and
-// controller statistics byte for byte. The digests live in
+// reproduce the recorded digests of its NPT1 trace, metrics, timeline,
+// controller statistics and text trace byte for byte. The digests live in
 // testdata/policy_golden.txt; a mismatch prints the new set. They are
 // pinned on amd64 only, where the float code generation they capture
 // (no fused multiply-add) matches the platform they were recorded on.
@@ -125,6 +130,6 @@ func TestPolicyGolden(t *testing.T) {
 		}
 	}
 	if mismatch {
-		t.Logf("new digests (name npt1 metrics timeline dvsstats):\n%s", strings.Join(got, "\n"))
+		t.Logf("new digests (name npt1 metrics timeline dvsstats text):\n%s", strings.Join(got, "\n"))
 	}
 }

@@ -129,9 +129,9 @@ func (e *Event) String() string {
 func (e *Event) appendText(dst []byte, keys []string) ([]byte, []string) {
 	dst = strconv.AppendUint(dst, e.Cycle, 10)
 	dst = append(dst, ' ')
-	dst = strconv.AppendFloat(dst, e.Time, 'f', 3, 64)
+	dst = appendFixed(dst, e.Time, 3)
 	dst = append(dst, ' ')
-	dst = strconv.AppendFloat(dst, e.Energy, 'f', 6, 64)
+	dst = appendFixed(dst, e.Energy, 6)
 	dst = append(dst, ' ')
 	dst = strconv.AppendUint(dst, e.TotalPkt, 10)
 	dst = append(dst, ' ')
@@ -143,14 +143,29 @@ func (e *Event) appendText(dst []byte, keys []string) ([]byte, []string) {
 		dst = append(dst, ' ')
 		dst = append(dst, k...)
 		dst = append(dst, '=')
-		dst = strconv.AppendFloat(dst, e.Extra[k], 'g', -1, 64)
+		dst = appendShortest(dst, e.Extra[k])
 	}
 	return dst, keys
 }
 
 // sortedKeys refills keys with the names of extra in sorted order, the
-// order both encodings write them in for determinism.
+// order both encodings write them in for determinism. Consecutive events
+// mostly carry the same one or two extras, so when keys (the previous
+// event's sorted names) already holds exactly extra's key set it is
+// returned as is, sparing the map walk and the sort.
 func sortedKeys(keys []string, extra map[string]float64) []string {
+	if len(keys) == len(extra) && len(keys) <= 2 {
+		same := true
+		for _, k := range keys {
+			if _, ok := extra[k]; !ok {
+				same = false
+				break
+			}
+		}
+		if same {
+			return keys
+		}
+	}
 	keys = keys[:0]
 	for k := range extra {
 		keys = append(keys, k)

@@ -398,6 +398,91 @@ func BenchmarkBinaryEmit(b *testing.B) {
 	}
 }
 
+// vfchangeEvent is a paper-magnitude DVS transition: time ~3·10⁴ µs,
+// energy ~10⁴ µJ and non-integral extras, so %g takes its strconv path.
+func vfchangeEvent() Event {
+	ev := Event{Name: "m2_vfchange", Cycle: 18_000_000, Time: 30000.123, Energy: 10234.567891, TotalPkt: 412345, TotalBit: 211120640}
+	ev.SetExtra("mhz", 566.667)
+	ev.SetExtra("volts", 1.283)
+	return ev
+}
+
+func BenchmarkTextEmitVFChange(b *testing.B) {
+	w := NewTextWriter(io.Discard)
+	ev := vfchangeEvent()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ev.Cycle = uint64(i)
+		w.Emit(&ev)
+	}
+}
+
+func BenchmarkBinaryEmitVFChange(b *testing.B) {
+	w := NewBinaryWriter(io.Discard)
+	ev := vfchangeEvent()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ev.Cycle = uint64(i)
+		w.Emit(&ev)
+	}
+}
+
+// TestWritersKeySetChanges sends events whose extra key sets change while
+// keeping their size through both writers: each writer reuses the previous
+// event's sorted keys only for the very same key set, so every text line
+// still matches the oracle and both files read back as written.
+func TestWritersKeySetChanges(t *testing.T) {
+	extras := []map[string]float64{
+		{"a": 1}, {"b": 2},
+		{"a": 1.5, "b": 2.5}, {"b": 3, "c": 0.25},
+		{"x": 7}, nil, {"x": 8},
+		{"mhz": 550, "volts": 1.25}, {"instrs": 256},
+		{"mhz": 600, "volts": 1.3}, {"mhz": 500, "volts": 1.2}, {"b": 4},
+	}
+	evs := make([]Event, len(extras))
+	for i, x := range extras {
+		evs[i] = Event{Name: "m1_vfchange", Cycle: uint64(100 * i), Time: 0.125 * float64(i), Energy: 0.5 + float64(i), TotalPkt: uint64(i), TotalBit: uint64(512 * i), Extra: x}
+	}
+
+	var text bytes.Buffer
+	tw := NewTextWriter(&text)
+	for i := range evs {
+		if err := tw.Emit(&evs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(text.String(), "\n"), "\n")
+	if len(lines) != len(evs)+1 {
+		t.Fatalf("text trace has %d lines, want %d", len(lines), len(evs)+1)
+	}
+	for i := range evs {
+		if want := oracleLine(&evs[i]); lines[i+1] != want {
+			t.Errorf("event %d: line %q, want %q", i, lines[i+1], want)
+		}
+	}
+	gotText, err := drain(t, NewTextReader(&text), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBin := roundTrip(t, evs,
+		func(b *bytes.Buffer) Sink { return NewBinaryWriter(b) },
+		func(s Sink) error { return s.(*BinaryWriter).Close() },
+		func(b *bytes.Buffer) Source { return NewBinaryReader(b) })
+	for name, got := range map[string][]Event{"text": gotText, "binary": gotBin} {
+		if len(got) != len(evs) {
+			t.Fatalf("%s: read %d events, wrote %d", name, len(got), len(evs))
+		}
+		for i := range evs {
+			if !sameEvent(&got[i], &evs[i]) {
+				t.Errorf("%s event %d: read %+v, wrote %+v", name, i, got[i], evs[i])
+			}
+		}
+	}
+}
+
 // Once the scratch buffers have grown, neither writer allocates per event.
 func TestEmitAllocationFree(t *testing.T) {
 	for name, w := range map[string]Sink{
