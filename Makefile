@@ -139,19 +139,20 @@ assert-smoke:
 	sh scripts/assert_smoke.sh
 
 # Results byte-identity: regenerate every paper-scale report into a temp
-# dir with a checkpoint, then resume a second exploration from that
-# checkpoint (it must simulate nothing), and require both outputs to match
-# the committed results/ exactly. The manifest is excluded from the diff
-# because it records host wall time; its run count must still match the
-# fresh exploration's.
+# dir through a fresh run cache, then resume a second exploration from that
+# cache (it must miss nothing and simulate nothing), and require both
+# outputs to match the committed results/ exactly. The manifest is excluded
+# from the diff because it records host wall time; its run count must still
+# match the fresh exploration's.
 results-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/dvsexplore" ./cmd/dvsexplore && \
-	"$$tmp/dvsexplore" -outdir "$$tmp/a" -checkpoint "$$tmp/ck" -quiet all >/dev/null && \
+	"$$tmp/dvsexplore" -outdir "$$tmp/a" -cache "$$tmp/c" -quiet all >/dev/null && \
 	want=$$(grep -o '"experiments_runs_completed": [0-9]*' results/manifest.json) && \
 	got=$$(grep -o '"experiments_runs_completed": [0-9]*' "$$tmp/a/manifest.json") && \
 	{ [ "$$got" = "$$want" ] || { echo "results-check: fresh manifest has $$got, results/manifest.json has $$want"; exit 1; }; } && \
-	"$$tmp/dvsexplore" -outdir "$$tmp/b" -checkpoint "$$tmp/ck" -quiet all >/dev/null 2>&1 && \
+	"$$tmp/dvsexplore" -outdir "$$tmp/b" -cache "$$tmp/c" -quiet all >/dev/null 2>&1 && \
 	grep -q '"experiments_runs_completed": 0,' "$$tmp/b/manifest.json" && \
+	grep -q '"misses": 0,' "$$tmp/b/manifest.json" && \
 	diff -r -x manifest.json "$$tmp/a" results && \
 	diff -r -x manifest.json "$$tmp/b" results

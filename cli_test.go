@@ -6,6 +6,7 @@ package nepdvs
 // Skipped in -short mode.
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -593,38 +594,88 @@ func TestCLIFaultInjection(t *testing.T) {
 	}
 }
 
-// TestCLICheckpointResume: a second dvsexplore run against the same
-// checkpoint directory replays finished experiments instead of
-// re-simulating them.
-func TestCLICheckpointResume(t *testing.T) {
+// TestCLICacheResume: the run cache is how an exploration resumes. After k
+// of its entries are lost, a rerun over the same cache simulates exactly
+// those k runs and writes the same reports. -checkpoint is not a flag:
+// naming it is a usage error.
+func TestCLICacheResume(t *testing.T) {
 	bins := buildTools(t)
-	ck := filepath.Join(t.TempDir(), "ck")
-	outdir := t.TempDir()
-	args := []string{"-quiet", "-cycles", "200000", "-checkpoint", ck,
-		"-outdir", outdir, "idle", "fig1"}
+	dvsexplore := filepath.Join(bins, "dvsexplore")
+	work := t.TempDir()
+	c := filepath.Join(work, "c")
+	explore := func(outdir string) manifest {
+		t.Helper()
+		out, err := runTool(t, dvsexplore, "-quiet", "-cache", c, "-cycles", "200000",
+			"-outdir", outdir, "idle", "fig10", "fig1")
+		if err != nil {
+			t.Fatalf("dvsexplore into %s: %v\n%s", outdir, err, out)
+		}
+		var m manifest
+		if err := json.Unmarshal(readFile(t, filepath.Join(outdir, "manifest.json")), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	a, b := filepath.Join(work, "a"), filepath.Join(work, "b")
+	first := explore(a)
 
-	out, err := runTool(t, filepath.Join(bins, "dvsexplore"), args...)
+	entries, err := filepath.Glob(filepath.Join(c, "*.json"))
 	if err != nil {
-		t.Fatalf("first run: %v\n%s", err, out)
+		t.Fatal(err)
 	}
-	if strings.Contains(out, "resumed from checkpoint") {
-		t.Errorf("first run claims to have resumed:\n%s", out)
+	if n := first.Metrics.Counters["experiments_runs_completed"]; len(entries) != 6 || n != 6 {
+		t.Fatalf("first run simulated %d runs and left %d cache entries, want 6 each", n, len(entries))
 	}
-	if _, err := os.Stat(filepath.Join(ck, "idle.json")); err != nil {
-		t.Error("no checkpoint entry for idle")
-	}
-
-	out, err = runTool(t, filepath.Join(bins, "dvsexplore"), args...)
-	if err != nil {
-		t.Fatalf("resumed run: %v\n%s", err, out)
-	}
-	for _, id := range []string{"idle", "fig1"} {
-		if !strings.Contains(out, id+" resumed from checkpoint") {
-			t.Errorf("%s was not resumed:\n%s", id, out)
+	const k = 2
+	for _, e := range entries[:k] {
+		if err := os.Remove(e); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Results are still written on resume.
-	if _, err := os.Stat(filepath.Join(outdir, "idle.dat")); err != nil {
-		t.Error("resumed run wrote no idle.dat")
+	second := explore(b)
+	if second.Cache.Misses != k || second.Cache.Hits != 6-k {
+		t.Errorf("resumed run cache block %+v, want %d misses and %d hits", second.Cache, k, 6-k)
 	}
+	if n := second.Metrics.Counters["experiments_runs_completed"]; n != k {
+		t.Errorf("resumed run simulated %d runs, want %d", n, k)
+	}
+	files, err := os.ReadDir(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if f.Name() == "manifest.json" {
+			continue
+		}
+		if !bytes.Equal(readFile(t, filepath.Join(a, f.Name())), readFile(t, filepath.Join(b, f.Name()))) {
+			t.Errorf("%s differs between the first and the resumed run", f.Name())
+		}
+	}
+	if n, err := os.ReadDir(b); err != nil || len(n) != len(files) {
+		t.Errorf("resumed run wrote %d files, first run %d (%v)", len(n), len(files), err)
+	}
+
+	out, err := runTool(t, dvsexplore, "-checkpoint", filepath.Join(work, "ck"), "fig1")
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Errorf("dvsexplore -checkpoint: %v, want exit status 2\n%s", err, out)
+	}
+}
+
+// manifest is the part of a run manifest the CLI tests read.
+type manifest struct {
+	Metrics struct {
+		Counters map[string]uint64 `json:"counters"`
+	} `json:"metrics"`
+	Cache struct {
+		Hits, Misses uint64
+	} `json:"cache"`
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -13,17 +13,17 @@
 // exploration is then resilient: named experiments and `all` run through
 // one loop, and a failing experiment is recorded (in the manifest's
 // failures list and the exit status) while the others complete and land on
-// disk. -run-timeout bounds each simulation run with a wall-clock watchdog,
-// and -checkpoint makes the whole exploration restartable — finished
-// experiments are recorded in the checkpoint directory and a rerun resumes
-// them instead of re-simulating, leaving them out of the progress total.
+// disk. -run-timeout bounds each simulation run with a wall-clock watchdog.
 // Every output path is checked before the first write, so two outputs that
 // map to one file fail the invocation, and all result files are written
-// atomically, so a killed run never leaves truncated artifacts. With
-// -cache, completed runs land in a content-addressed result cache shared
-// with nepsim and dvsd: a rerun (or an overlapping exploration) serves
-// identical runs from disk instead of simulating, and the manifest records
-// the hit/miss counts.
+// atomically, so a killed run never leaves truncated artifacts.
+//
+// With -cache, each completed run lands in a content-addressed result cache
+// shared with nepsim and dvsd. That cache is also how an exploration
+// resumes: a rerun over the same cache directory, after a crash, an
+// interrupt or with an overlapping selection, serves every finished run from
+// disk and simulates only the rest. Cache hits count as finished runs on the
+// progress line, and the manifest records the hit/miss counts.
 //
 // Examples:
 //
@@ -31,10 +31,11 @@
 //	dvsexplore -list-policies
 //	dvsexplore fig6 fig7 policy_compare
 //	dvsexplore -cycles 2000000 -outdir results -metrics results all
-//	dvsexplore -checkpoint results/ck -run-timeout 10m -outdir results all
+//	dvsexplore -cache results/cache -run-timeout 10m -outdir results all
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -61,7 +62,6 @@ func main() {
 		metricsDir = flag.String("metrics", "", "write metrics.json and metrics.prom into this directory")
 		quiet      = flag.Bool("quiet", false, "suppress the live progress line")
 		runTimeout = flag.Duration("run-timeout", 0, "wall-clock watchdog per simulation run (0 = unbounded)")
-		checkpoint = flag.String("checkpoint", "", "checkpoint directory: record finished experiments and resume a killed exploration")
 		cacheDir   = flag.String("cache", "", "content-addressed run cache directory (shared with nepsim and dvsd)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
@@ -77,17 +77,18 @@ func main() {
 		fmt.Print(policy.DescribeAll())
 		return
 	}
-	if _, err := experiments.NewPlan(flag.Args(), nil); err != nil {
+	plan, err := experiments.NewPlan(flag.Args())
+	if err != nil {
 		cli.DieUsage("dvsexplore", err)
 	}
 	if err := run(*cycles, *par, *seed, *outdir, *metricsDir, *quiet,
-		*runTimeout, *checkpoint, *cacheDir, *cpuprofile, *memprofile, flag.Args()); err != nil {
+		*runTimeout, *cacheDir, *cpuprofile, *memprofile, plan, flag.Args()); err != nil {
 		cli.Die("dvsexplore", err)
 	}
 }
 
 func run(cycles int64, par int, seed int64, outdir, metricsDir string, quiet bool,
-	runTimeout time.Duration, checkpoint, cacheDir, cpuprofile, memprofile string, args []string) error {
+	runTimeout time.Duration, cacheDir, cpuprofile, memprofile string, plan *experiments.Plan, args []string) error {
 
 	start := time.Now()
 	prof, err := obs.StartProfiles(cpuprofile, memprofile)
@@ -95,21 +96,6 @@ func run(cycles int64, par int, seed int64, outdir, metricsDir string, quiet boo
 		return err
 	}
 	defer prof.Stop()
-
-	var ck *core.Checkpoint
-	if checkpoint != "" {
-		ck, err = core.OpenCheckpoint(checkpoint)
-		if err != nil {
-			return err
-		}
-	}
-	plan, err := experiments.NewPlan(args, ck)
-	if err != nil {
-		return err
-	}
-	for _, id := range plan.Resumed() {
-		fmt.Fprintf(os.Stderr, "dvsexplore: %s resumed from checkpoint\n", id)
-	}
 
 	o := experiments.Options{Cycles: cycles, Parallelism: par, Seed: seed, RunTimeout: runTimeout}
 	reg := obs.NewRegistry()
@@ -120,11 +106,13 @@ func run(cycles int64, par int, seed int64, outdir, metricsDir string, quiet boo
 		if err != nil {
 			return err
 		}
-		core.SetRunCache(store)
-		defer core.SetRunCache(nil)
 	}
 	prog := obs.NewProgress(os.Stderr, "runs", plan.PlannedRuns(o),
 		obs.StderrIsTerminal() && !quiet)
+	if store != nil {
+		core.SetRunCache(progressCache{store, prog})
+		defer core.SetRunCache(nil)
+	}
 	remove := experiments.ObserveRuns(reg, func(wall time.Duration, failed bool) {
 		prog.RunDone(failed)
 	})
@@ -243,4 +231,21 @@ func run(cycles int64, par int, seed int64, outdir, metricsDir string, quiet boo
 		return fmt.Errorf("%d experiment(s) failed: %s", len(failures), strings.Join(failures, "; "))
 	}
 	return nil
+}
+
+// progressCache counts each cache hit as a finished run on the progress
+// line. A hit fires no run hook, so without it a resumed exploration would
+// stall short of its total; experiments_runs_completed still counts only
+// simulations.
+type progressCache struct {
+	core.RunCache
+	prog *obs.Progress
+}
+
+func (c progressCache) Lookup(ctx context.Context, key string) (*core.CachedRun, bool) {
+	cr, ok := c.RunCache.Lookup(ctx, key)
+	if ok {
+		c.prog.RunDone(false)
+	}
+	return cr, ok
 }

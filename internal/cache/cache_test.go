@@ -201,6 +201,33 @@ func TestStoreReopen(t *testing.T) {
 	}
 }
 
+// A killed writer leaves an atomic-write temp behind; Open removes it and
+// keeps the intact entries.
+func TestOpenSweepsStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := fmt.Sprintf("%064x", 7)
+	s.Store(context.Background(), key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{}})
+	stale := filepath.Join(dir, "."+key+".json.tmp-123456")
+	if err := os.WriteFile(stale, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Error("stale temp file survived Open")
+	}
+	if _, ok := s2.Lookup(context.Background(), key); !ok || s2.Len() != 1 {
+		t.Errorf("after the sweep: entry readable %v, Len %d, want true, 1", ok, s2.Len())
+	}
+}
+
 // Concurrent stores and lookups must be race-free (run under -race) and
 // keep Len within bounds.
 func TestStoreConcurrency(t *testing.T) {

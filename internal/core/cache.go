@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -80,6 +83,10 @@ func SetRunCache(c RunCache) {
 		runCache.Store(nil)
 		return
 	}
+	// Pin the code version now, while the executable on disk is still the
+	// one running: a rebuild later in the process's life must not lend its
+	// hash to this process's entries.
+	codeVersion()
 	runCache.Store(&c)
 }
 
@@ -90,18 +97,24 @@ func loadRunCache() RunCache {
 	return nil
 }
 
-// codeVersion pins cache keys to the code that produced the result: the
-// build's VCS revision when the binary carries one, so entries written by a
-// different checkout never collide. Builds without VCS stamps (go test, go
-// run) fall back to the module path — the key schema constant still guards
-// against format drift.
+// codeVersion pins cache keys to the code that produced the result.
 var codeVersion = sync.OnceValue(func() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
-		return "unknown"
+		bi = &debug.BuildInfo{}
 	}
+	return codeVersionOf(bi.Main.Path, bi.Settings, exeHash)
+})
+
+// codeVersionOf derives the code version from a build's module path and
+// settings. A clean build is its VCS revision, so entries written by a
+// different checkout never collide. A revision does not pin the code of a
+// dirty build, and builds without VCS stamps (go run, go test) carry none,
+// so both also name the SHA-256 of their executable, which exeHash returns:
+// a rebuilt binary misses every entry its predecessor wrote.
+func codeVersionOf(module string, settings []debug.BuildSetting, exeHash func() string) string {
 	var rev, modified string
-	for _, s := range bi.Settings {
+	for _, s := range settings {
 		switch s.Key {
 		case "vcs.revision":
 			rev = s.Value
@@ -109,14 +122,35 @@ var codeVersion = sync.OnceValue(func() string {
 			modified = s.Value
 		}
 	}
-	if rev == "" {
-		return bi.Main.Path
-	}
-	if modified == "true" {
-		return rev + "+dirty"
+	switch {
+	case rev == "":
+		return module + "+exe:" + exeHash()
+	case modified == "true":
+		return rev + "+dirty+exe:" + exeHash()
 	}
 	return rev
-})
+}
+
+// exeHash returns the hex SHA-256 of the running executable. When that
+// cannot be read it hashes random bytes instead, so the process shares no
+// entries rather than possibly replaying another build's.
+func exeHash() string {
+	h := sha256.New()
+	path, err := os.Executable()
+	var f *os.File
+	if err == nil {
+		f, err = os.Open(path)
+	}
+	if err == nil {
+		_, err = io.Copy(h, f)
+		f.Close()
+	}
+	if err != nil {
+		h.Reset()
+		io.CopyN(h, rand.Reader, 32)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // runKeyMaterial is the canonical, serializable function input of a run.
 // Fields that cannot change the simulation outcome — the wall-clock

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -173,6 +174,38 @@ func TestRunKeySchemaStamp(t *testing.T) {
 	}
 	if m.Schema != 3 {
 		t.Errorf("key material schema = %d, want 3 (bump TestRunKeySchemaStamp alongside any deliberate schema change)", m.Schema)
+	}
+}
+
+// TestCodeVersionOf: a clean stamped build is its revision alone, so its
+// keys do not depend on the binary; a dirty or unstamped build names its
+// executable's hash, so two different executables never share entries.
+func TestCodeVersionOf(t *testing.T) {
+	clean := []debug.BuildSetting{{Key: "vcs.revision", Value: "abc123"}, {Key: "vcs.modified", Value: "false"}}
+	dirty := []debug.BuildSetting{{Key: "vcs.revision", Value: "abc123"}, {Key: "vcs.modified", Value: "true"}}
+	exe := func(h string) func() string { return func() string { return h } }
+	unread := func() string {
+		t.Error("a clean build hashed its executable")
+		return ""
+	}
+	if got := codeVersionOf("nepdvs", clean, unread); got != "abc123" {
+		t.Errorf("clean build version = %q, want the bare revision", got)
+	}
+	for _, c := range []struct {
+		name     string
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{"dirty", dirty, "abc123+dirty+exe:e1"},
+		{"unstamped", nil, "nepdvs+exe:e1"},
+	} {
+		a, b := codeVersionOf("nepdvs", c.settings, exe("e1")), codeVersionOf("nepdvs", c.settings, exe("e2"))
+		if a != c.want || a == b {
+			t.Errorf("%s build versions = %q and %q for two executables, want %q and a different one", c.name, a, b, c.want)
+		}
+	}
+	if h := exeHash(); len(h) != 64 || h != exeHash() {
+		t.Errorf("exeHash() = %q, want a stable hex SHA-256", h)
 	}
 }
 

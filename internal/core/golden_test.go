@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,9 +80,10 @@ func goldenDigests(t *testing.T, cfg RunConfig) ([5]string, *RunResult) {
 // registry policy, clean and under an intensity-0.8 fault plan, must
 // reproduce the recorded digests of its NPT1 trace, metrics, timeline,
 // controller statistics and text trace byte for byte. The digests live in
-// testdata/policy_golden.txt; a mismatch prints the new set. They are
-// pinned on amd64 only, where the float code generation they capture
-// (no fused multiply-add) matches the platform they were recorded on.
+// testdata/policy_golden.txt, one line per run; a mismatch prints the new
+// set, and a repeated line or one that no run produces fails the test. They
+// are pinned on amd64 only, where the float code generation they capture (no
+// fused multiply-add) matches the platform they were recorded on.
 func TestPolicyGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("digests are pinned on amd64; %s may fuse float operations differently", runtime.GOARCH)
@@ -98,6 +100,9 @@ func TestPolicyGolden(t *testing.T) {
 			continue
 		}
 		key, rest, _ := strings.Cut(line, " ")
+		if _, dup := want[key]; dup {
+			t.Errorf("testdata/policy_golden.txt pins %s twice", key)
+		}
 		want[key] = rest
 	}
 	f.Close()
@@ -127,7 +132,16 @@ func TestPolicyGolden(t *testing.T) {
 				mismatch = true
 				t.Errorf("%s: digests differ from testdata/policy_golden.txt", key)
 			}
+			delete(want, key)
 		}
+	}
+	var orphans []string
+	for key := range want {
+		orphans = append(orphans, key)
+	}
+	slices.Sort(orphans)
+	for _, key := range orphans {
+		t.Errorf("testdata/policy_golden.txt pins %s, which no run produces", key)
 	}
 	if mismatch {
 		t.Logf("new digests (name npt1 metrics timeline dvsstats text):\n%s", strings.Join(got, "\n"))

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
-	"sync"
 
 	"nepdvs/internal/core"
 	"nepdvs/internal/workload"
@@ -92,9 +90,9 @@ func benchSweep(bench workload.Name) Experiment {
 	}}
 }
 
-// runPool is a plan's simulations: the distinct run configs of every step
-// not resumed from the checkpoint, in plan order, plus each step's configs
-// as indexes into them and each step's Configs error.
+// runPool is a plan's simulations: the distinct run configs of every step,
+// in plan order, plus each step's configs as indexes into them and each
+// step's Configs error.
 type runPool struct {
 	cfgs []core.RunConfig
 	runs [][]int // by step; empty for a step that runs nothing
@@ -109,7 +107,7 @@ func (p *Plan) pool(o Options) runPool {
 	pl := runPool{runs: make([][]int, len(p.steps)), errs: make([]error, len(p.steps))}
 	byKey := map[string]int{}
 	for s, e := range p.steps {
-		if _, ok := p.stored[e.ID]; ok || e.Configs == nil {
+		if e.Configs == nil {
 			continue
 		}
 		cfgs, err := e.Configs(o)
@@ -169,7 +167,7 @@ func IDs() []string {
 
 // Run executes one experiment by ID ("all" runs the whole table).
 func Run(id string, o Options) ([]Report, error) {
-	p, err := NewPlan([]string{id}, nil)
+	p, err := NewPlan([]string{id})
 	if err != nil {
 		return nil, err
 	}
@@ -177,44 +175,31 @@ func Run(id string, o Options) ([]Report, error) {
 	return rs, errors.Join(errs...)
 }
 
-// Plan is a validated selection of experiments together with the reports a
-// checkpoint already holds for them. PlannedRuns and Execute take their runs
-// from one pool, so a progress total taken from PlannedRuns counts exactly
-// the runs Execute starts.
+// Plan is a validated selection of experiments. PlannedRuns and Execute
+// take their runs from one pool, so a progress total taken from PlannedRuns
+// counts exactly the runs Execute starts.
 type Plan struct {
-	steps  []Experiment
-	stored map[string][]Report // reports resumed from ck, by step ID
-	ck     *core.Checkpoint
+	steps []Experiment
 }
 
 // NewPlan selects the experiments args names, in argument order; no
 // arguments, or the single argument "all", select the whole table in
 // presentation order. An unknown or repeated ID is an error, so a bad
-// selection is rejected before any simulation starts. ck may be nil; else
-// each step it already holds is resumed from it, and Execute records each
-// step it computes there.
-func NewPlan(args []string, ck *core.Checkpoint) (*Plan, error) {
-	p := &Plan{stored: map[string][]Report{}, ck: ck}
+// selection is rejected before any simulation starts.
+func NewPlan(args []string) (*Plan, error) {
 	if len(args) == 0 || (len(args) == 1 && args[0] == "all") {
-		p.steps = table
-	} else {
-		for i, id := range args {
-			if slices.Contains(args[:i], id) {
-				return nil, fmt.Errorf("experiments: experiment %q named twice", id)
-			}
-			j := slices.IndexFunc(table, func(e Experiment) bool { return e.ID == id })
-			if j < 0 {
-				return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
-			}
-			p.steps = append(p.steps, table[j])
-		}
+		return &Plan{steps: table}, nil
 	}
-	if ck != nil {
-		for _, e := range p.steps {
-			if rs, ok := loadStep(ck, e.ID); ok {
-				p.stored[e.ID] = rs
-			}
+	p := &Plan{}
+	for i, id := range args {
+		if slices.Contains(args[:i], id) {
+			return nil, fmt.Errorf("experiments: experiment %q named twice", id)
 		}
+		j := slices.IndexFunc(table, func(e Experiment) bool { return e.ID == id })
+		if j < 0 {
+			return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+		}
+		p.steps = append(p.steps, table[j])
 	}
 	return p, nil
 }
@@ -226,93 +211,29 @@ func (p *Plan) PlannedRuns(o Options) int {
 	return len(p.pool(o.withDefaults()).cfgs)
 }
 
-// Resumed returns the IDs of the steps resumed from the checkpoint, in plan
-// order.
-func (p *Plan) Resumed() []string {
-	var ids []string
-	for _, e := range p.steps {
-		if _, ok := p.stored[e.ID]; ok {
-			ids = append(ids, e.ID)
-		}
-	}
-	return ids
-}
-
-// Execute runs the plan's pool as one core.RunBatch and returns the steps'
-// reports in plan order. A resumed step replays its stored reports; a
-// computed step renders and is recorded in the checkpoint as soon as the
-// last run it declares finishes. A failing step's error, prefixed with its
-// ID, is collected and every other step's reports are still returned.
+// Execute runs the plan's pool as one core.RunBatch, then renders each
+// step from its runs' results and returns the reports in plan order. A
+// failing step's error, prefixed with its ID, is collected and every other
+// step's reports are still returned.
 func (p *Plan) Execute(o Options) ([]Report, []error) {
 	o = o.withDefaults()
 	pl := p.pool(o)
-	reports := make([][]Report, len(p.steps))
-	errs := make([]error, len(p.steps))
-	out := make([]core.BatchResult, len(pl.cfgs))
-	finish := func(s int) {
-		e := p.steps[s]
-		rs, ok := p.stored[e.ID]
+	out := core.RunBatch(context.Background(), pl.cfgs, o.Parallelism, nil)
+	var all []Report
+	var errs []error
+	for s, e := range p.steps {
 		err := pl.errs[s]
-		if !ok && err == nil {
+		if err == nil {
 			var results []*core.RunResult
 			if results, err = pl.results(s, out); err == nil {
+				var rs []Report
 				rs, err = e.Report(o, results)
-			}
-			if err == nil && p.ck != nil {
-				err = p.ck.Save(e.ID, rs)
+				all = append(all, rs...)
 			}
 		}
 		if err != nil {
-			errs[s] = fmt.Errorf("%s: %w", e.ID, err)
-		}
-		reports[s] = rs
-	}
-	for s, runs := range pl.runs {
-		if len(runs) == 0 {
-			finish(s)
+			errs = append(errs, fmt.Errorf("%s: %w", e.ID, err))
 		}
 	}
-	var mu sync.Mutex
-	done := make([]bool, len(pl.cfgs))
-	core.RunBatch(context.Background(), pl.cfgs, o.Parallelism, func(j int, r core.BatchResult) {
-		mu.Lock()
-		defer mu.Unlock()
-		out[j], done[j] = r, true
-		for s, runs := range pl.runs {
-			if slices.Contains(runs, j) && !slices.ContainsFunc(runs, func(i int) bool { return !done[i] }) {
-				finish(s)
-			}
-		}
-	})
-	var all []Report
-	for _, rs := range reports {
-		all = append(all, rs...)
-	}
-	return all, slices.DeleteFunc(errs, func(err error) bool { return err == nil })
-}
-
-// loadStep returns the reports ck holds for step id. A missing — or
-// unreadable — entry reports false, so the step is recomputed and its
-// entry overwritten; atomic writes make corruption a rerun, not a wedge.
-func loadStep(ck *core.Checkpoint, id string) ([]Report, bool) {
-	var rs []Report
-	if ok, err := ck.Load(id, &rs); err != nil || !ok {
-		return nil, false
-	}
-	// Entries written before chart names became suffixes of the report ID
-	// hold whole file stems: the report ID plus the suffix, or another
-	// figure's ID for the only chart of a sweep-* report ("fig8" under
-	// sweep-md4-power). Suffixes are empty or start with "-".
-	for i, r := range rs {
-		for j, ch := range r.Charts {
-			if ch.Name == "" || strings.HasPrefix(ch.Name, "-") {
-				continue
-			}
-			rs[i].Charts[j].Name = ""
-			if strings.HasPrefix(ch.Name, r.ID) {
-				rs[i].Charts[j].Name = ch.Name[len(r.ID):]
-			}
-		}
-	}
-	return rs, true
+	return all, errs
 }
