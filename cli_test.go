@@ -596,8 +596,7 @@ func TestCLIFaultInjection(t *testing.T) {
 
 // TestCLICacheResume: the run cache is how an exploration resumes. After k
 // of its entries are lost, a rerun over the same cache simulates exactly
-// those k runs and writes the same reports. -checkpoint is not a flag:
-// naming it is a usage error.
+// those k runs and writes the same reports.
 func TestCLICacheResume(t *testing.T) {
 	bins := buildTools(t)
 	dvsexplore := filepath.Join(bins, "dvsexplore")
@@ -654,10 +653,28 @@ func TestCLICacheResume(t *testing.T) {
 	if n, err := os.ReadDir(b); err != nil || len(n) != len(files) {
 		t.Errorf("resumed run wrote %d files, first run %d (%v)", len(n), len(files), err)
 	}
+}
 
-	out, err := runTool(t, dvsexplore, "-checkpoint", filepath.Join(work, "ck"), "fig1")
+// TestCLICheckpointResume: dvsexplore has no step checkpoint any more;
+// resume goes through -cache (TestCLICacheResume). -checkpoint is not a
+// flag: naming it is a usage error whose usage text offers -cache, and it
+// writes nothing.
+func TestCLICheckpointResume(t *testing.T) {
+	bins := buildTools(t)
+	work := t.TempDir()
+	outdir := filepath.Join(work, "out")
+	out, err := runTool(t, filepath.Join(bins, "dvsexplore"), "-checkpoint", filepath.Join(work, "ck"),
+		"-outdir", outdir, "fig1")
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
 		t.Errorf("dvsexplore -checkpoint: %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(out, "-checkpoint") || !strings.Contains(out, "-cache") {
+		t.Errorf("usage error does not name both -checkpoint and -cache:\n%s", out)
+	}
+	for _, dir := range []string{"ck", "out"} {
+		if _, err := os.Stat(filepath.Join(work, dir)); !os.IsNotExist(err) {
+			t.Errorf("rejected invocation created %s (%v)", dir, err)
+		}
 	}
 }
 

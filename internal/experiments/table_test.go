@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nepdvs/internal/cache"
 	"nepdvs/internal/core"
 )
 
@@ -40,6 +43,105 @@ func TestPlannedRuns(t *testing.T) {
 		if _, err := NewPlan(args); err == nil {
 			t.Errorf("NewPlan(%v) accepted", args)
 		}
+	}
+}
+
+// TestRunCheckpointedResume re-executes an interrupted plan. Resume goes
+// through the run cache, which stores each run as it ends: executed again
+// over the same cache directory, the plan simulates only the runs whose
+// entries are lost, and its reports and charts are the uninterrupted ones.
+func TestRunCheckpointedResume(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "c")
+	// The hook fires from concurrent run workers.
+	var runs atomic.Int64
+	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { runs.Add(1) })
+	defer remove()
+	defer core.SetRunCache(nil)
+
+	o := testOpts
+	o.Cycles = 300_000
+	p, err := NewPlan([]string{"idle", "fig10"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	execute := func() []string {
+		t.Helper()
+		// Each execution opens the directory afresh, as a new process would.
+		store, err := cache.Open(dir, cache.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		core.SetRunCache(store)
+		rs, errs := p.Execute(o)
+		if len(errs) > 0 {
+			t.Fatal(errs)
+		}
+		var out []string
+		for _, r := range rs {
+			out = append(out, r.String())
+			for _, ch := range r.Charts {
+				out = append(out, ch.SVG)
+			}
+		}
+		return out
+	}
+	first := execute()
+	planned := p.PlannedRuns(o)
+	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.Load(); n != int64(planned) || len(entries) != planned {
+		t.Fatalf("first execution simulated %d runs and stored %d, want %d each", n, len(entries), planned)
+	}
+
+	const lost = 2
+	for _, e := range entries[:lost] {
+		if err := os.Remove(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs.Store(0)
+	second := execute()
+	if n := runs.Load(); n != lost {
+		t.Errorf("resumed execution simulated %d runs, want %d", n, lost)
+	}
+	if !slices.Equal(first, second) {
+		t.Error("resumed reports differ from the uninterrupted ones")
+	}
+}
+
+// TestExecuteSavesStepOnItsLastRun executes a plan serially over a run
+// cache. Each run is stored as it ends, before the next starts, so a step
+// is saved whole once its last run ends and an interrupted plan loses only
+// the run in flight.
+func TestExecuteSavesStepOnItsLastRun(t *testing.T) {
+	store, err := cache.Open(filepath.Join(t.TempDir(), "c"), cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.SetRunCache(store)
+	defer core.SetRunCache(nil)
+	// At parallelism 1 the runs are serial, so the hook needs no lock.
+	var stored []int
+	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { stored = append(stored, store.Len()) })
+	defer remove()
+	p, err := NewPlan([]string{"fig10", "idle"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := testOpts
+	o.Parallelism = 1
+	if _, errs := p.Execute(o); len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	// The hook fires at the end of each run, just before the cache stores
+	// it: fig10's five runs are all stored when idle's run ends.
+	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(stored, want) {
+		t.Errorf("cache entries at each run's end = %v, want %v", stored, want)
+	}
+	if n := store.Len(); n != 6 {
+		t.Errorf("cache holds %d entries after the plan, want 6", n)
 	}
 }
 
