@@ -77,6 +77,9 @@ func TestMain(m *testing.M) {
 		remove = experiments.ObserveRuns(reg, nil)
 	}
 	code := m.Run()
+	if tools.dir != "" {
+		os.RemoveAll(tools.dir)
+	}
 	fail := func(what string, err error) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", what, err)
 		if code == 0 {

@@ -8,28 +8,50 @@ package nepdvs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// buildTools compiles all commands into a temp dir once per test run.
+// tools is the one build of all commands shared by every test in the
+// process; TestMain removes its dir. Tests only run the binaries, never
+// write beside them. A test that needs a second code version must build
+// its own copy.
+var tools struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+// buildTools compiles all commands into a temp dir once per test process
+// and returns that dir.
 func buildTools(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds binaries with the go toolchain")
 	}
-	dir := t.TempDir()
-	cmd := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), "./cmd/...")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build ./cmd/...: %v\n%s", err, out)
+	tools.once.Do(func() {
+		dir, err := os.MkdirTemp("", "nepdvs-tools-")
+		if err != nil {
+			tools.err = err
+			return
+		}
+		tools.dir = dir
+		out, err := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), "./cmd/...").CombinedOutput()
+		if err != nil {
+			tools.err = fmt.Errorf("go build ./cmd/...: %v\n%s", err, out)
+		}
+	})
+	if tools.err != nil {
+		t.Fatal(tools.err)
 	}
-	return dir
+	return tools.dir
 }
 
 func runTool(t *testing.T, bin string, args ...string) (string, error) {

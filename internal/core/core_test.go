@@ -481,3 +481,23 @@ func TestRunPublishesThroughputCounters(t *testing.T) {
 		t.Fatalf("heap counters missing from run snapshot: %+v", s.Counters)
 	}
 }
+
+// Arrivals are streamed into the event queue, so its depth is bounded by
+// the work in flight, not by the run's traffic: a run with well over a
+// thousand arrivals keeps the queue a few dozen entries deep.
+func TestEventQueueHoldsInFlightWorkOnly(t *testing.T) {
+	cfg := shortCfg(t, workload.IPFwdr, traffic.LevelHigh)
+	cfg.Cycles = 3_000_000
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	s := reg.Snapshot()
+	if n := s.Counters["npu_pkts_arrived"]; n <= 1000 {
+		t.Fatalf("%d arrivals, want a run with more than 1000", n)
+	}
+	if hw := s.Gauges["sim_heap_high_water"]; hw >= 64 {
+		t.Fatalf("event queue peaked at %v entries, want < 64", hw)
+	}
+}

@@ -64,6 +64,13 @@ type Chip struct {
 	// contexts blocked on a full TFIFO.
 	tfifoUsed []int
 	waiters   []fifo[waiter]
+	// arrivals is the injected stream (see Inject): arrival i fires under
+	// kernel sequence number arrivalSeq+i, and arriveFn, bound once, is
+	// the handler of every arrival. nextArrival indexes the next to fire.
+	arrivals    []traffic.Packet
+	arrivalSeq  uint64
+	nextArrival int
+	arriveFn    sim.Handler
 
 	// trace
 	sink    trace.Sink
@@ -248,18 +255,46 @@ func (c *Chip) ME(i int) *ME { return c.mes[i] }
 // SinkErr reports the first trace-sink failure, if any.
 func (c *Chip) SinkErr() error { return c.sinkErr }
 
-// Inject schedules the arrival of a packet stream at the device ports. It
-// checks every packet's port first, so a rejected stream schedules nothing.
+// Inject schedules the arrival of a packet stream at the device ports. The
+// stream must be sorted by arrival time, and a chip takes one stream. It
+// checks every packet first, so a rejected stream schedules nothing.
+//
+// Arrivals are streamed: Inject reserves one kernel sequence number per
+// packet and schedules only the first arrival, and each arrival schedules
+// the next under its reserved number. Ties with same-time events break
+// exactly as if the whole stream had been scheduled up front, while the
+// event queue holds one future arrival instead of the run's traffic. The
+// chip keeps pkts until the run ends; the caller must not modify it.
 func (c *Chip) Inject(pkts []traffic.Packet) error {
-	for _, p := range pkts {
+	if c.arriveFn != nil {
+		return fmt.Errorf("npu: chip already has a packet stream")
+	}
+	for i, p := range pkts {
 		if p.Port < 0 || p.Port >= c.cfg.Ports {
 			return fmt.Errorf("npu: packet %d on port %d, chip has %d ports", p.ID, p.Port, c.cfg.Ports)
 		}
+		if i > 0 && p.Arrival < pkts[i-1].Arrival {
+			return fmt.Errorf("npu: packet %d arrives at %v, before packet %d at %v", p.ID, p.Arrival, pkts[i-1].ID, pkts[i-1].Arrival)
+		}
 	}
-	for _, p := range pkts {
-		c.k.Schedule(p.Arrival, func() { c.portArrive(p) })
+	c.arrivals = pkts
+	c.arrivalSeq = c.k.Reserve(len(pkts))
+	c.arriveFn = c.arrive
+	if len(pkts) > 0 {
+		c.k.ScheduleReserved(pkts[0].Arrival, c.arrivalSeq, c.arriveFn)
 	}
 	return nil
+}
+
+// arrive fires arrival nextArrival: it files the following arrival under
+// its reserved sequence number, then hands the packet to the port.
+func (c *Chip) arrive() {
+	i := c.nextArrival
+	c.nextArrival++
+	if n := i + 1; n < len(c.arrivals) {
+		c.k.ScheduleReserved(c.arrivals[n].Arrival, c.arrivalSeq+uint64(n), c.arriveFn)
+	}
+	c.portArrive(c.arrivals[i])
 }
 
 // portArrive is the media-side arrival: the traffic monitor sees the packet

@@ -411,6 +411,35 @@ func TestInjectRejectsBadPort(t *testing.T) {
 	}
 }
 
+// An unsorted stream and a second stream are both rejected before anything
+// is scheduled.
+func TestInjectRejectsUnsortedAndSecondStream(t *testing.T) {
+	cfg := DefaultConfig()
+	k, chip := buildChip(t, cfg, workload.IPFwdr, nil)
+	before := k.Pending()
+	err := chip.Inject([]traffic.Packet{
+		{ID: 0, Arrival: 2 * sim.Microsecond, Port: 0, Size: 64},
+		{ID: 1, Arrival: 2 * sim.Microsecond, Port: 1, Size: 64},
+		{ID: 2, Arrival: sim.Microsecond, Port: 2, Size: 64},
+	})
+	if err == nil {
+		t.Fatal("unsorted stream accepted")
+	}
+	if n := k.Pending(); n != before {
+		t.Fatalf("rejected stream left %d events scheduled", n-before)
+	}
+	if err := chip.Inject(genTraffic(t, 900, 20*sim.Microsecond, 1)); err != nil {
+		t.Fatal(err)
+	}
+	before = k.Pending()
+	if err := chip.Inject([]traffic.Packet{{ID: 9, Arrival: sim.Microsecond, Port: 0, Size: 64}}); err == nil {
+		t.Fatal("second stream accepted")
+	}
+	if n := k.Pending(); n != before {
+		t.Fatalf("second stream left %d events scheduled", n-before)
+	}
+}
+
 func TestPipelineEvents(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EmitPipeline = true

@@ -7,8 +7,14 @@
 // tie-breaking, a Clock helper for cycle/time conversion, and a Ticker for
 // periodic callbacks. Determinism is a hard requirement — two runs with the
 // same configuration and seed must produce byte-identical traces — so events
-// scheduled for the same picosecond fire in scheduling order (FIFO), never
-// in map or heap-insertion-accident order.
+// scheduled for the same picosecond fire in sequence-number order, never
+// in map or heap-insertion-accident order. Schedule hands out the next
+// number (FIFO among ties); Reserve sets aside a block of numbers up front,
+// and ScheduleReserved files an event under one of them later. A
+// time-sorted stream (the chip's packet arrivals) reserves one number per
+// event and pushes each event from its predecessor's handler: the dispatch
+// order is that of scheduling the whole stream up front, while the queue
+// holds only the next event of the stream.
 //
 // The queue is the simulator's hottest structure, so it allocates nothing
 // in steady state: a typed 4-ary min-heap of value entries (time, sequence,
@@ -246,8 +252,9 @@ func (k *Kernel) Now() Time { return k.now }
 // regression tests.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 
-// Scheduled reports how many events have ever been scheduled (fired,
-// pending or cancelled).
+// Scheduled reports how many sequence numbers have been handed out: every
+// event ever scheduled (fired, pending or cancelled) plus every reserved
+// number, whether or not an event has been filed under it yet.
 func (k *Kernel) Scheduled() uint64 { return k.seq }
 
 // Cancelled reports how many scheduled events were cancelled before firing.
@@ -272,18 +279,40 @@ func (k *Kernel) HeapPops() uint64 { return k.heap.pops }
 // reflect event traffic.
 func (k *Kernel) HeapSwaps() uint64 { return k.heap.moves }
 
-// Schedule runs fn at absolute time at. Scheduling in the past (before Now)
-// panics: it always indicates a model bug, and silently clamping it would
-// corrupt causality.
+// Schedule runs fn at absolute time at, under the next sequence number.
+// Scheduling in the past (before Now) panics: it always indicates a model
+// bug, and silently clamping it would corrupt causality.
 func (k *Kernel) Schedule(at Time, fn Handler) EventID {
+	k.seq++
+	return k.ScheduleReserved(at, k.seq-1, fn)
+}
+
+// Reserve sets aside the n sequence numbers [first, first+n) and returns
+// first. An event later filed under one of them with ScheduleReserved ties
+// with same-time events exactly as if it had been scheduled now.
+func (k *Kernel) Reserve(n int) uint64 {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: reserve %d sequence numbers", n))
+	}
+	first := k.seq
+	k.seq += uint64(n)
+	return first
+}
+
+// ScheduleReserved runs fn at absolute time at under sequence number seq,
+// which must come from an earlier Reserve and be used once. It panics on a
+// past time, a nil handler or a number not yet handed out.
+func (k *Kernel) ScheduleReserved(at Time, seq uint64, fn Handler) EventID {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, k.now))
 	}
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	id := k.heap.push(at, k.seq, fn)
-	k.seq++
+	if seq >= k.seq {
+		panic(fmt.Sprintf("sim: sequence number %d not reserved", seq))
+	}
+	id := k.heap.push(at, seq, fn)
 	if n := len(k.heap.h); n > k.heapHighWater {
 		k.heapHighWater = n
 	}

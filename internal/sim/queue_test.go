@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -132,4 +133,114 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { tk.Step() }); a != 0 {
 		t.Fatalf("Ticker window allocates %v, want 0", a)
 	}
+}
+
+// streamRun plays one random script: other events scheduled before and
+// after a time-sorted stream of n events with many equal timestamps, and
+// handlers that schedule children landing on the stream's times. reserve
+// selects how the stream enters the queue: a Reserve block with each
+// stream event filed from its predecessor's handler, or every event up
+// front through Schedule. It returns the dispatch order as labels.
+func streamRun(seed int64, reserve bool) (order []string, k *Kernel) {
+	rng := rand.New(rand.NewSource(seed))
+	k = &Kernel{}
+	n := 1 + rng.Intn(60)
+	times := make([]Time, n)
+	for i := 1; i < n; i++ {
+		times[i] = times[i-1] + Time(rng.Intn(3)) // ~1/3 ties
+	}
+	others := 0
+	var other func(at Time)
+	other = func(at Time) {
+		label := fmt.Sprintf("o%d", others)
+		others++
+		k.Schedule(at, func() {
+			order = append(order, label)
+			for c := rng.Intn(5) / 2; c > 0; c-- {
+				other(k.Now() + Time(rng.Intn(3)))
+			}
+		})
+	}
+	for i := rng.Intn(20); i > 0; i-- {
+		other(Time(rng.Int63n(int64(times[n-1]) + 2)))
+	}
+	var first uint64
+	next := 0
+	var stream Handler
+	stream = func() {
+		i := next
+		next++
+		if reserve && i+1 < n {
+			k.ScheduleReserved(times[i+1], first+uint64(i+1), stream)
+		}
+		order = append(order, fmt.Sprintf("s%d", i))
+		if rng.Intn(2) == 0 {
+			other(k.Now() + Time(rng.Intn(3)))
+		}
+	}
+	if reserve {
+		first = k.Reserve(n)
+		k.ScheduleReserved(times[0], first, stream)
+	} else {
+		first = k.Scheduled()
+		for _, at := range times {
+			k.Schedule(at, stream)
+		}
+	}
+	for i := rng.Intn(20); i > 0; i-- {
+		other(Time(rng.Int63n(int64(times[n-1]) + 2)))
+	}
+	k.Run()
+	return order, k
+}
+
+// Differential: a stream filed one event at a time under reserved sequence
+// numbers dispatches in exactly the order of scheduling it up front, with
+// the same traffic, while the queue holds at most one stream event.
+func TestReservedStreamMatchesUpFront(t *testing.T) {
+	f := func(seed int64) bool {
+		want, up := streamRun(seed, false)
+		got, res := streamRun(seed, true)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("seed %d: reserved order %v, up-front order %v", seed, got, want)
+			return false
+		}
+		if res.Scheduled() != up.Scheduled() || res.HeapPushes() != up.HeapPushes() ||
+			res.HeapPops() != up.HeapPops() || res.Dispatched() != up.Dispatched() {
+			t.Errorf("seed %d: traffic differs: scheduled %d/%d pushes %d/%d pops %d/%d dispatched %d/%d", seed,
+				res.Scheduled(), up.Scheduled(), res.HeapPushes(), up.HeapPushes(),
+				res.HeapPops(), up.HeapPops(), res.Dispatched(), up.Dispatched())
+			return false
+		}
+		if res.HeapHighWater() > up.HeapHighWater() {
+			t.Errorf("seed %d: reserved high water %d above up-front %d", seed, res.HeapHighWater(), up.HeapHighWater())
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestScheduleReservedRejectsUnreserved(t *testing.T) {
+	var k Kernel
+	first := k.Reserve(2)
+	k.Schedule(0, func() {})
+	for _, seq := range []uint64{first + 3, first + 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ScheduleReserved(seq %d) with %d handed out did not panic", seq, k.Scheduled())
+				}
+			}()
+			k.ScheduleReserved(1, seq, func() {})
+		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Reserve(-1) did not panic")
+		}
+	}()
+	k.Reserve(-1)
 }
