@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check lint analyze fuzz bench bench-obs bench-serve bench-baseline bench-gate profile serve-smoke timeline-smoke assert-smoke results-check
+.PHONY: build vet test race check lint analyze fuzz bench bench-obs bench-serve bench-baseline bench-gate profile timeline-smoke assert-smoke results-check
 
 build:
 	$(GO) build ./...
@@ -118,11 +118,6 @@ profile:
 	mkdir -p profiles
 	$(GO) run ./cmd/nepsim -bench ipfwdr -level high -policy tdvs -threshold 1000 -window 40000 \
 		-cycles $(PROFILE_CYCLES) -perf -cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof
-
-# End-to-end service smoke: boot dvsd with a cache, run one uncached and one
-# cached sweep, assert the cache hit counter and byte-identical artifacts.
-serve-smoke:
-	sh scripts/serve_smoke.sh
 
 # Timeline smoke: a ~1k-packet nepsim -timeline run validated with
 # timelinecheck (spans on every ME track, byte-identical across reruns) plus

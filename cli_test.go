@@ -7,6 +7,7 @@ package nepdvs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // tools is the one build of all commands shared by every test in the
@@ -697,6 +699,28 @@ func TestCLICheckpointResume(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(work, dir)); !os.IsNotExist(err) {
 			t.Errorf("rejected invocation created %s (%v)", dir, err)
 		}
+	}
+}
+
+// TestCLIDvsdStateRemoved pins the removal of dvsd's queue checkpoint: the
+// old -state flag is a usage error whose text names -cache, the store a
+// restarted daemon resumes from, and it writes no file.
+func TestCLIDvsdStateRemoved(t *testing.T) {
+	bins := buildTools(t)
+	work := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, filepath.Join(bins, "dvsd"), "-state", "x")
+	cmd.Dir = work
+	out, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Errorf("dvsd -state: %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-cache") {
+		t.Errorf("usage error does not name -cache:\n%s", out)
+	}
+	if _, err := os.Stat(filepath.Join(work, "x")); !os.IsNotExist(err) {
+		t.Errorf("rejected invocation created x (%v)", err)
 	}
 }
 

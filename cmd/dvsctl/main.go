@@ -40,7 +40,7 @@
 //	dvsctl config -bench ipfwdr -level high -cycles 2000000 > cfg.json
 //	dvsctl sweep -config cfg.json -thresholds 600,800,1000 -windows 40000,80000 -wait -out result.json
 //	dvsctl run -config cfg.json -wait
-//	dvsctl status j-000001
+//	dvsctl status j-000001-3f2a9c1e
 package main
 
 import (

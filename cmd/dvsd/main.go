@@ -4,15 +4,17 @@
 // the offline tools.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: the listener stops
-// accepting, in-flight jobs get -drain-timeout to finish (stragglers are
-// interrupted and returned to the queue), and with -state the pending queue
-// is checkpointed atomically so the next boot resumes it. With -manifest a
-// shutdown manifest records the final metrics and cache summary.
+// accepting, in-flight jobs get -drain-timeout to finish, and jobs still
+// running or queued after it end canceled. The queue is not persisted; the
+// run cache is what survives a restart. Resubmitting the same spec (re-run
+// the same dvsctl command) serves every run that finished from -cache and
+// simulates only the rest. With -manifest a shutdown manifest records the
+// final metrics and cache summary.
 //
 // Examples:
 //
 //	dvsd -addr 127.0.0.1:8377 -cache /var/tmp/dvs-cache
-//	dvsd -addr 127.0.0.1:0 -addr-file dvsd.addr -state queue.json
+//	dvsd -addr 127.0.0.1:0 -addr-file dvsd.addr
 //	dvsctl -addr "$(cat dvsd.addr)" health
 package main
 
@@ -45,7 +47,6 @@ type options struct {
 	queueCap     int
 	cacheDir     string
 	cacheMax     int
-	state        string
 	drainTimeout time.Duration
 	manifest     string
 	logLevel     string
@@ -76,9 +77,8 @@ func main() {
 	flag.StringVar(&o.addrFile, "addr-file", "", "write the actual listen address to this file (for port 0)")
 	flag.IntVar(&o.workers, "workers", 0, "job workers (0 = one per CPU)")
 	flag.IntVar(&o.queueCap, "queue-cap", 64, "max pending jobs before submissions get 503")
-	flag.StringVar(&o.cacheDir, "cache", "", "content-addressed run cache directory (shared with nepsim/dvsexplore -cache)")
+	flag.StringVar(&o.cacheDir, "cache", "", "content-addressed run cache directory (shared with nepsim/dvsexplore -cache); work resubmitted after a restart simulates only runs missing from it")
 	flag.IntVar(&o.cacheMax, "cache-max", 0, "evict oldest cache entries past this count (0 = unbounded)")
-	flag.StringVar(&o.state, "state", "", "queue checkpoint file: restored at boot, written at shutdown")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 	flag.StringVar(&o.manifest, "manifest", "", "write a shutdown manifest (metrics + cache summary) to this file")
 	flag.StringVar(&o.logLevel, "log-level", "info", "log verbosity: debug, info, warn or error")
@@ -114,15 +114,6 @@ func run(o options, rawArgs []string) error {
 	// per-formula loc_* assertion metrics and the loc_eval_seconds latency
 	// histogram — into this daemon's /metrics registry.
 	q := jobs.New(jobs.Options{Workers: o.workers, Capacity: o.queueCap, Registry: reg, RunMetrics: reg, Logger: log})
-	if o.state != "" {
-		n, err := q.Restore(o.state)
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			log.Info("resumed pending jobs", "count", n, "state", o.state)
-		}
-	}
 
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
@@ -157,13 +148,7 @@ func run(o options, rawArgs []string) error {
 		log.Warn("http shutdown", "err", err)
 	}
 	if err := q.Shutdown(drainCtx); err != nil {
-		log.Warn("drain timed out; pending work checkpointed")
-	}
-	if o.state != "" {
-		if err := q.Checkpoint(o.state); err != nil {
-			return err
-		}
-		log.Info("checkpointed pending jobs", "count", q.Pending(), "state", o.state)
+		log.Warn("drain timed out; unfinished jobs canceled")
 	}
 
 	if o.manifest != "" {
@@ -173,8 +158,7 @@ func run(o options, rawArgs []string) error {
 			Workers  int    `json:"workers"`
 			QueueCap int    `json:"queue_cap"`
 			CacheDir string `json:"cache_dir,omitempty"`
-			State    string `json:"state,omitempty"`
-		}{bound, o.workers, o.queueCap, o.cacheDir, o.state}
+		}{bound, o.workers, o.queueCap, o.cacheDir}
 		snap := reg.Snapshot()
 		m.Metrics = &snap
 		if store != nil {

@@ -42,6 +42,9 @@ var (
 	ErrNotFound = errors.New("jobs: no such job")
 	// ErrNotDone reports an artifact request for an unfinished job.
 	ErrNotDone = errors.New("jobs: job not finished")
+	// errShutdown is the cancel cause of jobs that Shutdown ends: queued
+	// ones, and running ones still unfinished at the drain deadline.
+	errShutdown = errors.New("jobs: canceled by shutdown")
 )
 
 // Status is the externally visible snapshot of one job.
@@ -59,10 +62,6 @@ type Status struct {
 	// Before this field, retry-once outcomes were visible only in sweep
 	// failure records.
 	Retries int `json:"retries,omitempty"`
-	// Requeues counts how many times the job was interrupted and returned
-	// to the pending queue (drain timeouts). Persisted across restarts via
-	// the checkpoint, so a job that keeps bouncing is visible as such.
-	Requeues int `json:"requeues,omitempty"`
 	// TraceID is the submitting request's trace ID, when one was attached.
 	TraceID string `json:"trace_id,omitempty"`
 	// Stage durations, filled as the job progresses (terminal jobs carry
@@ -85,18 +84,14 @@ type job struct {
 	pointsDone  int
 	pointsTotal int
 	retries     int
-	requeues    int
 	artifact    json.RawMessage
-	cancel      context.CancelFunc
-	userCancel  bool
-	requeue     bool
+	cancel      context.CancelCauseFunc
 	done        chan struct{}
 	heapIndex   int // position in pending, -1 when not queued
 
 	// Stage timestamps, in submission order: enqueue, worker pickup, executor
 	// return, terminal transition. Every derived duration reads these same
-	// values, so the stages tile the job's wall time exactly. A requeued job
-	// restarts the clock at its re-enqueue.
+	// values, so the stages tile the job's wall time exactly.
 	tSubmit  time.Time
 	tStart   time.Time
 	tExecEnd time.Time
@@ -183,13 +178,14 @@ type Options struct {
 	// loc_eval_seconds latency histogram) accumulate on the daemon's
 	// /metrics registry. Specs arrive with these fields nil (Validate
 	// enforces it); the injection is executor-side only and never affects
-	// job identity or checkpoints.
+	// job identity.
 	RunMetrics *obs.Registry
 }
 
 // Queue is a bounded priority job queue with a worker pool, singleflight
-// dedup on spec content, cancellation and checkpoint/resume. All methods
-// are safe for concurrent use.
+// dedup on spec content and cancellation. It keeps no state across
+// restarts: the run cache does (see Shutdown). All methods are safe for
+// concurrent use.
 type Queue struct {
 	workers  int
 	capacity int
@@ -329,7 +325,7 @@ func (q *Queue) Submit(spec Spec) (id string, deduped bool, err error) {
 		q.log.Warn("job rejected: queue full", "trace_id", spec.TraceID, "capacity", q.capacity)
 		return "", false, ErrQueueFull
 	}
-	j := q.insertLocked("", key, spec)
+	j := q.insertLocked(key, spec)
 	inc(q.submitted)
 	q.log.Info("job submitted", "job", j.id, "trace_id", spec.TraceID,
 		"kind", string(spec.Kind), "priority", spec.Priority, "points", j.pointsTotal)
@@ -337,12 +333,13 @@ func (q *Queue) Submit(spec Spec) (id string, deduped bool, err error) {
 }
 
 // insertLocked creates a job in state queued and pushes it onto the heap.
-// An empty id means "mint one". Callers hold q.mu.
-func (q *Queue) insertLocked(id, key string, spec Spec) *job {
+// The ID joins the submission sequence number and the key's prefix: every
+// daemon boot counts from 1 again, so a handle kept across a restart can
+// only name a job with the same content, whose artifact is the same bytes.
+// Callers hold q.mu.
+func (q *Queue) insertLocked(key string, spec Spec) *job {
 	q.nextSeq++
-	if id == "" {
-		id = fmt.Sprintf("j-%06d", q.nextSeq)
-	}
+	id := fmt.Sprintf("j-%06d-%s", q.nextSeq, key[:8])
 	total := 1
 	if spec.Kind == KindSweep && spec.Sweep != nil {
 		total = spec.Sweep.Points()
@@ -389,7 +386,6 @@ func (q *Queue) statusLocked(j *job) Status {
 		PointsTotal:     j.pointsTotal,
 		Err:             j.err,
 		Retries:         j.retries,
-		Requeues:        j.requeues,
 		TraceID:         j.spec.TraceID,
 		QueueWaitNs:     queueWait.Nanoseconds(),
 		ExecNs:          exec.Nanoseconds(),
@@ -406,8 +402,8 @@ func (q *Queue) Statuses() []Status {
 	for _, j := range q.byID {
 		out = append(out, q.statusLocked(j))
 	}
-	// Map order is random; sort by ID (zero-padded, so lexicographic is
-	// submission order).
+	// Map order is random; sort by ID (the sequence number leads it,
+	// zero-padded, so lexicographic is submission order).
 	for i := 1; i < len(out); i++ {
 		for k := i; k > 0 && out[k].ID < out[k-1].ID; k-- {
 			out[k], out[k-1] = out[k-1], out[k]
@@ -464,19 +460,22 @@ func (q *Queue) Cancel(id string) error {
 	switch j.state {
 	case StateQueued:
 		heap.Remove(&q.pending, j.heapIndex)
-		delete(q.byKey, j.key)
-		j.state = StateCanceled
-		j.err = "canceled before start"
-		close(j.done)
-		inc(q.canceled)
-		q.gauges()
+		q.dropQueuedLocked(j, "canceled before start")
 	case StateRunning:
-		j.userCancel = true
-		if j.cancel != nil {
-			j.cancel()
-		}
+		j.cancel(nil)
 	}
 	return nil
+}
+
+// dropQueuedLocked ends a job already taken off the heap before it ever
+// ran. Callers hold q.mu.
+func (q *Queue) dropQueuedLocked(j *job, reason string) {
+	delete(q.byKey, j.key)
+	j.state = StateCanceled
+	j.err = reason
+	close(j.done)
+	inc(q.canceled)
+	q.gauges()
 }
 
 // finishLocked moves a job that ran to its terminal bookkeeping: the final
@@ -518,7 +517,7 @@ func (q *Queue) worker() {
 		// The worker's run context carries the submitting request's trace
 		// ID, so everything below — the executor, core.RunContext, a
 		// context-aware run cache — can attribute itself to the request.
-		ctx, cancel := context.WithCancel(obs.WithTraceID(q.baseCtx, j.spec.TraceID))
+		ctx, cancel := context.WithCancelCause(obs.WithTraceID(q.baseCtx, j.spec.TraceID))
 		j.cancel = cancel
 		q.running++
 		queueWait := j.tStart.Sub(j.tSubmit)
@@ -539,30 +538,18 @@ func (q *Queue) worker() {
 			q.mu.Unlock()
 		})
 		execEnd := q.now()
-		cancel()
 
 		q.mu.Lock()
 		q.running--
 		j.tExecEnd = execEnd
+		// Cancel and Shutdown cancel under q.mu, so the cause read here is
+		// final: nil means the job was not interrupted.
+		interrupted := context.Cause(ctx)
+		cancel(nil)
 		switch {
-		case ctx.Err() != nil && j.requeue:
-			// Drain timeout interrupted it: back to the queue so the
-			// checkpoint captures it. The run cache makes the replay cheap.
-			// The stage clock restarts: the next pickup measures its wait
-			// from the re-enqueue, not the original submission.
-			j.state = StateQueued
-			j.requeue = false
-			j.cancel = nil
-			j.pointsDone = 0
-			j.retries = 0
-			j.requeues++
-			j.tSubmit = q.now()
-			j.tStart, j.tExecEnd, j.tFinish = time.Time{}, time.Time{}, time.Time{}
-			heap.Push(&q.pending, j)
-			q.log.Info("job requeued", "job", j.id, "trace_id", j.spec.TraceID, "requeues", j.requeues)
-		case ctx.Err() != nil && j.userCancel:
+		case interrupted != nil:
 			j.state = StateCanceled
-			j.err = context.Cause(ctx).Error()
+			j.err = interrupted.Error()
 			q.finishLocked(j)
 			inc(q.canceled)
 		case err != nil:
@@ -588,11 +575,13 @@ func (q *Queue) worker() {
 	}
 }
 
-// Shutdown drains the queue: no new submissions, no new job starts, and
-// in-flight jobs get until ctx expires to finish. Jobs still running at the
-// deadline are interrupted and returned to the pending queue (state queued)
-// so a following Checkpoint persists them. Workers are stopped before
-// Shutdown returns. The error is ctx's, when the drain timed out.
+// Shutdown drains, then cancels: no new submissions, no new job starts,
+// and in-flight jobs get until ctx expires to finish. Jobs still running at
+// the deadline are interrupted and end canceled, as do jobs still queued;
+// their error names the shutdown. Nothing is persisted: every point a
+// sweep finished is already in the run cache, so resubmitting the same
+// spec to the next daemon simulates only the rest. Workers are stopped
+// before Shutdown returns. The error is ctx's, when the drain timed out.
 func (q *Queue) Shutdown(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, func() {
 		q.mu.Lock()
@@ -608,16 +597,18 @@ func (q *Queue) Shutdown(ctx context.Context) error {
 		q.cond.Wait()
 	}
 	if q.running > 0 {
-		// Deadline hit: interrupt stragglers, flag them for requeue.
+		// Deadline hit: interrupt the stragglers.
 		for _, j := range q.byID {
-			if j.state == StateRunning && j.cancel != nil {
-				j.requeue = true
-				j.cancel()
+			if j.state == StateRunning {
+				j.cancel(errShutdown)
 			}
 		}
 		for q.running > 0 {
 			q.cond.Wait()
 		}
+	}
+	for len(q.pending) > 0 {
+		q.dropQueuedLocked(heap.Pop(&q.pending).(*job), errShutdown.Error())
 	}
 	q.mu.Unlock()
 	q.wg.Wait()

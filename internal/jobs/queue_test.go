@@ -4,8 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -279,87 +278,91 @@ func TestQueueProgressAndArtifact(t *testing.T) {
 	}
 }
 
-// Shutdown must return interrupted in-flight jobs to the pending queue, and
-// Checkpoint/Restore must round-trip them with IDs intact.
-func TestQueueCheckpointResume(t *testing.T) {
-	exec, release, _ := blockingExec()
-	q := New(Options{Workers: 1, Capacity: 8, Exec: exec})
-
-	inflight, _, err := q.Submit(specN(1))
+// TestRetryCountAndDrainCancel pins two halves of the job status: retries
+// an executor reports through progress surface in Status and its JSON, and
+// Shutdown drains, then cancels: a job still running at the drain deadline
+// and one still queued both end canceled, with an error naming the
+// shutdown, rather than waiting in the queue for a restart.
+func TestRetryCountAndDrainCancel(t *testing.T) {
+	q := New(Options{Workers: 1, Capacity: 8, Exec: func(ctx context.Context, spec Spec, progress func(done, retries int)) (any, error) {
+		progress(1, 3)
+		return &RunArtifact{}, nil
+	}})
+	id, _, err := q.Submit(specN(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, q, inflight, StateRunning)
-	var pendingIDs []string
-	for i := 2; i <= 4; i++ {
-		id, _, err := q.Submit(specN(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pendingIDs = append(pendingIDs, id)
+	st, err := q.Wait(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Shutdown(context.Background())
+	if st.State != StateDone || st.Retries != 3 {
+		t.Fatalf("job %s with %d retries, want done with 3 (from executor progress)", st.State, st.Retries)
+	}
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"retries":3`) {
+		t.Errorf("status JSON %s missing \"retries\":3", b)
 	}
 
-	// Drain with an immediate deadline: the in-flight job is interrupted
-	// and requeued rather than lost.
+	exec, release, _ := blockingExec()
+	defer close(release)
+	q = New(Options{Workers: 1, Capacity: 8, Exec: exec})
+	id, _, err = q.Submit(specN(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, q, id, StateRunning)
+	queued, _, err := q.Submit(specN(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := q.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown = %v, want deadline exceeded", err)
 	}
-	close(release)
-	if n := q.Pending(); n != 4 {
-		t.Fatalf("pending after drain = %d, want 4 (3 queued + 1 requeued)", n)
-	}
-
-	path := filepath.Join(t.TempDir(), "queue.json")
-	if err := q.Checkpoint(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh queue resumes the work under the same IDs.
-	done := make(chan string, 8)
-	q2 := New(Options{Workers: 2, Capacity: 8, Exec: func(ctx context.Context, spec Spec, _ func(done, retries int)) (any, error) {
-		done <- fmt.Sprint(spec.Config.Cycles)
-		return &RunArtifact{}, nil
-	}})
-	n, err := q2.Restore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("restored %d jobs, want 4", n)
-	}
-	for _, id := range append([]string{inflight}, pendingIDs...) {
-		st, err := q2.Wait(context.Background(), id)
+	for _, id := range []string{id, queued} {
+		st, err := q.Status(id)
 		if err != nil {
-			t.Fatalf("job %s not restored: %v", id, err)
+			t.Fatal(err)
 		}
-		if st.State != StateDone {
-			t.Errorf("restored job %s finished %s", id, st.State)
+		if st.State != StateCanceled || !strings.Contains(st.Err, "shutdown") {
+			t.Errorf("job %s ended %s (%q), want canceled by shutdown", id, st.State, st.Err)
 		}
 	}
-	q2.Shutdown(context.Background())
+	if n := q.Pending(); n != 0 {
+		t.Errorf("pending after drain = %d, want 0", n)
+	}
+}
 
-	// A second restore into the same queue dedups everything. Dedup holds
-	// for queued or running jobs only, so q3's executor blocks until the
-	// assertion is made: no restored job can finish (and leave the dedup
-	// index) before the second Restore.
-	exec3, release3, _ := blockingExec()
-	q3 := New(Options{Workers: 1, Capacity: 8, Exec: exec3})
-	if _, err := q3.Restore(path); err != nil {
-		t.Fatal(err)
+// Job IDs carry the key's prefix beside the per-boot sequence number, so
+// two daemons that mint the same number for different work mint different
+// IDs: a handle kept across a restart never names unrelated work.
+func TestJobIDsDifferAcrossQueues(t *testing.T) {
+	exec := func(ctx context.Context, spec Spec, _ func(done, retries int)) (any, error) {
+		return &RunArtifact{}, nil
 	}
-	n, err = q3.Restore(path)
-	if err != nil {
-		t.Fatal(err)
+	var ids []string
+	for _, spec := range []Spec{specN(1), specN(2)} {
+		q := New(Options{Workers: 1, Exec: exec})
+		id, _, err := q.Submit(spec)
+		q.Shutdown(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _ := spec.Key()
+		if want := "j-000001-" + key[:8]; id != want {
+			t.Errorf("first job ID %q, want %q", id, want)
+		}
+		ids = append(ids, id)
 	}
-	if n != 0 {
-		t.Errorf("double restore added %d jobs", n)
+	if ids[0] == ids[1] {
+		t.Errorf("two queues minted %s for different specs", ids[0])
 	}
-	close(release3)
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel2()
-	q3.Shutdown(ctx2)
 }
 
 func TestQueueMetrics(t *testing.T) {
@@ -388,6 +391,48 @@ func TestQueueMetrics(t *testing.T) {
 	}
 	if c["jobs_completed"] < 1 {
 		t.Errorf("jobs_completed = %d, want >= 1", c["jobs_completed"])
+	}
+}
+
+// Spec keys derive from the run key, so spellings of one run that
+// core.RunKey equates dedup onto one job; scheduling fields never split a
+// job, and a real parameter change always does.
+func TestSpecKeyDedup(t *testing.T) {
+	tdvs := func(name string, params map[string]float64) Spec {
+		return Spec{Kind: KindRun, Config: core.RunConfig{Cycles: 100_000,
+			Policy: core.PolicyConfig{Name: name, Params: params}}}
+	}
+	base := tdvs("tdvs", map[string]float64{"top_threshold_mbps": 1000, "window_cycles": 40000})
+	traced := base
+	traced.Priority, traced.TraceID = 7, "r-other"
+	cases := []struct {
+		name  string
+		spec  Spec
+		dedup bool
+	}{
+		{"alias", tdvs("TDVS", base.Config.Policy.Params), true},
+		{"default written out", tdvs("tdvs", map[string]float64{"top_threshold_mbps": 1000, "window_cycles": 40000, "hysteresis": 0}), true},
+		{"priority and trace ID", traced, true},
+		{"other parameter", tdvs("tdvs", map[string]float64{"top_threshold_mbps": 1000, "window_cycles": 40000, "hysteresis": 0.1}), false},
+	}
+	for _, tc := range cases {
+		t.Run(strings.ReplaceAll(tc.name, " ", "_"), func(t *testing.T) {
+			exec, release, _ := blockingExec()
+			q := New(Options{Workers: 1, Capacity: 8, Exec: exec})
+			defer q.Shutdown(context.Background())
+			defer close(release)
+			first, _, err := q.Submit(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, deduped, err := q.Submit(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if deduped != tc.dedup || (id == first) != tc.dedup {
+				t.Errorf("second submit = (%s, deduped %v) after %s, want deduped %v", id, deduped, first, tc.dedup)
+			}
+		})
 	}
 }
 

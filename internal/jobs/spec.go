@@ -3,8 +3,9 @@
 // internal/core. It owns everything between "a request arrived" and "the
 // artifact exists" — admission control (backpressure when full), dedup of
 // identical in-flight work (singleflight on the spec's content key),
-// cancellation, per-job progress, and checkpoint/resume so a restarted
-// daemon picks pending work back up.
+// cancellation and per-job progress. The queue lives in memory only: a
+// restarted daemon resumes when the client resubmits the same spec, and the
+// shared run cache serves every run that finished before the restart.
 package jobs
 
 import (
@@ -33,13 +34,12 @@ type SweepSpec struct {
 	Thresholds []float64 `json:"thresholds"`
 	Windows    []int64   `json:"windows"`
 	// Parallelism bounds concurrent points inside this one job; zero or
-	// below means runtime.NumCPU() (core.Parallelism). It does not
-	// participate in the dedup key.
+	// below means runtime.NumCPU() (core.Parallelism). It is not part of
+	// the dedup key.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
-// Spec describes one unit of work. It is the wire format clients POST and
-// the checkpoint format pending jobs persist as.
+// Spec describes one unit of work, in the wire format clients POST.
 type Spec struct {
 	Kind   Kind           `json:"kind"`
 	Config core.RunConfig `json:"config"`
@@ -99,27 +99,27 @@ func (s Spec) Validate() error {
 // Points expands a sweep grid in the canonical threshold-major order.
 func (s SweepSpec) Points() int { return len(s.Thresholds) * len(s.Windows) }
 
-// keySpec is Spec minus the fields that must not affect identity. Priority
-// and a sweep's Parallelism are scheduling, not content: two requests for
-// the same work at different priorities or parallelism dedup onto one job,
-// whose artifact is the same bytes either way.
-type keySpec struct {
-	Kind   Kind           `json:"kind"`
-	Config core.RunConfig `json:"config"`
-	Sweep  *SweepSpec     `json:"sweep,omitempty"`
-}
-
-// Key is the spec's content address: hex SHA-256 of its canonical JSON.
-// Identical submissions share a key, which is what the queue's singleflight
-// dedup collapses on.
+// Key is the spec's content address: the hex SHA-256 of its kind, its
+// config's run key material (core.RunKeyMaterial, so a policy alias or a
+// default parameter written out keys like its canonical form) and, for a
+// sweep, its grid. Priority, TraceID and a sweep's Parallelism are
+// scheduling, not content: two requests for the same work dedup onto one
+// job, whose artifact is the same bytes either way.
 func (s Spec) Key() (string, error) {
-	sweep := s.Sweep
-	if sweep != nil && sweep.Parallelism != 0 {
-		grid := *sweep
-		grid.Parallelism = 0
-		sweep = &grid
+	run, err := core.RunKeyMaterial(s.Config)
+	if err != nil {
+		return "", fmt.Errorf("jobs: spec key: %w", err)
 	}
-	b, err := json.Marshal(keySpec{Kind: s.Kind, Config: s.Config, Sweep: sweep})
+	k := struct {
+		Kind       Kind            `json:"kind"`
+		Run        json.RawMessage `json:"run"`
+		Thresholds []float64       `json:"thresholds,omitempty"`
+		Windows    []int64         `json:"windows,omitempty"`
+	}{Kind: s.Kind, Run: run}
+	if s.Sweep != nil {
+		k.Thresholds, k.Windows = s.Sweep.Thresholds, s.Sweep.Windows
+	}
+	b, err := json.Marshal(k)
 	if err != nil {
 		return "", fmt.Errorf("jobs: spec key: %w", err)
 	}

@@ -7,6 +7,7 @@ package nepdvs
 
 import (
 	"encoding/json"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -141,18 +142,16 @@ func TestServeCachedSweep(t *testing.T) {
 	bins := buildTools(t)
 	work := t.TempDir()
 	cacheDir := filepath.Join(work, "cache")
-	statePath := filepath.Join(work, "queue.json")
 	manifestPath := filepath.Join(work, "manifest.json")
-	addr, stop := startDaemon(t, bins,
-		"-cache", cacheDir, "-state", statePath, "-manifest", manifestPath)
+	addr, stop := startDaemon(t, bins, "-cache", cacheDir, "-manifest", manifestPath)
 
-	cfg, err := core.DefaultRunConfig(workload.IPFwdr, traffic.LevelHigh, 3)
+	// The config comes from dvsctl itself, the way a user starts.
+	b, err := exec.Command(filepath.Join(bins, "dvsctl"), "config",
+		"-bench", "ipfwdr", "-level", "high", "-seed", "3", "-cycles", "300000").Output()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("dvsctl config: %v", err)
 	}
-	cfg.Cycles = 300_000
 	cfgPath := filepath.Join(work, "cfg.json")
-	b, _ := json.Marshal(cfg)
 	if err := os.WriteFile(cfgPath, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -210,12 +209,9 @@ func TestServeCachedSweep(t *testing.T) {
 		t.Error("cached sweep artifact differs from the first run")
 	}
 
-	// Graceful shutdown writes the queue checkpoint and a manifest whose
-	// cache block carries the hit counters.
+	// Graceful shutdown writes a manifest whose cache block carries the hit
+	// counters.
 	stop()
-	if _, err := os.Stat(statePath); err != nil {
-		t.Errorf("no queue checkpoint after shutdown: %v", err)
-	}
 	mb, err := os.ReadFile(manifestPath)
 	if err != nil {
 		t.Fatalf("no shutdown manifest: %v", err)
@@ -230,6 +226,104 @@ func TestServeCachedSweep(t *testing.T) {
 	}
 	if m.Cache == nil || m.Cache.Hits == 0 {
 		t.Errorf("shutdown manifest cache block %+v, want nonzero hits", m.Cache)
+	}
+}
+
+// jobIDRE finds the job ID dvsctl prints on submission.
+var jobIDRE = regexp.MustCompile(`job (j-\d{6}-[0-9a-f]{8})`)
+
+// TestServeRestartResumesThroughCache stops a daemon in the middle of a
+// sweep and re-runs the same dvsctl command against a fresh daemon on the
+// same cache. The restarted daemon simulates only the points the first one
+// did not finish, and the artifact is the bytes of a direct sweep.
+func TestServeRestartResumesThroughCache(t *testing.T) {
+	bins := buildTools(t)
+	work := t.TempDir()
+	dvsctl := filepath.Join(bins, "dvsctl")
+	cacheDir := filepath.Join(work, "cache")
+
+	cfg, err := core.DefaultRunConfig(workload.IPFwdr, traffic.LevelHigh, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cycles = 8_000_000
+	cfgPath := filepath.Join(work, "cfg.json")
+	b, _ := json.Marshal(cfg)
+	if err := os.WriteFile(cfgPath, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	thresholds := []float64{600, 700, 800, 900, 1000, 1100, 1200, 1300}
+	windows := []int64{40000}
+	n := len(thresholds) * len(windows)
+	sweep := []string{"sweep", "-config", cfgPath,
+		"-thresholds", "600,700,800,900,1000,1100,1200,1300", "-windows", "40000", "-par", "1"}
+
+	// First daemon: stop it once the sweep has finished a point.
+	addr, stop := startDaemon(t, bins, "-cache", cacheDir, "-drain-timeout", "10ms")
+	out, err := runTool(t, dvsctl, append([]string{"-addr", addr}, sweep...)...)
+	if err != nil {
+		t.Fatalf("dvsctl sweep: %v\n%s", err, out)
+	}
+	match := jobIDRE.FindStringSubmatch(out)
+	if match == nil {
+		t.Fatalf("no job ID in sweep output:\n%s", out)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("sweep finished no point within 30s")
+		}
+		resp, err := http.Get("http://" + addr + "/v1/jobs/" + match[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st jobs.Status
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PointsDone >= 1 {
+			break
+		}
+	}
+	stop()
+	stored, err := filepath.Glob(filepath.Join(cacheDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(stored)
+	t.Logf("interrupted sweep stored %d of %d points", k, n)
+	if k == 0 || k >= n {
+		t.Fatalf("interrupted sweep stored %d of %d points, want some but not all", k, n)
+	}
+
+	// Second daemon: the same command resubmits the same spec.
+	manifestPath := filepath.Join(work, "manifest.json")
+	addr, stop = startDaemon(t, bins, "-cache", cacheDir, "-manifest", manifestPath)
+	artPath := filepath.Join(work, "result.json")
+	out, err = runTool(t, dvsctl, append([]string{"-addr", addr}, append(sweep, "-wait", "-out", artPath)...)...)
+	if err != nil {
+		t.Fatalf("resubmitted dvsctl sweep: %v\n%s", err, out)
+	}
+	stop()
+
+	results, err := core.SweepTDVS(cfg, thresholds, windows, 2)
+	if err != nil {
+		t.Fatalf("direct sweep: %v", err)
+	}
+	direct, err := json.Marshal(jobs.NewSweepArtifact(results))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served := readFile(t, artPath); string(served) != string(direct) {
+		t.Errorf("resumed artifact differs from direct sweep: %d vs %d bytes", len(served), len(direct))
+	}
+	var m manifest
+	if err := json.Unmarshal(readFile(t, manifestPath), &m); err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(n - k); m.Cache.Misses != want {
+		t.Errorf("restarted daemon missed %d runs, want %d (%d of %d were cached)", m.Cache.Misses, want, k, n)
 	}
 }
 
@@ -264,7 +358,7 @@ func TestServeAssertions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dvsctl run: %v\n%s", err, out)
 	}
-	match := regexp.MustCompile(`job (j-\d+)`).FindStringSubmatch(out)
+	match := jobIDRE.FindStringSubmatch(out)
 	if match == nil {
 		t.Fatalf("no job ID in run output:\n%s", out)
 	}
@@ -359,7 +453,7 @@ func TestServeTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dvsctl sweep: %v\n%s", err, out)
 	}
-	match := regexp.MustCompile(`job (j-\d+)`).FindStringSubmatch(out)
+	match := jobIDRE.FindStringSubmatch(out)
 	if match == nil {
 		t.Fatalf("no job ID in sweep output:\n%s", out)
 	}
