@@ -35,15 +35,14 @@ func unfuse(c *Chip, progs []*isa.Program) {
 
 // ctxObs is a context's architectural state.
 type ctxObs struct {
-	PC     int
-	Regs   [isa.NumRegs]int64
-	State  ctxState
-	Reason blockReason
+	PC   int
+	Regs [isa.NumRegs]int64
 }
 
 // meObs is one ME's counters and contexts at run end.
 type meObs struct {
 	Instr, Poll, Blocks, Stall uint64
+	Ready, Live, MemWait       uint8
 	Ctxs                       []ctxObs
 }
 
@@ -65,9 +64,10 @@ func observe(c *Chip, col *trace.Collector) chipObs {
 		Events:  col.Events,
 	}
 	for _, me := range c.mes {
-		m := meObs{Instr: me.InstrCount(), Poll: me.PollCycles(), Blocks: me.CtxBlocks(), Stall: me.StallCycles()}
+		m := meObs{Instr: me.InstrCount(), Poll: me.PollCycles(), Blocks: me.CtxBlocks(), Stall: me.StallCycles(),
+			Ready: me.ready, Live: me.live, MemWait: me.memWait}
 		for _, ctx := range me.ctxs {
-			m.Ctxs = append(m.Ctxs, ctxObs{PC: ctx.pc, Regs: ctx.regs, State: ctx.state, Reason: ctx.reason})
+			m.Ctxs = append(m.Ctxs, ctxObs{PC: ctx.pc, Regs: ctx.regs})
 		}
 		o.MEs = append(o.MEs, m)
 	}

@@ -2,44 +2,21 @@ package npu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nepdvs/internal/isa"
 	"nepdvs/internal/power"
 	"nepdvs/internal/sim"
 )
 
-// ctxState is a hardware context's scheduling state.
-type ctxState uint8
-
-const (
-	ctxReady ctxState = iota
-	ctxBlocked
-	ctxHalted
-)
-
-// blockReason distinguishes what a blocked context waits on. The paper's
-// idle definition (§4.2) is specific: "If all the threads in an ME are
-// waiting for memory accesses to be completed, we consider the ME idle."
-// A context waiting on a transmit FIFO therefore does NOT make its ME idle —
-// that is the paper's "transmission constrained" state, and it is why the
-// transmitting MEs never trip the EDVS idle threshold.
-type blockReason uint8
-
-const (
-	blockNone blockReason = iota
-	blockMemory
-	blockTransmit
-)
-
-// context is one of an ME's hardware thread contexts.
+// context is one of an ME's hardware thread contexts. Its scheduling
+// state is its bit in the ME's ready, live and memWait masks.
 type context struct {
-	pc     int
-	regs   [isa.NumRegs]int64
-	state  ctxState
-	reason blockReason
+	pc   int
+	regs [isa.NumRegs]int64
 	// ref is the context's one reference in flight, held from the issuing
 	// instruction until its issue event fires: a request for mc, or, for a
-	// send (reason blockTransmit), the packet handle in ref.addr.
+	// send (not in memWait), the packet handle in ref.addr.
 	ref memRequest
 	mc  *memController
 }
@@ -166,6 +143,17 @@ type ME struct {
 	ctxs []context
 	cur  int // running context, or -1
 
+	// Context state, one bit per context (NumCtx <= 8). A live context
+	// has not halted; a live context that is not ready is blocked, on
+	// memory if its memWait bit is set and on the transmit path if not.
+	// The paper's idle definition (§4.2) is specific: "If all the threads
+	// in an ME are waiting for memory accesses to be completed, we
+	// consider the ME idle." A context waiting on a transmit FIFO
+	// therefore does NOT make its ME idle — that is the paper's
+	// "transmission constrained" state, and it is why the transmitting MEs
+	// never trip the EDVS idle threshold.
+	ready, live, memWait uint8
+
 	// Idle accounting. idleFrom is the (possibly future) time the ME ran
 	// out of ready contexts; it is settled on wake. Stall time is kept
 	// separate so EDVS does not feed on its own penalties.
@@ -194,7 +182,6 @@ type ME struct {
 	ctxBlocks   uint64   // context-blocking events (memory, unit or transmit)
 	stallCycles uint64   // cycles paid to DVS transition penalties
 	busyTime    sim.Time // time spent issuing instructions
-	haltedCount int
 }
 
 func newME(chip *Chip, idx int, prog *isa.Program, vf power.VF) *ME {
@@ -203,6 +190,8 @@ func newME(chip *Chip, idx int, prog *isa.Program, vf power.VF) *ME {
 		ctxs: make([]context, chip.cfg.NumCtx),
 		cur:  -1, idleFrom: noTime,
 	}
+	me.live = uint8(1<<len(me.ctxs) - 1)
+	me.ready = me.live
 	me.stepFn = me.step
 	me.wakeFns = make([]sim.Handler, len(me.ctxs))
 	me.issueFns = make([]sim.Handler, len(me.ctxs))
@@ -434,11 +423,12 @@ func (me *ME) scheduleStep(at sim.Time) {
 
 // wake marks a context ready (memory completion or FIFO grant).
 func (me *ME) wake(ci int) {
-	if me.ctxs[ci].state != ctxBlocked {
-		panic(fmt.Sprintf("npu: me%d ctx%d woken while %d", me.idx, ci, me.ctxs[ci].state))
+	bit := uint8(1) << ci
+	if me.live&^me.ready&bit == 0 {
+		panic(fmt.Sprintf("npu: me%d ctx%d woken while not blocked", me.idx, ci))
 	}
-	me.ctxs[ci].state = ctxReady
-	me.ctxs[ci].reason = blockNone
+	me.ready |= bit
+	me.memWait &^= bit
 	if me.stepPending {
 		return
 	}
@@ -453,19 +443,16 @@ func (me *ME) wake(ci int) {
 	me.scheduleStep(resume)
 }
 
-// pickReady selects the next ready context round-robin after cur.
+// pickReady selects the next ready context round-robin after cur, or -1.
 func (me *ME) pickReady() int {
-	n := len(me.ctxs)
-	ci := me.cur
-	for k := 0; k < n; k++ {
-		if ci++; ci == n {
-			ci = 0
-		}
-		if me.ctxs[ci].state == ctxReady {
-			return ci
-		}
+	if me.ready == 0 {
+		return -1
 	}
-	return -1
+	from := uint(me.cur + 1)
+	if after := uint(me.ready) >> from; after != 0 {
+		return int(from) + bits.TrailingZeros(after)
+	}
+	return bits.TrailingZeros8(me.ready)
 }
 
 // step executes one instruction batch. It is the only place microcode runs.
@@ -481,7 +468,7 @@ func (me *ME) step() {
 		me.scheduleStep(me.stallUntil)
 		return
 	}
-	if me.cur < 0 || me.ctxs[me.cur].state != ctxReady {
+	if me.cur < 0 || me.ready>>me.cur&1 == 0 {
 		me.cur = me.pickReady()
 	}
 	if me.cur < 0 {
@@ -800,8 +787,8 @@ func (me *ME) step() {
 
 		// The ops below end the context's turn.
 		case isa.OpHalt:
-			ctx.state = ctxHalted
-			me.haltedCount++
+			me.live &^= 1 << me.cur
+			me.ready &^= 1 << me.cur
 		case isa.OpCtx:
 			pc++
 		case isa.OpScrR:
@@ -837,39 +824,35 @@ func (me *ME) step() {
 			panic(fmt.Sprintf("npu: me%d: unimplemented opcode %v", me.idx, in.op))
 		}
 		ctx.pc = pc
-		if in.op != isa.OpCtx {
+		// Swap to the next ready context. After a ctx, a voluntary swap,
+		// there is one: the context that yielded stays ready.
+		if me.cur = me.pickReady(); me.cur < 0 {
+			break
+		}
+		if in.op != isa.OpCtx || !fixed {
 			spin = 0
-			if !me.swap() {
-				break
-			}
 		} else {
-			// Voluntary swap: stay ready, move on.
-			me.swapVoluntary()
-			if !fixed {
-				spin = 0
-			} else {
-				if spin == 0 {
-					roundCycles, roundInstrs = turnCycles, turnInstrs
-				}
-				if spin++; spin == me.readyCount() {
-					// Round fixed point. Every ready context has just had
-					// a fixed-point turn, in round-robin order, and nothing
-					// else runs inside a batch: the ring cannot drain and
-					// no context can wake, so every later round of this
-					// batch repeats this one. Round j is whole when its
-					// last instruction, this ctx, starts below the cap;
-					// skip the k whole rounds in O(1). The partial tail
-					// runs normally.
-					if rem := batchCap - cycles; rem > 0 {
-						round, roundN := cycles-roundCycles, instrs-roundInstrs
-						k := (rem - 1 + in.cycles) / round
-						cycles += k * round
-						instrs += k * roundN
-					}
-					spin = 0
-				}
-				fixed = false
+			if spin == 0 {
+				roundCycles, roundInstrs = turnCycles, turnInstrs
 			}
+			if spin++; spin == me.readyCount() {
+				// Round fixed point. Every ready context has just had
+				// a fixed-point turn, in round-robin order, and nothing
+				// else runs inside a batch: the ring cannot drain and
+				// no context can wake, so every later round of this
+				// batch repeats this one. Round j is whole when its
+				// last instruction, this ctx, starts below the cap;
+				// skip the k whole rounds in O(1). The partial tail
+				// runs normally.
+				if rem := batchCap - cycles; rem > 0 {
+					round, roundN := cycles-roundCycles, instrs-roundInstrs
+					k := (rem - 1 + in.cycles) / round
+					cycles += k * round
+					instrs += k * roundN
+				}
+				spin = 0
+			}
+			fixed = false
 		}
 		ctx = &me.ctxs[me.cur]
 		pc = ctx.pc
@@ -910,18 +893,7 @@ func (me *ME) step() {
 // allBlockedOnMemory reports whether every live context is blocked on a
 // memory reference — the paper's idle condition. A context waiting on the
 // transmit path keeps the ME "transmission constrained", not idle.
-func (me *ME) allBlockedOnMemory() bool {
-	for i := range me.ctxs {
-		c := &me.ctxs[i]
-		if c.state == ctxHalted {
-			continue
-		}
-		if c.state != ctxBlocked || c.reason != blockMemory {
-			return false
-		}
-	}
-	return true
-}
+func (me *ME) allBlockedOnMemory() bool { return me.memWait == me.live }
 
 func branch(pc int, taken bool, in *dinstr) int {
 	if taken {
@@ -930,41 +902,9 @@ func branch(pc int, taken bool, in *dinstr) int {
 	return pc + 1
 }
 
-// swap blocks/halts the current context and reports whether the batch can
-// continue with another ready context.
-func (me *ME) swap() bool {
-	ci := me.pickReady()
-	me.cur = ci
-	return ci >= 0
-}
+func (me *ME) readyCount() int { return bits.OnesCount8(me.ready) }
 
-// swapVoluntary rotates to the next ready context, keeping the current one
-// ready, so execution always continues.
-func (me *ME) swapVoluntary() {
-	if ci := me.pickReady(); ci >= 0 {
-		me.cur = ci
-	}
-}
-
-func (me *ME) readyCount() int {
-	n := 0
-	for i := range me.ctxs {
-		if me.ctxs[i].state == ctxReady {
-			n++
-		}
-	}
-	return n
-}
-
-func (me *ME) liveContexts() int {
-	n := 0
-	for i := range me.ctxs {
-		if me.ctxs[i].state != ctxHalted {
-			n++
-		}
-	}
-	return n
-}
+func (me *ME) liveContexts() int { return bits.OnesCount8(me.live) }
 
 // memory unit tags for energy accounting.
 type memUnit uint8
@@ -983,10 +923,8 @@ func (me *ME) issueMem(issueAt sim.Time, mc *memController, addr, words int64, w
 		words = 1
 	}
 	ci := me.cur
-	me.ctxs[ci].state = ctxBlocked
-	me.ctxs[ci].reason = blockMemory
+	me.block(ci, true)
 	me.memRefs++
-	me.ctxBlocks++
 	me.chip.chargeMem(unit, words)
 	c := &me.ctxs[ci]
 	c.ref = memRequest{addr: addr, words: words, write: write, done: me.wakeFns[ci]}
@@ -999,7 +937,7 @@ func (me *ME) issueMem(issueAt sim.Time, mc *memController, addr, words int64, w
 // controller.
 func (me *ME) issue(ci int) {
 	c := &me.ctxs[ci]
-	if c.reason == blockTransmit {
+	if me.memWait>>ci&1 == 0 {
 		me.chip.sendPacket(c.ref.addr, me.idx, me.wakeFns[ci])
 		return
 	}
@@ -1009,10 +947,8 @@ func (me *ME) issue(ci int) {
 // blockOn blocks the current context for a fixed-latency unit access.
 func (me *ME) blockOn(issueAt sim.Time, latency sim.Time, words int64, unit memUnit) {
 	ci := me.cur
-	me.ctxs[ci].state = ctxBlocked
-	me.ctxs[ci].reason = blockMemory
+	me.block(ci, true)
 	me.memRefs++
-	me.ctxBlocks++
 	if words > 0 {
 		me.chip.chargeMem(unit, words)
 	}
@@ -1023,11 +959,20 @@ func (me *ME) blockOn(issueAt sim.Time, latency sim.Time, words int64, unit memU
 // when the TFIFO accepts it.
 func (me *ME) blockForSend(issueAt sim.Time, handle int64) {
 	ci := me.cur
-	me.ctxs[ci].state = ctxBlocked
-	me.ctxs[ci].reason = blockTransmit
-	me.ctxBlocks++
+	me.block(ci, false)
 	me.ctxs[ci].ref = memRequest{addr: handle}
 	me.chip.k.Schedule(issueAt, me.issueFns[ci])
+}
+
+// block takes context ci out of the ready set, waiting on memory or, if
+// not memory, on the transmit path.
+func (me *ME) block(ci int, memory bool) {
+	bit := uint8(1) << ci
+	me.ready &^= bit
+	if memory {
+		me.memWait |= bit
+	}
+	me.ctxBlocks++
 }
 
 // hash64 is the deterministic pseudo-data function standing in for memory

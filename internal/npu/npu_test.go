@@ -558,6 +558,58 @@ func TestStatsDerivedRates(t *testing.T) {
 // default chip. Every iteration simulates the same traffic, so ns/op does
 // not depend on b.N; instrs/s is the interpreter's throughput in
 // retired ME instructions per host second.
+// TestContextMasksMatchScans checks the mask forms of the context queries
+// against per-context scans, for every NumCtx, every state of every context
+// and every running context.
+func TestContextMasksMatchScans(t *testing.T) {
+	const (
+		ready = iota
+		memWait
+		txWait
+		halted
+	)
+	for n := 1; n <= 8; n++ {
+		me := &ME{ctxs: make([]context, n)}
+		states := make([]int, n)
+		for code := 0; code < 1<<(2*n); code++ {
+			me.ready, me.live, me.memWait = 0, 0, 0
+			nReady, nLive, allMem := 0, 0, true
+			for ci := range states {
+				s, bit := code>>(2*ci)&3, uint8(1)<<ci
+				states[ci] = s
+				if s != halted {
+					me.live |= bit
+					nLive++
+					allMem = allMem && s == memWait
+				}
+				if s == ready {
+					me.ready |= bit
+					nReady++
+				}
+				if s == memWait {
+					me.memWait |= bit
+				}
+			}
+			if me.readyCount() != nReady || me.liveContexts() != nLive || me.allBlockedOnMemory() != allMem {
+				t.Fatalf("n=%d states %v: readyCount %d liveContexts %d allBlockedOnMemory %v, scans %d %d %v",
+					n, states, me.readyCount(), me.liveContexts(), me.allBlockedOnMemory(), nReady, nLive, allMem)
+			}
+			for cur := -1; cur < n; cur++ {
+				want := -1
+				for k, ci := 0, cur; k < n; k++ {
+					if ci = (ci + 1) % n; states[ci] == ready {
+						want = ci
+						break
+					}
+				}
+				if me.cur = cur; me.pickReady() != want {
+					t.Fatalf("n=%d states %v cur %d: pickReady %d, scan %d", n, states, cur, me.pickReady(), want)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkSimulation(b *testing.B) {
 	cfg := DefaultConfig()
 	progs, err := workload.Programs(workload.IPFwdr, workload.DefaultParams(), cfg.NumMEs, cfg.RxMEs)

@@ -22,11 +22,19 @@
 // slot plus that slot's generation, so cancelling stays O(log n) and a
 // stale ID — its event fired or cancelled, its slot perhaps reused — is a
 // harmless no-op.
+//
+// Nearly every handler schedules a successor, so dispatch fuses the pop of
+// an event with the first push of its handler: Step leaves the dispatched
+// entry at the heap root while the handler runs, and that push overwrites
+// the root and sifts down once, where a pop and a push would sift twice.
+// Sifts compare (time, sequence) as one 128-bit key and pick the least
+// child without branching.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -75,9 +83,18 @@ type entry struct {
 	slot int32
 }
 
-func (a entry) before(b entry) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+// less is 1 if a sorts before b and 0 otherwise: the borrow out of the
+// 128-bit subtraction (a.at, a.seq) − (b.at, b.seq). Times are never
+// negative (nothing is scheduled before now, and now starts at 0), so
+// they compare correctly as unsigned. Sifts turn the borrow into a mask
+// instead of a branch, which a heap's coin-flip comparisons mispredict.
+func less(a, b *entry) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return borrow
 }
+
+func (a entry) before(b entry) bool { return less(&a, &b) != 0 }
 
 // slot is one slab cell. While its event is pending it holds the handler
 // and the event's heap position (for O(log n) cancellation); once the event
@@ -105,10 +122,17 @@ type EventID struct {
 // during a sift), the number a better queue implementation has to reduce,
 // where pushes and pops only measure traffic. One uint64 increment per
 // operation is noise next to the entry writes the operation already does.
+//
+// A dispatched entry is popped lazily. take counts it popped and frees its
+// slot but leaves it at h[0], marked held, while its handler runs. The
+// next push replaces it there and sifts down; settle removes it if no push
+// came. A held root is the least entry of the heap, so the rest of the
+// heap stays ordered under it.
 type eventHeap struct {
 	h     []entry
 	slots []slot
 	free  []int32
+	held  bool
 	// pushes/pops/moves are operation counters for the perf trajectory.
 	// All three derive from the (deterministic) event schedule, so they
 	// are safe to publish into metrics snapshots.
@@ -128,8 +152,15 @@ func (q *eventHeap) push(at Time, seq uint64, fn Handler) EventID {
 	s := &q.slots[si]
 	s.fn = fn
 	q.pushes++
-	q.h = append(q.h, entry{at: at, seq: seq, slot: si})
-	q.up(len(q.h) - 1)
+	e := entry{at: at, seq: seq, slot: si}
+	if q.held {
+		q.held = false
+		q.h[0] = e
+		q.down(0)
+	} else {
+		q.h = append(q.h, e)
+		q.up(len(q.h) - 1)
+	}
 	return EventID{slot: si, gen: s.gen}
 }
 
@@ -147,10 +178,24 @@ func (q *eventHeap) release(si int32) Handler {
 	return fn
 }
 
-// popMin removes the earliest entry. The heap must not be empty.
-func (q *eventHeap) popMin() entry {
+// take pops the earliest entry and returns it with its handler, leaving it
+// held at the root. The heap must not be empty or hold a root already.
+func (q *eventHeap) take() (entry, Handler) {
 	q.pops++
-	top := q.h[0]
+	q.held = true
+	e := q.h[0]
+	return e, q.release(e.slot)
+}
+
+// settle removes a held root that no push has replaced.
+func (q *eventHeap) settle() {
+	if q.held {
+		q.dropRoot()
+	}
+}
+
+func (q *eventHeap) dropRoot() {
+	q.held = false
 	n := len(q.h) - 1
 	last := q.h[n]
 	q.h = q.h[:n]
@@ -158,7 +203,6 @@ func (q *eventHeap) popMin() entry {
 		q.h[0] = last
 		q.down(0)
 	}
-	return top
 }
 
 // remove deletes the entry at heap position i.
@@ -195,6 +239,8 @@ func (q *eventHeap) up(i int) {
 }
 
 // down sifts the entry at i toward the leaves and reports whether it moved.
+// The least child is picked with masks, m ^= (m ^ j) & -less(j, m), so
+// the child comparisons do not branch.
 func (q *eventHeap) down(i0 int) bool {
 	h := q.h
 	n := len(h)
@@ -206,16 +252,16 @@ func (q *eventHeap) down(i0 int) bool {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if h[j].before(h[m]) {
-				m = j
+		if c+3 < n {
+			m ^= (m ^ (c + 1)) & -int(less(&h[c+1], &h[m]))
+			m ^= (m ^ (c + 2)) & -int(less(&h[c+2], &h[m]))
+			m ^= (m ^ (c + 3)) & -int(less(&h[c+3], &h[m]))
+		} else {
+			for j := c + 1; j < n; j++ {
+				m ^= (m ^ j) & -int(less(&h[j], &h[m]))
 			}
 		}
-		if !h[m].before(e) {
+		if less(&h[m], &e) == 0 {
 			break
 		}
 		h[i] = h[m]
@@ -274,9 +320,10 @@ func (k *Kernel) HeapPops() uint64 { return k.heap.pops }
 
 // HeapSwaps reports how many element moves the 4-ary event heap has
 // performed — one per element shifted a level during a sift, across all
-// pushes, pops and removals. This is the hot-path cost metric an
-// event-queue optimization is expected to move, where push/pop counts only
-// reflect event traffic.
+// pushes, pops and removals. A push that replaces the held root of a
+// dispatch sifts once for both its push and that pop. This is the hot-path
+// cost metric an event-queue optimization is expected to move, where
+// push/pop counts only reflect event traffic.
 func (k *Kernel) HeapSwaps() uint64 { return k.heap.moves }
 
 // Schedule runs fn at absolute time at, under the next sequence number.
@@ -335,14 +382,22 @@ func (k *Kernel) Cancel(id EventID) bool {
 	if id.gen == 0 || int(id.slot) >= len(q.slots) || q.slots[id.slot].gen != id.gen {
 		return false
 	}
+	// remove works on a plain heap: finish the pop of a handler's event.
+	q.settle()
 	q.remove(int(q.slots[id.slot].pos))
 	q.release(id.slot)
 	k.cancelled++
 	return true
 }
 
-// Pending reports the number of events waiting in the queue.
-func (k *Kernel) Pending() int { return len(k.heap.h) }
+// Pending reports the number of events waiting in the queue. The event
+// being dispatched is not one of them.
+func (k *Kernel) Pending() int {
+	if k.heap.held {
+		return len(k.heap.h) - 1
+	}
+	return len(k.heap.h)
+}
 
 // Stop makes Run return after the currently dispatching event completes.
 func (k *Kernel) Stop() { k.stopped = true }
@@ -365,17 +420,26 @@ const interruptCheck = 1024
 
 // Step dispatches the single next event, if any, and reports whether one ran.
 // The event's slot is released before its handler runs, so a handler that
-// reschedules itself reuses the slot it just vacated.
+// reschedules itself reuses the slot it just vacated, and its first push
+// takes the event's place at the heap root.
 func (k *Kernel) Step() bool {
+	// A handler that called Step, or panicked, left its root held.
+	k.heap.settle()
 	if len(k.heap.h) == 0 {
 		return false
 	}
-	e := k.heap.popMin()
-	fn := k.heap.release(e.slot)
+	k.dispatch()
+	return true
+}
+
+// dispatch runs the earliest event. The heap must be non-empty with no
+// held root, and is left with none.
+func (k *Kernel) dispatch() {
+	e, fn := k.heap.take()
 	k.now = e.at
 	k.dispatched++
 	fn()
-	return true
+	k.heap.settle()
 }
 
 // RunUntil dispatches events until the queue drains, Stop is called, or the
@@ -384,6 +448,7 @@ func (k *Kernel) Step() bool {
 // clock is advanced to the deadline so that callers observe a full interval.
 func (k *Kernel) RunUntil(deadline Time) {
 	k.stopped = false
+	k.heap.settle()
 	for !k.stopped {
 		if len(k.heap.h) == 0 {
 			break
@@ -394,7 +459,7 @@ func (k *Kernel) RunUntil(deadline Time) {
 		if k.dispatched%interruptCheck == 0 && k.interrupted.Load() {
 			return
 		}
-		k.Step()
+		k.dispatch()
 	}
 	if k.now < deadline {
 		k.now = deadline

@@ -17,7 +17,9 @@ type refEvent struct {
 
 // Property: random schedule, nested-reschedule and cancel sequences
 // dispatch exactly in (at, seq) order, Cancel succeeds exactly on pending
-// events, and Pending always matches the reference.
+// events, and Pending always matches the reference, also inside handlers:
+// the dispatched event no longer counts, and a handler that cancels before
+// it schedules meets that event still held at the heap root.
 func TestQueueMatchesReferenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -28,6 +30,11 @@ func TestQueueMatchesReferenceProperty(t *testing.T) {
 		fail := func(format string, args ...any) {
 			t.Errorf("seed %d: "+format, append([]any{seed}, args...)...)
 			ok = false
+		}
+		checkPending := func() {
+			if k.Pending() != len(pending) {
+				fail("at %v: Pending = %d, reference %d", k.Now(), k.Pending(), len(pending))
+			}
 		}
 		var schedule func(at Time)
 		handler := func(seq uint64) Handler {
@@ -44,12 +51,20 @@ func TestQueueMatchesReferenceProperty(t *testing.T) {
 					fail("dispatched seq %d at %v, reference minimum seq %d at %v", seq, k.Now(), min.seq, min.at)
 				}
 				delete(pending, seq)
+				checkPending()
+				cancelFirst := rng.Intn(3) == 0
+				if cancelFirst {
+					cancelPending(&k, rng, issued, pending, fail)
+					checkPending()
+				}
 				// 0.8 children per event on average: the cascade dies out.
 				for n := rng.Intn(5) / 2; n > 0; n-- {
 					schedule(k.Now() + Time(rng.Int63n(20)))
+					checkPending()
 				}
-				if len(issued) > 0 && rng.Intn(2) == 0 {
+				if !cancelFirst && rng.Intn(2) == 0 {
 					cancelRandom(&k, rng, issued, pending, fail)
+					checkPending()
 				}
 			}
 		}
@@ -83,7 +98,23 @@ func TestQueueMatchesReferenceProperty(t *testing.T) {
 // cancelRandom cancels a random previously issued ID — pending or stale —
 // and checks the result against the reference.
 func cancelRandom(k *Kernel, rng *rand.Rand, issued []refEvent, pending map[uint64]refEvent, fail func(string, ...any)) {
-	e := issued[rng.Intn(len(issued))]
+	cancel(k, issued[rng.Intn(len(issued))], pending, fail)
+}
+
+// cancelPending cancels a random pending event, if there is one.
+func cancelPending(k *Kernel, rng *rand.Rand, issued []refEvent, pending map[uint64]refEvent, fail func(string, ...any)) {
+	var live []refEvent
+	for _, e := range issued {
+		if _, ok := pending[e.seq]; ok {
+			live = append(live, e)
+		}
+	}
+	if len(live) > 0 {
+		cancel(k, live[rng.Intn(len(live))], pending, fail)
+	}
+}
+
+func cancel(k *Kernel, e refEvent, pending map[uint64]refEvent, fail func(string, ...any)) {
 	_, live := pending[e.seq]
 	if got := k.Cancel(e.id); got != live {
 		fail("Cancel(seq %d) = %v, want %v", e.seq, got, live)
