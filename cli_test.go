@@ -424,6 +424,23 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
+// TestCLITraceWriteFailure: a trace file that cannot be written fails the
+// run, and the error names the file.
+func TestCLITraceWriteFailure(t *testing.T) {
+	bins := buildTools(t)
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	out, err := runTool(t, filepath.Join(bins, "nepsim"),
+		"-bench", "ipfwdr", "-level", "high", "-cycles", "300000", "-pipeline", "-trace", "/dev/full")
+	if err == nil {
+		t.Fatalf("nepsim writing its trace to /dev/full exited 0:\n%s", out)
+	}
+	if !strings.Contains(out, "/dev/full") {
+		t.Errorf("error output does not name the trace file:\n%s", out)
+	}
+}
+
 // TestCLIDvsctlExitCodes pins dvsctl's side of the internal/cli exit
 // convention: invocation mistakes exit 2 before any request is sent, an
 // unreachable daemon is a runtime failure (1), and an -out file that cannot

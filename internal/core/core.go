@@ -138,7 +138,16 @@ type RunConfig struct {
 	// wall clock does not.
 	Timeout time.Duration `json:",omitempty"`
 	// ExtraSink, when non-nil, additionally receives every trace event
-	// (e.g. a file writer). Not part of the serializable config.
+	// (e.g. a file writer). The run delivers events to it in batches on a
+	// goroutine of its own, so trace writing and external checking overlap
+	// the simulation. Emit is called from that goroutine, never
+	// concurrently, in emission order, and every call returns before Run
+	// does, whether the run succeeds, fails validation, panics or is
+	// aborted by its watchdog. The sink's first error stops delivery to it
+	// and fails the run with that error; a panic inside the sink fails the
+	// run with a *RunError whose Panicked is set. The run's own Formulas
+	// are checked on the simulation goroutine. Not part of the serializable
+	// config.
 	ExtraSink trace.Sink `json:"-"`
 	// Metrics, when non-nil, receives the run's observability counters
 	// (kernel, chip and DVS controller) after the run completes. All
@@ -307,8 +316,10 @@ func Run(cfg RunConfig) (*RunResult, error) {
 
 // RunContext executes one simulation run under a context. Cancellation (or
 // a RunConfig.Timeout expiry) interrupts the simulation kernel and fails
-// the run; a panic inside the model is recovered into a *RunError rather
-// than killing the process, so sweeps survive individual bad runs.
+// the run; a panic inside the model, or inside cfg.ExtraSink on its
+// delivery goroutine, is recovered into a *RunError rather than killing
+// the process, so sweeps survive individual bad runs. RunContext returns
+// only after that goroutine has delivered its last event.
 //
 // When a run cache is installed (SetRunCache) and the config has no
 // ExtraSink and no Spans recorder, the run is content-addressed: a hit
@@ -447,8 +458,15 @@ func runSim(ctx context.Context, cfg RunConfig, capture bool) (res *RunResult, s
 			sinks = append(sinks, runner)
 		}
 	}
+	// The runner above stays on the simulation goroutine, because it
+	// records violation spans into the single-goroutine span.Recorder; the
+	// extra sink is fed through a pipe to a goroutine of its own. The
+	// deferred close joins that goroutine on every return path.
+	var extra *pipe
 	if cfg.ExtraSink != nil {
-		sinks = append(sinks, cfg.ExtraSink)
+		extra = newPipe(cfg.ExtraSink)
+		defer extra.close()
+		sinks = append(sinks, extra)
 	}
 	var sink trace.Sink
 	if len(sinks) > 0 {
@@ -561,6 +579,10 @@ func runSim(ctx context.Context, cfg RunConfig, capture bool) (res *RunResult, s
 	k.RunUntil(dur)
 	chip.StopTickers()
 	chip.FlushSpans()
+	var extraErr error
+	if extra != nil {
+		extraErr = extra.close()
+	}
 
 	if k.Interrupted() {
 		cause := ctx.Err()
@@ -572,6 +594,9 @@ func runSim(ctx context.Context, cfg RunConfig, capture bool) (res *RunResult, s
 
 	if err := chip.SinkErr(); err != nil {
 		return nil, nil, err
+	}
+	if extraErr != nil {
+		return nil, nil, extraErr
 	}
 
 	res = &RunResult{

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -232,29 +234,65 @@ func TestExecuteSurvivesFailingStep(t *testing.T) {
 	}
 }
 
-// TestTableRunCounts executes the whole table once: the run hook fires
-// exactly PlannedRuns times, so each distinct run key is simulated once,
-// however many steps declare it.
+// TestTableRunCounts reads the shared serial execution of the whole table
+// (serialTable): the run hook fires exactly PlannedRuns times, so each
+// distinct run key is simulated once, however many steps declare it.
 func TestTableRunCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	// The hook fires from concurrent run workers.
-	var runs atomic.Int64
-	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { runs.Add(1) })
-	defer remove()
-
+	serial, err := serialTable()
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, err := NewPlan(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, errs := p.Execute(testOpts); len(errs) > 0 {
-		t.Fatal(errs)
-	}
-	if got, want := int(runs.Load()), p.PlannedRuns(testOpts); got != want || want != 188 {
+	if got, want := serial.runs, p.PlannedRuns(testOpts); got != want || want != 188 {
 		t.Errorf("table ran %d simulations, plans %d, want 188", got, want)
 	}
 }
+
+// tableRun is one whole-table execution: each report's text and chart
+// SVGs in table order, and the number of simulations it ran.
+type tableRun struct {
+	parts []string
+	runs  int
+}
+
+// executeTable executes the whole table at a parallelism, counting runs
+// through the run hook, which fires from concurrent run workers.
+func executeTable(par int) (tableRun, error) {
+	var runs atomic.Int64
+	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { runs.Add(1) })
+	defer remove()
+	p, err := NewPlan(nil)
+	if err != nil {
+		return tableRun{}, err
+	}
+	o := testOpts
+	o.Parallelism = par
+	rs, errs := p.Execute(o)
+	if len(errs) > 0 {
+		return tableRun{}, errors.Join(errs...)
+	}
+	var out tableRun
+	for _, r := range rs {
+		out.parts = append(out.parts, r.String())
+		for _, ch := range r.Charts {
+			out.parts = append(out.parts, ch.SVG)
+		}
+	}
+	out.runs = int(runs.Load())
+	return out, nil
+}
+
+// serialTable is the one execution at parallelism 1 that TestTableRunCounts
+// and the serial leg of TestParallelismInvariance share: the run count does
+// not depend on parallelism, and each execution of the table is ~10 s under
+// the race detector.
+var serialTable = sync.OnceValues(func() (tableRun, error) { return executeTable(1) })
 
 // TestParallelismInvariance executes the whole table at parallelism 1 and
 // 4: the reports and charts must be byte-identical.
@@ -262,27 +300,18 @@ func TestParallelismInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
 	}
-	p, err := NewPlan(nil)
+	serialRun, err := serialTable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	render := func(par int) []string {
-		o := testOpts
-		o.Parallelism = par
-		rs, errs := p.Execute(o)
-		if len(errs) > 0 {
-			t.Fatal(errs)
-		}
-		var out []string
-		for _, r := range rs {
-			out = append(out, r.String())
-			for _, ch := range r.Charts {
-				out = append(out, ch.SVG)
-			}
-		}
-		return out
+	parallelRun, err := executeTable(4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	serial, parallel := render(1), render(4)
+	if serialRun.runs != parallelRun.runs {
+		t.Errorf("%d simulations at parallelism 1, %d at 4", serialRun.runs, parallelRun.runs)
+	}
+	serial, parallel := serialRun.parts, parallelRun.parts
 	if len(serial) != len(parallel) {
 		t.Fatalf("%d report parts at parallelism 1, %d at 4", len(serial), len(parallel))
 	}
