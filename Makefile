@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race check lint analyze fuzz bench bench-obs bench-serve bench-baseline bench-gate profile timeline-smoke assert-smoke results-check
+.PHONY: build vet test race check lint analyze fuzz bench bench-obs bench-baseline bench-gate profile timeline-smoke assert-smoke results-check
 
 build:
 	$(GO) build ./...
@@ -71,11 +71,6 @@ bench:
 # aggregated per-run metrics to BENCH_obs.json.
 bench-obs:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' -benchobs BENCH_obs.json .
-
-# Exploration-service benchmarks (cache-hit latency, HTTP throughput), with
-# trajectory samples and service counters written to BENCH_serve.json.
-bench-serve:
-	$(GO) test -bench='BenchmarkCacheHit|BenchmarkServerThroughput' -benchtime=10x -run '^$$' -benchserve BENCH_serve.json .
 
 # The regression gate (DESIGN.md §14). GATE_BENCHES covers the heaviest
 # end-to-end paths — the Figure 6 pipeline, the idle study, the shared §4.1

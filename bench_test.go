@@ -7,7 +7,7 @@ package nepdvs
 // paper's 8000000 to regenerate at full scale (the dvsexplore command does
 // that by default).
 //
-// Three flags turn a bench run into a trajectory point on the canonical
+// Two flags turn a bench run into a trajectory point on the canonical
 // internal/perf schema (see DESIGN.md §14):
 //
 //	-benchperf BENCH_sim.json   per-benchmark ns/op, B/op, allocs/op and
@@ -16,9 +16,6 @@ package nepdvs
 //	                            -count repeats
 //	-benchobs  BENCH_obs.json   the same, plus the aggregated run metrics
 //	                            (run counts, failures, wall histogram)
-//	-benchserve BENCH_serve.json  the serve benchmarks' samples plus the
-//	                            service cache/jobs counters
-//	                            (see serve_bench_test.go)
 //
 // Single-shot -benchtime=1x numbers are too noisy to gate on; `make
 // bench-gate` runs the gate benches with -count=5 so the trajectory's
@@ -37,6 +34,7 @@ import (
 	"testing"
 	"time"
 
+	"nepdvs/internal/cache"
 	"nepdvs/internal/core"
 	"nepdvs/internal/experiments"
 	"nepdvs/internal/loc"
@@ -63,11 +61,10 @@ var perfRec *perf.Recorder
 // domain-throughput samples into one recorder, written as a perf.Trajectory
 // after the run. -benchobs additionally aggregates per-run metrics — run
 // counts, failures and the wall-time histogram — into the trajectory's
-// metrics block. The serve dump (see serve_bench_test.go) only runs when
-// -benchserve was actually set; TestBenchServeDumpFlagOff pins that.
+// metrics block.
 func TestMain(m *testing.M) {
 	flag.Parse()
-	if *benchPerf != "" || *benchObs != "" || *benchServe != "" {
+	if *benchPerf != "" || *benchObs != "" {
 		perfRec = perf.NewRecorder()
 	}
 	var reg *obs.Registry
@@ -96,11 +93,6 @@ func TestMain(m *testing.M) {
 	if *benchPerf != "" {
 		if err := perf.NewTrajectory("sim", perfRec, nil).WriteFile(*benchPerf); err != nil {
 			fail("benchperf", err)
-		}
-	}
-	if *benchServe != "" {
-		if err := writeBenchServe(perfRec); err != nil {
-			fail("benchserve", err)
 		}
 	}
 	os.Exit(code)
@@ -446,6 +438,46 @@ func BenchmarkTraceReplay(b *testing.B) {
 			b.ReportMetric(float64(in.events)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 		})
 	}
+}
+
+// BenchmarkCacheHit measures serving one simulation run from the on-disk
+// content-addressed cache — the fixed cost a resumed `dvsexplore -cache`
+// exploration pays per point instead of a simulation.
+func BenchmarkCacheHit(b *testing.B) {
+	store, err := cache.Open(b.TempDir(), cache.Options{Registry: obs.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	core.SetRunCache(store)
+	defer core.SetRunCache(nil)
+
+	cfg, err := core.DefaultRunConfig(workload.IPFwdr, traffic.LevelHigh, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Cycles = *benchCycles
+	cfg.Policy = core.TDVSPolicy(1000, 40000)
+	if _, err := core.Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+
+	// Attach the domain-throughput registry only after the priming miss:
+	// Metrics is normalized out of the cache key, so the timed runs still
+	// hit, and every hit merges the stored counters (core_ref_cycles,
+	// npu_pkts_arrived) — packets *served* per second, not simulated.
+	var mreg *obs.Registry
+	if perfRec != nil {
+		mreg = obs.NewRegistry()
+		cfg.Metrics = mreg
+	}
+	b.ResetTimer()
+	s := beginSample(b.N)
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.end(b.Name(), mreg)
 }
 
 // BenchmarkTDVSSweep measures the shared §4.1 sweep that Figures 6–9 are

@@ -7,18 +7,14 @@ package nepdvs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // tools is the one build of all commands shared by every test in the
@@ -441,61 +437,6 @@ func TestCLITraceWriteFailure(t *testing.T) {
 	}
 }
 
-// TestCLIDvsctlExitCodes pins dvsctl's side of the internal/cli exit
-// convention: invocation mistakes exit 2 before any request is sent, an
-// unreachable daemon is a runtime failure (1), and an -out file that cannot
-// be written is an I/O failure (4).
-func TestCLIDvsctlExitCodes(t *testing.T) {
-	bins := buildTools(t)
-	dvsctl := filepath.Join(bins, "dvsctl")
-	work := t.TempDir()
-	cfg := filepath.Join(work, "cfg.json")
-	if err := os.WriteFile(cfg, []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing listens on port 1, so any request fails to connect.
-	down := "127.0.0.1:1"
-	// A stand-in daemon that serves one artifact, for the write failure.
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("{}"))
-	}))
-	defer srv.Close()
-	up := strings.TrimPrefix(srv.URL, "http://")
-
-	cases := []struct {
-		name string
-		args []string
-		code int
-	}{
-		{"unknown command", []string{"-addr", down, "bogus"}, 2},
-		{"run without -config", []string{"-addr", down, "run"}, 2},
-		{"sweep without -config", []string{"-addr", down, "sweep", "-thresholds", "800", "-windows", "20000"}, 2},
-		{"unparsable -thresholds", []string{"-addr", down, "sweep", "-config", cfg, "-thresholds", "8x0", "-windows", "20000"}, 2},
-		{"empty -thresholds", []string{"-addr", down, "sweep", "-config", cfg, "-windows", "20000"}, 2},
-		{"unparsable -windows", []string{"-addr", down, "sweep", "-config", cfg, "-thresholds", "800", "-windows", "2.5"}, 2},
-		{"status without JOB_ID", []string{"-addr", down, "status"}, 2},
-		{"cancel with two JOB_IDs", []string{"-addr", down, "cancel", "j-1", "j-2"}, 2},
-		{"fetch with two JOB_IDs", []string{"-addr", down, "fetch", "j-1", "j-2"}, 2},
-		{"wait without JOB_ID", []string{"-addr", down, "wait"}, 2},
-		{"timeline without JOB_ID", []string{"-addr", down, "timeline"}, 2},
-		{"assertions with two JOB_IDs", []string{"-addr", down, "assertions", "j-1", "j-2"}, 2},
-		{"no daemon", []string{"-addr", down, "status", "j-1"}, 1},
-		{"unwritable -out", []string{"-addr", up, "fetch", "-out", filepath.Join(work, "no-such-dir", "r.json"), "j-1"}, 4},
-	}
-	for _, c := range cases {
-		out, err := runTool(t, dvsctl, c.args...)
-		code := 0
-		if ee, ok := err.(*exec.ExitError); ok {
-			code = ee.ExitCode()
-		} else if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if code != c.code {
-			t.Errorf("%s: dvsctl %v exit %d, want %d\n%s", c.name, c.args, code, c.code, out)
-		}
-	}
-}
-
 // TestCLILintExitCodes pins the exit-code contract of the static-analysis
 // front ends: 0 clean, 2 parse/usage, 3 lint finding, 4 I/O failure (the
 // internal/cli convention).
@@ -716,28 +657,6 @@ func TestCLICheckpointResume(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(work, dir)); !os.IsNotExist(err) {
 			t.Errorf("rejected invocation created %s (%v)", dir, err)
 		}
-	}
-}
-
-// TestCLIDvsdStateRemoved pins the removal of dvsd's queue checkpoint: the
-// old -state flag is a usage error whose text names -cache, the store a
-// restarted daemon resumes from, and it writes no file.
-func TestCLIDvsdStateRemoved(t *testing.T) {
-	bins := buildTools(t)
-	work := t.TempDir()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, filepath.Join(bins, "dvsd"), "-state", "x")
-	cmd.Dir = work
-	out, err := cmd.CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
-		t.Errorf("dvsd -state: %v, want exit status 2\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "-cache") {
-		t.Errorf("usage error does not name -cache:\n%s", out)
-	}
-	if _, err := os.Stat(filepath.Join(work, "x")); !os.IsNotExist(err) {
-		t.Errorf("rejected invocation created x (%v)", err)
 	}
 }
 

@@ -19,7 +19,7 @@
 // atomically, so a killed run never leaves truncated artifacts.
 //
 // With -cache, each completed run lands in a content-addressed result cache
-// shared with nepsim and dvsd. That cache is also how an exploration
+// shared with nepsim. That cache is also how an exploration
 // resumes: a rerun over the same cache directory, after a crash, an
 // interrupt or with an overlapping selection, serves every finished run from
 // disk and simulates only the rest. Cache hits count as finished runs on the
@@ -62,7 +62,7 @@ func main() {
 		metricsDir = flag.String("metrics", "", "write metrics.json and metrics.prom into this directory")
 		quiet      = flag.Bool("quiet", false, "suppress the live progress line")
 		runTimeout = flag.Duration("run-timeout", 0, "wall-clock watchdog per simulation run (0 = unbounded)")
-		cacheDir   = flag.String("cache", "", "content-addressed run cache directory (shared with nepsim and dvsd)")
+		cacheDir   = flag.String("cache", "", "content-addressed run cache directory (shared with nepsim)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 	)

@@ -36,7 +36,7 @@
 // the path and -manifest off disables it.
 //
 // With -cache DIR, results are stored in (and served from) a
-// content-addressed run cache shared with dvsexplore and dvsd: repeating an
+// content-addressed run cache shared with dvsexplore: repeating an
 // identical invocation skips the simulation, with the hit recorded in the
 // manifest's cache block. Trace-writing runs bypass the cache.
 package main
@@ -142,7 +142,7 @@ func main() {
 	flag.StringVar(&o.manifest, "manifest", "", `run manifest path ("" = derive from outputs, "off" = disable)`)
 	flag.StringVar(&o.faults, "faults", "", "inject the deterministic fault plan from this JSON file")
 	flag.DurationVar(&o.runTimeout, "run-timeout", 0, "wall-clock watchdog for the run (0 = unbounded)")
-	flag.StringVar(&o.cacheDir, "cache", "", "content-addressed run cache directory (shared with dvsexplore and dvsd)")
+	flag.StringVar(&o.cacheDir, "cache", "", "content-addressed run cache directory (shared with dvsexplore)")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file")
 	flag.BoolVar(&o.perf, "perf", false, "measure host performance (simulated cycles/sec, events/sec, per-packet allocation) and report it; recorded in the manifest's perf block")

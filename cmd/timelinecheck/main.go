@@ -1,9 +1,9 @@
 // Command timelinecheck validates a Chrome/Perfetto trace-event JSON file
-// produced by nepsim -timeline (or the service's per-job export): the file
-// must parse, carry thread_name metadata for its tracks, and hold at least
-// -min-spans complete ("X") spans on every track named by -tracks. It is
-// the CI gate behind `make timeline-smoke` — a refactor that silently stops
-// emitting a ME's residency spans fails here, not in a human's Perfetto tab.
+// produced by nepsim -timeline: the file must parse, carry thread_name
+// metadata for its tracks, and hold at least -min-spans complete ("X")
+// spans on every track named by -tracks. It is the CI gate behind `make
+// timeline-smoke` — a refactor that silently stops emitting a ME's
+// residency spans fails here, not in a human's Perfetto tab.
 //
 // Example:
 //

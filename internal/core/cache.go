@@ -22,8 +22,8 @@ import (
 // function of (config, fault plan, seed) — exactly the property that makes
 // result caching sound: the canonical serialization of that function input,
 // hashed, addresses the result. Overlapping explorations (Figures 6–9 share
-// most (threshold, window) points with the ablations) and repeated service
-// requests then skip simulation entirely.
+// most (threshold, window) points with the ablations) and repeated or
+// resumed explorations then skip simulation entirely.
 //
 // The cache attaches process-wide, like the run hook: SetRunCache installs
 // an implementation (see internal/cache for the on-disk store) and every
@@ -61,9 +61,7 @@ type CachedRun struct {
 // call (callers patch the result's config in place). Store failures are the
 // implementation's to count and swallow — a broken cache must never fail a
 // simulation that already succeeded. Both methods receive the run's
-// context, which carries the request trace ID on the service path, so hits,
-// misses and stores can be attributed in structured logs; the context must
-// not change what is looked up or stored.
+// context; it must not change what is looked up or stored.
 type RunCache interface {
 	// Lookup returns the cached run for key, if present and intact.
 	Lookup(ctx context.Context, key string) (*CachedRun, bool)

@@ -326,8 +326,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 // returns the stored result without simulating — the run hook does not
 // fire, and the stored metrics snapshot merges into cfg.Metrics in place of
 // a live publish — and a miss stores the completed result for the next
-// identical run. The cache sees the run's context, so lookups can observe
-// trace IDs.
+// identical run.
 func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 	cache := loadRunCache()
 	var key string
@@ -667,9 +666,9 @@ type Point struct {
 }
 
 // TDVSGrid expands sweep axes into design points in the canonical
-// threshold-major order. Every sweep path — SweepTDVS, the job queue and
-// the experiments' sweeps — expands the grid here, so point order (and
-// thus artifact layout) is identical everywhere.
+// threshold-major order. Every sweep path — SweepTDVS and the
+// experiments' sweeps — expands the grid here, so point order (and thus
+// artifact layout) is identical everywhere.
 func TDVSGrid(thresholds []float64, windows []int64) []Point {
 	points := make([]Point, 0, len(thresholds)*len(windows))
 	for _, th := range thresholds {
@@ -702,19 +701,19 @@ type SweepResult struct {
 	Result *RunResult
 	Err    error
 	// Retries counts execution attempts beyond the first this point needed
-	// (RunWithRetry retries once). Scheduling bookkeeping, not content: it
+	// (runWithRetry retries once). Scheduling bookkeeping, not content: it
 	// never serializes into sweep artifacts, which must stay byte-identical
 	// however many attempts a point took.
 	Retries int
 }
 
-// RunWithRetry executes a run and, on failure, tries exactly once more,
+// runWithRetry executes a run and, on failure, tries exactly once more,
 // reporting how many extra attempts were spent. The retry absorbs transient
 // failures (a watchdog firing on a loaded machine); deterministic failures —
 // injected panics, config errors — fail both attempts, and the second error
 // is returned. A canceled context is never retried: the caller asked the
 // work to stop.
-func RunWithRetry(ctx context.Context, cfg RunConfig) (*RunResult, int, error) {
+func runWithRetry(ctx context.Context, cfg RunConfig) (*RunResult, int, error) {
 	res, err := RunContext(ctx, cfg)
 	if err == nil || ctx.Err() != nil {
 		return res, 0, err
@@ -756,12 +755,12 @@ func ForEach(n, parallelism int, fn func(i int)) {
 type BatchResult struct {
 	Result *RunResult
 	Err    error
-	// Retries counts attempts beyond the first (see RunWithRetry).
+	// Retries counts attempts beyond the first (see runWithRetry).
 	Retries int
 }
 
 // RunBatch is the one batch executor: it runs every config with
-// RunWithRetry, at most Parallelism(parallelism) at a time, and returns the
+// runWithRetry, at most Parallelism(parallelism) at a time, and returns the
 // outcomes in config order. At parallelism 1 the configs run in order.
 //
 // The batch is resilient: a config whose run still fails after its retry
@@ -774,7 +773,7 @@ func RunBatch(ctx context.Context, cfgs []RunConfig, parallelism int, onDone fun
 	ForEach(len(cfgs), parallelism, func(i int) {
 		r := BatchResult{Err: ctx.Err()}
 		if r.Err == nil {
-			r.Result, r.Retries, r.Err = RunWithRetry(ctx, cfgs[i])
+			r.Result, r.Retries, r.Err = runWithRetry(ctx, cfgs[i])
 		}
 		out[i] = r
 		if onDone != nil {
@@ -794,8 +793,8 @@ func SweepTDVS(base RunConfig, thresholds []float64, windows []int64, parallelis
 
 // Sweep expands the grid (TDVSGrid), derives each point's config
 // (TDVSPointConfig) and runs the points as one RunBatch. Results are
-// returned in the deterministic threshold-major order, so SweepTDVS and
-// queued sweep jobs produce the same results.
+// returned in the deterministic threshold-major order, whatever the
+// parallelism.
 //
 // A point whose run panics, times out or otherwise fails records its error
 // in its SweepResult while the remaining points complete. If any point
@@ -804,8 +803,7 @@ func SweepTDVS(base RunConfig, thresholds []float64, windows []int64, parallelis
 // per-point Errs. Only when every point fails is the result slice nil.
 //
 // Cancellation follows RunBatch. onPoint, when non-nil, is called once per
-// finished point, concurrently from batch workers — the job queue hangs
-// per-job progress off it.
+// finished point, concurrently from batch workers.
 func Sweep(ctx context.Context, base RunConfig, thresholds []float64, windows []int64, parallelism int, onPoint func(SweepResult)) ([]SweepResult, error) {
 	if len(thresholds) == 0 || len(windows) == 0 {
 		return nil, fmt.Errorf("core: empty sweep axes")

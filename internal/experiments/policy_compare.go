@@ -44,7 +44,7 @@ func PolicyCompareFormulas() string {
 
 // PolicyCompareConfigs builds the experiment's run configurations — one
 // per compared policy, identical otherwise. Exported so the service-path
-// test can push the exact same runs through a dvsd instance and compare
+// test can push the exact same runs through the run cache and compare
 // rendered reports byte for byte.
 func PolicyCompareConfigs(o Options) ([]core.RunConfig, error) {
 	o = o.withDefaults()

@@ -11,14 +11,14 @@ import (
 
 // Allowlist encodes intentional, reviewed exemptions from det/* rules.
 // Exemptions are granted rule-by-rule per package, never blanket: the
-// wall-clock service layer legitimately calls time.Now, but it gets no pass
-// on unsorted map iteration feeding its exports.
+// progress meter in internal/obs legitimately calls time.Now, but it gets
+// no pass on unsorted map iteration feeding its exports.
 //
 // The file format (conventionally lint.allow at the repo root) is line
 // oriented:
 //
 //	# comment
-//	internal/server det/wallclock HTTP latency measurement is wall-clock by design
+//	internal/obs det/wallclock TTY progress redraw throttling is wall-clock by design
 //
 // i.e. <package-dir> <rule> <one-line justification>. The justification is
 // mandatory — an exemption nobody can explain is a finding.
@@ -78,7 +78,7 @@ func LoadAllowlist(path string) (*Allowlist, error) {
 }
 
 // Allowed reports whether rule is exempted for the package directory
-// pkgDir (slash-separated, repo-relative, e.g. "internal/server").
+// pkgDir (slash-separated, repo-relative, e.g. "internal/obs").
 func (a *Allowlist) Allowed(pkgDir, rule string) bool {
 	if a == nil {
 		return false

@@ -9,8 +9,8 @@ import (
 func TestParseAllowlist(t *testing.T) {
 	text := `# header comment
 
-internal/server det/wallclock latency histograms are wall-clock by design
-internal/jobs det/wallclock queue stamps real submit times
+internal/obs det/wallclock progress redraw throttling is wall-clock by design
+internal/core det/wallclock the run watchdog measures host time
 `
 	a, err := ParseAllowlist("lint.allow", text)
 	if err != nil {
@@ -20,34 +20,34 @@ internal/jobs det/wallclock queue stamps real submit times
 	if len(ents) != 2 {
 		t.Fatalf("Entries = %v, want 2", ents)
 	}
-	if ents[0] != [2]string{"internal/jobs", "det/wallclock"} ||
-		ents[1] != [2]string{"internal/server", "det/wallclock"} {
+	if ents[0] != [2]string{"internal/core", "det/wallclock"} ||
+		ents[1] != [2]string{"internal/obs", "det/wallclock"} {
 		t.Fatalf("Entries not sorted by dir: %v", ents)
 	}
 
-	if !a.Allowed("internal/server", "det/wallclock") {
-		t.Error("internal/server det/wallclock should be allowed")
+	if !a.Allowed("internal/obs", "det/wallclock") {
+		t.Error("internal/obs det/wallclock should be allowed")
 	}
-	if a.Allowed("internal/server", "det/maprange") {
+	if a.Allowed("internal/obs", "det/maprange") {
 		t.Error("exemptions must be rule-by-rule, not per package")
 	}
 	if a.Allowed("internal/sim", "det/wallclock") {
 		t.Error("unlisted package should not be allowed")
 	}
 
-	// internal/jobs never matched, so it is the single unused entry.
+	// internal/core never matched, so it is the single unused entry.
 	unused := a.Unused()
 	if len(unused) != 1 {
 		t.Fatalf("Unused = %v, want 1 entry", unused)
 	}
 	d := unused[0]
-	if d.Rule != "allow/unused" || d.Line != 4 || !strings.Contains(d.Msg, "internal/jobs det/wallclock") {
+	if d.Rule != "allow/unused" || d.Line != 4 || !strings.Contains(d.Msg, "internal/core det/wallclock") {
 		t.Errorf("unexpected unused diag: %s", d)
 	}
 }
 
 func TestParseAllowlistErrors(t *testing.T) {
-	if _, err := ParseAllowlist("f", "internal/server det/wallclock"); err == nil {
+	if _, err := ParseAllowlist("f", "internal/obs det/wallclock"); err == nil {
 		t.Error("entry without justification should be rejected")
 	}
 	dup := "a det/exit x\na det/exit y\n"
@@ -61,7 +61,7 @@ func TestLoadAllowlistMissing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing allowlist should be empty, not an error: %v", err)
 	}
-	if a.Allowed("internal/server", "det/wallclock") {
+	if a.Allowed("internal/obs", "det/wallclock") {
 		t.Error("empty allowlist allowed something")
 	}
 	if len(a.Unused()) != 0 {

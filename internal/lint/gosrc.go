@@ -26,9 +26,9 @@ const (
 
 // DeterministicPackages are the package directories whose byte-identical-
 // per-seed guarantee is non-negotiable: det/wallclock and det/rand findings
-// here can never be exempted, not even in lint.allow. The wall-clock
-// service layer (server, jobs, cache, obs) is outside this set and earns
-// its exemptions rule-by-rule in lint.allow instead.
+// here can never be exempted, not even in lint.allow. The host-side
+// packages (core, cache, obs) are outside this set and earn their
+// exemptions rule-by-rule in lint.allow instead.
 var DeterministicPackages = []string{
 	"internal/experiments",
 	"internal/fault",

@@ -1,8 +1,8 @@
-// Package svcpkg is a lint fixture standing in for the wall-clock service
-// layer: its time.Now use is exempted rule-by-rule through the allowlist.
+// Package svcpkg is a lint fixture standing in for a wall-clock host-side
+// package: its time.Now use is exempted rule-by-rule through the allowlist.
 package svcpkg
 
 import "time"
 
-// Started stamps a real submit time, as the job queue does.
+// Started stamps a real start time, as the progress meter does.
 func Started() time.Time { return time.Now() }

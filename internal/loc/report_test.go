@@ -107,7 +107,7 @@ func TestReportIndeterminateVerdict(t *testing.T) {
 }
 
 // The report must be byte-identical when rebuilt from results that have been
-// round-tripped through JSON — the dvsd service path stores results that way.
+// round-tripped through JSON — the run cache stores results that way.
 func TestReportJSONDeterministicAcrossRoundTrip(t *testing.T) {
 	res := reportResults(t)
 	direct, err := BuildReport(res).JSON()

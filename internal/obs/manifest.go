@@ -38,8 +38,8 @@ type Manifest struct {
 	// Metrics is the registry snapshot at completion.
 	Metrics *Snapshot `json:"metrics,omitempty"`
 	// Cache summarizes run-cache activity during the invocation, when a
-	// content-addressed run cache was attached (nepsim/dvsexplore -cache,
-	// or a dvsd daemon). Hits are simulations that were skipped entirely.
+	// content-addressed run cache was attached (nepsim/dvsexplore -cache).
+	// Hits are simulations that were skipped entirely.
 	Cache *CacheSummary `json:"cache,omitempty"`
 	// Perf is the host-performance snapshot (simulated cycles/sec,
 	// per-packet allocation, events/sec) captured when the tool measured
@@ -69,8 +69,6 @@ type CacheSummary struct {
 	Stores uint64 `json:"stores"`
 	// Errors counts corrupt or unreadable entries (each also a miss).
 	Errors uint64 `json:"errors,omitempty"`
-	// Evictions counts entries removed to respect the entry budget.
-	Evictions uint64 `json:"evictions,omitempty"`
 }
 
 // NewManifest starts a manifest for the running tool, stamping the

@@ -65,6 +65,24 @@ func TestProgressDisabledIsSilent(t *testing.T) {
 	}
 }
 
+// TestProgressNonTTYWritesNoEscapes pins the non-terminal contract: a
+// Progress built disabled (the non-TTY path) must never emit carriage
+// returns or any other bytes, whatever is called on it.
+func TestProgressNonTTYWritesNoEscapes(t *testing.T) {
+	var buf strings.Builder
+	p := NewProgress(&buf, "runs", 5, false)
+	for i := 0; i < 8; i++ {
+		p.RunDone(i%2 == 0)
+	}
+	p.Finish()
+	if buf.Len() != 0 {
+		t.Fatalf("non-TTY progress wrote %q", buf.String())
+	}
+	if strings.Contains(buf.String(), "\r") {
+		t.Fatalf("non-TTY progress emitted redraw escapes: %q", buf.String())
+	}
+}
+
 func TestProgressConcurrent(t *testing.T) {
 	var buf safeBuffer
 	p := NewProgress(&buf, "runs", 64, true)

@@ -3,7 +3,6 @@ package span
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"nepdvs/internal/obs"
 )
@@ -44,16 +43,6 @@ const processName = "nepdvs"
 // usPerTimeUnit converts Event times (picoseconds for sim spans) to the
 // format's microseconds.
 const usPerTimeUnit = 1e6
-
-// WriteChrome renders events as Chrome trace-event JSON onto w.
-func WriteChrome(w io.Writer, events []Event) error {
-	b, err := MarshalChrome(events)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
 
 // WriteChromeFile writes the trace atomically to path.
 func WriteChromeFile(path string, events []Event) error {

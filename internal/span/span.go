@@ -10,11 +10,6 @@
 // of the event slice. Two runs with identical configs and seeds therefore
 // produce byte-identical trace.json files — asserted by tests in
 // internal/core.
-//
-// The same Event model carries the service path's wall-clock job stages
-// (queue wait, execution, artifact write); those recorders live in
-// internal/jobs and use nanosecond-scaled times, one clock domain per
-// exported file.
 package span
 
 import (
@@ -34,17 +29,15 @@ const (
 	KindCounter
 )
 
-// Event is one timeline record. Times are sim.Time (integer picoseconds)
-// for simulation spans; wall-clock recorders scale nanoseconds onto the
-// same axis (1 ns = 1000 units) so the exporter needs no second code path.
+// Event is one timeline record. Times are sim.Time (integer picoseconds).
 type Event struct {
 	Kind Kind
 	// Track names the horizontal lane the event renders on ("me0",
-	// "me0 vf", "sdram", "dvs", "fault", "job j-000001", ...). Tracks are
+	// "me0 vf", "sdram", "dvs", "fault", ...). Tracks are
 	// assigned Perfetto thread IDs in first-appearance order.
 	Track string
 	Name  string
-	// Cat is the Perfetto category ("me", "mem", "dvs", "fault", "job").
+	// Cat is the Perfetto category ("me", "mem", "dvs", "fault").
 	Cat   string
 	Start sim.Time
 	End   sim.Time // spans only; == Start otherwise

@@ -2,24 +2,21 @@ package nepdvs
 
 // End-to-end acceptance for the policy_compare experiment (DESIGN.md §15):
 // the ranking artifact must be byte-identical across repeat local runs, and
-// a report assembled from results served over the dvsd HTTP path must match
-// the locally-simulated report byte for byte. Both properties fall out of
+// a report assembled from results served by the run cache must match the
+// locally-simulated report byte for byte. Both properties fall out of
 // deterministic simulation plus PolicyCompareReport being a pure function
 // of the run results — these tests pin them against regressions.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"nepdvs/internal/cache"
 	"nepdvs/internal/core"
 	"nepdvs/internal/experiments"
-	"nepdvs/internal/jobs"
-	"nepdvs/internal/server"
+	"nepdvs/internal/obs"
 )
 
 func policyCompareOpts() experiments.Options {
@@ -59,69 +56,63 @@ func TestPolicyCompareDeterministic(t *testing.T) {
 }
 
 // TestPolicyCompareServicePath pushes the exact policy_compare run
-// configurations through a dvsd server (submit → execute → artifact fetch)
-// and asserts the report rendered from the served results is byte-identical
-// to the locally-simulated one.
+// configurations through core.RunBatch over an on-disk run cache, reopens
+// the store and runs them again, and asserts that every second run is a
+// hit and that the report rendered from the served results (after a JSON
+// round trip, the cache's storage form) is byte-identical to the
+// locally-simulated one.
 func TestPolicyCompareServicePath(t *testing.T) {
 	o := policyCompareOpts()
 	local, err := experiments.Run("policy_compare", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	q := jobs.New(jobs.Options{Workers: 4, Capacity: 64, Exec: jobs.Execute})
-	defer q.Shutdown(context.Background())
-	srv := httptest.NewServer(server.New(server.Options{Queue: q}))
-	defer srv.Close()
-
 	cfgs, err := experiments.PolicyCompareConfigs(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := make([]*core.RunResult, len(cfgs))
-	for i, cfg := range cfgs {
-		body, err := json.Marshal(server.RunRequest{Config: cfg})
+
+	dir := t.TempDir()
+	batch := func() ([]core.BatchResult, map[string]uint64) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		store, err := cache.Open(dir, cache.Options{Registry: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(srv.URL+"/v1/runs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		core.SetRunCache(store)
+		defer core.SetRunCache(nil)
+		out := core.RunBatch(context.Background(), cfgs, o.Parallelism, nil)
+		for i, r := range out {
+			if r.Err != nil {
+				t.Fatalf("run %s: %v", cfgs[i].Policy, r.Err)
+			}
 		}
-		var sub server.SubmitResponse
-		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %s: status %d", cfg.Policy, resp.StatusCode)
-		}
-		if _, err := q.Wait(context.Background(), sub.ID); err != nil {
-			t.Fatal(err)
-		}
-		art, err := http.Get(srv.URL + "/v1/jobs/" + sub.ID + "/artifacts/result.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if art.StatusCode != http.StatusOK {
-			t.Fatalf("artifact %s: status %d", cfg.Policy, art.StatusCode)
-		}
-		var got jobs.RunArtifact
-		if err := json.NewDecoder(art.Body).Decode(&got); err != nil {
-			t.Fatal(err)
-		}
-		art.Body.Close()
-		if got.Result == nil {
-			t.Fatalf("artifact %s: empty result", cfg.Policy)
-		}
-		results[i] = got.Result
+		return out, reg.Snapshot().Counters
+	}
+	if _, c := batch(); c["cache_stores"] != uint64(len(cfgs)) {
+		t.Fatalf("first batch counters %v, want %d stores", c, len(cfgs))
+	}
+	served, c := batch()
+	if c["cache_hits"] != uint64(len(cfgs)) || c["cache_misses"] != 0 {
+		t.Fatalf("reopened batch counters %v, want %d hits and no misses", c, len(cfgs))
 	}
 
-	served, err := experiments.PolicyCompareReport(results)
+	results := make([]*core.RunResult, len(served))
+	for i, r := range served {
+		b, err := json.Marshal(r.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(b, &results[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	report, err := experiments.PolicyCompareReport(results)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if served.Body != local[0].Body {
-		t.Errorf("service-path report differs from local simulation:\n--- local ---\n%s\n--- served ---\n%s", local[0].Body, served.Body)
+	if report.Body != local[0].Body {
+		t.Errorf("cache-served report differs from local simulation:\n--- local ---\n%s\n--- served ---\n%s", local[0].Body, report.Body)
 	}
 }
