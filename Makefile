@@ -132,15 +132,18 @@ assert-smoke:
 # dir through a fresh run cache, then resume a second exploration from that
 # cache (it must miss nothing and simulate nothing), and require both
 # outputs to match the committed results/ exactly. The manifest is excluded
-# from the diff because it records host wall time; its run count must still
-# match the fresh exploration's.
+# from the byte diff because it records host wall time and paths; its
+# deterministic fields (RESULTS_MANIFEST_FIELDS: config, seed, cycles, the
+# outputs' base names and the experiments_runs_* counters) must still match
+# the committed manifest's.
+RESULTS_MANIFEST_FIELDS = {config, seed, cycles, outputs: [.outputs[] | split("/") | last], runs: (.metrics.counters | with_entries(select(.key | startswith("experiments_runs_"))))}
 results-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/dvsexplore" ./cmd/dvsexplore && \
 	"$$tmp/dvsexplore" -outdir "$$tmp/a" -cache "$$tmp/c" -quiet all >/dev/null && \
-	want=$$(grep -o '"experiments_runs_completed": [0-9]*' results/manifest.json) && \
-	got=$$(grep -o '"experiments_runs_completed": [0-9]*' "$$tmp/a/manifest.json") && \
-	{ [ "$$got" = "$$want" ] || { echo "results-check: fresh manifest has $$got, results/manifest.json has $$want"; exit 1; }; } && \
+	jq -S '$(RESULTS_MANIFEST_FIELDS)' results/manifest.json >"$$tmp/want.json" && \
+	jq -S '$(RESULTS_MANIFEST_FIELDS)' "$$tmp/a/manifest.json" >"$$tmp/got.json" && \
+	{ diff "$$tmp/want.json" "$$tmp/got.json" || { echo "results-check: the fresh manifest's deterministic fields differ from results/manifest.json"; exit 1; }; } && \
 	"$$tmp/dvsexplore" -outdir "$$tmp/b" -cache "$$tmp/c" -quiet all >/dev/null 2>&1 && \
 	grep -q '"experiments_runs_completed": 0,' "$$tmp/b/manifest.json" && \
 	grep -q '"misses": 0,' "$$tmp/b/manifest.json" && \

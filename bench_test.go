@@ -448,8 +448,6 @@ func BenchmarkCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	core.SetRunCache(store)
-	defer core.SetRunCache(nil)
 
 	cfg, err := core.DefaultRunConfig(workload.IPFwdr, traffic.LevelHigh, 1)
 	if err != nil {
@@ -457,7 +455,7 @@ func BenchmarkCacheHit(b *testing.B) {
 	}
 	cfg.Cycles = *benchCycles
 	cfg.Policy = core.TDVSPolicy(1000, 40000)
-	if _, err := core.Run(cfg); err != nil {
+	if _, err := core.RunCached(cfg, store); err != nil {
 		b.Fatal(err)
 	}
 
@@ -473,7 +471,7 @@ func BenchmarkCacheHit(b *testing.B) {
 	b.ResetTimer()
 	s := beginSample(b.N)
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(cfg); err != nil {
+		if _, err := core.RunCached(cfg, store); err != nil {
 			b.Fatal(err)
 		}
 	}

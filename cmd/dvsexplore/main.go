@@ -35,7 +35,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -110,8 +109,7 @@ func run(cycles int64, par int, seed int64, outdir, metricsDir string, quiet boo
 	prog := obs.NewProgress(os.Stderr, "runs", plan.PlannedRuns(o),
 		obs.StderrIsTerminal() && !quiet)
 	if store != nil {
-		core.SetRunCache(progressCache{store, prog})
-		defer core.SetRunCache(nil)
+		o.Cache = progressCache{store, prog}
 	}
 	remove := experiments.ObserveRuns(reg, func(wall time.Duration, failed bool) {
 		prog.RunDone(failed)
@@ -242,8 +240,8 @@ type progressCache struct {
 	prog *obs.Progress
 }
 
-func (c progressCache) Lookup(ctx context.Context, key string) (*core.CachedRun, bool) {
-	cr, ok := c.RunCache.Lookup(ctx, key)
+func (c progressCache) Lookup(key string) (*core.CachedRun, bool) {
+	cr, ok := c.RunCache.Lookup(key)
 	if ok {
 		c.prog.RunDone(false)
 	}

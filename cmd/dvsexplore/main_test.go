@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"nepdvs/internal/cache"
-	"nepdvs/internal/core"
 	"nepdvs/internal/experiments"
 	"nepdvs/internal/obs"
 )
@@ -27,8 +26,8 @@ func TestProgressCountsCacheHits(t *testing.T) {
 	o := experiments.Options{Cycles: 120_000, Parallelism: 2, Seed: 1}
 	execute := func(prog *obs.Progress) int64 {
 		t.Helper()
-		core.SetRunCache(progressCache{store, prog})
-		defer core.SetRunCache(nil)
+		o := o
+		o.Cache = progressCache{store, prog}
 		// The hook fires from concurrent run workers.
 		var runs atomic.Int64
 		remove := experiments.ObserveRuns(nil, func(_ time.Duration, failed bool) {

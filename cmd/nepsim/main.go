@@ -288,14 +288,14 @@ func run(o options, rawArgs []string) error {
 	// -metrics snapshot — the snapshot must stay a pure function of
 	// simulation state.
 	var store *cache.Store
+	var runCache core.RunCache // nil, not a nil *cache.Store, when uncached
 	if o.cacheDir != "" {
 		cacheReg := obs.NewRegistry()
 		store, err = cache.Open(o.cacheDir, cache.Options{Registry: cacheReg})
 		if err != nil {
 			return err
 		}
-		core.SetRunCache(store)
-		defer core.SetRunCache(nil)
+		runCache = store
 	}
 
 	// closeTrace flushes the trace writer, then closes the file: a failed
@@ -336,7 +336,7 @@ func run(o options, rawArgs []string) error {
 		runtime.ReadMemStats(&ms0)
 	}
 	simStart := time.Now()
-	res, err := core.Run(cfg)
+	res, err := core.RunCached(cfg, runCache)
 	simWall := time.Since(simStart)
 	if err != nil {
 		return err

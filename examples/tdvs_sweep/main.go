@@ -30,18 +30,24 @@ func main() {
 
 	thresholds := []float64{800, 1000, 1200, 1400}
 	windows := []int64{20000, 40000, 60000, 80000}
-	results, err := core.SweepTDVS(base, thresholds, windows, 8)
-	if err != nil {
-		log.Fatal(err)
+	points := core.TDVSGrid(thresholds, windows)
+	cfgs := make([]core.RunConfig, len(points))
+	for i, pt := range points {
+		cfgs[i] = core.TDVSPointConfig(base, pt)
 	}
+	results := core.RunBatch(cfgs, 8, nil)
 
 	power := stats.NewSurface("threshold_mbps", "window_cycles", "power_w_p80")
 	tput := stats.NewSurface("threshold_mbps", "window_cycles", "throughput_mbps_p80")
-	for _, r := range results {
+	for i, r := range results {
+		if r.Err != nil {
+			log.Fatalf("point %+v: %v", points[i], r.Err)
+		}
+		pt := points[i]
 		p, _ := r.Result.LOCByName("power")
 		t, _ := r.Result.LOCByName("throughput")
-		power.Set(r.Point.ThresholdMbps, float64(r.Point.WindowCycles), p.Dist.Hist.QuantileUpper(0.8))
-		tput.Set(r.Point.ThresholdMbps, float64(r.Point.WindowCycles), t.Dist.Hist.QuantileLower(0.8))
+		power.Set(pt.ThresholdMbps, float64(pt.WindowCycles), p.Dist.Hist.QuantileUpper(0.8))
+		tput.Set(pt.ThresholdMbps, float64(pt.WindowCycles), t.Dist.Hist.QuantileLower(0.8))
 	}
 
 	fmt.Println("# Figure 8: 80th-percentile power surface")

@@ -3,8 +3,9 @@
 // the canonical key material it was derived from plus a SHA-256 over its
 // payload, so corruption — a torn write, a flipped bit, a hand-edited file —
 // is detected on read and degrades to a miss instead of serving a wrong
-// result. The store implements core.RunCache; install it with
-// core.SetRunCache and every run in the process becomes cacheable.
+// result. The store implements core.RunCache; pass it to core.RunCached or
+// core.RunBatch (or as experiments.Options.Cache) and those runs become
+// cacheable.
 //
 // Failure semantics, in one line: the cache never fails a simulation. Read
 // errors are misses, write errors are counted and swallowed, corrupt entries
@@ -12,7 +13,6 @@
 package cache
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -118,7 +118,7 @@ func inc(c *obs.Counter) {
 // Lookup implements core.RunCache. Any defect — missing file, bad JSON,
 // schema or key mismatch, payload checksum failure — is a miss; defects in
 // an existing file additionally count as cache_errors and delete the entry.
-func (s *Store) Lookup(_ context.Context, key string) (cr *core.CachedRun, ok bool) {
+func (s *Store) Lookup(key string) (cr *core.CachedRun, ok bool) {
 	defer func() {
 		if ok {
 			inc(s.hits)
@@ -174,7 +174,7 @@ func decodeEntry(b []byte, key string) (*core.CachedRun, error) {
 // Store implements core.RunCache: marshal, checksum, write atomically.
 // Failures count as cache_errors and are otherwise swallowed — the caller
 // already has its result.
-func (s *Store) Store(_ context.Context, key string, material []byte, cr *core.CachedRun) {
+func (s *Store) Store(key string, material []byte, cr *core.CachedRun) {
 	name, ok := entryName(key)
 	if !ok {
 		inc(s.errors)

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -39,11 +38,9 @@ func TestStoreHitMatchesFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetRunCache(s)
-	defer core.SetRunCache(nil)
 
 	cfg := testConfig(t)
-	fresh, err := core.Run(cfg)
+	fresh, err := core.RunCached(cfg, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +49,7 @@ func TestStoreHitMatchesFreshRun(t *testing.T) {
 		t.Fatalf("after first run: %v, want 1 miss + 1 store", c)
 	}
 
-	cached, err := core.Run(cfg)
+	cached, err := core.RunCached(cfg, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +80,9 @@ func TestStoreCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetRunCache(s)
-	defer core.SetRunCache(nil)
 
 	cfg := testConfig(t)
-	if _, err := core.Run(cfg); err != nil {
+	if _, err := core.RunCached(cfg, s); err != nil {
 		t.Fatal(err)
 	}
 	key, err := core.RunKey(cfg)
@@ -127,7 +122,7 @@ func TestStoreCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, ok := s.Lookup(context.Background(), key); ok {
+	if _, ok := s.Lookup(key); ok {
 		t.Fatal("corrupted entry served as a hit")
 	}
 	c := counters(reg)
@@ -138,10 +133,10 @@ func TestStoreCorruptionDetected(t *testing.T) {
 		t.Error("corrupted entry not deleted")
 	}
 	// The store stays usable: the next run re-simulates and re-stores.
-	if _, err := core.Run(cfg); err != nil {
+	if _, err := core.RunCached(cfg, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Lookup(context.Background(), key); !ok {
+	if _, ok := s.Lookup(key); !ok {
 		t.Error("entry not restored after corruption recovery")
 	}
 }
@@ -154,7 +149,7 @@ func TestStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := fmt.Sprintf("%064x", 42)
-	s.Store(context.Background(), key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{}})
+	s.Store(key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{}})
 
 	s2, err := Open(dir, Options{})
 	if err != nil {
@@ -163,7 +158,7 @@ func TestStoreReopen(t *testing.T) {
 	if s2.Len() != 1 {
 		t.Fatalf("reopened Len = %d, want 1", s2.Len())
 	}
-	if _, ok := s2.Lookup(context.Background(), key); !ok {
+	if _, ok := s2.Lookup(key); !ok {
 		t.Error("entry not readable after reopen")
 	}
 }
@@ -177,7 +172,7 @@ func TestOpenSweepsStaleTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := fmt.Sprintf("%064x", 7)
-	s.Store(context.Background(), key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{}})
+	s.Store(key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{}})
 	stale := filepath.Join(dir, "."+key+".json.tmp-123456")
 	if err := os.WriteFile(stale, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
@@ -190,7 +185,7 @@ func TestOpenSweepsStaleTemps(t *testing.T) {
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Error("stale temp file survived Open")
 	}
-	if _, ok := s2.Lookup(context.Background(), key); !ok || s2.Len() != 1 {
+	if _, ok := s2.Lookup(key); !ok || s2.Len() != 1 {
 		t.Errorf("after the sweep: entry readable %v, Len %d, want true, 1", ok, s2.Len())
 	}
 }
@@ -211,8 +206,8 @@ func TestStoreConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 16; i++ {
 				key := fmt.Sprintf("%060x%04x", g, i)
-				s.Store(context.Background(), key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{}})
-				s.Lookup(context.Background(), key)
+				s.Store(key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{}})
+				s.Lookup(key)
 			}
 		}()
 	}
@@ -235,10 +230,10 @@ func TestStoreRejectsBadKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"", "short", "../../etc/passwd", string(make([]byte, 64))} {
-		if _, ok := s.Lookup(context.Background(), key); ok {
+		if _, ok := s.Lookup(key); ok {
 			t.Errorf("Lookup(%q) hit", key)
 		}
-		s.Store(context.Background(), key, nil, &core.CachedRun{Result: &core.RunResult{}})
+		s.Store(key, nil, &core.CachedRun{Result: &core.RunResult{}})
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -246,5 +241,32 @@ func TestStoreRejectsBadKeys(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Errorf("bad keys created %d files", len(entries))
+	}
+}
+
+// TestStoreImplementsRunCache asserts the store satisfies core.RunCache and
+// round-trips an entry through it.
+func TestStoreImplementsRunCache(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var _ core.RunCache = s
+
+	cfg := core.RunConfig{Cycles: 123}
+	key, err := core.RunKey(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Lookup(key); ok {
+		t.Fatal("lookup hit on empty store")
+	}
+	s.Store(key, []byte(`{}`), &core.CachedRun{Result: &core.RunResult{Config: cfg}})
+	cr, ok := s.Lookup(key)
+	if !ok {
+		t.Fatal("lookup missed after store")
+	}
+	if cr.Result.Config.Cycles != cfg.Cycles {
+		t.Errorf("served config has %d cycles, want %d", cr.Result.Config.Cycles, cfg.Cycles)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
@@ -12,7 +11,6 @@ import (
 	"os"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"nepdvs/internal/obs"
 	"nepdvs/internal/policy"
@@ -25,9 +23,9 @@ import (
 // most (threshold, window) points with the ablations) and repeated or
 // resumed explorations then skip simulation entirely.
 //
-// The cache attaches process-wide, like the run hook: SetRunCache installs
-// an implementation (see internal/cache for the on-disk store) and every
-// RunContext consults it. Runs that carry an ExtraSink bypass the cache in
+// The cache is an explicit argument: RunCached and RunBatch consult the
+// implementation they are given (see internal/cache for the on-disk store),
+// and Run consults none. Runs that carry an ExtraSink bypass the cache in
 // both directions — a hit cannot replay the event trace the sink expects.
 // Failed runs are never stored.
 
@@ -56,46 +54,24 @@ type CachedRun struct {
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
-// RunCache is the interface RunContext consults. Implementations must be
+// RunCache is the interface RunCached consults. Implementations must be
 // safe for concurrent use; Lookup must return an independent value on every
 // call (callers patch the result's config in place). Store failures are the
 // implementation's to count and swallow — a broken cache must never fail a
-// simulation that already succeeded. Both methods receive the run's
-// context; it must not change what is looked up or stored.
+// simulation that already succeeded.
 type RunCache interface {
 	// Lookup returns the cached run for key, if present and intact.
-	Lookup(ctx context.Context, key string) (*CachedRun, bool)
+	Lookup(key string) (*CachedRun, bool)
 	// Store records the run under key. material is the canonical key
 	// material (RunKeyMaterial) for audit; implementations may persist it
 	// alongside the payload.
-	Store(ctx context.Context, key string, material []byte, cr *CachedRun)
+	Store(key string, material []byte, cr *CachedRun)
 }
 
-var runCache atomic.Pointer[RunCache]
-
-// SetRunCache installs c as the process-wide run cache, replacing any
-// previous one. Passing nil removes it. In-flight runs keep the cache they
-// loaded.
-func SetRunCache(c RunCache) {
-	if c == nil {
-		runCache.Store(nil)
-		return
-	}
-	// Pin the code version now, while the executable on disk is still the
-	// one running: a rebuild later in the process's life must not lend its
-	// hash to this process's entries.
-	codeVersion()
-	runCache.Store(&c)
-}
-
-func loadRunCache() RunCache {
-	if p := runCache.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// codeVersion pins cache keys to the code that produced the result.
+// codeVersion pins cache keys to the code that produced the result. It is
+// computed once per process, by the first key derivation; RunCached derives
+// a cached run's key before simulating it, so the pin precedes the first
+// cached simulation.
 var codeVersion = sync.OnceValue(func() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {

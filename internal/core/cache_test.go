@@ -1,8 +1,8 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -24,7 +24,7 @@ type memCache struct {
 
 func newMemCache() *memCache { return &memCache{entries: make(map[string][]byte)} }
 
-func (m *memCache) Lookup(_ context.Context, key string) (*CachedRun, bool) {
+func (m *memCache) Lookup(key string) (*CachedRun, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	b, ok := m.entries[key]
@@ -39,7 +39,7 @@ func (m *memCache) Lookup(_ context.Context, key string) (*CachedRun, bool) {
 	return &cr, true
 }
 
-func (m *memCache) Store(_ context.Context, key string, material []byte, cr *CachedRun) {
+func (m *memCache) Store(key string, material []byte, cr *CachedRun) {
 	b, err := json.Marshal(cr)
 	if err != nil {
 		return
@@ -212,14 +212,12 @@ func TestCodeVersionOf(t *testing.T) {
 func TestRunCacheHitSkipsSimulation(t *testing.T) {
 	cfg := cacheTestConfig(t)
 	c := newMemCache()
-	SetRunCache(c)
-	defer SetRunCache(nil)
 
 	var runs int
 	SetRunHook(func(time.Duration, error) { runs++ })
 	defer SetRunHook(nil)
 
-	first, err := Run(cfg)
+	first, err := RunCached(cfg, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +225,7 @@ func TestRunCacheHitSkipsSimulation(t *testing.T) {
 		t.Fatalf("after miss: runs=%d stores=%d, want 1/1", runs, c.stores)
 	}
 
-	second, err := Run(cfg)
+	second, err := RunCached(cfg, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,20 +259,18 @@ func TestRunCacheHitSkipsSimulation(t *testing.T) {
 func TestRunCacheReplaysMetrics(t *testing.T) {
 	cfg := cacheTestConfig(t)
 	c := newMemCache()
-	SetRunCache(c)
-	defer SetRunCache(nil)
 
 	live := obs.NewRegistry()
 	withMetrics := cfg
 	withMetrics.Metrics = live
-	if _, err := Run(withMetrics); err != nil {
+	if _, err := RunCached(withMetrics, c); err != nil {
 		t.Fatal(err)
 	}
 	liveSnap := live.Snapshot()
 
 	replayed := obs.NewRegistry()
 	withMetrics.Metrics = replayed
-	if _, err := Run(withMetrics); err != nil {
+	if _, err := RunCached(withMetrics, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.hits != 1 {
@@ -298,13 +294,11 @@ func TestRunCacheBypassedByExtraSink(t *testing.T) {
 	cfg.Formulas = ""
 	cfg.ExtraSink = trace.DiscardSink{}
 	c := newMemCache()
-	SetRunCache(c)
-	defer SetRunCache(nil)
 
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunCached(cfg, c); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunCached(cfg, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.stores != 0 || c.hits != 0 {
@@ -312,25 +306,22 @@ func TestRunCacheBypassedByExtraSink(t *testing.T) {
 	}
 }
 
-// TestSweepDefaultParallelism pins the parallelism<=0 convention: a sweep
-// and a batch must complete (one worker per CPU) rather than deadlock on an empty
-// semaphore.
+// TestSweepDefaultParallelism pins the parallelism<=0 convention: a batch
+// over the TDVS grid runs one worker per CPU and completes rather than
+// deadlocking on an empty semaphore.
 func TestSweepDefaultParallelism(t *testing.T) {
 	cfg := cacheTestConfig(t)
 	cfg.Formulas = ""
 	cfg.Cycles = 100_000
 	for _, p := range []int{0, -3} {
-		rs, err := SweepTDVS(cfg, []float64{1000}, []int64{40000}, p)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", p, err)
+		if got := parallelism(p); got != runtime.NumCPU() {
+			t.Errorf("parallelism(%d) = %d, want one worker per CPU (%d)", p, got, runtime.NumCPU())
 		}
-		if len(rs) != 1 || rs[0].Result == nil {
-			t.Fatalf("parallelism %d: bad results %+v", p, rs)
-		}
-	}
-	for _, r := range RunBatch(context.Background(), []RunConfig{cfg, cfg}, 0, nil) {
-		if r.Err != nil {
-			t.Fatalf("batch with default parallelism: %v", r.Err)
+		_, rs := runGrid(cfg, []float64{1000}, []int64{40000, 60000}, p)
+		for _, r := range rs {
+			if r.Err != nil || r.Result == nil {
+				t.Fatalf("parallelism %d: bad result %+v", p, r)
+			}
 		}
 	}
 }

@@ -1,8 +1,7 @@
 // Package core is the design-exploration engine: it wires the NPU model,
 // a benchmark workload, a traffic source, an optional DVS policy and a set
-// of LOC assertion formulas into one reproducible simulation run, and
-// provides the parameter-sweep machinery the paper's Figures 6–11 are built
-// from.
+// of LOC assertion formulas into one reproducible simulation run, and runs
+// the batches of such runs the paper's Figures 6–11 are built from.
 //
 // A Run is fully described by its RunConfig value; two Runs with equal
 // configs produce identical traces and results. LOC analyzers attach as
@@ -286,8 +285,8 @@ func EventSchemaFor(chip npu.Config) *loc.Schema {
 func EventSchema() *loc.Schema { return EventSchemaFor(npu.DefaultConfig()) }
 
 // RunError wraps a failure inside the simulation itself — a panic recovered
-// from the model (possibly an injected one) — as an ordinary error so batch
-// and sweep machinery can record it instead of dying.
+// from the model (possibly an injected one) — as an ordinary error so a
+// batch can record it instead of dying.
 type RunError struct {
 	// Panicked reports that the run died by panic; Value is the panic value
 	// rendered as text and Stack the goroutine stack at recovery.
@@ -309,26 +308,29 @@ func (e *RunError) Error() string {
 // Unwrap exposes the underlying error for errors.Is/As.
 func (e *RunError) Unwrap() error { return e.Err }
 
-// Run executes one simulation run to completion.
+// Run executes one simulation run to completion, without a run cache. It
+// is RunCached with a nil cache.
 func Run(cfg RunConfig) (*RunResult, error) {
-	return RunContext(context.Background(), cfg)
+	return RunCached(cfg, nil)
 }
 
-// RunContext executes one simulation run under a context. Cancellation (or
-// a RunConfig.Timeout expiry) interrupts the simulation kernel and fails
-// the run; a panic inside the model, or inside cfg.ExtraSink on its
-// delivery goroutine, is recovered into a *RunError rather than killing
-// the process, so sweeps survive individual bad runs. RunContext returns
-// only after that goroutine has delivered its last event.
+// RunCached executes one simulation run to completion. A cfg.Timeout
+// expiry interrupts the simulation kernel and fails the run; a panic
+// inside the model, or inside cfg.ExtraSink on its delivery goroutine, is
+// recovered into a *RunError rather than killing the process, so batches
+// survive individual bad runs. RunCached returns only after that goroutine
+// has delivered its last event.
 //
-// When a run cache is installed (SetRunCache) and the config has no
-// ExtraSink and no Spans recorder, the run is content-addressed: a hit
-// returns the stored result without simulating — the run hook does not
-// fire, and the stored metrics snapshot merges into cfg.Metrics in place of
-// a live publish — and a miss stores the completed result for the next
-// identical run.
-func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
-	cache := loadRunCache()
+// When cache is non-nil and the config has no ExtraSink and no Spans
+// recorder, the run is content-addressed: a hit returns the stored result
+// without simulating — the run hook does not fire, and the stored metrics
+// snapshot merges into cfg.Metrics in place of a live publish — and a miss
+// stores the completed result for the next identical run. The key is
+// derived before anything is simulated, and the process's first key
+// derivation pins the code version (codeVersion), so a rebuild of the
+// executable later in the process's life cannot lend its hash to entries
+// this process writes.
+func RunCached(cfg RunConfig, cache RunCache) (*RunResult, error) {
 	var key string
 	var material []byte
 	if cache != nil && cfg.ExtraSink == nil && cfg.Spans == nil {
@@ -338,7 +340,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 			material = m
 			sum := sha256.Sum256(m)
 			key = hex.EncodeToString(sum[:])
-			if cr, ok := cache.Lookup(ctx, key); ok && cr.Result != nil {
+			if cr, ok := cache.Lookup(key); ok && cr.Result != nil {
 				res := cr.Result
 				// The stored config round-tripped through JSON and lost the
 				// non-serializable fields; hand back the caller's own.
@@ -352,9 +354,9 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 			}
 		}
 	}
-	res, snap, err := runSim(ctx, cfg, key != "")
+	res, snap, err := runSim(cfg, key != "")
 	if err == nil && key != "" {
-		cache.Store(ctx, key, material, &CachedRun{Result: res, Metrics: snap})
+		cache.Store(key, material, &CachedRun{Result: res, Metrics: snap})
 	}
 	return res, err
 }
@@ -380,10 +382,10 @@ func (s *locEvalSink) Emit(ev *trace.Event) error {
 	return err
 }
 
-// runSim is the simulation proper: everything RunContext does besides cache
+// runSim is the simulation proper: everything RunCached does besides cache
 // bookkeeping. capture asks for a private per-run metrics snapshot (for the
 // cache entry) in addition to any cfg.Metrics publish.
-func runSim(ctx context.Context, cfg RunConfig, capture bool) (res *RunResult, snap *obs.Snapshot, err error) {
+func runSim(cfg RunConfig, capture bool) (res *RunResult, snap *obs.Snapshot, err error) {
 	if h := loadRunHook(); h != nil {
 		start := time.Now()
 		defer func() { h(time.Since(start), err) }()
@@ -399,7 +401,7 @@ func runSim(ctx context.Context, cfg RunConfig, capture bool) (res *RunResult, s
 
 	// Validation failures count as failed runs — the hook above observes
 	// them — and are never cached, so a pre-validation cache lookup in
-	// RunContext can only miss.
+	// RunCached can only miss.
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -549,30 +551,12 @@ func runSim(ctx context.Context, cfg RunConfig, capture bool) (res *RunResult, s
 		return nil, nil, err
 	}
 
-	// Watchdog: a goroutine that interrupts the kernel when the context
-	// expires. Only started when the context can actually fire — for the
-	// plain context.Background() path Done() is nil and the run is
-	// unbounded, costing nothing.
+	// Watchdog: when the run has a wall-clock budget, the deadline's expiry
+	// interrupts the kernel. An unbounded run starts no timer.
 	if cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 		defer cancel()
-	}
-	if ctx.Done() != nil {
-		if ctx.Err() != nil {
-			// Already expired: abort before the first event instead of
-			// racing the watchdog goroutine against a short run.
-			k.Interrupt()
-		}
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				k.Interrupt()
-			case <-watchDone:
-			}
-		}()
+		defer context.AfterFunc(ctx, k.Interrupt)()
 	}
 
 	k.RunUntil(dur)
@@ -584,11 +568,7 @@ func runSim(ctx context.Context, cfg RunConfig, capture bool) (res *RunResult, s
 	}
 
 	if k.Interrupted() {
-		cause := ctx.Err()
-		if cause == nil {
-			cause = context.Canceled
-		}
-		return nil, nil, fmt.Errorf("core: run aborted by watchdog at %v simulated (%d events dispatched): %w", k.Now(), k.Dispatched(), cause)
+		return nil, nil, fmt.Errorf("core: run aborted by watchdog at %v simulated (%d events dispatched): %w", k.Now(), k.Dispatched(), context.DeadlineExceeded)
 	}
 
 	if err := chip.SinkErr(); err != nil {
@@ -666,8 +646,8 @@ type Point struct {
 }
 
 // TDVSGrid expands sweep axes into design points in the canonical
-// threshold-major order. Every sweep path — SweepTDVS and the
-// experiments' sweeps — expands the grid here, so point order (and thus
+// threshold-major order. Every sweep — the experiments' and the
+// tdvs_sweep example's — expands the grid here, so point order (and thus
 // artifact layout) is identical everywhere.
 func TDVSGrid(thresholds []float64, windows []int64) []Point {
 	points := make([]Point, 0, len(thresholds)*len(windows))
@@ -679,7 +659,7 @@ func TDVSGrid(thresholds []float64, windows []int64) []Point {
 	return points
 }
 
-// TDVSPointConfig derives the exact config Sweep runs for one grid point:
+// TDVSPointConfig derives the exact config a sweep runs for one grid point:
 // the base config with its policy replaced by the point's TDVS policy
 // (keeping the base hysteresis). A point's run key — and therefore its
 // cache entry and result — depends on this config alone.
@@ -693,61 +673,13 @@ func TDVSPointConfig(base RunConfig, pt Point) RunConfig {
 	return cfg
 }
 
-// SweepResult pairs a design point with its run outcome. Exactly one of
-// Result and Err is set: a point whose run fails (after one retry) carries
-// its error here instead of aborting the whole sweep.
-type SweepResult struct {
-	Point  Point
-	Result *RunResult
-	Err    error
-	// Retries counts execution attempts beyond the first this point needed
-	// (runWithRetry retries once). Scheduling bookkeeping, not content: it
-	// never serializes into sweep artifacts, which must stay byte-identical
-	// however many attempts a point took.
-	Retries int
-}
-
-// runWithRetry executes a run and, on failure, tries exactly once more,
-// reporting how many extra attempts were spent. The retry absorbs transient
-// failures (a watchdog firing on a loaded machine); deterministic failures —
-// injected panics, config errors — fail both attempts, and the second error
-// is returned. A canceled context is never retried: the caller asked the
-// work to stop.
-func runWithRetry(ctx context.Context, cfg RunConfig) (*RunResult, int, error) {
-	res, err := RunContext(ctx, cfg)
-	if err == nil || ctx.Err() != nil {
-		return res, 0, err
-	}
-	res, err = RunContext(ctx, cfg)
-	return res, 1, err
-}
-
-// Parallelism resolves the convention shared by every parallel entry
-// point: zero or negative means one worker per CPU.
-func Parallelism(p int) int {
+// parallelism resolves RunBatch's worker count: zero or negative means one
+// worker per CPU.
+func parallelism(p int) int {
 	if p <= 0 {
 		return runtime.NumCPU()
 	}
 	return p
-}
-
-// ForEach calls fn(i) for every i in [0, n), at most Parallelism(parallelism)
-// calls at a time, and returns once all of them have returned. It is the
-// one bounded fan-out behind every parallel entry point; RunBatch is built
-// on it.
-func ForEach(n, parallelism int, fn func(i int)) {
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, Parallelism(parallelism))
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fn(i)
-		}()
-	}
-	wg.Wait()
 }
 
 // BatchResult is the outcome of one config of a RunBatch. Exactly one of
@@ -755,91 +687,36 @@ func ForEach(n, parallelism int, fn func(i int)) {
 type BatchResult struct {
 	Result *RunResult
 	Err    error
-	// Retries counts attempts beyond the first (see runWithRetry).
-	Retries int
 }
 
-// RunBatch is the one batch executor: it runs every config with
-// runWithRetry, at most Parallelism(parallelism) at a time, and returns the
-// outcomes in config order. At parallelism 1 the configs run in order.
+// RunBatch is the one batch executor: it runs every config with RunCached
+// over cache (nil for none), at most parallelism(par) at a time, and
+// returns the outcomes in config order. At par 1 the configs run in order.
 //
-// The batch is resilient: a config whose run still fails after its retry
-// records its error while the others complete. Cancelling ctx interrupts
-// in-flight runs and skips configs not yet started; each records ctx's
-// error. onDone, when non-nil, is called once per finished config,
-// concurrently from batch workers.
-func RunBatch(ctx context.Context, cfgs []RunConfig, parallelism int, onDone func(i int, r BatchResult)) []BatchResult {
+// The batch is resilient: a failed run is tried exactly once more, which
+// absorbs transient failures (a watchdog firing on a loaded machine), and
+// a config whose run still fails records its error while the others
+// complete. Deterministic failures — injected panics, config errors — fail
+// both attempts, and the second error is recorded.
+func RunBatch(cfgs []RunConfig, par int, cache RunCache) []BatchResult {
 	out := make([]BatchResult, len(cfgs))
-	ForEach(len(cfgs), parallelism, func(i int) {
-		r := BatchResult{Err: ctx.Err()}
-		if r.Err == nil {
-			r.Result, r.Retries, r.Err = runWithRetry(ctx, cfgs[i])
-		}
-		out[i] = r
-		if onDone != nil {
-			onDone(i, r)
-		}
-	})
-	return out
-}
-
-// SweepTDVS runs the cross product of thresholds × windows (each with the
-// base config's benchmark, traffic and formulas) in-process, in parallel
-// across goroutines — each run owns its kernel, so runs are independent.
-// It is Sweep with no observer.
-func SweepTDVS(base RunConfig, thresholds []float64, windows []int64, parallelism int) ([]SweepResult, error) {
-	return Sweep(context.Background(), base, thresholds, windows, parallelism, nil)
-}
-
-// Sweep expands the grid (TDVSGrid), derives each point's config
-// (TDVSPointConfig) and runs the points as one RunBatch. Results are
-// returned in the deterministic threshold-major order, whatever the
-// parallelism.
-//
-// A point whose run panics, times out or otherwise fails records its error
-// in its SweepResult while the remaining points complete. If any point
-// failed the returned error summarizes the damage — callers that need every
-// point treat it as fatal; callers doing robustness exploration inspect the
-// per-point Errs. Only when every point fails is the result slice nil.
-//
-// Cancellation follows RunBatch. onPoint, when non-nil, is called once per
-// finished point, concurrently from batch workers.
-func Sweep(ctx context.Context, base RunConfig, thresholds []float64, windows []int64, parallelism int, onPoint func(SweepResult)) ([]SweepResult, error) {
-	if len(thresholds) == 0 || len(windows) == 0 {
-		return nil, fmt.Errorf("core: empty sweep axes")
-	}
-	points := TDVSGrid(thresholds, windows)
-	cfgs := make([]RunConfig, len(points))
-	for i, pt := range points {
-		cfgs[i] = TDVSPointConfig(base, pt)
-	}
-	results := make([]SweepResult, len(points))
-	RunBatch(ctx, cfgs, parallelism, func(i int, r BatchResult) {
-		results[i] = SweepResult{Point: points[i], Result: r.Result, Retries: r.Retries}
-		if r.Err != nil {
-			results[i].Err = fmt.Errorf("core: point %+v: %w", points[i], r.Err)
-		}
-		if onPoint != nil {
-			onPoint(results[i])
-		}
-	})
-	var failed int
-	var first error
-	for _, r := range results {
-		if r.Err != nil {
-			failed++
-			if first == nil {
-				first = r.Err
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, parallelism(par))
+	for i := range cfgs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			res, err := RunCached(cfgs[i], cache)
+			if err != nil {
+				res, err = RunCached(cfgs[i], cache)
 			}
-		}
+			out[i] = BatchResult{Result: res, Err: err}
+		}()
 	}
-	switch {
-	case failed == len(results):
-		return nil, fmt.Errorf("core: all %d sweep points failed (first: %w)", failed, first)
-	case failed > 0:
-		return results, fmt.Errorf("core: %d of %d sweep points failed (first: %w)", failed, len(results), first)
-	}
-	return results, nil
+	wg.Wait()
+	return out
 }
 
 // The paper's analysis formulas, parameterized by their per-N-packet

@@ -346,40 +346,50 @@ func TestCombinedAblation(t *testing.T) {
 	}
 }
 
+// runGrid runs the TDVS grid thresholds × windows over base the way every
+// sweep does — TDVSGrid, TDVSPointConfig, one RunBatch — and returns the
+// points with their outcomes.
+func runGrid(base RunConfig, thresholds []float64, windows []int64, par int) ([]Point, []BatchResult) {
+	points := TDVSGrid(thresholds, windows)
+	cfgs := make([]RunConfig, len(points))
+	for i, pt := range points {
+		cfgs[i] = TDVSPointConfig(base, pt)
+	}
+	return points, RunBatch(cfgs, par, nil)
+}
+
 func TestSweepTDVS(t *testing.T) {
 	base := shortCfg(t, workload.IPFwdr, traffic.LevelHigh)
 	base.Cycles = 500_000
 	base.Formulas = StandardFormulas()
-	res, err := SweepTDVS(base, []float64{800, 1000}, []int64{20000, 40000}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points, res := runGrid(base, []float64{800, 1000}, []int64{20000, 40000}, 4)
 	if len(res) != 4 {
 		t.Fatalf("sweep returned %d results", len(res))
 	}
 	// Deterministic threshold-major ordering.
 	want := []Point{{800, 20000}, {800, 40000}, {1000, 20000}, {1000, 40000}}
 	for i, r := range res {
-		if r.Point != want[i] {
-			t.Fatalf("order[%d] = %+v, want %+v", i, r.Point, want[i])
+		if points[i] != want[i] {
+			t.Fatalf("order[%d] = %+v, want %+v", i, points[i], want[i])
 		}
-		if r.Result == nil || len(r.Result.LOC) != 2 {
-			t.Fatalf("point %+v missing results", r.Point)
+		if r.Err != nil || r.Result == nil || len(r.Result.LOC) != 2 {
+			t.Fatalf("point %+v missing results: %+v", want[i], r)
+		}
+		pol := r.Result.Config.Policy
+		if got := (Point{pol.Param("top_threshold_mbps"), int64(pol.Param("window_cycles"))}); got != want[i] {
+			t.Fatalf("result %d ran point %+v, want %+v", i, got, want[i])
 		}
 	}
 	// Parallel equals serial.
-	res2, err := SweepTDVS(base, []float64{800, 1000}, []int64{20000, 40000}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res2 := runGrid(base, []float64{800, 1000}, []int64{20000, 40000}, 1)
 	for i := range res {
+		if res2[i].Err != nil {
+			t.Fatal(res2[i].Err)
+		}
 		a, b := res[i].Result.Stats, res2[i].Result.Stats
 		if a.EnergyUJ != b.EnergyUJ || a.PktsSent != b.PktsSent {
-			t.Fatalf("parallel/serial mismatch at %+v", res[i].Point)
+			t.Fatalf("parallel/serial mismatch at %+v", points[i])
 		}
-	}
-	if _, err := SweepTDVS(base, nil, []int64{1}, 1); err == nil {
-		t.Error("empty axes accepted")
 	}
 }
 

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"slices"
 	"testing"
 
+	"nepdvs/internal/obs"
+	"nepdvs/internal/sim"
 	"nepdvs/internal/traffic"
 	"nepdvs/internal/workload"
 )
@@ -68,6 +71,64 @@ func TestNeverScalingPoliciesEqualNoDVS(t *testing.T) {
 			if d := g.EnergyUJ - monitor - w.EnergyUJ; math.Abs(d) > 1e-9*w.EnergyUJ {
 				t.Errorf("energy %.6f µJ less monitor %.6f µJ is %.6f µJ, noDVS %.6f µJ (off by %g)",
 					g.EnergyUJ, monitor, g.EnergyUJ-monitor, w.EnergyUJ, d)
+			}
+		})
+	}
+}
+
+// TestZeroTransitionsPenaltyInvariant is a metamorphic relation: the DVS
+// transition penalty is charged only on transitions, so a run that makes
+// none must not depend on it. noDVS and three policies that never cross
+// their thresholds each run at a 0 µs and a 10 µs penalty, and their
+// metrics snapshots, chip stats, LOC results and policy stats must be
+// equal.
+func TestZeroTransitionsPenaltyInvariant(t *testing.T) {
+	base, err := DefaultRunConfig(workload.IPFwdr, traffic.LevelHigh, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Cycles = 400_000
+	base.Formulas = StandardFormulas()
+	const never = 0.999999
+	cases := []struct {
+		name string
+		pol  PolicyConfig
+	}{
+		{"noDVS", PolicyConfig{}},
+		{"tdvs", TDVSPolicy(1, 40_000)},
+		{"edvs", EDVSPolicy(40_000, never)},
+		{"psm", NewPolicy("psm", map[string]float64{"window_cycles": 40_000, "sleep_idle_frac": never})},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// run returns the JSON of everything the run reports except the
+			// config echo, which names the penalty.
+			run := func(penalty sim.Time) map[string]string {
+				cfg := base
+				cfg.Policy = c.pol
+				cfg.Chip.DVSPenalty = penalty
+				cfg.Metrics = obs.NewRegistry()
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := map[string]string{}
+				for name, v := range map[string]any{
+					"metrics": cfg.Metrics.Snapshot(), "stats": res.Stats, "loc": res.LOC, "dvs": res.DVSStats,
+				} {
+					b, err := json.Marshal(v)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					out[name] = string(b)
+				}
+				return out
+			}
+			free, charged := run(0), run(10*sim.Microsecond)
+			for _, name := range []string{"metrics", "stats", "loc", "dvs"} {
+				if free[name] != charged[name] {
+					t.Errorf("%s differ between a 0 µs and a 10 µs penalty:\n%s\n%s", name, free[name], charged[name])
+				}
 			}
 		})
 	}

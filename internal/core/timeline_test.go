@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"testing"
 
@@ -129,22 +128,23 @@ func TestTimelineRecordsFaultWindows(t *testing.T) {
 // bug in the bypass tests below.
 type countingCache struct{ lookups, stores int }
 
-func (c *countingCache) Lookup(context.Context, string) (*CachedRun, bool) {
+func (c *countingCache) Lookup(string) (*CachedRun, bool) {
 	c.lookups++
 	return nil, false
 }
-func (c *countingCache) Store(context.Context, string, []byte, *CachedRun) { c.stores++ }
+func (c *countingCache) Store(string, []byte, *CachedRun) { c.stores++ }
 
 // TestTimelineBypassesCache asserts a run carrying a recorder never probes
 // or populates the run cache — a hit could not replay the span stream.
 func TestTimelineBypassesCache(t *testing.T) {
 	cc := &countingCache{}
-	SetRunCache(cc)
-	defer SetRunCache(nil)
-
 	cfg := shortCfg(t, workload.IPFwdr, traffic.LevelLow)
 	cfg.Cycles = 200_000
-	if _, _ = timelineRun(t, cfg); cc.lookups != 0 || cc.stores != 0 {
+	cfg.Spans = span.NewRecorder()
+	if _, err := RunCached(cfg, cc); err != nil {
+		t.Fatal(err)
+	}
+	if cc.lookups != 0 || cc.stores != 0 {
 		t.Fatalf("recorder run touched the cache: %d lookups, %d stores", cc.lookups, cc.stores)
 	}
 }

@@ -106,6 +106,10 @@ type Options struct {
 	// bench harness derives its domain throughput (cycles/sec,
 	// packets/sec) from it.
 	Metrics *obs.Registry
+	// Cache, when non-nil, serves and stores the runs (see core.RunCached).
+	// It never changes a result, so it stays out of the manifest's
+	// serialized options.
+	Cache core.RunCache `json:"-"`
 }
 
 func (o Options) withDefaults() Options {
@@ -218,7 +222,13 @@ type TDVSSweepData struct {
 	Bench   workload.Name
 	Options Options
 	NoDVS   *core.RunResult
-	Results []core.SweepResult
+	Results []PointResult
+}
+
+// PointResult pairs a TDVS design point with its run's result.
+type PointResult struct {
+	Point  core.Point
+	Result *core.RunResult
 }
 
 // find returns the sweep result at a design point.
@@ -254,14 +264,16 @@ func sweepConfigs(bench workload.Name) func(Options) ([]core.RunConfig, error) {
 func sweepData(bench workload.Name, o Options, rs []*core.RunResult) *TDVSSweepData {
 	d := &TDVSSweepData{Bench: bench, Options: o, NoDVS: rs[0]}
 	for i, pt := range core.TDVSGrid(Thresholds, Windows) {
-		d.Results = append(d.Results, core.SweepResult{Point: pt, Result: rs[i+1]})
+		d.Results = append(d.Results, PointResult{Point: pt, Result: rs[i+1]})
 	}
 	return d
 }
 
 // RunTDVSSweep executes the paper's §4.1 exploration (sweepConfigs) as one
 // batch: at Parallelism 1 the noDVS baseline runs first, then the grid in
-// threshold-major order.
+// threshold-major order. The experiment table shares this sweep through
+// its run pool instead; RunTDVSSweep serves callers that want the data
+// without the reports, such as perfbench's sweep workload.
 func RunTDVSSweep(bench workload.Name, o Options) (*TDVSSweepData, error) {
 	o = o.withDefaults()
 	cfgs, err := sweepConfigs(bench)(o)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -152,7 +151,7 @@ func (pl runPool) results(s int, out []core.BatchResult) ([]*core.RunResult, err
 // fails the call.
 func runAll(cfgs []core.RunConfig, o Options) ([]*core.RunResult, error) {
 	pl := (&Plan{steps: []Experiment{{Configs: func(Options) ([]core.RunConfig, error) { return cfgs, nil }}}}).pool(o)
-	return pl.results(0, core.RunBatch(context.Background(), pl.cfgs, o.Parallelism, nil))
+	return pl.results(0, core.RunBatch(pl.cfgs, o.Parallelism, o.Cache))
 }
 
 // IDs returns the experiment IDs in sorted order.
@@ -218,7 +217,7 @@ func (p *Plan) PlannedRuns(o Options) int {
 func (p *Plan) Execute(o Options) ([]Report, []error) {
 	o = o.withDefaults()
 	pl := p.pool(o)
-	out := core.RunBatch(context.Background(), pl.cfgs, o.Parallelism, nil)
+	out := core.RunBatch(pl.cfgs, o.Parallelism, o.Cache)
 	var all []Report
 	var errs []error
 	for s, e := range p.steps {

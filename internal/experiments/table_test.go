@@ -58,7 +58,6 @@ func TestRunCheckpointedResume(t *testing.T) {
 	var runs atomic.Int64
 	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { runs.Add(1) })
 	defer remove()
-	defer core.SetRunCache(nil)
 
 	o := testOpts
 	o.Cycles = 300_000
@@ -73,7 +72,8 @@ func TestRunCheckpointedResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		core.SetRunCache(store)
+		o := o
+		o.Cache = store
 		rs, errs := p.Execute(o)
 		if len(errs) > 0 {
 			t.Fatal(errs)
@@ -122,8 +122,6 @@ func TestExecuteSavesStepOnItsLastRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.SetRunCache(store)
-	defer core.SetRunCache(nil)
 	// At parallelism 1 the runs are serial, so the hook needs no lock.
 	var stored []int
 	remove := ObserveRuns(nil, func(_ time.Duration, _ bool) { stored = append(stored, store.Len()) })
@@ -134,6 +132,7 @@ func TestExecuteSavesStepOnItsLastRun(t *testing.T) {
 	}
 	o := testOpts
 	o.Parallelism = 1
+	o.Cache = store
 	if _, errs := p.Execute(o); len(errs) > 0 {
 		t.Fatal(errs)
 	}

@@ -8,7 +8,6 @@ package nepdvs
 // of the run results — these tests pin them against regressions.
 
 import (
-	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -80,9 +79,7 @@ func TestPolicyCompareServicePath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		core.SetRunCache(store)
-		defer core.SetRunCache(nil)
-		out := core.RunBatch(context.Background(), cfgs, o.Parallelism, nil)
+		out := core.RunBatch(cfgs, o.Parallelism, store)
 		for i, r := range out {
 			if r.Err != nil {
 				t.Fatalf("run %s: %v", cfgs[i].Policy, r.Err)
