@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 
 	"nepdvs/internal/core"
 	"nepdvs/internal/stats"
@@ -55,8 +56,14 @@ func main() {
 	fmt.Println("# Figure 9: 80th-percentile throughput surface")
 	fmt.Print(tput.Render())
 
-	px, py, pz := power.MinZ()
-	tx, ty, tz := tput.MaxZ()
-	fmt.Printf("power-optimal config:       threshold %g Mbps, window %gk cycles (%.3f W at p80)\n", px, py/1000, pz)
-	fmt.Printf("performance-optimal config: threshold %g Mbps, window %gk cycles (%.0f Mbps at p80)\n", tx, ty/1000, tz)
+	if px, py, pz := power.MinZ(); math.IsNaN(pz) {
+		fmt.Println("power-optimal config:       none, no design point had a power distribution")
+	} else {
+		fmt.Printf("power-optimal config:       threshold %g Mbps, window %gk cycles (%.3f W at p80)\n", px, py/1000, pz)
+	}
+	if tx, ty, tz := tput.MaxZ(); math.IsNaN(tz) {
+		fmt.Println("performance-optimal config: none, no design point had a throughput distribution")
+	} else {
+		fmt.Printf("performance-optimal config: threshold %g Mbps, window %gk cycles (%.0f Mbps at p80)\n", tx, ty/1000, tz)
+	}
 }

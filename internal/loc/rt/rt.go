@@ -1004,10 +1004,9 @@ type TextReader struct {
 	sc   *bufio.Scanner
 	line int
 	err  error
-	// fields holds the byte spans of the current line's fields; extra is
-	// the reader-owned map handed out with each event that has extras.
+	// fields holds the byte spans of the current line's fields.
 	fields []fieldSpan
-	extra  map[string]float64
+	extra  Extras
 	strs   Interner
 }
 
@@ -1025,39 +1024,94 @@ func NewTextReader(r io.Reader) *TextReader {
 // ev.Extra is nil for an event without extras and otherwise the reader's
 // own map, which the next call clears and refills: a caller that keeps an
 // event must copy its Extra.
+//
+// A read error ends the trace with that error, wrapped with the number of
+// the line it cut short. The scanner hands out the partial tail it held
+// when the read failed; that tail is never parsed, since a cut line can
+// parse as a wrong event.
 func (t *TextReader) Next(ev *Event) (ok bool, err error) {
 	if t.err != nil {
 		return false, t.err
 	}
-	clear(t.extra)
 	for t.sc.Scan() {
 		t.line++
+		if err := t.sc.Err(); err != nil {
+			return t.fail(fmt.Errorf("trace: line %d: %w", t.line, err))
+		}
 		line := t.sc.Bytes()
 		t.fields = splitFields(t.fields[:0], line)
 		if len(t.fields) == 0 || line[t.fields[0].lo] == '#' {
 			continue
 		}
 		if err := t.parse(line, ev); err != nil {
-			t.err = fmt.Errorf("trace: line %d: %w", t.line, err)
-			return false, t.err
+			return t.fail(fmt.Errorf("trace: line %d: %w", t.line, err))
 		}
 		return true, nil
 	}
-	t.err = t.sc.Err()
-	return false, t.err
+	return t.fail(t.sc.Err())
 }
 
-// splitFields appends to dst the spans of line's fields: maximal runs of
-// bytes that are not Unicode white space, with invalid UTF-8 counting as
-// non-space, as in strings.Fields. ASCII bytes are classified by table; a
-// field is scanned byte by byte, since the continuation bytes of a
-// multi-byte rune never decode as white space.
+// fail ends the trace with err (nil at a clean end) and empties the extras
+// map the last event lent out.
+func (t *TextReader) fail(err error) (bool, error) {
+	t.extra.Clear()
+	t.err = err
+	return false, err
+}
+
+// splitFields appends to dst the spans of line's fields, exactly as
+// strings.Fields splits them. A line of ASCII bytes is split by one table
+// lookup per byte; the first byte past ASCII hands the whole line to
+// splitFieldsUnicode.
 func splitFields(dst []fieldSpan, line []byte) []fieldSpan {
+	n := len(dst)
+	i := 0
+	for {
+		for i < len(line) && byteClass[line[i]] == clsSpace {
+			i++
+		}
+		if i == len(line) {
+			return dst
+		}
+		start := i
+		for i < len(line) && byteClass[line[i]] == clsField {
+			i++
+		}
+		if i < len(line) && byteClass[line[i]] == clsWide {
+			return splitFieldsUnicode(dst[:n], line)
+		}
+		dst = append(dst, fieldSpan{start, i})
+	}
+}
+
+// Byte classes for splitFields.
+const (
+	clsField = iota // an ASCII byte that is not white space
+	clsSpace        // ASCII white space
+	clsWide         // a byte of a multi-byte rune or invalid UTF-8
+)
+
+var byteClass = func() (c [256]uint8) {
+	for _, b := range []byte{'\t', '\n', '\v', '\f', '\r', ' '} {
+		c[b] = clsSpace
+	}
+	for b := utf8.RuneSelf; b < len(c); b++ {
+		c[b] = clsWide
+	}
+	return c
+}()
+
+// splitFieldsUnicode appends to dst the spans of line's fields: maximal
+// runs of bytes that are not Unicode white space, with invalid UTF-8
+// counting as non-space, as in strings.Fields. ASCII bytes are classified
+// by table; a field is scanned byte by byte, since the continuation bytes
+// of a multi-byte rune never decode as white space.
+func splitFieldsUnicode(dst []fieldSpan, line []byte) []fieldSpan {
 	i := 0
 	for {
 		for i < len(line) {
 			if c := line[i]; c < utf8.RuneSelf {
-				if !asciiSpace[c] {
+				if byteClass[c] != clsSpace {
 					break
 				}
 				i++
@@ -1073,7 +1127,7 @@ func splitFields(dst []fieldSpan, line []byte) []fieldSpan {
 		start := i
 		for i < len(line) {
 			if c := line[i]; c < utf8.RuneSelf {
-				if asciiSpace[c] {
+				if byteClass[c] == clsSpace {
 					break
 				}
 			} else if runeSpace(line[i:]) > 0 {
@@ -1085,9 +1139,6 @@ func splitFields(dst []fieldSpan, line []byte) []fieldSpan {
 	}
 }
 
-// asciiSpace marks the ASCII white-space bytes.
-var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
-
 // runeSpace returns the length of the rune b starts with if it is white
 // space, else 0.
 func runeSpace(b []byte) int {
@@ -1098,8 +1149,8 @@ func runeSpace(b []byte) int {
 }
 
 // parse decodes the current line, already split into t.fields, into ev.
-// Numbers go through strconv on non-escaping conversions, which do not
-// allocate; errors quote the offending field.
+// Numbers go through parseUint and parseFloat, which do not allocate;
+// errors quote the offending field.
 func (t *TextReader) parse(line []byte, ev *Event) error {
 	f := t.fields
 	field := func(k int) []byte { return line[f[k].lo:f[k].hi] }
@@ -1107,42 +1158,111 @@ func (t *TextReader) parse(line []byte, ev *Event) error {
 		return fmt.Errorf("want at least 6 fields, got %d in %q", len(f), line[f[0].lo:f[len(f)-1].hi])
 	}
 	var err error
-	if ev.Cycle, err = strconv.ParseUint(string(field(0)), 10, 64); err != nil {
+	if ev.Cycle, err = parseUint(field(0)); err != nil {
 		return fmt.Errorf("bad cycle %q: %v", field(0), err)
 	}
-	if ev.Time, err = strconv.ParseFloat(string(field(1)), 64); err != nil {
+	if ev.Time, err = parseFloat(field(1)); err != nil {
 		return fmt.Errorf("bad time %q: %v", field(1), err)
 	}
-	if ev.Energy, err = strconv.ParseFloat(string(field(2)), 64); err != nil {
+	if ev.Energy, err = parseFloat(field(2)); err != nil {
 		return fmt.Errorf("bad energy %q: %v", field(2), err)
 	}
-	if ev.TotalPkt, err = strconv.ParseUint(string(field(3)), 10, 64); err != nil {
+	if ev.TotalPkt, err = parseUint(field(3)); err != nil {
 		return fmt.Errorf("bad total_pkt %q: %v", field(3), err)
 	}
-	if ev.TotalBit, err = strconv.ParseUint(string(field(4)), 10, 64); err != nil {
+	if ev.TotalBit, err = parseUint(field(4)); err != nil {
 		return fmt.Errorf("bad total_bit %q: %v", field(4), err)
 	}
 	ev.Name = t.strs.Intern(field(5))
-	ev.Extra = nil
 	for k := 6; k < len(f); k++ {
 		kv := field(k)
 		eq := bytes.IndexByte(kv, '=')
 		if eq <= 0 {
 			return fmt.Errorf("bad extra annotation %q", kv)
 		}
-		v, err := strconv.ParseFloat(string(kv[eq+1:]), 64)
+		v, err := parseFloat(kv[eq+1:])
 		if err != nil {
 			return fmt.Errorf("bad extra annotation value %q: %v", kv, err)
 		}
-		if t.extra == nil {
-			t.extra = make(map[string]float64, 2)
-		}
-		t.extra[t.strs.Intern(kv[:eq])] = v
+		t.extra.Add(t.strs.Intern(kv[:eq]), v)
 	}
-	if len(f) > 6 {
-		ev.Extra = t.extra
-	}
+	ev.Extra = t.extra.Lend()
 	return nil
+}
+
+// parseUint is strconv.ParseUint(string(b), 10, 64). A field of 1 to 19
+// ASCII digits, which cannot overflow, is accumulated directly; anything
+// else, and so every error, goes to strconv.
+func parseUint(b []byte) (uint64, error) {
+	if len(b) > 0 && len(b) <= 19 {
+		var v uint64
+		for _, c := range b {
+			d := c - '0'
+			if d > 9 {
+				return strconv.ParseUint(string(b), 10, 64)
+			}
+			v = v*10 + uint64(d)
+		}
+		return v, nil
+	}
+	return strconv.ParseUint(string(b), 10, 64)
+}
+
+// parseFloat is strconv.ParseFloat(string(b), 64). A plain decimal goes
+// through parseDecimalExact; anything else, and so every error, goes to
+// strconv.
+func parseFloat(b []byte) (float64, error) {
+	if f, ok := parseDecimalExact(b); ok {
+		return f, nil
+	}
+	return strconv.ParseFloat(string(b), 64)
+}
+
+// parseDecimalExact parses an optional '-' and digits with at most one '.'
+// among them: at least one digit, at most 19 of them significant (leading
+// zeros do not count), read as an integer m < 2^53 with k <= 22 digits
+// after the point. Then m and 10^k are both exact float64s, so m / 10^k is
+// the correctly rounded value of the decimal, the one strconv returns
+// (Clinger's fast path). ok is false for every other input.
+func parseDecimalExact(b []byte) (f float64, ok bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	var m uint64
+	sig, k := 0, 0
+	digits, dot := false, false
+	for _, c := range b {
+		switch d := c - '0'; {
+		case d <= 9:
+			digits = true
+			if sig > 0 || d != 0 {
+				sig++
+			}
+			m = m*10 + uint64(d)
+			if dot {
+				k++
+			}
+		case c == '.' && !dot:
+			dot = true
+		default:
+			return 0, false
+		}
+	}
+	if !digits || sig > 19 || m >= 1<<53 || k >= len(exactPow10) {
+		return 0, false
+	}
+	f = float64(m) / exactPow10[k]
+	if neg {
+		f = -f
+	}
+	return f, true
+}
+
+// exactPow10 holds the powers of ten that float64 represents exactly.
+var exactPow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
 // InternCap bounds an Interner's table.
@@ -1153,12 +1273,28 @@ const InternCap = 4096
 // allocating one per record. Names and keys come from untrusted input, so
 // the table stops growing at InternCap entries; past that, new strings are
 // allocated per call.
-type Interner struct{ m map[string]string }
+//
+// A small direct-mapped front cache, consulted before the table, answers
+// the names and keys a trace repeats without hashing them. Its slot mixes
+// the length with the second and last bytes, so the per-ME names a trace
+// rotates through (m0_pipeline, m1_pipeline, ...) land in distinct slots.
+type Interner struct {
+	m     map[string]string
+	front [16]string
+}
 
 // Intern returns b as a string, shared with earlier calls for equal bytes
 // while the table has room.
 func (in *Interner) Intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	slot := &in.front[(len(b)+int(b[min(1, len(b)-1)])+int(b[len(b)-1])<<2)%len(in.front)]
+	if *slot == string(b) {
+		return *slot
+	}
 	if s, ok := in.m[string(b)]; ok {
+		*slot = s
 		return s
 	}
 	s := string(b)
@@ -1167,8 +1303,74 @@ func (in *Interner) Intern(b []byte) string {
 			in.m = make(map[string]string)
 		}
 		in.m[s] = s
+		*slot = s
 	}
 	return s
+}
+
+// Extras is the extras map a trace reader lends out with each event: the
+// reader Adds a record's extras as it decodes them and Lends the map once
+// the record is whole. One map serves every event, cleared and refilled,
+// so a caller that keeps an event must copy its Extra. When a record's
+// keys repeat the previous record's in the same order, as the pipeline
+// events of a trace do, the map's values are overwritten in place and the
+// clear is skipped.
+type Extras struct {
+	m map[string]float64
+	// kvs holds the extras of the record being read, in record order;
+	// prev holds those of the record last lent, which the map now holds.
+	kvs, prev []extraKV
+}
+
+type extraKV struct {
+	key string
+	v   float64
+}
+
+// Add records one extra of the record being read.
+func (x *Extras) Add(key string, v float64) { x.kvs = append(x.kvs, extraKV{key, v}) }
+
+// Drop forgets the extras Added since the last Lend; the map is untouched.
+func (x *Extras) Drop() { x.kvs = x.kvs[:0] }
+
+// Lend ends the record being read. It returns nil when the record has no
+// extras, and otherwise the map, holding exactly the record's extras (a
+// repeated key keeps its last value).
+func (x *Extras) Lend() map[string]float64 {
+	if !sameKeys(x.kvs, x.prev) {
+		clear(x.m)
+	}
+	x.kvs, x.prev = x.prev[:0], x.kvs
+	if len(x.prev) == 0 {
+		return nil
+	}
+	if x.m == nil {
+		x.m = make(map[string]float64, 2)
+	}
+	for _, kv := range x.prev {
+		x.m[kv.key] = kv.v
+	}
+	return x.m
+}
+
+// Clear empties the map last lent and drops the record being read, as a
+// reader does when the trace ends.
+func (x *Extras) Clear() {
+	clear(x.m)
+	x.kvs, x.prev = x.kvs[:0], x.prev[:0]
+}
+
+// sameKeys reports whether a and b hold the same keys in the same order.
+func sameKeys(a, b []extraKV) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].key != b[k].key {
+			return false
+		}
+	}
+	return true
 }
 
 // Table is a standalone analyzer's distribution sink: it bins every value

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -180,6 +181,14 @@ func FuzzTextLineVsReader(f *testing.F) {
 		"1 2 3 4 5 e \xff\xa0 k=\xc2\xa0\n",
 		"1 2 3 4 5 \xc2 e\u3000k=0x1p-2\n",
 		"1 2 3 4 5 e k=1 k=2 \u2028",
+		// Limits of the number fast paths: 19 and 20 digits, 2^64, 2^53,
+		// 22 and 23 fractional digits, signs and bare points.
+		"9999999999999999999 90071992547409.93 900719925474099.5 18446744073709551615 0 e\n",
+		"1 9007199254740993 -0.000 0 18446744073709551616 e\n",
+		"10000000000000000000 0 0 0 0 e\n",
+		"1 0.0000000000000000000001 0.00000000000000000000001 0 0 e k=.5 j=5. i=-.5\n",
+		"1 -0 0.12345678901234567890 0 0 e k=+1 j=1e5 i=-\n",
+		"1 . 0 0 0 e\n",
 	} {
 		f.Add(s)
 	}
@@ -221,5 +230,78 @@ func TestTextReaderInternCap(t *testing.T) {
 	}
 	if got := len(tr.strs.m); got != InternCap {
 		t.Fatalf("intern table holds %d entries, want the cap %d", got, InternCap)
+	}
+}
+
+// TestTextNumbersMatchStrconv holds the text reader's number fast paths to
+// strconv: the same bits and the same error text on every input, at the
+// edges of the fast paths (19 digits, 2^53, 22 fractional digits, 2^64)
+// and over a fixed-seed sweep of decimals as the trace writers print them.
+func TestTextNumbersMatchStrconv(t *testing.T) {
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	checkUint := func(s string) {
+		t.Helper()
+		got, gotErr := parseUint([]byte(s))
+		want, wantErr := strconv.ParseUint(s, 10, 64)
+		if got != want || errText(gotErr) != errText(wantErr) {
+			t.Errorf("parseUint(%q) = %d, %v; strconv gives %d, %v", s, got, gotErr, want, wantErr)
+		}
+	}
+	checkFloat := func(s string) {
+		t.Helper()
+		got, gotErr := parseFloat([]byte(s))
+		want, wantErr := strconv.ParseFloat(s, 64)
+		if !sameFloat(got, want) || errText(gotErr) != errText(wantErr) {
+			t.Errorf("parseFloat(%q) = %v (%#x), %v; strconv gives %v (%#x), %v",
+				s, got, math.Float64bits(got), gotErr, want, math.Float64bits(want), wantErr)
+		}
+	}
+	for _, s := range []string{
+		"", "0", "00", "007", "+1", "-0", "1_0", "0x10", "1.0", " 1", "1e5", "١",
+		"9999999999999999999", "10000000000000000000", // 19 and 20 digits
+		"18446744073709551615", "18446744073709551616", // 2^64-1 and 2^64
+		"0000000000000000000018446744073709551615",
+	} {
+		checkUint(s)
+	}
+	for _, s := range []string{
+		"", "0", "-0", "-0.000", "0.000", ".5", "-.5", "5.", "-5.", ".", "-", "-.", "--1",
+		"+1", "1e5", "1E5", "0x1p-2", "1_0", "1..2", "1.2.3", "inf", "-Inf", "NaN", "infinity",
+		"007.5", "0000000000000000000.1", "00000000000000000001.5",
+		"9007199254740991", "9007199254740992", "9007199254740993", // 2^53-1, 2^53, 2^53+1
+		"900719925474099.1", "900719925474099.3", "90071992547409.93", "900719925474099.5",
+		"-900719925474099.7", "4503599627370497.5",
+		"1234567890123456789", "12345678901234567890", // 19 and 20 digits
+		"0.1234567890123456789", "0.12345678901234567890",
+		"0.0000000000000000000001", "0.00000000000000000000001", // 22 and 23 fractional digits
+		"0.0000000000000000000007", "0.00000000000000000000007",
+		"1.7976931348623157e308", "1e400", "4.9e-324", "1e-400",
+	} {
+		checkFloat(s)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 20000; n++ {
+		x := rng.Float64() * math.Pow10(rng.Intn(22)-6)
+		if rng.Intn(2) == 0 {
+			x = -x
+		}
+		for p := 0; p <= 9; p++ {
+			checkFloat(strconv.FormatFloat(x, 'f', p, 64))
+		}
+		checkUint(strconv.FormatUint(rng.Uint64()>>rng.Intn(64), 10))
+		// Random digit strings with a random point straddle every limit
+		// of the fast paths: length, 2^53 and the fractional digit count.
+		digits := make([]byte, 1+rng.Intn(24))
+		for k := range digits {
+			digits[k] = byte('0' + rng.Intn(10))
+		}
+		checkUint(string(digits))
+		dot := rng.Intn(len(digits) + 1)
+		checkFloat(string(digits[:dot]) + "." + string(digits[dot:]))
 	}
 }

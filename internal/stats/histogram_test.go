@@ -313,6 +313,27 @@ func TestSurfaceEmpty(t *testing.T) {
 	}
 }
 
+// A surface whose every z is NaN (no design point had a distribution) has
+// no extreme point: MinZ and MaxZ report NaN, never an infinite z. NaN
+// points beside real ones are skipped.
+func TestSurfaceAllNaN(t *testing.T) {
+	s := NewSurface("x", "y", "z")
+	s.Set(800, 20000, math.NaN())
+	s.Set(1000, 40000, math.NaN())
+	for name, extreme := range map[string]func() (float64, float64, float64){"MinZ": s.MinZ, "MaxZ": s.MaxZ} {
+		if x, y, z := extreme(); !math.IsNaN(x) || !math.IsNaN(y) || !math.IsNaN(z) {
+			t.Errorf("all-NaN %s = (%v, %v, %v), want NaN", name, x, y, z)
+		}
+	}
+	s.Set(1000, 20000, 0.5)
+	if x, y, z := s.MinZ(); x != 1000 || y != 20000 || z != 0.5 {
+		t.Errorf("MinZ = (%v, %v, %v), want the one real point", x, y, z)
+	}
+	if x, y, z := s.MaxZ(); x != 1000 || y != 20000 || z != 0.5 {
+		t.Errorf("MaxZ = (%v, %v, %v), want the one real point", x, y, z)
+	}
+}
+
 func TestSurfaceMissingPoint(t *testing.T) {
 	s := NewSurface("x", "y", "z")
 	s.Set(1, 1, 5)

@@ -55,29 +55,28 @@ func (s *Surface) Axes() (xs, ys []float64) {
 	return xs, ys
 }
 
-// MinZ returns the minimum z over all points, with its coordinates.
-// Returns NaN coordinates when the surface is empty.
+// MinZ returns the minimum z over all points, with its coordinates; ties
+// go to the smallest (x, y). NaN values are skipped. When no point has a
+// value (an empty surface, or every z NaN), all three results are NaN.
 func (s *Surface) MinZ() (x, y, z float64) {
-	x, y, z = math.NaN(), math.NaN(), math.Inf(1)
-	if len(s.points) == 0 {
-		return x, y, math.NaN()
-	}
-	for p, v := range s.points {
-		if v < z || (v == z && (p[0] < x || (p[0] == x && p[1] < y))) {
-			x, y, z = p[0], p[1], v
-		}
-	}
-	return x, y, z
+	return s.extremeZ(func(v, z float64) bool { return v < z })
 }
 
-// MaxZ returns the maximum z over all points, with its coordinates.
+// MaxZ returns the maximum z over all points, with its coordinates, under
+// the rules of MinZ.
 func (s *Surface) MaxZ() (x, y, z float64) {
-	x, y, z = math.NaN(), math.NaN(), math.Inf(-1)
-	if len(s.points) == 0 {
-		return x, y, math.NaN()
-	}
+	return s.extremeZ(func(v, z float64) bool { return v > z })
+}
+
+// extremeZ returns the point whose z is better than every other non-NaN z,
+// ties going to the smallest (x, y), or three NaNs when there is none.
+func (s *Surface) extremeZ(better func(v, z float64) bool) (x, y, z float64) {
+	x, y, z = math.NaN(), math.NaN(), math.NaN()
 	for p, v := range s.points {
-		if v > z || (v == z && (p[0] < x || (p[0] == x && p[1] < y))) {
+		if math.IsNaN(v) {
+			continue
+		}
+		if math.IsNaN(z) || better(v, z) || (v == z && (p[0] < x || (p[0] == x && p[1] < y))) {
 			x, y, z = p[0], p[1], v
 		}
 	}

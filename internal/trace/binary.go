@@ -130,7 +130,7 @@ type BinaryReader struct {
 	br      *bufio.Reader
 	names   []string
 	keys    rt.Interner
-	extra   map[string]float64 // reader-owned, handed out with each event
+	extra   rt.Extras
 	started bool
 	off     int64 // bytes consumed so far
 	err     error
@@ -193,16 +193,23 @@ func (b *BinaryReader) uvarint() (v uint64, atStart bool, err error) {
 	}
 }
 
-// Next implements Source.
+// Next implements Source. A record the bufio buffer already holds whole is
+// decoded in place by nextBuffered; the byte-exact path below reads every
+// other record, and is the only one that builds an error.
 func (b *BinaryReader) Next() (Event, bool, error) {
 	if b.err != nil {
 		return Event{}, false, b.err
 	}
-	clear(b.extra)
+	if b.started {
+		if ev, ok := b.nextBuffered(); ok {
+			return ev, true, nil
+		}
+	}
 	fail := func(err error) (Event, bool, error) {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			err = fmt.Errorf("trace: truncated binary trace")
 		}
+		b.extra.Clear()
 		b.err = fmt.Errorf("%w at byte offset %d", err, b.off)
 		return Event{}, false, b.err
 	}
@@ -230,6 +237,7 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 	}
 	nameID, atStart, err := b.uvarint()
 	if err == io.EOF && atStart {
+		b.extra.Clear()
 		return Event{}, false, nil // clean end of stream
 	}
 	if err != nil {
@@ -278,12 +286,6 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 	if nextra > maxExtras {
 		return fail(fmt.Errorf("trace: implausible extra count %d", nextra))
 	}
-	if nextra > 0 {
-		if b.extra == nil {
-			b.extra = make(map[string]float64, 2)
-		}
-		ev.Extra = b.extra
-	}
 	for i := uint64(0); i < nextra; i++ {
 		klen, err := uv()
 		if err != nil {
@@ -301,9 +303,73 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 		if err != nil {
 			return fail(err)
 		}
-		b.extra[k] = v
+		b.extra.Add(k, v)
 	}
+	ev.Extra = b.extra.Lend()
 	return ev, true, nil
+}
+
+// nextBuffered decodes the next record from the bytes the bufio buffer
+// already holds, and consumes it. It looks only at buffered bytes, because
+// a Peek past them would read, and bufio hands a read error to that one
+// Peek and then forgets it. ok is false, with nothing consumed and the
+// record's extras dropped, when the record is not wholly buffered, defines
+// a name, or holds anything the byte-exact path must report: Next then
+// reads it there from the same offset.
+func (b *BinaryReader) nextBuffered() (ev Event, ok bool) {
+	p, _ := b.br.Peek(b.br.Buffered())
+	i := 0
+	uv := func() (uint64, bool) {
+		v, n := binary.Uvarint(p[i:])
+		i += max(n, 0)
+		return v, n > 0
+	}
+	f64 := func() (float64, bool) {
+		if len(p)-i < 8 {
+			return 0, false
+		}
+		i += 8
+		return math.Float64frombits(binary.LittleEndian.Uint64(p[i-8:])), true
+	}
+	nameID, ok := uv()
+	if !ok || nameID == 0 || nameID > uint64(len(b.names)) {
+		return Event{}, false
+	}
+	ev.Name = b.names[nameID-1]
+	var nextra uint64
+	if ev.Cycle, ok = uv(); !ok {
+		return Event{}, false
+	}
+	if ev.Time, ok = f64(); !ok {
+		return Event{}, false
+	}
+	if ev.Energy, ok = f64(); !ok {
+		return Event{}, false
+	}
+	if ev.TotalPkt, ok = uv(); !ok {
+		return Event{}, false
+	}
+	if ev.TotalBit, ok = uv(); !ok {
+		return Event{}, false
+	}
+	if nextra, ok = uv(); !ok || nextra > maxExtras {
+		return Event{}, false
+	}
+	for k := uint64(0); k < nextra; k++ {
+		klen, ok := uv()
+		if !ok || klen == 0 || klen > maxExtraKey || uint64(len(p)-i) < klen+8 {
+			b.extra.Drop()
+			return Event{}, false
+		}
+		key := b.keys.Intern(p[i : i+int(klen)])
+		i += int(klen)
+		v, _ := f64()
+		b.extra.Add(key, v)
+	}
+	ev.Extra = b.extra.Lend()
+	b.br.Discard(i)
+	b.off += int64(i)
+	return ev, true
 }
 
 // OpenSource sniffs the first bytes of r and returns a text or binary reader

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // sampleTraceBytes encodes a small two-name trace for corruption tests.
@@ -126,6 +128,10 @@ func TestBinaryReaderErrorSticky(t *testing.T) {
 
 // FuzzBinaryReader: no input, however mangled, may panic the reader or
 // keep it spinning; round-trips of writer output must parse back exactly.
+// Every input is also read one byte per Read call, which keeps the bufio
+// buffer nearly empty and so sends records down the byte-exact path instead
+// of the in-buffer one: both reads must give the same events and the same
+// error.
 func FuzzBinaryReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("NPT1"))
@@ -136,21 +142,24 @@ func FuzzBinaryReader(f *testing.F) {
 	f.Add(append(append([]byte{}, valid...), 0xff, 0xff))
 	f.Add([]byte("NPT1\x00\x00"))                 // zero-length name
 	f.Add([]byte("NPT1\xff\xff\xff\xff\xff\x0f")) // huge name id
+	_, pipeline := pipelineStream(f, 40)
+	f.Add(pipeline)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewBinaryReader(bytes.NewReader(data))
 		// Each parsed record consumes at least one byte, so the record
 		// count is bounded by the input length.
-		n := 0
-		for {
-			if n > len(data)+1 {
-				t.Fatalf("parsed %d records from %d bytes", n, len(data))
+		got, gotErr := drain(t, NewBinaryReader(bytes.NewReader(data)), len(data)+1)
+		want, wantErr := drain(t, NewBinaryReader(iotest.OneByteReader(bytes.NewReader(data))), len(data)+1)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("errors differ: buffered read %v, byte-at-a-time read %v", gotErr, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("buffered read gave %d events, byte-at-a-time read %d", len(got), len(want))
+		}
+		for k := range want {
+			if !sameEvent(&got[k], &want[k]) || (got[k].Extra == nil) != (want[k].Extra == nil) {
+				t.Fatalf("event %d: buffered read %+v, byte-at-a-time read %+v", k, got[k], want[k])
 			}
-			_, ok, err := r.Next()
-			if err != nil || !ok {
-				break
-			}
-			n++
 		}
 	})
 }

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"nepdvs/internal/loc/rt"
 )
@@ -139,6 +142,49 @@ func TestBinaryKeyInternCap(t *testing.T) {
 		func(b *bytes.Buffer) Source { return NewBinaryReader(b) })
 	if !reflect.DeepEqual(got, evs) {
 		t.Fatal("events with more distinct keys than the intern cap did not round-trip")
+	}
+}
+
+// A read error ends either format with that error, and no event is made
+// of the bytes after the last complete line or record. The text reader
+// once parsed the partial line the scanner held when the read failed.
+func TestReadErrorEndsTrace(t *testing.T) {
+	text, npt1 := pipelineStream(t, 5000)
+	for name, data := range map[string][]byte{"text": text, "npt1": npt1} {
+		for _, c := range []struct {
+			name string
+			r    io.Reader
+			n    int // bytes delivered before the error
+		}{
+			// OpenSource's first read fills its 64 KiB buffer; the second
+			// read times out.
+			{"timeout", iotest.TimeoutReader(bytes.NewReader(data)), 1 << 16},
+			{"mid-record", io.MultiReader(bytes.NewReader(data[:70001]), iotest.ErrReader(iotest.ErrTimeout)), 70001},
+		} {
+			src, err := OpenSource(c.r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, readErr := drain(t, src, len(data))
+			if !errors.Is(readErr, iotest.ErrTimeout) {
+				t.Errorf("%s %s: error %v, want the read error", name, c.name, readErr)
+			}
+			if want := fmt.Sprintf("timeout at byte offset %d", c.n); name == "npt1" && fmt.Sprint(readErr) != want {
+				t.Errorf("%s %s: error %q, want %q", name, c.name, readErr, want)
+			}
+			complete := data[:c.n]
+			if name == "text" {
+				complete = complete[:bytes.LastIndexByte(complete, '\n')+1]
+			}
+			cut, err := OpenSource(bytes.NewReader(complete))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := drain(t, cut, len(data))
+			if len(got) != len(want) || len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: read %d events, want the %d complete ones before the error", name, c.name, len(got), len(want))
+			}
+		}
 	}
 }
 

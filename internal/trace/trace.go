@@ -41,10 +41,6 @@ const (
 	AnnTotalBit = "total_bit"
 )
 
-// StandardAnnotations lists the five always-present annotations in canonical
-// column order.
-var StandardAnnotations = []string{AnnCycle, AnnTime, AnnEnergy, AnnTotalPkt, AnnTotalBit}
-
 // Well-known event names. Microengine-scoped events are prefixed, e.g.
 // "m2_pipeline" is a pipeline event from ME2.
 const (
