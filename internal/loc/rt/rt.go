@@ -1004,9 +1004,13 @@ type TextReader struct {
 	sc   *bufio.Scanner
 	line int
 	err  error
-	// fields holds the byte spans of the current line's fields.
+	// cut is set when the scanner's last token is a tail that no newline
+	// ended: the trace's last line, or a line a read error cut short.
+	cut bool
+	// fields holds the byte spans of the current line's fields; extra is
+	// the reader-owned map handed out with each event that has extras.
 	fields []fieldSpan
-	extra  Extras
+	extra  map[string]float64
 	strs   Interner
 }
 
@@ -1017,7 +1021,17 @@ type fieldSpan struct{ lo, hi int }
 func NewTextReader(r io.Reader) *TextReader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	return &TextReader{sc: sc}
+	t := &TextReader{sc: sc}
+	sc.Split(t.scanLines)
+	return t
+}
+
+// scanLines is bufio.ScanLines, noting in t.cut whether the token it
+// returns lacks its newline.
+func (t *TextReader) scanLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	advance, token, err = bufio.ScanLines(data, atEOF)
+	t.cut = advance > 0 && data[advance-1] != '\n'
+	return advance, token, err
 }
 
 // Next parses the next event into ev; ok is false at the end of the trace.
@@ -1025,18 +1039,20 @@ func NewTextReader(r io.Reader) *TextReader {
 // own map, which the next call clears and refills: a caller that keeps an
 // event must copy its Extra.
 //
-// A read error ends the trace with that error, wrapped with the number of
-// the line it cut short. The scanner hands out the partial tail it held
-// when the read failed; that tail is never parsed, since a cut line can
-// parse as a wrong event.
+// A read error ends the trace with that error once the complete lines
+// read before it are handed out. The scanner then hands out the partial
+// tail it held when the read failed; that tail is never parsed, since a
+// cut line can parse as a wrong event, and the error names its line.
 func (t *TextReader) Next(ev *Event) (ok bool, err error) {
 	if t.err != nil {
 		return false, t.err
 	}
+	clear(t.extra)
 	for t.sc.Scan() {
 		t.line++
-		if err := t.sc.Err(); err != nil {
-			return t.fail(fmt.Errorf("trace: line %d: %w", t.line, err))
+		if t.cut && t.sc.Err() != nil {
+			t.err = fmt.Errorf("trace: line %d: %w", t.line, t.sc.Err())
+			return false, t.err
 		}
 		line := t.sc.Bytes()
 		t.fields = splitFields(t.fields[:0], line)
@@ -1044,19 +1060,13 @@ func (t *TextReader) Next(ev *Event) (ok bool, err error) {
 			continue
 		}
 		if err := t.parse(line, ev); err != nil {
-			return t.fail(fmt.Errorf("trace: line %d: %w", t.line, err))
+			t.err = fmt.Errorf("trace: line %d: %w", t.line, err)
+			return false, t.err
 		}
 		return true, nil
 	}
-	return t.fail(t.sc.Err())
-}
-
-// fail ends the trace with err (nil at a clean end) and empties the extras
-// map the last event lent out.
-func (t *TextReader) fail(err error) (bool, error) {
-	t.extra.Clear()
-	t.err = err
-	return false, err
+	t.err = t.sc.Err()
+	return false, t.err
 }
 
 // splitFields appends to dst the spans of line's fields, exactly as
@@ -1174,6 +1184,7 @@ func (t *TextReader) parse(line []byte, ev *Event) error {
 		return fmt.Errorf("bad total_bit %q: %v", field(4), err)
 	}
 	ev.Name = t.strs.Intern(field(5))
+	ev.Extra = nil
 	for k := 6; k < len(f); k++ {
 		kv := field(k)
 		eq := bytes.IndexByte(kv, '=')
@@ -1184,9 +1195,14 @@ func (t *TextReader) parse(line []byte, ev *Event) error {
 		if err != nil {
 			return fmt.Errorf("bad extra annotation value %q: %v", kv, err)
 		}
-		t.extra.Add(t.strs.Intern(kv[:eq]), v)
+		if t.extra == nil {
+			t.extra = make(map[string]float64, 2)
+		}
+		t.extra[t.strs.Intern(kv[:eq])] = v
 	}
-	ev.Extra = t.extra.Lend()
+	if len(f) > 6 {
+		ev.Extra = t.extra
+	}
 	return nil
 }
 
@@ -1273,28 +1289,12 @@ const InternCap = 4096
 // allocating one per record. Names and keys come from untrusted input, so
 // the table stops growing at InternCap entries; past that, new strings are
 // allocated per call.
-//
-// A small direct-mapped front cache, consulted before the table, answers
-// the names and keys a trace repeats without hashing them. Its slot mixes
-// the length with the second and last bytes, so the per-ME names a trace
-// rotates through (m0_pipeline, m1_pipeline, ...) land in distinct slots.
-type Interner struct {
-	m     map[string]string
-	front [16]string
-}
+type Interner struct{ m map[string]string }
 
 // Intern returns b as a string, shared with earlier calls for equal bytes
 // while the table has room.
 func (in *Interner) Intern(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	slot := &in.front[(len(b)+int(b[min(1, len(b)-1)])+int(b[len(b)-1])<<2)%len(in.front)]
-	if *slot == string(b) {
-		return *slot
-	}
 	if s, ok := in.m[string(b)]; ok {
-		*slot = s
 		return s
 	}
 	s := string(b)
@@ -1303,74 +1303,8 @@ func (in *Interner) Intern(b []byte) string {
 			in.m = make(map[string]string)
 		}
 		in.m[s] = s
-		*slot = s
 	}
 	return s
-}
-
-// Extras is the extras map a trace reader lends out with each event: the
-// reader Adds a record's extras as it decodes them and Lends the map once
-// the record is whole. One map serves every event, cleared and refilled,
-// so a caller that keeps an event must copy its Extra. When a record's
-// keys repeat the previous record's in the same order, as the pipeline
-// events of a trace do, the map's values are overwritten in place and the
-// clear is skipped.
-type Extras struct {
-	m map[string]float64
-	// kvs holds the extras of the record being read, in record order;
-	// prev holds those of the record last lent, which the map now holds.
-	kvs, prev []extraKV
-}
-
-type extraKV struct {
-	key string
-	v   float64
-}
-
-// Add records one extra of the record being read.
-func (x *Extras) Add(key string, v float64) { x.kvs = append(x.kvs, extraKV{key, v}) }
-
-// Drop forgets the extras Added since the last Lend; the map is untouched.
-func (x *Extras) Drop() { x.kvs = x.kvs[:0] }
-
-// Lend ends the record being read. It returns nil when the record has no
-// extras, and otherwise the map, holding exactly the record's extras (a
-// repeated key keeps its last value).
-func (x *Extras) Lend() map[string]float64 {
-	if !sameKeys(x.kvs, x.prev) {
-		clear(x.m)
-	}
-	x.kvs, x.prev = x.prev[:0], x.kvs
-	if len(x.prev) == 0 {
-		return nil
-	}
-	if x.m == nil {
-		x.m = make(map[string]float64, 2)
-	}
-	for _, kv := range x.prev {
-		x.m[kv.key] = kv.v
-	}
-	return x.m
-}
-
-// Clear empties the map last lent and drops the record being read, as a
-// reader does when the trace ends.
-func (x *Extras) Clear() {
-	clear(x.m)
-	x.kvs, x.prev = x.kvs[:0], x.prev[:0]
-}
-
-// sameKeys reports whether a and b hold the same keys in the same order.
-func sameKeys(a, b []extraKV) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if a[k].key != b[k].key {
-			return false
-		}
-	}
-	return true
 }
 
 // Table is a standalone analyzer's distribution sink: it bins every value

@@ -130,7 +130,7 @@ type BinaryReader struct {
 	br      *bufio.Reader
 	names   []string
 	keys    rt.Interner
-	extra   rt.Extras
+	extra   map[string]float64 // reader-owned, handed out with each event
 	started bool
 	off     int64 // bytes consumed so far
 	err     error
@@ -200,6 +200,7 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 	if b.err != nil {
 		return Event{}, false, b.err
 	}
+	clear(b.extra)
 	if b.started {
 		if ev, ok := b.nextBuffered(); ok {
 			return ev, true, nil
@@ -209,7 +210,6 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			err = fmt.Errorf("trace: truncated binary trace")
 		}
-		b.extra.Clear()
 		b.err = fmt.Errorf("%w at byte offset %d", err, b.off)
 		return Event{}, false, b.err
 	}
@@ -237,7 +237,6 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 	}
 	nameID, atStart, err := b.uvarint()
 	if err == io.EOF && atStart {
-		b.extra.Clear()
 		return Event{}, false, nil // clean end of stream
 	}
 	if err != nil {
@@ -286,6 +285,9 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 	if nextra > maxExtras {
 		return fail(fmt.Errorf("trace: implausible extra count %d", nextra))
 	}
+	if nextra > 0 {
+		ev.Extra = b.extraMap()
+	}
 	for i := uint64(0); i < nextra; i++ {
 		klen, err := uv()
 		if err != nil {
@@ -303,17 +305,24 @@ func (b *BinaryReader) Next() (Event, bool, error) {
 		if err != nil {
 			return fail(err)
 		}
-		b.extra.Add(k, v)
+		b.extra[k] = v
 	}
-	ev.Extra = b.extra.Lend()
 	return ev, true, nil
+}
+
+// extraMap returns the reader-owned extras map, made on first use.
+func (b *BinaryReader) extraMap() map[string]float64 {
+	if b.extra == nil {
+		b.extra = make(map[string]float64, 2)
+	}
+	return b.extra
 }
 
 // nextBuffered decodes the next record from the bytes the bufio buffer
 // already holds, and consumes it. It looks only at buffered bytes, because
 // a Peek past them would read, and bufio hands a read error to that one
 // Peek and then forgets it. ok is false, with nothing consumed and the
-// record's extras dropped, when the record is not wholly buffered, defines
+// extras map empty, when the record is not wholly buffered, defines
 // a name, or holds anything the byte-exact path must report: Next then
 // reads it there from the same offset.
 func (b *BinaryReader) nextBuffered() (ev Event, ok bool) {
@@ -355,18 +364,20 @@ func (b *BinaryReader) nextBuffered() (ev Event, ok bool) {
 	if nextra, ok = uv(); !ok || nextra > maxExtras {
 		return Event{}, false
 	}
+	if nextra > 0 {
+		ev.Extra = b.extraMap()
+	}
 	for k := uint64(0); k < nextra; k++ {
 		klen, ok := uv()
 		if !ok || klen == 0 || klen > maxExtraKey || uint64(len(p)-i) < klen+8 {
-			b.extra.Drop()
+			clear(b.extra)
 			return Event{}, false
 		}
 		key := b.keys.Intern(p[i : i+int(klen)])
 		i += int(klen)
 		v, _ := f64()
-		b.extra.Add(key, v)
+		b.extra[key] = v
 	}
-	ev.Extra = b.extra.Lend()
 	b.br.Discard(i)
 	b.off += int64(i)
 	return ev, true

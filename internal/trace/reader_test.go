@@ -152,18 +152,29 @@ func TestReadErrorEndsTrace(t *testing.T) {
 	text, npt1 := pipelineStream(t, 5000)
 	for name, data := range map[string][]byte{"text": text, "npt1": npt1} {
 		for _, c := range []struct {
-			name string
-			r    io.Reader
-			n    int // bytes delivered before the error
+			name   string
+			r      io.Reader
+			n      int  // bytes delivered before the error
+			direct bool // read through the format's own reader, not OpenSource
 		}{
 			// OpenSource's first read fills its 64 KiB buffer; the second
 			// read times out.
-			{"timeout", iotest.TimeoutReader(bytes.NewReader(data)), 1 << 16},
-			{"mid-record", io.MultiReader(bytes.NewReader(data[:70001]), iotest.ErrReader(iotest.ErrTimeout)), 70001},
+			{"timeout", iotest.TimeoutReader(bytes.NewReader(data)), 1 << 16, false},
+			{"mid-record", io.MultiReader(bytes.NewReader(data[:70001]), iotest.ErrReader(iotest.ErrTimeout)), 70001, false},
+			// The last Read returns complete lines and a cut one together
+			// with the error; OpenSource's bufio.Reader would split the two.
+			{"data-with-error", &chunkErrReader{data: data[:70001]}, 70001, true},
 		} {
-			src, err := OpenSource(c.r)
-			if err != nil {
-				t.Fatal(err)
+			var src Source
+			var err error
+			if !c.direct {
+				if src, err = OpenSource(c.r); err != nil {
+					t.Fatal(err)
+				}
+			} else if name == "text" {
+				src = NewTextReader(c.r)
+			} else {
+				src = NewBinaryReader(c.r)
 			}
 			got, readErr := drain(t, src, len(data))
 			if !errors.Is(readErr, iotest.ErrTimeout) {
@@ -186,6 +197,19 @@ func TestReadErrorEndsTrace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// chunkErrReader delivers data in reads of at most 4 KiB and returns
+// iotest.ErrTimeout together with the last of them.
+type chunkErrReader struct{ data []byte }
+
+func (r *chunkErrReader) Read(p []byte) (int, error) {
+	n := copy(p[:min(len(p), 4096)], r.data)
+	r.data = r.data[n:]
+	if len(r.data) == 0 {
+		return n, iotest.ErrTimeout
+	}
+	return n, nil
 }
 
 func BenchmarkTextNext(b *testing.B)   { benchNext(b, false) }
