@@ -1,11 +1,10 @@
 # Developer entry points. `make check` is the full verification gate the CI
 # workflow runs: vet plus the race-enabled test suite. `make lint` is the
-# static-analysis gate: gofmt, nepvet over the repo, and the known-bad
-# fixtures that prove the gate can fail.
+# static-analysis gate: gofmt and nepvet over the repo.
 
 GO ?= go
 
-.PHONY: build vet test race check lint analyze fuzz bench bench-obs bench-baseline bench-gate profile timeline-smoke assert-smoke results-check
+.PHONY: build vet test race check lint fuzz bench bench-obs bench-baseline bench-gate profile results-check
 
 build:
 	$(GO) build ./...
@@ -23,25 +22,15 @@ race:
 
 check: vet race
 
-# Static analysis: gofmt must be a no-op, nepvet must find nothing in the
-# tree (modulo lint.allow), and the deliberately-bad fixtures must fail red.
-lint: analyze
+# Static analysis: gofmt must be a no-op and nepvet must find nothing in
+# the tree (modulo lint.allow). The root test TestCLINepvetFixtures proves
+# the deliberately-bad fixtures fail red.
+lint:
 	@fmtout=$$(gofmt -l . 2>/dev/null); \
 	if [ -n "$$fmtout" ]; then \
 		echo "gofmt needs to run on:"; echo "$$fmtout"; exit 1; \
 	fi
 	$(GO) run ./cmd/nepvet
-	sh scripts/lint_fixtures.sh
-
-# Semantic static analysis of every shipped LOC formula profile: interval
-# verdicts, vacuity against the default chip's event vocabulary, tautology/
-# contradiction/subsumption. locheck exits 3 on any finding.
-analyze:
-	@set -e; for f in profiles/*.loc examples/*/*.loc; do \
-		[ -e "$$f" ] || continue; \
-		echo "locheck -analyze $$f"; \
-		$(GO) run ./cmd/locheck -analyze -f "$$f"; \
-	done
 
 # Short fuzz smoke over the binary-trace parser, the text-trace line
 # formatter, its number formatting against strconv, the in-place text-trace
@@ -113,20 +102,6 @@ profile:
 	mkdir -p profiles
 	$(GO) run ./cmd/nepsim -bench ipfwdr -level high -policy tdvs -threshold 1000 -window 40000 \
 		-cycles $(PROFILE_CYCLES) -perf -cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof
-
-# Timeline smoke: a ~1k-packet nepsim -timeline run validated with
-# timelinecheck (spans on every ME track, byte-identical across reruns) plus
-# a tracestat -json/-timeline round trip.
-timeline-smoke:
-	sh scripts/timeline_smoke.sh
-
-# Assertion smoke: a deliberately violating LOC preset driven through nepsim
-# and locheck, validating the report JSON schema, byte-identity of the
-# VM-evaluated and locgen-generated witness reports (the preset and every
-# formula of the shipped profiles), assertion instants in the timeline, and
-# rerun determinism.
-assert-smoke:
-	sh scripts/assert_smoke.sh
 
 # Results byte-identity: regenerate every paper-scale report into a temp
 # dir through a fresh run cache, then resume a second exploration from that

@@ -59,6 +59,18 @@ func runTool(t *testing.T, bin string, args ...string) (string, error) {
 	return string(out), err
 }
 
+// exitCode is the exit status behind a runTool error: 0 for nil, -1 when
+// the process did not exit normally.
+func exitCode(err error) int {
+	if err == nil {
+		return 0
+	}
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode()
+	}
+	return -1
+}
+
 func TestCLIPipeline(t *testing.T) {
 	bins := buildTools(t)
 	work := t.TempDir()
@@ -98,11 +110,8 @@ func TestCLIPipeline(t *testing.T) {
 	// 4. Check a failing assertion; expect exit 1.
 	out, err = runTool(t, filepath.Join(bins, "locheck"),
 		"-e", "energy(forward[i+1]) - energy(forward[i]) <= 0", tracePath)
-	if err == nil {
-		t.Fatalf("locheck should exit non-zero on violations:\n%s", out)
-	}
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-		t.Fatalf("locheck exit = %v, want 1\n%s", err, out)
+	if code := exitCode(err); code != 1 {
+		t.Fatalf("locheck exit = %d, want 1\n%s", code, out)
 	}
 	if !strings.Contains(out, "FAILED") {
 		t.Errorf("locheck failure output:\n%s", out)
@@ -135,15 +144,6 @@ func TestCLIAssertionReport(t *testing.T) {
 		t.Fatalf("nepsim: %v\n%s", err, out)
 	}
 
-	exitCode := func(err error) int {
-		if err == nil {
-			return 0
-		}
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode()
-		}
-		return -1
-	}
 	readReport := func(path string) map[string]any {
 		t.Helper()
 		b, err := os.ReadFile(path)
@@ -298,22 +298,188 @@ order: cycle(forward[i+1]) - cycle(forward[i]) >= 0;
 	}
 }
 
-func TestCLILocgenBuilds(t *testing.T) {
+// timelineTracks parses a Chrome trace-event file as nepsim and tracestat
+// -timeline write it. It requires thread_name metadata naming the tracks
+// and a non-negative dur on every complete ("X") span, and returns, per
+// track name, the number of events and of complete spans.
+func timelineTracks(t *testing.T, path string) (events, spans map[string]int) {
+	t.Helper()
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Tid  int            `json:"tid"`
+			Dur  *float64       `json:"dur"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(readFile(t, path), &doc); err != nil {
+		t.Fatalf("%s: not trace-event JSON: %v", path, err)
+	}
+	names := map[int]string{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" {
+			names[ev.Tid], _ = ev.Args["name"].(string)
+		}
+	}
+	if len(names) == 0 {
+		t.Fatalf("%s: no thread_name metadata", path)
+	}
+	events, spans = map[string]int{}, map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" {
+			continue
+		}
+		track := names[ev.Tid]
+		events[track]++
+		if ev.Ph == "X" {
+			if ev.Dur == nil || *ev.Dur < 0 {
+				t.Errorf("%s: span %q on %s has no duration", path, ev.Name, track)
+			}
+			spans[track]++
+		}
+	}
+	return events, spans
+}
+
+// TestCLITimeline drives the timeline exporters from the command line:
+// identical nepsim -timeline invocations write byte-identical files with
+// execution spans on every ME track, and a stored trace round-trips
+// through tracestat -json -timeline.
+func TestCLITimeline(t *testing.T) {
 	bins := buildTools(t)
 	work := t.TempDir()
-	gen := filepath.Join(work, "checker.go")
-	out, err := runTool(t, filepath.Join(bins, "locgen"),
-		"-e", "abs(time(forward[i+1]) - time(forward[i])) >= 0", "-o", gen)
+	trc := filepath.Join(work, "run.trc")
+	a, b := filepath.Join(work, "a.json"), filepath.Join(work, "b.json")
+	for _, args := range [][]string{{"-trace", trc, "-timeline", a}, {"-timeline", b}} {
+		args = append([]string{"-bench", "ipfwdr", "-level", "high", "-cycles", "2500000",
+			"-seed", "1", "-manifest", "off"}, args...)
+		if out, err := runTool(t, filepath.Join(bins, "nepsim"), args...); err != nil {
+			t.Fatalf("nepsim %v: %v\n%s", args, err, out)
+		}
+	}
+	if !bytes.Equal(readFile(t, a), readFile(t, b)) {
+		t.Error("identical runs wrote different timelines")
+	}
+	_, spans := timelineTracks(t, a)
+	for me := 0; me < 6; me++ {
+		if track := fmt.Sprintf("me%d", me); spans[track] == 0 {
+			t.Errorf("timeline track %s carries no spans", track)
+		}
+	}
+
+	// Stored traces convert to instants and counters, not spans.
+	converted := filepath.Join(work, "trace.json")
+	out, err := runTool(t, filepath.Join(bins, "tracestat"), "-json", "-timeline", converted, trc)
 	if err != nil {
-		t.Fatalf("locgen: %v\n%s", err, out)
+		t.Fatalf("tracestat: %v\n%s", err, out)
 	}
-	// The generated program must compile standalone.
-	bin := filepath.Join(work, "checker")
-	cmd := exec.Command("go", "build", "-o", bin, gen)
-	cmd.Dir = work
-	if bout, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("generated checker does not build: %v\n%s", err, bout)
+	if !strings.Contains(out, `"forward_mbps"`) {
+		t.Errorf("tracestat -json summary lacks forward_mbps:\n%s", out)
 	}
+	timelineTracks(t, converted)
+}
+
+// TestCLIViolatingPreset drives a deliberately violating LOC preset through
+// every assertion surface (DESIGN.md §16): nepsim's live report and the
+// assert track of its timeline, locheck's replay of the stored NPT1 trace,
+// a rerun, and locgen-generated checkers, which must report byte for byte
+// what locheck reports for the preset's failing formula and for every
+// formula of the shipped profiles.
+func TestCLIViolatingPreset(t *testing.T) {
+	bins := buildTools(t)
+	work := t.TempDir()
+	nepsim, locheck, locgen := filepath.Join(bins, "nepsim"), filepath.Join(bins, "locheck"), filepath.Join(bins, "locgen")
+
+	// spacing fails on every adjacent forward pair (cycles strictly
+	// increase), order passes, power is a distribution.
+	const spacing = "spacing: cycle(forward[i+1]) - cycle(forward[i]) <= 0;"
+	preset := filepath.Join(work, "viol.loc")
+	if err := os.WriteFile(preset, []byte(spacing+`
+order: total_pkt(forward[i]) == i + 1;
+power: (energy(forward[i+50]) - energy(forward[i])) /
+       (time(forward[i+50]) - time(forward[i])) cdf [0.5, 2.25, 0.25];
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	simulate := func(args ...string) {
+		t.Helper()
+		args = append([]string{"-bench", "ipfwdr", "-level", "high", "-cycles", "1200000",
+			"-seed", "1", "-manifest", "off", "-formulas", preset}, args...)
+		if out, err := runTool(t, nepsim, args...); err != nil {
+			t.Fatalf("nepsim %v: %v\n%s", args, err, out)
+		}
+	}
+	live, timeline, npt := filepath.Join(work, "live.json"), filepath.Join(work, "tl.json"), filepath.Join(work, "run.npt")
+	simulate("-binary", "-trace", npt, "-assertions", live, "-timeline", timeline)
+	report := readFile(t, live)
+	for _, field := range []string{`"schema": 2`, `"formulas"`, `"name": "spacing"`,
+		`"verdict": "fail"`, `"verdict": "pass"`, `"verdict": "dist"`, `"witness"`, `"worst"`,
+		`"density"`, `"retained"`, `"window_peak"`, `"analysis"`, `"retention"`} {
+		if !bytes.Contains(report, []byte(field)) {
+			t.Errorf("report lacks %s", field)
+		}
+	}
+	if events, _ := timelineTracks(t, timeline); events["assert"] == 0 {
+		t.Error("timeline has no assert track")
+	}
+
+	// NPT1 keeps float64 bits, so locheck's replay of the stored trace must
+	// reproduce the live report byte for byte.
+	replay := filepath.Join(work, "replay.json")
+	out, err := runTool(t, locheck, "-f", preset, "-report", replay, npt)
+	if code := exitCode(err); code != 1 {
+		t.Fatalf("locheck on the violating trace: exit %d, want 1\n%s", code, out)
+	}
+	if !bytes.Equal(readFile(t, replay), report) {
+		t.Error("live and replayed assertion reports differ")
+	}
+
+	// The rerun also writes the text trace that generated checkers read.
+	rerun, txt := filepath.Join(work, "rerun.json"), filepath.Join(work, "run.txt")
+	simulate("-trace", txt, "-assertions", rerun)
+	if !bytes.Equal(readFile(t, rerun), report) {
+		t.Error("a rerun wrote a different assertion report")
+	}
+
+	// A generated checker and locheck read the same text trace, so their
+	// float64 inputs, exit codes and reports must be identical. Each go
+	// build takes a while, so the checkers build in parallel.
+	formulas := []string{spacing}
+	for _, profile := range []string{"profiles/standard.loc", "profiles/robustness.loc"} {
+		formulas = append(formulas, profileFormulas(t, profile)...)
+	}
+	t.Run("checkers", func(t *testing.T) {
+		for _, src := range formulas {
+			name, _, _ := strings.Cut(src, ":")
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				dir := t.TempDir()
+				f := filepath.Join(dir, "f.loc")
+				if err := os.WriteFile(f, []byte(src+"\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				vmReport, genReport := filepath.Join(dir, "vm.json"), filepath.Join(dir, "gen.json")
+				_, err := runTool(t, locheck, "-f", f, "-report", vmReport, txt)
+				vm := exitCode(err)
+				if out, err := runTool(t, locgen, "-f", f, "-o", filepath.Join(dir, "checker.go")); err != nil {
+					t.Fatalf("locgen: %v\n%s", err, out)
+				}
+				build := exec.Command("go", "build", "-o", "checker", "checker.go")
+				build.Dir = dir
+				if out, err := build.CombinedOutput(); err != nil {
+					t.Fatalf("generated checker does not build: %v\n%s", err, out)
+				}
+				_, err = runTool(t, filepath.Join(dir, "checker"), "-report", genReport, txt)
+				if gen := exitCode(err); vm > 1 || gen != vm || (name == "spacing" && vm != 1) {
+					t.Fatalf("locheck exited %d, generated checker %d", vm, gen)
+				}
+				if !bytes.Equal(readFile(t, vmReport), readFile(t, genReport)) {
+					t.Error("generated checker report differs from locheck's")
+				}
+			})
+		}
+	})
 }
 
 func TestCLIDvsexploreStaticFigs(t *testing.T) {
@@ -414,7 +580,7 @@ func TestCLIErrors(t *testing.T) {
 		out, err := runTool(t, filepath.Join(bins, c.tool), c.args...)
 		if err == nil {
 			t.Errorf("%s %v: expected failure\n%s", c.tool, c.args, out)
-		} else if ee, ok := err.(*exec.ExitError); c.code != 0 && (!ok || ee.ExitCode() != c.code) {
+		} else if c.code != 0 && exitCode(err) != c.code {
 			t.Errorf("%s %v: %v, want exit status %d\n%s", c.tool, c.args, err, c.code, out)
 		}
 	}
@@ -444,15 +610,6 @@ func TestCLILintExitCodes(t *testing.T) {
 	bins := buildTools(t)
 	locheck := filepath.Join(bins, "locheck")
 	locgen := filepath.Join(bins, "locgen")
-	exitCode := func(err error) int {
-		if err == nil {
-			return 0
-		}
-		if ee, ok := err.(*exec.ExitError); ok {
-			return ee.ExitCode()
-		}
-		return -1
-	}
 
 	// Clean formula lints silently with status 0.
 	out, err := runTool(t, locheck, "-lint", "-e", "cycle(forward[i+1]) - cycle(forward[i]) >= 0")
@@ -473,6 +630,20 @@ func TestCLILintExitCodes(t *testing.T) {
 	out, err = runTool(t, locheck, "-lint", "-e", "broken (((")
 	if code := exitCode(err); code != 2 {
 		t.Errorf("locheck -lint parse error: exit %d, want 2\n%s", code, out)
+	}
+
+	// The semantic pass passes a shipped profile and exits 3 on a
+	// tautology.
+	out, err = runTool(t, locheck, "-analyze", "-f", "profiles/standard.loc")
+	if code := exitCode(err); code != 0 {
+		t.Errorf("locheck -analyze profile: exit %d, want 0\n%s", code, out)
+	}
+	out, err = runTool(t, locheck, "-analyze", "-e", "energy(forward[i]) >= -1")
+	if code := exitCode(err); code != 3 {
+		t.Errorf("locheck -analyze tautology: exit %d, want 3\n%s", code, out)
+	}
+	if !strings.Contains(out, "loc/tautology") {
+		t.Errorf("locheck -analyze output:\n%s", out)
 	}
 
 	// An unreadable formula file is an I/O failure: exit 4.
@@ -496,6 +667,39 @@ func TestCLILintExitCodes(t *testing.T) {
 	}
 }
 
+// TestCLINepvetFixtures proves the lint gate can fail: on each known-bad
+// fixture under testdata/lint/, nepvet exits 1 and prints exactly the
+// golden diagnostics of its .want file.
+func TestCLINepvetFixtures(t *testing.T) {
+	nepvet := filepath.Join(buildTools(t), "nepvet")
+	for _, c := range []struct {
+		name, want string
+		args       []string
+	}{
+		// A wall-clock read inside a (fixture) deterministic package.
+		{"badgo", "badgo.want", []string{"-root", "testdata/lint/badgo", "-det", "clock"}},
+		// A branch to an undefined label in microengine assembly.
+		{"badasm", "bad.asm.want", []string{"-asm", "testdata/lint/bad.asm"}},
+		// A formula naming an annotation the trace schema does not have.
+		{"badloc", "bad.loc.want", []string{"-loc", "testdata/lint/bad.loc"}},
+		// The semantic pass: a formula that can never fire (a typo'd event
+		// name), a tautology and a contradiction.
+		{"vacuousloc", "vacuous.loc.want", []string{"-loc", "testdata/lint/vacuous.loc"}},
+		// An allowlist entry that exempts nothing, beside the fixture's
+		// real finding.
+		{"staleallow", "stale.allow.want", []string{"-root", "testdata/lint/badgo", "-det", "clock",
+			"-allow", "testdata/lint/stale.allow"}},
+	} {
+		out, err := exec.Command(nepvet, c.args...).Output()
+		if code := exitCode(err); code != 1 {
+			t.Errorf("%s: nepvet exit %d, want 1\n%s", c.name, code, out)
+		}
+		if want := readFile(t, filepath.Join("testdata/lint", c.want)); !bytes.Equal(out, want) {
+			t.Errorf("%s: diagnostics differ from %s:\ngot:\n%s\nwant:\n%s", c.name, c.want, out, want)
+		}
+	}
+}
+
 // TestCLIRunTimeout: a run that cannot finish inside -run-timeout must die
 // with exit status 1 and a watchdog message instead of hanging forever.
 func TestCLIRunTimeout(t *testing.T) {
@@ -504,12 +708,8 @@ func TestCLIRunTimeout(t *testing.T) {
 	// cut it down.
 	out, err := runTool(t, filepath.Join(bins, "dvsexplore"),
 		"-quiet", "-cycles", "2000000000", "-run-timeout", "300ms", "idle")
-	if err == nil {
-		t.Fatalf("timed-out exploration exited 0:\n%s", out)
-	}
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 1 {
-		t.Fatalf("exit = %v, want status 1\n%s", err, out)
+	if code := exitCode(err); code != 1 {
+		t.Fatalf("exit = %d, want status 1\n%s", code, out)
 	}
 	if !strings.Contains(out, "watchdog") || !strings.Contains(out, "deadline") {
 		t.Errorf("no watchdog/deadline message in output:\n%s", out)
@@ -550,9 +750,8 @@ func TestCLIFaultInjection(t *testing.T) {
 	}
 	out, err = runTool(t, nepsim, "-bench", "ipfwdr", "-cycles", "600000",
 		"-faults", hangPlan, "-run-timeout", "300ms")
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 1 {
-		t.Fatalf("hung nepsim exit = %v, want status 1\n%s", err, out)
+	if code := exitCode(err); code != 1 {
+		t.Fatalf("hung nepsim exit = %d, want status 1\n%s", code, out)
 	}
 	if !strings.Contains(out, "watchdog") {
 		t.Errorf("no watchdog message:\n%s", out)
@@ -567,9 +766,8 @@ func TestCLIFaultInjection(t *testing.T) {
 	}
 	out, err = runTool(t, nepsim, "-bench", "ipfwdr", "-cycles", "600000",
 		"-faults", panicPlan)
-	ee, ok = err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 1 {
-		t.Fatalf("panicked nepsim exit = %v, want status 1\n%s", err, out)
+	if code := exitCode(err); code != 1 {
+		t.Fatalf("panicked nepsim exit = %d, want status 1\n%s", code, out)
 	}
 	if !strings.Contains(out, "run panicked") || strings.Contains(out, "goroutine ") {
 		t.Errorf("want a recovered-panic error, not a crash dump:\n%s", out)
@@ -647,7 +845,7 @@ func TestCLICheckpointResume(t *testing.T) {
 	outdir := filepath.Join(work, "out")
 	out, err := runTool(t, filepath.Join(bins, "dvsexplore"), "-checkpoint", filepath.Join(work, "ck"),
 		"-outdir", outdir, "fig1")
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+	if exitCode(err) != 2 {
 		t.Errorf("dvsexplore -checkpoint: %v, want exit status 2\n%s", err, out)
 	}
 	if !strings.Contains(out, "-checkpoint") || !strings.Contains(out, "-cache") {

@@ -3,7 +3,7 @@ package nepdvs
 // The shipped formula profiles under profiles/ are the user-facing form of
 // the presets the code generates programmatically; these tests pin the two
 // together so neither can drift, and hold every shipped profile to the
-// same static-analysis bar `make analyze` enforces.
+// same static-analysis bar `locheck -analyze` enforces.
 
 import (
 	"os"
@@ -59,9 +59,9 @@ func TestProfilesInSync(t *testing.T) {
 	}
 }
 
-// TestProfilesAnalyzeClean is the in-process form of `make analyze`: every
-// shipped profile must survive the full semantic pass against the default
-// chip's event vocabulary with zero findings.
+// TestProfilesAnalyzeClean is the in-process form of `locheck -analyze`:
+// every shipped profile must survive the full semantic pass against the
+// default chip's event vocabulary with zero findings.
 func TestProfilesAnalyzeClean(t *testing.T) {
 	paths, err := filepath.Glob("profiles/*.loc")
 	if err != nil || len(paths) == 0 {
