@@ -570,7 +570,15 @@ func TestCLIErrors(t *testing.T) {
 		{"locheck", []string{}, 0},
 		{"locheck", []string{"-e", "syntax error (", "/dev/null"}, 0},
 		{"locgen", []string{}, 0},
+		// A rate or duration that is not a positive finite number: NaN
+		// passes a plain range test, and a NaN rate never ends the stream.
+		{"nepsim", []string{"-mbps", "NaN"}, 0},
+		{"nepsim", []string{"-mbps", "-5"}, 0},
 		{"trafficgen", []string{"-mbps", "-5"}, 0},
+		{"trafficgen", []string{"-mbps", "NaN", "-ms", "1"}, 0},
+		{"trafficgen", []string{"-mbps", "Inf", "-ms", "0.01"}, 0},
+		{"trafficgen", []string{"-ms", "NaN"}, 0},
+		{"trafficgen", []string{"-ms", "1e300"}, 0},
 		// A bad selection is a usage error raised before fig10 simulates.
 		{"dvsexplore", []string{"fig10", "nonexistent-experiment"}, 2},
 		{"dvsexplore", []string{"fig1", "fig1"}, 2},
@@ -689,6 +697,12 @@ func TestCLINepvetFixtures(t *testing.T) {
 		// real finding.
 		{"staleallow", "stale.allow.want", []string{"-root", "testdata/lint/badgo", "-det", "clock",
 			"-allow", "testdata/lint/stale.allow"}},
+		// An inline allow that suppresses nothing, beside one that does.
+		{"staleinline", "staleinline.want", []string{"-root", "testdata/lint/staleinline"}},
+		// Exported API of an internal/ package: an unused func and one only
+		// a test calls are flagged; one a main calls, a String method and an
+		// allowed helper are not.
+		{"deadapi", "deadapi.want", []string{"-root", "testdata/lint/deadapi"}},
 	} {
 		out, err := exec.Command(nepvet, c.args...).Output()
 		if code := exitCode(err); code != 1 {

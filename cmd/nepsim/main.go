@@ -207,7 +207,7 @@ func run(o options, rawArgs []string) error {
 	}
 	cfg.Cycles = o.cycles
 	cfg.Chip.EmitPipeline = o.pipeline
-	if o.mbps > 0 {
+	if o.mbps != 0 {
 		cfg.Traffic = traffic.Config{MeanMbps: o.mbps, Seed: o.seed}
 	}
 	if o.packets != "" {

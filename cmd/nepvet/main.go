@@ -14,6 +14,12 @@
 // exemptions live rule-by-rule per package in lint.allow; single findings
 // can carry an inline "//nepvet:allow <rule> <why>" comment.
 //
+// A full-tree run (no directory arguments) sees every user of every
+// package, so it adds two checks: api/unused flags an exported name of an
+// internal/ package that no non-test file uses (methods that implement an
+// interface are exempt), and allow/unused flags every lint.allow entry and
+// inline allow that suppressed nothing.
+//
 // Diagnostics print one per line as "file:line:col: [rule] message".
 // Exit status: 0 clean, 1 findings, 2 usage or analysis errors.
 package main
@@ -95,7 +101,8 @@ func lintGoTree(root, allowPath, det string, dirs []string) ([]lint.Diag, error)
 		return nil, err
 	}
 	// A full-tree run also audits the allowlist itself: an entry that
-	// exempted nothing is stale and must be deleted.
+	// exempted nothing is stale and must be deleted. (LintGo audits the
+	// inline allows.)
 	if target == nil {
 		diags = append(diags, al.Unused()...)
 	}

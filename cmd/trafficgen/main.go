@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"nepdvs/internal/cli"
@@ -52,9 +53,6 @@ func run(mbps float64, level string, ms float64, seed int64, out string, day boo
 		_, err = w.WriteString(traffic.RenderBins(bins))
 		return err
 	}
-	if mbps < 0 {
-		return fmt.Errorf("negative rate %v Mbps", mbps)
-	}
 	cfg := traffic.Config{MeanMbps: mbps, Seed: seed}
 	if mbps == 0 {
 		lv, err := traffic.ParseLevel(level)
@@ -70,8 +68,9 @@ func run(mbps float64, level string, ms float64, seed int64, out string, day boo
 	if err != nil {
 		return err
 	}
-	if ms <= 0 {
-		return fmt.Errorf("non-positive duration %v ms", ms)
+	// Written to fail on NaN; the duration must also fit in sim.Time.
+	if !(ms > 0 && ms*float64(sim.Millisecond) < math.MaxInt64) {
+		return fmt.Errorf("duration must be positive and below %g ms, got %v ms", math.MaxInt64/float64(sim.Millisecond), ms)
 	}
 	pkts := g.GenerateUntil(sim.Time(ms * float64(sim.Millisecond)))
 	if err := traffic.WritePackets(w, pkts); err != nil {

@@ -205,21 +205,6 @@ func (s *Store) Store(key string, material []byte, cr *core.CachedRun) {
 	inc(s.stores)
 }
 
-// Len counts the entry files in the directory; entries are not validated.
-func (s *Store) Len() int {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, e := range entries {
-		if _, ok := keyFromName(e.Name()); ok && !e.IsDir() {
-			n++
-		}
-	}
-	return n
-}
-
 // Summary renders the store's state for a run manifest.
 func (s *Store) Summary() *obs.CacheSummary {
 	v := func(c *obs.Counter) uint64 {

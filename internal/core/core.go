@@ -306,6 +306,8 @@ func (e *RunError) Error() string {
 }
 
 // Unwrap exposes the underlying error for errors.Is/As.
+//
+//nepvet:allow api/unused errors.Is and errors.As call it through an anonymous interface
 func (e *RunError) Unwrap() error { return e.Err }
 
 // Run executes one simulation run to completion, without a run cache. It

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -100,15 +101,11 @@ func TestFaultDeterminism(t *testing.T) {
 
 	// The manifest config block — the reproducibility surface — must embed
 	// the plan and compare byte-identical across runs.
-	m1 := obs.NewManifest("test", nil)
-	m1.Config = res1.Config
-	m2 := obs.NewManifest("test", nil)
-	m2.Config = res2.Config
-	cj1, err := m1.ConfigJSON()
+	cj1, err := json.MarshalIndent(res1.Config, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cj2, err := m2.ConfigJSON()
+	cj2, err := json.MarshalIndent(res2.Config, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,6 +165,8 @@ func IDs() []string {
 }
 
 // Run executes one experiment by ID ("all" runs the whole table).
+//
+//nepvet:allow api/unused the root bench and policy_compare tests run one experiment with it
 func Run(id string, o Options) ([]Report, error) {
 	p, err := NewPlan([]string{id})
 	if err != nil {

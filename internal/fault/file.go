@@ -4,12 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"nepdvs/internal/obs"
 )
 
-// ReadPlanFile loads and validates a JSON fault plan (the format WritePlanFile
-// produces; hand-written plans use the same shape).
+// ReadPlanFile loads and validates a JSON fault plan: a Plan encoded by
+// encoding/json.
 func ReadPlanFile(path string) (*Plan, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -23,13 +21,4 @@ func ReadPlanFile(path string) (*Plan, error) {
 		return nil, fmt.Errorf("fault: %s: %w", path, err)
 	}
 	return &p, nil
-}
-
-// WritePlanFile serializes the plan as indented JSON, atomically.
-func (p *Plan) WritePlanFile(path string) error {
-	b, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return fmt.Errorf("fault: %w", err)
-	}
-	return obs.AtomicWriteFile(path, append(b, '\n'), 0o644)
 }

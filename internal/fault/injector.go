@@ -104,9 +104,6 @@ func NewInjector(p Plan, clock sim.Clock) (*Injector, error) {
 // Stats returns what the injector has done so far.
 func (in *Injector) Stats() Stats { return in.stats }
 
-// Plan returns the (scope-filtered) plan the injector runs.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // MemExtra reports the extra service latency a memory request beginning at
 // time at must pay on the named unit: the sum of active spike magnitudes
 // plus, for SDRAM, a hold until the latest active bank-stall window ends.

@@ -142,6 +142,8 @@ func Assemble(name, src string) (*Program, error) {
 }
 
 // MustAssemble is Assemble for statically known-good sources.
+//
+//nepvet:allow api/unused test helper of the isa and npu tests
 func MustAssemble(name, src string) *Program {
 	p, err := Assemble(name, src)
 	if err != nil {

@@ -12,7 +12,6 @@ package isa
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Op is an instruction opcode.
@@ -160,23 +159,10 @@ var nameToOp = func() map[string]Op {
 
 var fieldNames = map[string]PktField{"size": FieldSize, "port": FieldPort, "id": FieldID}
 
-// Name returns the assembly mnemonic.
-func (o Op) Name() string { return opInfo[o].name }
-
 // IsBranch reports whether the opcode transfers control.
 func (o Op) IsBranch() bool {
 	switch o {
 	case OpBr, OpBeq, OpBne, OpBlt, OpBge:
-		return true
-	}
-	return false
-}
-
-// IsMemRef reports whether the opcode issues a memory reference that blocks
-// the context (the IXP context-swap points).
-func (o Op) IsMemRef() bool {
-	switch o {
-	case OpSramR, OpSramW, OpSdramR, OpSdramW, OpScrR, OpScrW, OpCsr, OpSend:
 		return true
 	}
 	return false
@@ -231,25 +217,4 @@ func fieldName(f PktField) string {
 		}
 	}
 	return fmt.Sprintf("field%d", int64(f))
-}
-
-// Disasm renders the whole program with instruction indices and labels.
-func (p *Program) Disasm() string {
-	byIndex := make(map[int][]string)
-	for name, at := range p.Labels {
-		byIndex[at] = append(byIndex[at], name)
-	}
-	// Several labels may share an instruction; sort them so the rendering
-	// is byte-identical regardless of map iteration order.
-	for _, names := range byIndex {
-		sort.Strings(names)
-	}
-	out := ""
-	for k, in := range p.Code {
-		for _, l := range byIndex[k] {
-			out += l + ":\n"
-		}
-		out += fmt.Sprintf("\t%s\n", in)
-	}
-	return out
 }

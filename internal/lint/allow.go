@@ -128,7 +128,7 @@ func (a *Allowlist) Unused() []Diag {
 			file = "lint.allow"
 		}
 		out = append(out, Diag{
-			File: file, Line: e.line, Col: 1, Rule: "allow/unused",
+			File: file, Line: e.line, Col: 1, Rule: RuleUnusedAllow,
 			Msg: fmt.Sprintf("allowlist entry %s %s matched no finding; delete it", parts[0], parts[1]),
 		})
 	}

@@ -22,13 +22,17 @@ const (
 	RuleMapRange  = "det/maprange"  // map iteration feeding an output sink unsorted
 	RuleExit      = "det/exit"      // os.Exit / log.Fatal outside cmd/ and internal/cli
 	RuleFloatSum  = "det/floatsum"  // float accumulation in map iteration order
+
+	RuleUnusedAPI   = "api/unused"   // exported internal/ API that no non-test file uses
+	RuleUnusedAllow = "allow/unused" // an allowlist entry or inline allow that suppressed nothing
 )
 
 // DeterministicPackages are the package directories whose byte-identical-
 // per-seed guarantee is non-negotiable: det/wallclock and det/rand findings
-// here can never be exempted, not even in lint.allow. The host-side
-// packages (core, cache, obs) are outside this set and earn their
-// exemptions rule-by-rule in lint.allow instead.
+// here can never be exempted, not even in lint.allow. Host-side packages
+// (core, cache, obs) are outside this set; those that need an exemption
+// (today core and obs) earn it rule-by-rule in lint.allow. The lint.allow
+// header points here rather than copying the list.
 var DeterministicPackages = []string{
 	"internal/experiments",
 	"internal/fault",
@@ -83,6 +87,11 @@ type GoConfig struct {
 // (slash-separated, relative to Root; nil means every package found under
 // Root). Test files are never linted. Returned diagnostics are sorted and
 // already filtered through the allowlist and //nepvet:allow suppressions.
+//
+// A full-tree run (dirs nil) sees every user of every package, so it also
+// runs the two checks that need them all: api/unused, and the audit that
+// reports each //nepvet:allow comment that suppressed nothing as
+// allow/unused.
 func LintGo(cfg GoConfig, dirs []string) ([]Diag, error) {
 	root, err := filepath.Abs(cfg.Root)
 	if err != nil {
@@ -95,7 +104,8 @@ func LintGo(cfg GoConfig, dirs []string) ([]Diag, error) {
 			return nil, err
 		}
 	}
-	if dirs == nil {
+	full := dirs == nil
+	if full {
 		dirs, err = FindGoPackages(root)
 		if err != nil {
 			return nil, err
@@ -124,22 +134,35 @@ func LintGo(cfg GoConfig, dirs []string) ([]Diag, error) {
 	// with cgo disabled every package the repo uses has a pure-Go build.
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
-	imp := &moduleImporter{
-		fset:   fset,
-		root:   root,
-		module: module,
-		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		cache:  map[string]*types.Package{},
+	l := &goLinter{
+		fset: fset,
+		root: root,
+		imp: &moduleImporter{
+			fset:   fset,
+			root:   root,
+			module: module,
+			std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+			cache:  map[string]*types.Package{},
+		},
+		allow:  cfg.Allow,
+		inline: map[fileLine][]*inlineAllow{},
+	}
+	if full {
+		l.api = &apiIndex{defs: map[apiKey]apiDef{}, used: map[apiKey]bool{}}
 	}
 
 	var diags []Diag
 	for _, dir := range dirs {
 		dir = path.Clean(dir)
-		ds, err := lintGoPackage(fset, imp, root, module, dir, !exempted(dir, programLayer), cfg.Allow)
+		ds, err := l.lintPackage(module, dir, !exempted(dir, programLayer))
 		if err != nil {
 			return nil, err
 		}
 		diags = append(diags, ds...)
+	}
+	if full {
+		diags = append(diags, l.unusedAPI()...)
+		diags = append(diags, l.staleInlineAllows()...)
 	}
 	SortDiags(diags)
 	return diags, nil
@@ -217,12 +240,38 @@ func dedupe(xs []string) []string {
 	return out
 }
 
-// lintGoPackage parses, type-checks and walks one package directory.
+// goLinter holds the state of one LintGo run.
+type goLinter struct {
+	fset  *token.FileSet
+	root  string
+	imp   *moduleImporter
+	allow *Allowlist
+	// inline indexes the //nepvet:allow comments of every linted file by
+	// each line they cover; inlineAll lists them in source order.
+	inline    map[fileLine][]*inlineAllow
+	inlineAll []*inlineAllow
+	api       *apiIndex // nil outside full-tree runs
+}
+
+type fileLine struct {
+	file string
+	line int
+}
+
+// inlineAllow is one //nepvet:allow comment; used records whether it
+// suppressed a finding.
+type inlineAllow struct {
+	pos  token.Position
+	rule string
+	used bool
+}
+
+// lintPackage parses, type-checks and walks one package directory.
 // library reports whether the wall-clock and exit rules apply (false for
 // the program layer).
-func lintGoPackage(fset *token.FileSet, imp *moduleImporter, root, module, dir string, library bool, allow *Allowlist) ([]Diag, error) {
-	abs := filepath.Join(root, filepath.FromSlash(dir))
-	files, err := parsePackageDir(fset, abs, parser.ParseComments)
+func (l *goLinter) lintPackage(module, dir string, library bool) ([]Diag, error) {
+	abs := filepath.Join(l.root, filepath.FromSlash(dir))
+	files, err := parsePackageDir(l.fset, abs, parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}
@@ -238,8 +287,8 @@ func lintGoPackage(fset *token.FileSet, imp *moduleImporter, root, module, dir s
 		Uses:  map[*ast.Ident]types.Object{},
 		Defs:  map[*ast.Ident]types.Object{},
 	}
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(pkgPath, fset, files, info)
+	conf := types.Config{Importer: l.imp}
+	pkg, err := conf.Check(pkgPath, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", pkgPath, err)
 	}
@@ -248,24 +297,21 @@ func lintGoPackage(fset *token.FileSet, imp *moduleImporter, root, module, dir s
 	// references to their type objects, and replacing the entry with this
 	// fresh check would make later packages see two non-identical versions
 	// of the same type (cached dependants vs the fresh import).
-	if _, ok := imp.cache[pkgPath]; !ok {
-		imp.cache[pkgPath] = pkg
+	if _, ok := l.imp.cache[pkgPath]; !ok {
+		l.imp.cache[pkgPath] = pkg
+	}
+	if l.api != nil {
+		l.api.record(pkg, dir, info)
 	}
 
-	w := &goWalker{
-		fset:    fset,
-		root:    root,
-		dir:     dir,
-		info:    info,
-		library: library,
-	}
+	w := &goWalker{l: l, dir: dir, info: info, library: library}
 	for _, f := range files {
-		w.suppress = suppressions(fset, f)
+		l.indexAllows(f)
 		ast.Inspect(f, w.visit)
 	}
 	var out []Diag
 	for _, d := range w.diags {
-		if allow.Allowed(dir, d.Rule) {
+		if l.allow.Allowed(dir, d.Rule) {
 			continue
 		}
 		out = append(out, d)
@@ -293,11 +339,10 @@ func parsePackageDir(fset *token.FileSet, dir string, mode parser.Mode) ([]*ast.
 	return files, nil
 }
 
-// suppressions collects //nepvet:allow comments. A comment suppresses a
-// rule on its own line and on the line immediately after (so it can sit on
-// the offending line or directly above it).
-func suppressions(fset *token.FileSet, f *ast.File) map[int]map[string]bool {
-	sup := map[int]map[string]bool{}
+// indexAllows records the //nepvet:allow comments of f. A comment
+// suppresses a rule on its own line and on the line immediately after (so
+// it can sit on the offending line or directly above it).
+func (l *goLinter) indexAllows(f *ast.File) {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
@@ -310,28 +355,59 @@ func suppressions(fset *token.FileSet, f *ast.File) map[int]map[string]bool {
 			if len(fields) == 0 {
 				continue
 			}
-			rule := fields[0]
-			line := fset.Position(c.Pos()).Line
-			for _, l := range []int{line, line + 1} {
-				if sup[l] == nil {
-					sup[l] = map[string]bool{}
-				}
-				sup[l][rule] = true
+			a := &inlineAllow{pos: l.fset.Position(c.Pos()), rule: fields[0]}
+			l.inlineAll = append(l.inlineAll, a)
+			for _, line := range []int{a.pos.Line, a.pos.Line + 1} {
+				k := fileLine{a.pos.Filename, line}
+				l.inline[k] = append(l.inline[k], a)
 			}
 		}
 	}
-	return sup
+}
+
+// diag builds the finding for rule at pos, or reports false when an inline
+// allow suppresses it there.
+func (l *goLinter) diag(pos token.Position, rule, msg string) (Diag, bool) {
+	suppressed := false
+	for _, a := range l.inline[fileLine{pos.Filename, pos.Line}] {
+		if a.rule == rule {
+			a.used = true
+			suppressed = true
+		}
+	}
+	if suppressed {
+		return Diag{}, false
+	}
+	return Diag{File: l.rel(pos.Filename), Line: pos.Line, Col: pos.Column, Rule: rule, Msg: msg}, true
+}
+
+func (l *goLinter) rel(file string) string {
+	if rel, err := filepath.Rel(l.root, file); err == nil {
+		return filepath.ToSlash(rel)
+	}
+	return file
+}
+
+// staleInlineAllows reports every //nepvet:allow comment that suppressed
+// no finding: like a stale lint.allow entry, it should be deleted.
+func (l *goLinter) staleInlineAllows() []Diag {
+	var out []Diag
+	for _, a := range l.inlineAll {
+		if !a.used {
+			out = append(out, Diag{File: l.rel(a.pos.Filename), Line: a.pos.Line, Col: a.pos.Column, Rule: RuleUnusedAllow,
+				Msg: fmt.Sprintf("inline allow of %s suppressed no finding; delete it", a.rule)})
+		}
+	}
+	return out
 }
 
 // goWalker applies the det/* rules to one file.
 type goWalker struct {
-	fset     *token.FileSet
-	root     string
-	dir      string
-	info     *types.Info
-	library  bool
-	suppress map[int]map[string]bool
-	diags    []Diag
+	l       *goLinter
+	dir     string
+	info    *types.Info
+	library bool
+	diags   []Diag
 }
 
 func (w *goWalker) visit(n ast.Node) bool {
@@ -521,15 +597,10 @@ func sameExprText(a, b ast.Expr) bool {
 }
 
 func (w *goWalker) report(at ast.Node, rule, msg string) {
-	pos := w.fset.Position(at.Pos())
-	if rules, ok := w.suppress[pos.Line]; ok && rules[rule] {
+	d, ok := w.l.diag(w.l.fset.Position(at.Pos()), rule, msg)
+	if !ok {
 		return
 	}
-	file := pos.Filename
-	if rel, err := filepath.Rel(w.root, file); err == nil {
-		file = filepath.ToSlash(rel)
-	}
-	d := Diag{File: file, Line: pos.Line, Col: pos.Column, Rule: rule, Msg: msg}
 	// Dedupe identical findings (nested map ranges rescan inner bodies).
 	for _, have := range w.diags {
 		if have == d {

@@ -94,16 +94,6 @@ func (a *Analysis) Retention() map[string]RetentionBound {
 	return out
 }
 
-// Events returns the sorted referenced event names.
-func (a *Analysis) Events() []string {
-	out := make([]string, 0, len(a.Windows))
-	for e := range a.Windows {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Analyze performs semantic analysis: it validates the analysis period of
 // distribution formulas, checks annotation names against the optional
 // schema, collects the distinct annotation references, and infers per-event

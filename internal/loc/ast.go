@@ -303,15 +303,3 @@ func foldNeg(e Expr) Expr {
 	}
 	return e
 }
-
-// EqualFormula reports structural equality of two formulas, ignoring names
-// and positions.
-func EqualFormula(a, b *Formula) bool {
-	if a.Kind != b.Kind || !EqualExpr(a.LHS, b.LHS) {
-		return false
-	}
-	if a.Kind == KindCheck {
-		return a.Rel == b.Rel && EqualExpr(a.RHS, b.RHS)
-	}
-	return a.Dist == b.Dist && a.Period == b.Period
-}

@@ -1,6 +1,7 @@
 package loc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -24,7 +25,7 @@ func TestParseCalls(t *testing.T) {
 			continue
 		}
 		f2, err := Parse(f.String())
-		if err != nil || !EqualFormula(f, f2) {
+		if err != nil || !equalFormula(f, f2) {
 			t.Errorf("round trip failed for %q -> %q (%v)", src, f, err)
 		}
 	}
@@ -119,8 +120,9 @@ func TestCallInDistribution(t *testing.T) {
 	if res.Dist.Instances != 20 {
 		t.Fatalf("instances = %d", res.Dist.Instances)
 	}
-	if res.Dist.Hist.ObservedMin() < 0 {
-		t.Fatal("abs produced a negative value")
+	// 10, 9, …, 1, 0, 1, …, 9: without abs the mean would be 0.5.
+	if got := res.Dist.Hist.Mean(); got != 5 {
+		t.Fatalf("mean = %v, want 5: abs let a negative value through", got)
 	}
 }
 
@@ -129,10 +131,23 @@ func TestCallDisasm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dis := c.LHS.Disasm()
+	dis := disasm(c.LHS)
 	for _, want := range []string{"abs", "max", "const 5"} {
 		if !strings.Contains(dis, want) {
 			t.Errorf("disasm missing %q:\n%s", want, dis)
 		}
 	}
+}
+
+// disasm renders a compiled program one instruction per line.
+func disasm(p *Program) string {
+	var b strings.Builder
+	for _, in := range p.Code {
+		if in.Op == OpConst {
+			fmt.Fprintf(&b, "const %g\n", in.Val)
+		} else {
+			fmt.Fprintf(&b, "%s\n", in.Op)
+		}
+	}
+	return b.String()
 }

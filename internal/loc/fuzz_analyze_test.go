@@ -56,7 +56,7 @@ func FuzzAnalyzeVsVM(f *testing.F) {
 			s ^= s << 17
 			return s
 		}
-		names := a.Events()
+		names := analysisEvents(a)
 		n := int(rounds%512) + 1
 		if n*len(names) > 2048 {
 			n = 2048/len(names) + 1

@@ -55,11 +55,6 @@ func (a Interval) Contains(v float64) bool { return a.Lo <= v && v <= a.Hi }
 // IsPoint reports whether the interval is a single non-NaN value.
 func (a Interval) IsPoint() bool { return !a.NaN && a.Lo == a.Hi }
 
-// Finite reports whether every member is a finite real (no ±Inf, no NaN).
-func (a Interval) Finite() bool {
-	return !a.NaN && !math.IsInf(a.Lo, 0) && !math.IsInf(a.Hi, 0)
-}
-
 func (a Interval) hasInf() bool { return math.IsInf(a.Lo, -1) || math.IsInf(a.Hi, 1) }
 
 // String renders the interval in the diagnostics' [lo, hi] form.

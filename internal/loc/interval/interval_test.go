@@ -42,9 +42,6 @@ func TestBasicOps(t *testing.T) {
 }
 
 func TestPredicates(t *testing.T) {
-	if !Range(0, 1).Finite() || Range(0, math.Inf(1)).Finite() || Unknown().Finite() {
-		t.Error("Finite misclassifies")
-	}
 	if !Point(3).IsPoint() || Range(1, 2).IsPoint() {
 		t.Error("IsPoint misclassifies")
 	}

@@ -63,12 +63,6 @@ func TestBuildReportVerdicts(t *testing.T) {
 	if gap.Kind != "dist" || gap.Verdict != "dist" || gap.Instances != 90 {
 		t.Fatalf("gap = %+v", gap)
 	}
-	if !rep.Failed() {
-		t.Fatal("report with a failing formula must be Failed")
-	}
-	if BuildReport(nil).Failed() {
-		t.Fatal("empty report must not be Failed")
-	}
 }
 
 func TestReportVacuousPass(t *testing.T) {
@@ -79,9 +73,6 @@ func TestReportVacuousPass(t *testing.T) {
 	fr := rep.Formulas[0]
 	if fr.Verdict != "pass" || !fr.Vacuous {
 		t.Fatalf("verdict=%q vacuous=%v, want a vacuous pass", fr.Verdict, fr.Vacuous)
-	}
-	if !strings.Contains(rep.Text(), "passed vacuously") {
-		t.Fatalf("text report must flag the vacuous pass:\n%s", rep.Text())
 	}
 	// A pass with real instances is not vacuous.
 	evs := mkTrace(10, func(int) uint64 { return 30 })
@@ -100,9 +91,6 @@ func TestReportIndeterminateVerdict(t *testing.T) {
 	rep := BuildReport([]Result{res})
 	if rep.Formulas[0].Verdict != "indeterminate" {
 		t.Fatalf("verdict = %q", rep.Formulas[0].Verdict)
-	}
-	if !rep.Failed() {
-		t.Fatal("indeterminate must fail the report")
 	}
 }
 
@@ -149,28 +137,5 @@ func TestEmptyReportJSON(t *testing.T) {
 	}
 	if !strings.Contains(string(b), `"formulas": []`) {
 		t.Fatalf("empty report must serialize formulas as []:\n%s", b)
-	}
-}
-
-func TestReportText(t *testing.T) {
-	rep := BuildReport(reportResults(t))
-	txt := rep.Text()
-	for _, want := range []string{
-		"assertion report (schema 2)",
-		"formula lat:",
-		"analysis: verdict unknown; retention deq=1 enq=1",
-		"analysis: retention forward=11 (exact)",
-		"FAIL: 100 instances evaluated, 10 violations (10 retained)",
-		"first i=0: lhs=70 rhs=50",
-		"cycle(deq[i]) = 70",
-		"density:",
-		"formula mono:",
-		"PASS",
-		"formula gap:",
-		"dist: 90 instances analyzed",
-	} {
-		if !strings.Contains(txt, want) {
-			t.Errorf("text report missing %q:\n%s", want, txt)
-		}
 	}
 }

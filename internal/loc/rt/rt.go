@@ -14,7 +14,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode"
@@ -100,22 +99,6 @@ type Instr struct {
 type Program struct {
 	Code     []Instr
 	MaxStack int
-}
-
-// Disasm renders the program for debugging.
-func (p *Program) Disasm() string {
-	var b strings.Builder
-	for k, in := range p.Code {
-		switch in.Op {
-		case OpConst:
-			fmt.Fprintf(&b, "%3d  const %g\n", k, in.Val)
-		case OpRef:
-			fmt.Fprintf(&b, "%3d  ref   #%d\n", k, in.Arg)
-		default:
-			fmt.Fprintf(&b, "%3d  %s\n", k, in.Op)
-		}
-	}
-	return b.String()
 }
 
 // Eval executes the program. refs[k] must hold the current value of
@@ -766,15 +749,6 @@ func (d *Density) Add(t float64) {
 	d.Counts[k]++
 }
 
-// Total returns the number of recorded violations.
-func (d *Density) Total() int64 {
-	var n int64
-	for _, c := range d.Counts {
-		n += c
-	}
-	return n
-}
-
 // CheckResult is the outcome of running a checker formula over a trace.
 type CheckResult struct {
 	Instances     int64 // instances evaluated
@@ -906,16 +880,6 @@ type Report struct {
 	Formulas []FormulaReport `json:"formulas"`
 }
 
-// Failed reports whether any check formula failed or was indeterminate.
-func (r *Report) Failed() bool {
-	for _, fr := range r.Formulas {
-		if fr.Verdict == "fail" || fr.Verdict == "indeterminate" {
-			return true
-		}
-	}
-	return false
-}
-
 // JSON renders the report as indented JSON with a trailing newline. The
 // encoding is deterministic: field order follows the struct declarations and
 // all values derive from simulation state.
@@ -925,70 +889,6 @@ func (r *Report) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// Text renders a human-oriented summary of the report.
-func (r *Report) Text() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "assertion report (schema %d)\n", r.Schema)
-	for _, fr := range r.Formulas {
-		fmt.Fprintf(&b, "formula %s: %s\n", fr.Name, fr.Source)
-		if a := fr.Analysis; a != nil && (a.Verdict != "" || len(a.Retention) > 0) {
-			b.WriteString("  analysis:")
-			if a.Verdict != "" {
-				fmt.Fprintf(&b, " verdict %s;", a.Verdict)
-			}
-			if len(a.Retention) > 0 {
-				events := make([]string, 0, len(a.Retention))
-				for ev := range a.Retention {
-					events = append(events, ev)
-				}
-				sort.Strings(events)
-				b.WriteString(" retention")
-				for _, ev := range events {
-					fmt.Fprintf(&b, " %s=%d", ev, a.Retention[ev])
-				}
-				if a.Exact {
-					b.WriteString(" (exact)")
-				}
-			}
-			b.WriteString("\n")
-		}
-		if fr.Kind == "dist" {
-			fmt.Fprintf(&b, "  dist: %d instances analyzed, %d skipped\n", fr.Instances, fr.Skipped)
-			continue
-		}
-		fmt.Fprintf(&b, "  %s: %d instances evaluated, %d violations (%d retained), %d indeterminate, %d skipped",
-			strings.ToUpper(fr.Verdict), fr.Instances, fr.Violations, fr.Retained, fr.Indeterminate, fr.Skipped)
-		if fr.WindowPeak > 0 {
-			fmt.Fprintf(&b, "; window peak %d", fr.WindowPeak)
-		}
-		if fr.Vacuous {
-			b.WriteString("; passed vacuously (no instance was ever evaluated)")
-		}
-		b.WriteString("\n")
-		if fr.First != nil {
-			fmt.Fprintf(&b, "  first %s at t=%gus\n", fr.First, fr.First.Time)
-			for _, bd := range fr.First.Witness {
-				fmt.Fprintf(&b, "    %s\n", bd)
-			}
-		}
-		if fr.Worst != nil && (fr.First == nil || fr.Worst.Instance != fr.First.Instance) {
-			fmt.Fprintf(&b, "  worst %s at t=%gus\n", fr.Worst, fr.Worst.Time)
-			for _, bd := range fr.Worst.Witness {
-				fmt.Fprintf(&b, "    %s\n", bd)
-			}
-		}
-		if d := fr.Density; d != nil && len(d.Counts) > 0 {
-			fmt.Fprintf(&b, "  density: %d violations over [0us, %gus) in %gus bins:",
-				d.Total(), d.WidthUS*float64(len(d.Counts)), d.WidthUS)
-			for _, c := range d.Counts {
-				fmt.Fprintf(&b, " %d", c)
-			}
-			b.WriteString("\n")
-		}
-	}
-	return b.String()
 }
 
 // TextReader parses the text trace format: one event per line, columns
@@ -1321,6 +1221,8 @@ type Table interface {
 // carrying the formula's static analysis. The result is the exit status:
 // 0 pass, 1 assertion failure, 2 bad usage or malformed input — a malformed
 // trace is never reported as a pass.
+//
+//nepvet:allow api/unused every generated checker's main calls it
 func Main(args []string, f *Formula, a *ReportAnalysis, table Table) int {
 	code, err := run(args, f, a, table)
 	if err != nil {

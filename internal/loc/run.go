@@ -16,9 +16,7 @@ import (
 // The checker runtime lives in package rt, shared verbatim with generated
 // checkers; these aliases keep its result types under their loc names.
 type (
-	Binding     = rt.Binding
 	Violation   = rt.Violation
-	Density     = rt.Density
 	CheckResult = rt.CheckResult
 	// RunnerOptions tunes runner resource limits (violation retention and
 	// the per-event history bound).

@@ -220,9 +220,8 @@ func TestMissingExtraAnnotationError(t *testing.T) {
 func TestExtraAnnotationWorks(t *testing.T) {
 	var evs []trace.Event
 	for k := 0; k < 10; k++ {
-		ev := trace.Event{Name: "idle", Cycle: uint64(k)}
-		ev.SetExtra("idle_frac", 0.05*float64(k))
-		evs = append(evs, ev)
+		evs = append(evs, trace.Event{Name: "idle", Cycle: uint64(k),
+			Extra: map[string]float64{"idle_frac": 0.05 * float64(k)}})
 	}
 	res := runOne(t, "idle_frac(idle[i]) hist [0, 0.5, 0.05]", evs)
 	if res.Dist.Instances != 10 {
@@ -402,8 +401,8 @@ func TestVMEval(t *testing.T) {
 	if prog.MaxStack < 2 {
 		t.Errorf("MaxStack = %d", prog.MaxStack)
 	}
-	if !strings.Contains(prog.Disasm(), "const") {
-		t.Error("Disasm missing const")
+	if !strings.Contains(disasm(prog), "const") {
+		t.Error("disassembly missing const")
 	}
 	// And the compiled (folded) form agrees.
 	c, err := Compile(f, nil)

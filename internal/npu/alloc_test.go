@@ -32,7 +32,7 @@ loop:
 		t.Fatal(err)
 	}
 	k.RunUntil(20 * sim.Microsecond)
-	me := chip.ME(0)
+	me := chip.mes[0]
 	before := me.MemRefs()
 	if allocs := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 500; i++ {

@@ -243,14 +243,8 @@ func New(cfg Config, k *sim.Kernel, programs []*isa.Program, sink trace.Sink) (*
 	return c, nil
 }
 
-// Kernel returns the simulation kernel driving the chip.
-func (c *Chip) Kernel() *sim.Kernel { return c.k }
-
 // Meter returns the power meter.
 func (c *Chip) Meter() *power.Meter { return c.meter }
-
-// ME returns microengine i.
-func (c *Chip) ME(i int) *ME { return c.mes[i] }
 
 // SinkErr reports the first trace-sink failure, if any.
 func (c *Chip) SinkErr() error { return c.sinkErr }
@@ -486,9 +480,6 @@ func (c *Chip) TrafficBits() uint64 { return c.bitsArrived }
 // stalls) — the EDVS monitor input.
 func (c *Chip) MEIdle(i int) sim.Time { return c.mes[i].IdleTime() }
 
-// MEVF returns the operating point of microengine i.
-func (c *Chip) MEVF(i int) power.VF { return c.mes[i].VF() }
-
 // SetMEVF transitions one microengine, applying the stall penalty.
 func (c *Chip) SetMEVF(i int, vf power.VF) { c.mes[i].setVF(vf) }
 
@@ -505,9 +496,6 @@ func (c *Chip) SetAllVF(vf power.VF) {
 func (c *Chip) QueueOccupancy() (used, capacity int) {
 	return c.rfifo.len(), c.cfg.RFIFODepth
 }
-
-// MESleep returns microengine i's DPM state (0 awake, 1 sleep, 2 deep).
-func (c *Chip) MESleep(i int) int { return c.mes[i].SleepDepth() }
 
 // SetMESleep moves microengine i to DPM state depth (clamped to [0, 2]).
 // Entering sleep is immediate; waking applies a depth-scaled stall penalty.

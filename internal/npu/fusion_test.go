@@ -555,7 +555,7 @@ main:
 // sequences only, never reading past the end of the code.
 func TestPredecodeFusionTable(t *testing.T) {
 	for op := opImmBeq; op <= opTxRetry; op++ {
-		if name := op.Name(); name != "" {
+		if name := (isa.Instr{Op: op}).String(); name != "" {
 			t.Fatalf("fused op %d collides with ISA op %q", op, name)
 		}
 	}

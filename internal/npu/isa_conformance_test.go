@@ -275,7 +275,7 @@ func TestHaltStopsContext(t *testing.T) {
 	if got := scratchAt(chip, 100); got != 1 {
 		t.Errorf("instructions after halt executed: scratch = %d", got)
 	}
-	me := chip.ME(0)
+	me := chip.mes[0]
 	if me.liveContexts() != 0 {
 		t.Error("context still live after halt")
 	}
@@ -325,11 +325,11 @@ func TestMultiContextInterleaving(t *testing.T) {
 	if got := chip.scratchRead(200); got < 1 || got > 4 {
 		t.Errorf("counter = %d, want 1..4", got)
 	}
-	if chip.ME(0).liveContexts() != 0 {
+	if chip.mes[0].liveContexts() != 0 {
 		t.Error("not all contexts halted")
 	}
-	if chip.ME(0).InstrCount() < 4*7 {
-		t.Errorf("instruction count %d too low for 4 contexts", chip.ME(0).InstrCount())
+	if chip.mes[0].InstrCount() < 4*7 {
+		t.Errorf("instruction count %d too low for 4 contexts", chip.mes[0].InstrCount())
 	}
 }
 
@@ -416,10 +416,10 @@ bad:
 				t.Errorf("batch %d: ctx id %d last iteration = %d, want %d", batch, id, got, id+2)
 			}
 		}
-		if got := chip.ME(0).InstrCount(); got != wantInstr {
+		if got := chip.mes[0].InstrCount(); got != wantInstr {
 			t.Errorf("batch %d: ME0 retired %d instructions, want %d", batch, got, wantInstr)
 		}
-		if chip.ME(0).liveContexts() != 0 {
+		if chip.mes[0].liveContexts() != 0 {
 			t.Errorf("batch %d: not all contexts halted", batch)
 		}
 	}

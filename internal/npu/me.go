@@ -206,9 +206,6 @@ func newME(chip *Chip, idx int, prog *isa.Program, vf power.VF) *ME {
 	return me
 }
 
-// VF returns the current operating point.
-func (me *ME) VF() power.VF { return me.vf }
-
 // IdleTime returns cumulative idle time (all contexts blocked), excluding
 // DVS stall time, settled up to the current simulation time.
 func (me *ME) IdleTime() sim.Time {
@@ -221,9 +218,6 @@ func (me *ME) IdleTime() sim.Time {
 
 // StallTime returns cumulative DVS-transition stall time.
 func (me *ME) StallTime() sim.Time { return me.stallTotal }
-
-// SleepDepth returns the current DPM state: 0 awake, 1 sleep, 2 deep sleep.
-func (me *ME) SleepDepth() int { return me.sleepDepth }
 
 // SleepTime returns cumulative time spent in any sleep state, settled up to
 // the current simulation time.

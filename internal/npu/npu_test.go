@@ -277,8 +277,8 @@ func TestSetAllVFStallsAndRecovers(t *testing.T) {
 	if st.MEInstr[0] == during {
 		t.Fatal("ME0 never resumed after the stall")
 	}
-	if chip.MEVF(0) != low {
-		t.Fatalf("VF = %v, want %v", chip.MEVF(0), low)
+	if chip.mes[0].vf != low {
+		t.Fatalf("VF = %v, want %v", chip.mes[0].vf, low)
 	}
 	if st.MEStallFrac[0] <= 0 {
 		t.Fatal("no stall time accounted")
@@ -296,13 +296,13 @@ func TestSetMEVFIndependent(t *testing.T) {
 	low := power.VF{MHz: 450, Volts: 1.15}
 	chip.SetMEVF(2, low)
 	k.RunUntil(60 * sim.Microsecond)
-	if chip.MEVF(2) != low {
-		t.Fatalf("ME2 VF = %v", chip.MEVF(2))
+	if chip.mes[2].vf != low {
+		t.Fatalf("ME2 VF = %v", chip.mes[2].vf)
 	}
-	if chip.MEVF(1) != cfg.MEVF {
-		t.Fatalf("ME1 VF changed: %v", chip.MEVF(1))
+	if chip.mes[1].vf != cfg.MEVF {
+		t.Fatalf("ME1 VF changed: %v", chip.mes[1].vf)
 	}
-	if chip.ME(1).StallTime() != 0 {
+	if chip.mes[1].StallTime() != 0 {
 		t.Fatal("ME1 stalled on ME2's transition")
 	}
 }
@@ -377,7 +377,7 @@ func TestIdleSampling(t *testing.T) {
 	for _, ev := range col.Events {
 		if ev.Name == trace.MEEvent(0, trace.EvIdle) {
 			idleEvents++
-			frac, ok := ev.Annotation("idle_frac")
+			frac, ok := ev.Extra["idle_frac"]
 			if !ok || frac < 0 || frac > 1 {
 				t.Fatalf("bad idle_frac %v, %v", frac, ok)
 			}
@@ -527,7 +527,7 @@ func TestVFChangeEvents(t *testing.T) {
 	for _, ev := range col.Events {
 		if ev.Name == trace.MEEvent(3, trace.EvVFChange) {
 			n++
-			if mhz, _ := ev.Annotation("mhz"); mhz != 550 {
+			if mhz := ev.Extra["mhz"]; mhz != 550 {
 				t.Fatalf("vfchange mhz = %v", mhz)
 			}
 		}

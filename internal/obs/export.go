@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,19 +37,6 @@ func (s Snapshot) WritePrometheusFile(path string) error {
 		return err
 	}
 	return AtomicWriteFile(path, buf.Bytes(), 0o644)
-}
-
-// ReadJSONFile loads a snapshot previously written by WriteJSONFile.
-func ReadJSONFile(path string) (Snapshot, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	var s Snapshot
-	if err := json.Unmarshal(b, &s); err != nil {
-		return Snapshot{}, fmt.Errorf("obs: %s: %w", path, err)
-	}
-	return s, nil
 }
 
 // promName rewrites a metric name into the Prometheus charset: anything

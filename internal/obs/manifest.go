@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 )
@@ -95,24 +94,4 @@ func (m *Manifest) WriteFile(path string) error {
 		return fmt.Errorf("obs: manifest: %w", err)
 	}
 	return AtomicWriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ReadManifest loads a manifest written by WriteFile. Config is decoded
-// into generic JSON values.
-func ReadManifest(path string) (*Manifest, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("obs: %s: %w", path, err)
-	}
-	return &m, nil
-}
-
-// ConfigJSON renders just the manifest's config block as indented JSON —
-// the byte-comparable part of the manifest.
-func (m *Manifest) ConfigJSON() ([]byte, error) {
-	return json.MarshalIndent(m.Config, "", "  ")
 }

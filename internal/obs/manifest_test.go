@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -22,8 +24,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := m.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(path)
-	if err != nil {
+	var got Manifest
+	if err := json.Unmarshal(readFile(t, path), &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Tool != "nepsim" || got.Seed != 3 || got.Cycles != 8_000_000 {
@@ -48,19 +50,26 @@ func TestManifestConfigBytesStable(t *testing.T) {
 		m := NewManifest("nepsim", []string{"-bench", "nat"})
 		m.Config = map[string]any{"bench": "nat", "policy": "tdvs", "window": 40000}
 		m.SetWall(wall)
-		b, err := m.ConfigJSON()
-		if err != nil {
+		path := filepath.Join(t.TempDir(), "manifest.json")
+		if err := m.WriteFile(path); err != nil {
 			t.Fatal(err)
 		}
-		return b
+		var written struct{ Config json.RawMessage }
+		if err := json.Unmarshal(readFile(t, path), &written); err != nil {
+			t.Fatal(err)
+		}
+		return written.Config
 	}
 	if !bytes.Equal(mk(time.Second), mk(3*time.Second)) {
 		t.Error("config blocks differ across invocations")
 	}
 }
 
-func TestReadManifestErrors(t *testing.T) {
-	if _, err := ReadManifest(filepath.Join(t.TempDir(), "none.json")); err == nil {
-		t.Error("missing manifest accepted")
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
 }

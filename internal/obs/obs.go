@@ -99,20 +99,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[len(h.edges)]++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // mergeSnapshot folds a previously captured snapshot's observations into
 // the histogram. The bucket edges must match exactly.
 func (h *Histogram) mergeSnapshot(s HistogramSnapshot) error {
@@ -228,16 +214,6 @@ func (r *Registry) Histogram(name string, edges []float64) *Histogram {
 	h := &Histogram{edges: append([]float64(nil), edges...), counts: make([]uint64, len(edges)+1)}
 	r.hists[name] = h
 	return h
-}
-
-// LinearEdges builds n ascending upper edges from min, stepping by step —
-// a convenience for histogram creation.
-func LinearEdges(min, step float64, n int) []float64 {
-	edges := make([]float64, n)
-	for i := range edges {
-		edges[i] = min + float64(i)*step
-	}
-	return edges
 }
 
 // ExponentialEdges builds n ascending upper edges starting at start,
@@ -416,22 +392,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Names returns every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	for k := range r.gauges {
-		names = append(names, k)
-	}
-	for k := range r.hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

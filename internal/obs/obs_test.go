@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -66,10 +65,6 @@ func TestTypeMismatchPanics(t *testing.T) {
 }
 
 func TestEdgeBuilders(t *testing.T) {
-	lin := LinearEdges(0, 10, 3)
-	if lin[0] != 0 || lin[1] != 10 || lin[2] != 20 {
-		t.Errorf("LinearEdges = %v", lin)
-	}
 	exp := ExponentialEdges(1, 2, 4)
 	if exp[3] != 8 {
 		t.Errorf("ExponentialEdges = %v", exp)
@@ -135,16 +130,5 @@ func TestSnapshotDeterminism(t *testing.T) {
 	b := build([]string{"gamma", "alpha", "beta"})
 	if !bytes.Equal(a, b) {
 		t.Errorf("snapshots differ across insertion order:\n%s\nvs\n%s", a, b)
-	}
-}
-
-func TestNames(t *testing.T) {
-	r := NewRegistry()
-	r.Gauge("z")
-	r.Counter("a")
-	r.Histogram("m", []float64{1})
-	got := strings.Join(r.Names(), ",")
-	if got != "a,m,z" {
-		t.Errorf("Names = %q", got)
 	}
 }

@@ -159,11 +159,15 @@ type Recorder struct {
 }
 
 // NewRecorder returns an empty recorder.
+//
+//nepvet:allow api/unused the bench harness in the root bench_test.go records and writes trajectories with it
 func NewRecorder() *Recorder {
 	return &Recorder{samples: make(map[string][]Sample)}
 }
 
 // Record appends one invocation's sample for the named benchmark.
+//
+//nepvet:allow api/unused the bench harness in the root bench_test.go records and writes trajectories with it
 func (r *Recorder) Record(name string, s Sample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -209,6 +213,8 @@ func (r *Recorder) Benchmarks() map[string]Benchmark {
 
 // NewTrajectory assembles a trajectory point from a recorder's aggregates
 // and an optional metrics snapshot, stamped with the current environment.
+//
+//nepvet:allow api/unused the bench harness in the root bench_test.go records and writes trajectories with it
 func NewTrajectory(suite string, rec *Recorder, metrics *obs.Snapshot) Trajectory {
 	t := Trajectory{
 		Schema:  SchemaVersion,
@@ -227,6 +233,8 @@ func NewTrajectory(suite string, rec *Recorder, metrics *obs.Snapshot) Trajector
 // WriteFile writes the trajectory as indented JSON, atomically (temp file
 // + fsync + rename) so a gate never reads a torn baseline. Map keys render
 // sorted, so equal trajectories serialize identically.
+//
+//nepvet:allow api/unused the bench harness in the root bench_test.go records and writes trajectories with it
 func (t Trajectory) WriteFile(path string) error {
 	b, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {

@@ -58,7 +58,8 @@ func TestLadderMonotoneProperty(t *testing.T) {
 				l.Steps[k].ThresholdMbps >= l.Steps[k-1].ThresholdMbps {
 				return false
 			}
-			if l.Steps[k].VF.PowerScale() >= l.Steps[k-1].VF.PowerScale() {
+			// Dynamic power, (V/Vref)²·(f/fref), falls with each step down.
+			if l.Steps[k].VF.EnergyScale()*l.Steps[k].VF.MHz >= l.Steps[k-1].VF.EnergyScale()*l.Steps[k-1].VF.MHz {
 				return false
 			}
 		}

@@ -34,10 +34,6 @@ func (v VF) EnergyScale() float64 {
 	return r * r
 }
 
-// PowerScale returns the dynamic-power scale factor relative to the
-// reference: (V/Vref)²·(f/fref).
-func (v VF) PowerScale() float64 { return v.EnergyScale() * v.MHz / RefVF.MHz }
-
 // Params holds per-activity energies at the reference point, in microjoules.
 type Params struct {
 	// MEInstr is the energy of one microengine instruction issue.
@@ -112,7 +108,6 @@ type Meter struct {
 	params Params
 	// Per-category cumulative microjoules.
 	meDynamic float64
-	meIdle    float64
 	meStall   float64
 	meSleep   float64
 	sram      float64
@@ -130,17 +125,9 @@ func NewMeter(p Params) (*Meter, error) {
 	return &Meter{params: p}, nil
 }
 
-// Params returns the meter's parameter set.
-func (m *Meter) Params() Params { return m.params }
-
 // Instr charges n instruction issues on an ME at operating point vf.
 func (m *Meter) Instr(n int64, vf VF) {
 	m.meDynamic += float64(n) * m.params.MEInstr * vf.EnergyScale()
-}
-
-// IdleCycles charges n idle cycles on an ME at operating point vf.
-func (m *Meter) IdleCycles(n int64, vf VF) {
-	m.meIdle += float64(n) * m.params.MEIdleCycle * vf.EnergyScale()
 }
 
 // StallCycles charges n DVS-transition stall cycles at operating point vf.
@@ -171,21 +158,7 @@ func (m *Meter) Base(us float64) { m.base += m.params.BasePower * us }
 
 // Total returns cumulative energy in microjoules.
 func (m *Meter) Total() float64 {
-	return m.meDynamic + m.meIdle + m.meStall + m.meSleep + m.sram + m.sdram + m.scratch + m.monitor + m.base
-}
-
-// Breakdown reports cumulative microjoules per category.
-type Breakdown struct {
-	MEDynamic, MEIdle, MEStall, MESleep float64
-	Sram, Sdram, Scratch, Monitor, Base float64
-}
-
-// Breakdown returns the per-category energy split.
-func (m *Meter) Breakdown() Breakdown {
-	return Breakdown{
-		MEDynamic: m.meDynamic, MEIdle: m.meIdle, MEStall: m.meStall, MESleep: m.meSleep,
-		Sram: m.sram, Sdram: m.sdram, Scratch: m.scratch, Monitor: m.monitor, Base: m.base,
-	}
+	return m.meDynamic + m.meStall + m.meSleep + m.sram + m.sdram + m.scratch + m.monitor + m.base
 }
 
 // MonitorFraction returns the share of total energy charged to the TDVS

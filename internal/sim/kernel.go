@@ -277,10 +277,9 @@ func (q *eventHeap) down(i0 int) bool {
 // Kernel is the event queue and simulation clock. The zero value is ready to
 // use at time zero.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	heap    eventHeap
-	stopped bool
+	now  Time
+	seq  uint64
+	heap eventHeap
 	// interrupted is the only cross-goroutine surface of the kernel: a
 	// watchdog may set it while the dispatch loop runs. It is sticky; a
 	// kernel is single-run and never reused after an interrupt.
@@ -399,11 +398,8 @@ func (k *Kernel) Pending() int {
 	return len(k.heap.h)
 }
 
-// Stop makes Run return after the currently dispatching event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Interrupt asks the dispatch loop to stop. Unlike Stop it is safe to call
-// from another goroutine — it is how a wall-clock watchdog aborts a run
+// Interrupt asks the dispatch loop to stop. It is safe to call from
+// another goroutine — it is how a wall-clock watchdog aborts a run
 // that hangs or livelocks. The loop checks the flag every interruptCheck
 // dispatches, so the abort lands within microseconds of real time without
 // taxing the hot path. The flag is sticky: once interrupted, RunUntil and
@@ -442,20 +438,13 @@ func (k *Kernel) dispatch() {
 	k.heap.settle()
 }
 
-// RunUntil dispatches events until the queue drains, Stop is called, or the
-// next event would fire strictly after deadline. The clock is left at
+// RunUntil dispatches events until the queue drains or the next event
+// would fire strictly after deadline. The clock is left at
 // min(deadline, last event time); if the queue still holds later events the
 // clock is advanced to the deadline so that callers observe a full interval.
 func (k *Kernel) RunUntil(deadline Time) {
-	k.stopped = false
 	k.heap.settle()
-	for !k.stopped {
-		if len(k.heap.h) == 0 {
-			break
-		}
-		if k.heap.h[0].at > deadline {
-			break
-		}
+	for len(k.heap.h) > 0 && k.heap.h[0].at <= deadline {
 		if k.dispatched%interruptCheck == 0 && k.interrupted.Load() {
 			return
 		}
@@ -466,15 +455,16 @@ func (k *Kernel) RunUntil(deadline Time) {
 	}
 }
 
-// Run dispatches events until the queue is empty or Stop is called.
+// Run dispatches events until the queue is empty.
+//
+//nepvet:allow api/unused tests and examples across packages drain the kernel with it
 func (k *Kernel) Run() {
-	k.stopped = false
-	for !k.stopped {
+	for {
 		if k.dispatched%interruptCheck == 0 && k.interrupted.Load() {
 			return
 		}
 		if !k.Step() {
-			break
+			return
 		}
 	}
 }
@@ -498,9 +488,6 @@ func NewClock(mhz float64) Clock {
 
 // Period returns picoseconds per cycle.
 func (c Clock) Period() Time { return c.period }
-
-// MHz returns the clock frequency in MHz.
-func (c Clock) MHz() float64 { return 1e6 / float64(c.period) }
 
 // Cycles converts a cycle count to a duration.
 func (c Clock) Cycles(n int64) Time { return Time(n) * c.period }
@@ -543,17 +530,6 @@ func NewTicker(k *Kernel, interval Time, fn func(Time)) *Ticker {
 	}
 	t.id = k.After(interval, t.fire)
 	return t
-}
-
-// Interval returns the ticker period.
-func (t *Ticker) Interval() Time { return t.interval }
-
-// SetInterval changes the period for subsequent firings.
-func (t *Ticker) SetInterval(iv Time) {
-	if iv <= 0 {
-		panic(fmt.Sprintf("sim: non-positive ticker interval %v", iv))
-	}
-	t.interval = iv
 }
 
 // Stop cancels future firings.

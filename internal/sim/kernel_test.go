@@ -184,21 +184,6 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	var k Kernel
-	count := 0
-	k.Schedule(1, func() { count++; k.Stop() })
-	k.Schedule(2, func() { count++ })
-	k.Run()
-	if count != 1 {
-		t.Fatalf("Stop did not halt dispatch, count = %d", count)
-	}
-	k.Run()
-	if count != 2 {
-		t.Fatalf("resumed Run did not finish, count = %d", count)
-	}
-}
-
 func TestDispatchedCount(t *testing.T) {
 	var k Kernel
 	for i := 0; i < 5; i++ {
@@ -254,10 +239,6 @@ func TestClockConversions(t *testing.T) {
 	if got := c.CyclesIn(-5); got != 0 {
 		t.Errorf("CyclesIn(negative) = %d, want 0", got)
 	}
-	mhz := c.MHz()
-	if mhz < 599 || mhz > 601 {
-		t.Errorf("MHz = %v, want ~600", mhz)
-	}
 }
 
 func TestClockZeroPanics(t *testing.T) {
@@ -282,31 +263,6 @@ func TestTicker(t *testing.T) {
 	for i := range want {
 		if fires[i] != want[i] {
 			t.Fatalf("ticker fired at %v, want %v", fires, want)
-		}
-	}
-}
-
-func TestTickerSetInterval(t *testing.T) {
-	var k Kernel
-	var fires []Time
-	var tk *Ticker
-	tk = NewTicker(&k, 10, func(at Time) {
-		fires = append(fires, at)
-		if len(fires) == 2 {
-			tk.SetInterval(25)
-		}
-		if len(fires) == 4 {
-			tk.Stop()
-		}
-	})
-	k.Run()
-	want := []Time{10, 20, 45, 70}
-	if len(fires) != len(want) {
-		t.Fatalf("fires = %v, want %v", fires, want)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("fires = %v, want %v", fires, want)
 		}
 	}
 }

@@ -108,9 +108,6 @@ func (r *Recorder) Counter(track, name string, at sim.Time, v float64) {
 	})
 }
 
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int { return len(r.events) }
-
 // Events returns the recorded stream in record order. The slice is the
 // recorder's own; callers must not append to the recorder afterwards.
 func (r *Recorder) Events() []Event { return r.events }

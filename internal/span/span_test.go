@@ -15,8 +15,8 @@ func TestRecorderMergesContiguousSpans(t *testing.T) {
 	r.Span("me0", "exec", "me", 0, 100, nil)
 	r.Span("me0", "exec", "me", 100, 250, nil)
 	r.Span("me0", "exec", "me", 250, 300, nil)
-	if r.Len() != 1 {
-		t.Fatalf("contiguous same-name spans: got %d events, want 1 merged", r.Len())
+	if len(r.events) != 1 {
+		t.Fatalf("contiguous same-name spans: got %d events, want 1 merged", len(r.events))
 	}
 	ev := r.Events()[0]
 	if ev.Start != 0 || ev.End != 300 {
@@ -25,20 +25,20 @@ func TestRecorderMergesContiguousSpans(t *testing.T) {
 
 	// A gap breaks the merge.
 	r.Span("me0", "exec", "me", 400, 500, nil)
-	if r.Len() != 2 {
-		t.Fatalf("gapped span merged: %d events", r.Len())
+	if len(r.events) != 2 {
+		t.Fatalf("gapped span merged: %d events", len(r.events))
 	}
 	// A different name on the same track breaks it too.
 	r.Span("me0", "idle", "me", 500, 600, nil)
 	r.Span("me0", "exec", "me", 600, 700, nil)
-	if r.Len() != 4 {
-		t.Fatalf("name change should not merge: %d events", r.Len())
+	if len(r.events) != 4 {
+		t.Fatalf("name change should not merge: %d events", len(r.events))
 	}
 	// Args suppress merging.
 	r.Span("sdram", "read", "mem", 0, 10, map[string]float64{"words": 4})
 	r.Span("sdram", "read", "mem", 10, 20, map[string]float64{"words": 4})
-	if r.Len() != 6 {
-		t.Fatalf("arg-carrying spans merged: %d events", r.Len())
+	if len(r.events) != 6 {
+		t.Fatalf("arg-carrying spans merged: %d events", len(r.events))
 	}
 }
 
@@ -46,8 +46,8 @@ func TestRecorderDropsEmptySpans(t *testing.T) {
 	r := NewRecorder()
 	r.Span("me0", "exec", "me", 100, 100, nil)
 	r.Span("me0", "exec", "me", 100, 50, nil)
-	if r.Len() != 0 {
-		t.Fatalf("empty/negative spans recorded: %d events", r.Len())
+	if len(r.events) != 0 {
+		t.Fatalf("empty/negative spans recorded: %d events", len(r.events))
 	}
 }
 

@@ -9,7 +9,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -58,15 +57,6 @@ func NewHistogram(min, max, step float64) (*Histogram, error) {
 	}, nil
 }
 
-// MustHistogram is NewHistogram for statically known-good periods.
-func MustHistogram(min, max, step float64) *Histogram {
-	h, err := NewHistogram(min, max, step)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // NumBins reports the number of interior bins (excluding under/overflow).
 func (h *Histogram) NumBins() int { return len(h.counts) - 2 }
 
@@ -107,12 +97,6 @@ func (h *Histogram) binFor(v float64) int {
 	return k
 }
 
-// Count returns the raw count in bin k (0 = underflow, NumBins()+1 = overflow).
-func (h *Histogram) Count(k int) uint64 { return h.counts[k] }
-
-// Total returns the number of non-NaN samples.
-func (h *Histogram) Total() uint64 { return h.total }
-
 // NaNs returns the number of NaN samples that were dropped.
 func (h *Histogram) NaNs() uint64 { return h.nan }
 
@@ -136,12 +120,6 @@ func (h *Histogram) StdDev() float64 {
 	}
 	return math.Sqrt(v)
 }
-
-// ObservedMin returns the smallest non-NaN sample, +Inf when empty.
-func (h *Histogram) ObservedMin() float64 { return h.lo }
-
-// ObservedMax returns the largest non-NaN sample, -Inf when empty.
-func (h *Histogram) ObservedMax() float64 { return h.hi }
 
 // UpperEdge returns the inclusive upper edge of bin k. For the underflow bin
 // it is Min; for the overflow bin it is +Inf.
@@ -285,57 +263,4 @@ func (h *Histogram) Render(view string) (string, error) {
 		fmt.Fprintf(&b, "%g\t%.6f\n", edge, v)
 	}
 	return b.String(), nil
-}
-
-// Sample is a small helper holding raw observations when exact quantiles are
-// needed (e.g. in tests comparing against binned quantiles).
-type Sample struct {
-	xs     []float64
-	sorted bool
-}
-
-// Add appends an observation, ignoring NaN.
-func (s *Sample) Add(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	s.xs = append(s.xs, v)
-	s.sorted = false
-}
-
-// Len reports the number of observations.
-func (s *Sample) Len() int { return len(s.xs) }
-
-// Quantile returns the q-th quantile (nearest-rank), NaN when empty.
-func (s *Sample) Quantile(q float64) float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
-	}
-	if q <= 0 {
-		return s.xs[0]
-	}
-	if q >= 1 {
-		return s.xs[len(s.xs)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(s.xs)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return s.xs[idx]
-}
-
-// Mean returns the arithmetic mean, NaN when empty.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, v := range s.xs {
-		sum += v
-	}
-	return sum / float64(len(s.xs))
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -29,7 +30,7 @@ func TestNewHistogramErrors(t *testing.T) {
 func TestHistogramPaperExample(t *testing.T) {
 	// The paper's formula (1) period: <40, 80, 5> gives bins
 	// (-inf,40], (40,45], ..., (75,80], (80,+inf) — 8 interior bins.
-	h := MustHistogram(40, 80, 5)
+	h := mustHistogram(40, 80, 5)
 	if h.NumBins() != 8 {
 		t.Fatalf("NumBins = %d, want 8", h.NumBins())
 	}
@@ -42,21 +43,21 @@ func TestHistogramPaperExample(t *testing.T) {
 	h.Add(-3)   // underflow
 	wantCounts := []uint64{2, 2, 1, 0, 0, 0, 0, 0, 1, 1}
 	for k, want := range wantCounts {
-		if got := h.Count(k); got != want {
+		if got := h.counts[k]; got != want {
 			t.Errorf("bin %d count = %d, want %d", k, got, want)
 		}
 	}
-	if h.Total() != 7 {
-		t.Errorf("Total = %d, want 7", h.Total())
+	if h.total != 7 {
+		t.Errorf("total = %d, want 7", h.total)
 	}
 }
 
 func TestHistogramNaN(t *testing.T) {
-	h := MustHistogram(0, 10, 1)
+	h := mustHistogram(0, 10, 1)
 	h.Add(math.NaN())
 	h.Add(5)
-	if h.NaNs() != 1 || h.Total() != 1 {
-		t.Fatalf("NaNs=%d Total=%d, want 1,1", h.NaNs(), h.Total())
+	if h.NaNs() != 1 || h.total != 1 {
+		t.Fatalf("NaNs=%d total=%d, want 1,1", h.NaNs(), h.total)
 	}
 	if h.Mean() != 5 {
 		t.Errorf("Mean = %v, want 5 (NaN excluded)", h.Mean())
@@ -64,7 +65,7 @@ func TestHistogramNaN(t *testing.T) {
 }
 
 func TestHistogramMoments(t *testing.T) {
-	h := MustHistogram(0, 100, 1)
+	h := mustHistogram(0, 100, 1)
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		h.Add(v)
 	}
@@ -74,13 +75,13 @@ func TestHistogramMoments(t *testing.T) {
 	if got := h.StdDev(); math.Abs(got-2) > 1e-12 {
 		t.Errorf("StdDev = %v, want 2", got)
 	}
-	if h.ObservedMin() != 2 || h.ObservedMax() != 9 {
-		t.Errorf("observed range = [%v, %v], want [2, 9]", h.ObservedMin(), h.ObservedMax())
+	if h.lo != 2 || h.hi != 9 {
+		t.Errorf("observed range = [%v, %v], want [2, 9]", h.lo, h.hi)
 	}
 }
 
 func TestEmptyHistogram(t *testing.T) {
-	h := MustHistogram(0, 10, 1)
+	h := mustHistogram(0, 10, 1)
 	if !math.IsNaN(h.Mean()) || !math.IsNaN(h.StdDev()) {
 		t.Error("empty histogram moments should be NaN")
 	}
@@ -95,7 +96,7 @@ func TestEmptyHistogram(t *testing.T) {
 }
 
 func TestCDFAndCCDF(t *testing.T) {
-	h := MustHistogram(0, 4, 1)
+	h := mustHistogram(0, 4, 1)
 	for _, v := range []float64{0.5, 1.5, 2.5, 3.5} {
 		h.Add(v)
 	}
@@ -117,7 +118,7 @@ func TestCDFAndCCDF(t *testing.T) {
 }
 
 func TestQuantiles(t *testing.T) {
-	h := MustHistogram(0, 10, 1)
+	h := mustHistogram(0, 10, 1)
 	for i := 1; i <= 10; i++ {
 		h.Add(float64(i) - 0.5) // one sample per bin
 	}
@@ -133,7 +134,7 @@ func TestQuantiles(t *testing.T) {
 }
 
 func TestQuantileOverflow(t *testing.T) {
-	h := MustHistogram(0, 10, 1)
+	h := mustHistogram(0, 10, 1)
 	h.Add(100)
 	if got := h.QuantileUpper(0.5); !math.IsInf(got, 1) {
 		t.Errorf("QuantileUpper with all-overflow = %v, want +Inf", got)
@@ -144,7 +145,7 @@ func TestQuantileOverflow(t *testing.T) {
 }
 
 func TestRenderViews(t *testing.T) {
-	h := MustHistogram(0, 2, 1)
+	h := mustHistogram(0, 2, 1)
 	h.Add(0.5)
 	h.Add(1.5)
 	for _, view := range []string{"hist", "cdf", "ccdf"} {
@@ -170,16 +171,16 @@ func TestRenderViews(t *testing.T) {
 func TestHistogramMassProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := MustHistogram(-5, 5, 0.5)
+		h := mustHistogram(-5, 5, 0.5)
 		cnt := int(n)%200 + 1
 		for i := 0; i < cnt; i++ {
 			h.Add(rng.NormFloat64() * 4)
 		}
 		var sum uint64
 		for k := 0; k <= h.NumBins()+1; k++ {
-			sum += h.Count(k)
+			sum += h.counts[k]
 		}
-		if sum != h.Total() {
+		if sum != h.total {
 			return false
 		}
 		var fsum float64
@@ -217,15 +218,15 @@ func TestHistogramMassProperty(t *testing.T) {
 func TestQuantileBoundProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := MustHistogram(0, 1, 0.01)
-		var s Sample
+		h := mustHistogram(0, 1, 0.01)
+		var s sample
 		for i := 0; i < 100; i++ {
 			v := rng.Float64()
 			h.Add(v)
-			s.Add(v)
+			s.add(v)
 		}
 		for _, q := range []float64{0.1, 0.5, 0.8, 0.95} {
-			exact := s.Quantile(q)
+			exact := s.quantile(q)
 			binned := h.QuantileUpper(q)
 			if binned < exact-1e-12 || binned > exact+0.01+1e-12 {
 				return false
@@ -239,27 +240,27 @@ func TestQuantileBoundProperty(t *testing.T) {
 }
 
 func TestSampleQuantile(t *testing.T) {
-	var s Sample
-	if !math.IsNaN(s.Quantile(0.5)) || !math.IsNaN(s.Mean()) {
+	var s sample
+	if !math.IsNaN(s.quantile(0.5)) || !math.IsNaN(s.mean()) {
 		t.Error("empty sample should return NaN")
 	}
 	for _, v := range []float64{3, 1, 2, 5, 4} {
-		s.Add(v)
+		s.add(v)
 	}
-	s.Add(math.NaN())
-	if s.Len() != 5 {
-		t.Fatalf("Len = %d, want 5 (NaN ignored)", s.Len())
+	s.add(math.NaN())
+	if s.len() != 5 {
+		t.Fatalf("len = %d, want 5 (NaN ignored)", s.len())
 	}
-	if got := s.Quantile(0); got != 1 {
+	if got := s.quantile(0); got != 1 {
 		t.Errorf("Quantile(0) = %v", got)
 	}
-	if got := s.Quantile(1); got != 5 {
+	if got := s.quantile(1); got != 5 {
 		t.Errorf("Quantile(1) = %v", got)
 	}
-	if got := s.Quantile(0.5); got != 3 {
+	if got := s.quantile(0.5); got != 3 {
 		t.Errorf("Quantile(0.5) = %v", got)
 	}
-	if got := s.Mean(); got != 3 {
+	if got := s.mean(); got != 3 {
 		t.Errorf("Mean = %v", got)
 	}
 }
@@ -270,8 +271,8 @@ func TestSurface(t *testing.T) {
 	s.Set(800, 40000, 1.1)
 	s.Set(1000, 20000, 0.9)
 	s.Set(1000, 40000, 1.2)
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.points) != 4 {
+		t.Fatalf("len(points) = %d", len(s.points))
 	}
 	xs, ys := s.Axes()
 	if len(xs) != 2 || xs[0] != 800 || xs[1] != 1000 {
@@ -288,12 +289,6 @@ func TestSurface(t *testing.T) {
 	if x != 1000 || y != 40000 || z != 1.2 {
 		t.Errorf("MaxZ = (%v, %v, %v)", x, y, z)
 	}
-	if !s.MonotoneAlongY(1, 1e-9) {
-		t.Error("surface should be non-decreasing along Y")
-	}
-	if s.MonotoneAlongY(-1, 1e-9) {
-		t.Error("surface should not be non-increasing along Y")
-	}
 	out := s.Render()
 	if !strings.Contains(out, "threshold") || !strings.Contains(out, "0.9") {
 		t.Errorf("Render output missing data:\n%s", out)
@@ -307,9 +302,6 @@ func TestSurfaceEmpty(t *testing.T) {
 	}
 	if _, _, z := s.MaxZ(); !math.IsNaN(z) {
 		t.Error("empty MaxZ should be NaN")
-	}
-	if !s.MonotoneAlongY(1, 0) {
-		t.Error("empty surface is vacuously monotone")
 	}
 }
 
@@ -345,9 +337,71 @@ func TestSurfaceMissingPoint(t *testing.T) {
 }
 
 func BenchmarkHistogramAdd(b *testing.B) {
-	h := MustHistogram(0, 100, 0.1)
+	h := mustHistogram(0, 100, 0.1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Add(float64(i % 100))
 	}
+}
+
+// sample holds raw observations: the exact-quantile oracle that binned
+// quantiles are checked against.
+type sample struct {
+	xs     []float64
+	sorted bool
+}
+
+// add appends an observation, ignoring NaN.
+func (s *sample) add(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
+	s.xs = append(s.xs, v)
+	s.sorted = false
+}
+
+// len reports the number of observations.
+func (s *sample) len() int { return len(s.xs) }
+
+// quantile returns the q-th quantile (nearest-rank), NaN when empty.
+func (s *sample) quantile(q float64) float64 {
+	if len(s.xs) == 0 {
+		return math.NaN()
+	}
+	if !s.sorted {
+		sort.Float64s(s.xs)
+		s.sorted = true
+	}
+	if q <= 0 {
+		return s.xs[0]
+	}
+	if q >= 1 {
+		return s.xs[len(s.xs)-1]
+	}
+	idx := int(math.Ceil(q*float64(len(s.xs)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	return s.xs[idx]
+}
+
+// mean returns the arithmetic mean, NaN when empty.
+func (s *sample) mean() float64 {
+	if len(s.xs) == 0 {
+		return math.NaN()
+	}
+	var sum float64
+	for _, v := range s.xs {
+		sum += v
+	}
+	return sum / float64(len(s.xs))
+}
+
+// mustHistogram is NewHistogram for statically known-good periods.
+func mustHistogram(min, max, step float64) *Histogram {
+	h, err := NewHistogram(min, max, step)
+	if err != nil {
+		panic(err)
+	}
+	return h
 }

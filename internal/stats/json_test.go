@@ -7,7 +7,7 @@ import (
 )
 
 func TestHistogramJSONRoundTrip(t *testing.T) {
-	h := MustHistogram(0, 10, 0.5)
+	h := mustHistogram(0, 10, 0.5)
 	for _, v := range []float64{-3, 0.2, 0.2, 4.9, 7.3, 11, math.NaN()} {
 		h.Add(v)
 	}
@@ -19,18 +19,18 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if back.Total() != h.Total() || back.NaNs() != h.NaNs() {
-		t.Fatalf("totals: got %d/%d want %d/%d", back.Total(), back.NaNs(), h.Total(), h.NaNs())
+	if back.total != h.total || back.NaNs() != h.NaNs() {
+		t.Fatalf("totals: got %d/%d want %d/%d", back.total, back.NaNs(), h.total, h.NaNs())
 	}
 	if back.Mean() != h.Mean() || back.StdDev() != h.StdDev() {
 		t.Errorf("moments differ: %v/%v vs %v/%v", back.Mean(), back.StdDev(), h.Mean(), h.StdDev())
 	}
-	if back.ObservedMin() != h.ObservedMin() || back.ObservedMax() != h.ObservedMax() {
+	if back.lo != h.lo || back.hi != h.hi {
 		t.Errorf("observed range differs")
 	}
 	for k := 0; k < h.NumBins()+2; k++ {
-		if back.Count(k) != h.Count(k) {
-			t.Errorf("bin %d: got %d want %d", k, back.Count(k), h.Count(k))
+		if back.counts[k] != h.counts[k] {
+			t.Errorf("bin %d: got %d want %d", k, back.counts[k], h.counts[k])
 		}
 	}
 	// Marshaling the reconstruction reproduces the original bytes: the
@@ -45,7 +45,7 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 }
 
 func TestHistogramJSONEmpty(t *testing.T) {
-	h := MustHistogram(0, 1, 0.1)
+	h := mustHistogram(0, 1, 0.1)
 	b, err := json.Marshal(h)
 	if err != nil {
 		t.Fatalf("marshal empty: %v", err)
@@ -54,7 +54,7 @@ func TestHistogramJSONEmpty(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatalf("unmarshal empty: %v", err)
 	}
-	if back.Total() != 0 || !math.IsInf(back.ObservedMin(), 1) || !math.IsInf(back.ObservedMax(), -1) {
+	if back.total != 0 || !math.IsInf(back.lo, 1) || !math.IsInf(back.hi, -1) {
 		t.Errorf("empty histogram sentinels not restored: %v", back.String())
 	}
 }

@@ -33,9 +33,6 @@ func (s *Surface) Get(x, y float64) (float64, bool) {
 	return z, ok
 }
 
-// Len reports the number of set points.
-func (s *Surface) Len() int { return len(s.points) }
-
 // Axes returns the sorted distinct x and y coordinates.
 func (s *Surface) Axes() (xs, ys []float64) {
 	xset := map[float64]bool{}
@@ -100,31 +97,4 @@ func (s *Surface) Render() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// MonotoneAlongY reports whether, for every x scanline, z is non-decreasing
-// (dir > 0) or non-increasing (dir < 0) in y, within tolerance tol. It is
-// used by integration tests asserting e.g. "throughput grows with window
-// size". Unset grid points are skipped.
-func (s *Surface) MonotoneAlongY(dir int, tol float64) bool {
-	xs, ys := s.Axes()
-	for _, x := range xs {
-		prev := math.NaN()
-		for _, y := range ys {
-			z, ok := s.Get(x, y)
-			if !ok {
-				continue
-			}
-			if !math.IsNaN(prev) {
-				if dir > 0 && z < prev-tol {
-					return false
-				}
-				if dir < 0 && z > prev+tol {
-					return false
-				}
-			}
-			prev = z
-		}
-	}
-	return true
 }

@@ -136,11 +136,6 @@ type BinaryReader struct {
 	err     error
 }
 
-// NewBinaryReader wraps r.
-func NewBinaryReader(r io.Reader) *BinaryReader {
-	return &BinaryReader{br: bufio.NewReaderSize(r, 1<<16)}
-}
-
 // next consumes the next n bytes and returns them in place: the slice is
 // valid only until the following read. n must not exceed the buffer size,
 // which bounds every field (maxNameLen). Like io.ReadFull, a short read

@@ -18,7 +18,7 @@ func sampleTraceBytes(t testing.TB) []byte {
 		{Name: "m0_idle", Cycle: 200, Time: 3.0, Energy: 0.5, TotalPkt: 1, TotalBit: 512},
 		{Name: "forward", Cycle: 300, Time: 4.5, Energy: 0.75, TotalPkt: 2, TotalBit: 1024},
 	}
-	evs[1].SetExtra("idle_frac", 0.125)
+	setExtra(&evs[1], "idle_frac", 0.125)
 	for i := range evs {
 		if err := w.Emit(&evs[i]); err != nil {
 			t.Fatal(err)
@@ -55,7 +55,7 @@ func TestBinaryReaderReportsOffsets(t *testing.T) {
 	// Every proper prefix must either parse cleanly (record boundary) or
 	// fail with a truncation error that names an in-range byte offset.
 	for cut := 4; cut < len(data); cut++ {
-		r := NewBinaryReader(bytes.NewReader(data[:cut]))
+		r := newBinaryReader(bytes.NewReader(data[:cut]))
 		_, err := drain(t, r, len(data))
 		if err == nil {
 			continue
@@ -70,7 +70,7 @@ func TestBinaryReaderReportsOffsets(t *testing.T) {
 
 	// Full truncation of the final record must report an offset no larger
 	// than what was read.
-	r := NewBinaryReader(bytes.NewReader(data[:len(data)-1]))
+	r := newBinaryReader(bytes.NewReader(data[:len(data)-1]))
 	if _, err := drain(t, r, len(data)); err == nil {
 		t.Fatal("truncated trace parsed cleanly")
 	} else if !strings.Contains(err.Error(), "at byte offset") {
@@ -79,7 +79,7 @@ func TestBinaryReaderReportsOffsets(t *testing.T) {
 }
 
 func TestBinaryReaderBadMagicOffset(t *testing.T) {
-	r := NewBinaryReader(strings.NewReader("XXXXrest"))
+	r := newBinaryReader(strings.NewReader("XXXXrest"))
 	_, err := drain(t, r, 4)
 	if err == nil || !strings.Contains(err.Error(), "bad magic") ||
 		!strings.Contains(err.Error(), "at byte offset 4") {
@@ -90,7 +90,7 @@ func TestBinaryReaderBadMagicOffset(t *testing.T) {
 func TestBinaryReaderNameIDOffset(t *testing.T) {
 	// Magic plus a reference to name id 9 with an empty table: the error
 	// must point just past the offending varint (offset 5).
-	r := NewBinaryReader(bytes.NewReader([]byte("NPT1\x09")))
+	r := newBinaryReader(bytes.NewReader([]byte("NPT1\x09")))
 	_, err := drain(t, r, 4)
 	if err == nil || !strings.Contains(err.Error(), "name id 9 out of range") ||
 		!strings.Contains(err.Error(), "at byte offset 5") {
@@ -106,7 +106,7 @@ func TestBinaryReaderVarintOverflow(t *testing.T) {
 		data = append(data, 0xff)
 	}
 	data = append(data, 0x7f)
-	r := NewBinaryReader(bytes.NewReader(data))
+	r := newBinaryReader(bytes.NewReader(data))
 	_, err := drain(t, r, 4)
 	if err == nil || !strings.Contains(err.Error(), "overflows") {
 		t.Fatalf("overflow error = %v", err)
@@ -115,7 +115,7 @@ func TestBinaryReaderVarintOverflow(t *testing.T) {
 
 func TestBinaryReaderErrorSticky(t *testing.T) {
 	data := sampleTraceBytes(t)
-	r := NewBinaryReader(bytes.NewReader(data[:len(data)-1]))
+	r := newBinaryReader(bytes.NewReader(data[:len(data)-1]))
 	_, err1 := drain(t, r, len(data))
 	if err1 == nil {
 		t.Fatal("expected an error")
@@ -148,8 +148,8 @@ func FuzzBinaryReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Each parsed record consumes at least one byte, so the record
 		// count is bounded by the input length.
-		got, gotErr := drain(t, NewBinaryReader(bytes.NewReader(data)), len(data)+1)
-		want, wantErr := drain(t, NewBinaryReader(iotest.OneByteReader(bytes.NewReader(data))), len(data)+1)
+		got, gotErr := drain(t, newBinaryReader(bytes.NewReader(data)), len(data)+1)
+		want, wantErr := drain(t, newBinaryReader(iotest.OneByteReader(bytes.NewReader(data))), len(data)+1)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("errors differ: buffered read %v, byte-at-a-time read %v", gotErr, wantErr)
 		}

@@ -47,7 +47,7 @@ func TestNextAllocationFree(t *testing.T) {
 	text, npt1 := pipelineStream(t, 2000)
 	for name, src := range map[string]Source{
 		"text": NewTextReader(bytes.NewReader(text)),
-		"npt1": NewBinaryReader(bytes.NewReader(npt1)),
+		"npt1": newBinaryReader(bytes.NewReader(npt1)),
 	} {
 		next := func() {
 			ev, ok, err := src.Next()
@@ -77,7 +77,7 @@ func TestNextLendsExtra(t *testing.T) {
 	}
 	tw.Close()
 	bw.Close()
-	for name, src := range map[string]Source{"text": NewTextReader(&tb), "npt1": NewBinaryReader(&bb)} {
+	for name, src := range map[string]Source{"text": NewTextReader(&tb), "npt1": newBinaryReader(&bb)} {
 		for i := 0; i < 2; i++ {
 			if ev, _, err := src.Next(); err != nil || ev.Extra != nil {
 				t.Fatalf("%s: event %d = %+v, %v; want no extras", name, i, ev, err)
@@ -106,12 +106,12 @@ func TestNextLendsExtra(t *testing.T) {
 // every byte it was given before reporting the truncation.
 func TestBinaryTruncationSweep(t *testing.T) {
 	data := sampleTraceBytes(t)
-	all, err := drain(t, NewBinaryReader(bytes.NewReader(data)), 10)
+	all, err := drain(t, newBinaryReader(bytes.NewReader(data)), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k <= len(data); k++ {
-		got, err := drain(t, NewBinaryReader(bytes.NewReader(data[:k])), 10)
+		got, err := drain(t, newBinaryReader(bytes.NewReader(data[:k])), 10)
 		if err != nil {
 			if want := fmt.Sprintf("trace: truncated binary trace at byte offset %d", k); err.Error() != want {
 				t.Fatalf("cut at %d: error %q, want %q", k, err, want)
@@ -133,13 +133,13 @@ func TestBinaryKeyInternCap(t *testing.T) {
 	for k := range evs {
 		evs[k] = Event{Name: "fifo", Cycle: uint64(k)}
 		for j := 0; j < perEvent; j++ {
-			evs[k].SetExtra(fmt.Sprintf("k%d", k*perEvent+j), float64(k*perEvent+j))
+			setExtra(&evs[k], fmt.Sprintf("k%d", k*perEvent+j), float64(k*perEvent+j))
 		}
 	}
 	got := roundTrip(t, evs,
 		func(b *bytes.Buffer) Sink { return NewBinaryWriter(b) },
 		func(s Sink) error { return s.(*BinaryWriter).Close() },
-		func(b *bytes.Buffer) Source { return NewBinaryReader(b) })
+		func(b *bytes.Buffer) Source { return newBinaryReader(b) })
 	if !reflect.DeepEqual(got, evs) {
 		t.Fatal("events with more distinct keys than the intern cap did not round-trip")
 	}
@@ -174,7 +174,7 @@ func TestReadErrorEndsTrace(t *testing.T) {
 			} else if name == "text" {
 				src = NewTextReader(c.r)
 			} else {
-				src = NewBinaryReader(c.r)
+				src = newBinaryReader(c.r)
 			}
 			got, readErr := drain(t, src, len(data))
 			if !errors.Is(readErr, iotest.ErrTimeout) {
@@ -219,7 +219,7 @@ func benchNext(b *testing.B, binary bool) {
 	text, npt1 := pipelineStream(b, 10000)
 	open := func() Source {
 		if binary {
-			return NewBinaryReader(bytes.NewReader(npt1))
+			return newBinaryReader(bytes.NewReader(npt1))
 		}
 		return NewTextReader(bytes.NewReader(text))
 	}

@@ -56,9 +56,6 @@ func (t *TextWriter) Emit(ev *Event) error {
 	return err
 }
 
-// Flush pushes buffered output to the underlying writer.
-func (t *TextWriter) Flush() error { return t.bw.Flush() }
-
 // Close flushes and marks the writer unusable.
 func (t *TextWriter) Close() error {
 	t.closed = true

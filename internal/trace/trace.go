@@ -32,15 +32,6 @@ import (
 	"strconv"
 )
 
-// Standard annotation names (paper Figure 3).
-const (
-	AnnCycle    = "cycle"
-	AnnTime     = "time"
-	AnnEnergy   = "energy"
-	AnnTotalPkt = "total_pkt"
-	AnnTotalBit = "total_bit"
-)
-
 // Well-known event names. Microengine-scoped events are prefixed, e.g.
 // "m2_pipeline" is a pipeline event from ME2.
 const (
@@ -74,34 +65,6 @@ type Event struct {
 	TotalBit uint64
 	// Extra holds non-standard annotations; nil for most events.
 	Extra map[string]float64
-}
-
-// Annotation returns the named annotation value. Unknown names report ok =
-// false; LOC semantic analysis turns that into a user-facing error before
-// evaluation begins, so evaluators may treat !ok as a bug.
-func (e *Event) Annotation(name string) (v float64, ok bool) {
-	switch name {
-	case AnnCycle:
-		return float64(e.Cycle), true
-	case AnnTime:
-		return e.Time, true
-	case AnnEnergy:
-		return e.Energy, true
-	case AnnTotalPkt:
-		return float64(e.TotalPkt), true
-	case AnnTotalBit:
-		return float64(e.TotalBit), true
-	}
-	v, ok = e.Extra[name]
-	return v, ok
-}
-
-// SetExtra attaches a non-standard annotation.
-func (e *Event) SetExtra(name string, v float64) {
-	if e.Extra == nil {
-		e.Extra = make(map[string]float64, 2)
-	}
-	e.Extra[name] = v
 }
 
 // Clone returns a copy of e with its own Extra map, for code that keeps an

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -11,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"nepdvs/internal/loc/rt"
 )
 
 func sampleEvents() []Event {
@@ -19,8 +22,8 @@ func sampleEvents() []Event {
 		{Name: "forward", Cycle: 367, Time: 1.580, Energy: 0.784506, TotalPkt: 121, TotalBit: 61952},
 		{Name: "fifo", Cycle: 368, Time: 1.583, Energy: 0.794108, TotalPkt: 121, TotalBit: 61952},
 	}
-	evs[2].SetExtra("port", 3)
-	evs[2].SetExtra("idle_frac", 0.35)
+	setExtra(&evs[2], "port", 3)
+	setExtra(&evs[2], "idle_frac", 0.35)
 	return evs
 }
 
@@ -30,23 +33,25 @@ func TestAnnotationLookup(t *testing.T) {
 		name string
 		want float64
 	}{
-		{AnnCycle, 365},
-		{AnnTime, 1.573},
-		{AnnEnergy, 0.768133},
-		{AnnTotalPkt, 120},
-		{AnnTotalBit, 61440},
+		{"cycle", 365},
+		{"time", 1.573},
+		{"energy", 0.768133},
+		{"total_pkt", 120},
+		{"total_bit", 61440},
 	}
+	// The LOC runtime reads a trace event as an rt.Event.
+	rev := (*rt.Event)(&ev)
 	for _, c := range cases {
-		got, ok := ev.Annotation(c.name)
+		got, ok := rev.Annotation(c.name)
 		if !ok || got != c.want {
 			t.Errorf("Annotation(%q) = %v, %v; want %v, true", c.name, got, ok, c.want)
 		}
 	}
-	if _, ok := ev.Annotation("bogus"); ok {
+	if _, ok := rev.Annotation("bogus"); ok {
 		t.Error("unknown annotation should report !ok")
 	}
-	ev.SetExtra("x", 7)
-	if v, ok := ev.Annotation("x"); !ok || v != 7 {
+	setExtra(&ev, "x", 7)
+	if v, ok := rev.Annotation("x"); !ok || v != 7 {
 		t.Errorf("extra annotation = %v, %v", v, ok)
 	}
 }
@@ -112,7 +117,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	got := roundTrip(t, evs,
 		func(b *bytes.Buffer) Sink { return NewBinaryWriter(b) },
 		func(s Sink) error { return s.(*BinaryWriter).Close() },
-		func(b *bytes.Buffer) Source { return NewBinaryReader(b) })
+		func(b *bytes.Buffer) Source { return newBinaryReader(b) })
 	if !reflect.DeepEqual(got, evs) {
 		t.Fatalf("binary round trip:\n got %+v\nwant %+v", got, evs)
 	}
@@ -138,7 +143,7 @@ func TestRoundTripProperty(t *testing.T) {
 				TotalBit: uint64(rng.Intn(1e9)),
 			}
 			if rng.Intn(3) == 0 {
-				evs[i].SetExtra("k", math.Round(rng.Float64()*1e6)/1e3)
+				setExtra(&evs[i], "k", math.Round(rng.Float64()*1e6)/1e3)
 			}
 		}
 		return evs
@@ -152,7 +157,7 @@ func TestRoundTripProperty(t *testing.T) {
 		gotB := roundTrip(t, evs,
 			func(b *bytes.Buffer) Sink { return NewBinaryWriter(b) },
 			func(s Sink) error { return s.(*BinaryWriter).Close() },
-			func(b *bytes.Buffer) Source { return NewBinaryReader(b) })
+			func(b *bytes.Buffer) Source { return newBinaryReader(b) })
 		return reflect.DeepEqual(gotT, evs) && reflect.DeepEqual(gotB, evs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -206,7 +211,7 @@ func TestBinaryReaderTruncated(t *testing.T) {
 	w.Close()
 	full := buf.Bytes()
 	// Truncate mid-record: keep magic plus a few bytes.
-	r := NewBinaryReader(bytes.NewReader(full[:len(full)-5]))
+	r := newBinaryReader(bytes.NewReader(full[:len(full)-5]))
 	n := 0
 	for {
 		_, ok, err := r.Next()
@@ -227,14 +232,14 @@ func TestBinaryReaderTruncated(t *testing.T) {
 }
 
 func TestBinaryReaderBadMagic(t *testing.T) {
-	r := NewBinaryReader(strings.NewReader("JUNKJUNKJUNK"))
+	r := newBinaryReader(strings.NewReader("JUNKJUNKJUNK"))
 	if _, _, err := r.Next(); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("expected magic error, got %v", err)
 	}
 }
 
 func TestBinaryReaderEmpty(t *testing.T) {
-	r := NewBinaryReader(bytes.NewReader(nil))
+	r := newBinaryReader(bytes.NewReader(nil))
 	if _, ok, err := r.Next(); ok || err != nil {
 		t.Fatalf("empty input: ok=%v err=%v, want clean EOF", ok, err)
 	}
@@ -291,7 +296,7 @@ func TestEmitAfterClose(t *testing.T) {
 func TestCollectorDeepCopies(t *testing.T) {
 	var c Collector
 	ev := Event{Name: "x"}
-	ev.SetExtra("a", 1)
+	setExtra(&ev, "a", 1)
 	c.Emit(&ev)
 	ev.Extra["a"] = 99
 	ev.Name = "mutated"
@@ -350,7 +355,7 @@ func TestBinaryNameInterning(t *testing.T) {
 	if buf.Len() > 100*22+4+16 {
 		t.Errorf("binary encoding too large: %d bytes", buf.Len())
 	}
-	r := NewBinaryReader(&buf)
+	r := newBinaryReader(&buf)
 	n := 0
 	for {
 		got, ok, err := r.Next()
@@ -374,7 +379,7 @@ func TestBinaryNameInterning(t *testing.T) {
 // its one extra.
 func emitEvent() Event {
 	ev := sampleEvents()[0]
-	ev.SetExtra("instrs", 17)
+	setExtra(&ev, "instrs", 17)
 	return ev
 }
 
@@ -402,8 +407,8 @@ func BenchmarkBinaryEmit(b *testing.B) {
 // energy ~10⁴ µJ and non-integral extras, so %g takes its strconv path.
 func vfchangeEvent() Event {
 	ev := Event{Name: "m2_vfchange", Cycle: 18_000_000, Time: 30000.123, Energy: 10234.567891, TotalPkt: 412345, TotalBit: 211120640}
-	ev.SetExtra("mhz", 566.667)
-	ev.SetExtra("volts", 1.283)
+	setExtra(&ev, "mhz", 566.667)
+	setExtra(&ev, "volts", 1.283)
 	return ev
 }
 
@@ -470,7 +475,7 @@ func TestWritersKeySetChanges(t *testing.T) {
 	gotBin := roundTrip(t, evs,
 		func(b *bytes.Buffer) Sink { return NewBinaryWriter(b) },
 		func(s Sink) error { return s.(*BinaryWriter).Close() },
-		func(b *bytes.Buffer) Source { return NewBinaryReader(b) })
+		func(b *bytes.Buffer) Source { return newBinaryReader(b) })
 	for name, got := range map[string][]Event{"text": gotText, "binary": gotBin} {
 		if len(got) != len(evs) {
 			t.Fatalf("%s: read %d events, wrote %d", name, len(got), len(evs))
@@ -596,7 +601,7 @@ func TestTextLineMatchesOracle(t *testing.T) {
 		for nextra := 0; nextra <= 3; nextra++ {
 			ev := Event{Name: "m2_pipeline", Cycle: math.MaxUint64, Time: v, Energy: v, TotalPkt: 0, TotalBit: 61440}
 			for k := 0; k < nextra; k++ {
-				ev.SetExtra([]string{"volts", "idle_frac", "mhz"}[k], v*float64(k+1))
+				setExtra(&ev, []string{"volts", "idle_frac", "mhz"}[k], v*float64(k+1))
 			}
 			checkTextLine(t, &ev)
 		}
@@ -642,7 +647,7 @@ func randomEvent(rng *rand.Rand) Event {
 		TotalBit: rng.Uint64() >> uint(rng.Intn(64)),
 	}
 	for n := rng.Intn(4); n > 0; n-- {
-		ev.SetExtra(randName(), randomFloat(rng))
+		setExtra(&ev, randName(), randomFloat(rng))
 	}
 	return ev
 }
@@ -675,7 +680,7 @@ func TestBinaryRoundTripExact(t *testing.T) {
 	got := roundTrip(t, evs,
 		func(b *bytes.Buffer) Sink { return NewBinaryWriter(b) },
 		func(s Sink) error { return s.(*BinaryWriter).Close() },
-		func(b *bytes.Buffer) Source { return NewBinaryReader(b) })
+		func(b *bytes.Buffer) Source { return newBinaryReader(b) })
 	if len(got) != len(evs) {
 		t.Fatalf("read %d events, wrote %d", len(got), len(evs))
 	}
@@ -691,7 +696,7 @@ func TestBinaryRoundTripExact(t *testing.T) {
 func TestWritersRejectUnreadable(t *testing.T) {
 	manyExtras := Event{Name: "wide"}
 	for i := 0; i <= maxExtras; i++ {
-		manyExtras.SetExtra(fmt.Sprintf("k%d", i), 1)
+		setExtra(&manyExtras, fmt.Sprintf("k%d", i), 1)
 	}
 	binaryCases := map[string]Event{
 		"empty name":      {Name: ""},
@@ -729,7 +734,7 @@ func TestWritersRejectUnreadable(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := drain(t, NewBinaryReader(&buf), 100)
+		got, err := drain(t, newBinaryReader(&buf), 100)
 		if err != nil {
 			t.Fatalf("%s: reading back: %v", name, err)
 		}
@@ -741,13 +746,13 @@ func TestWritersRejectUnreadable(t *testing.T) {
 	// The limits themselves are legal and round-trip.
 	edge := Event{Name: strings.Repeat("n", maxNameLen)}
 	for i := 0; i < maxExtras-1; i++ {
-		edge.SetExtra(fmt.Sprintf("k%d", i), float64(i))
+		setExtra(&edge, fmt.Sprintf("k%d", i), float64(i))
 	}
-	edge.SetExtra(strings.Repeat("k", maxExtraKey), 2)
+	setExtra(&edge, strings.Repeat("k", maxExtraKey), 2)
 	got := roundTrip(t, []Event{edge},
 		func(b *bytes.Buffer) Sink { return NewBinaryWriter(b) },
 		func(s Sink) error { return s.(*BinaryWriter).Close() },
-		func(b *bytes.Buffer) Source { return NewBinaryReader(b) })
+		func(b *bytes.Buffer) Source { return newBinaryReader(b) })
 	if len(got) != 1 || !reflect.DeepEqual(got[0], edge) {
 		t.Fatal("event at the binary limits did not round-trip")
 	}
@@ -775,9 +780,22 @@ func FuzzTextLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, cycle uint64, tm, energy float64, pkt, bit uint64, name, key string, v float64) {
 		ev := Event{Name: name, Cycle: cycle, Time: tm, Energy: energy, TotalPkt: pkt, TotalBit: bit}
 		if key != "" {
-			ev.SetExtra(key, v)
-			ev.SetExtra(key+"_2", -v)
+			setExtra(&ev, key, v)
+			setExtra(&ev, key+"_2", -v)
 		}
 		checkTextLine(t, &ev)
 	})
+}
+
+// newBinaryReader reads an NPT1 stream without OpenSource's format sniffing.
+func newBinaryReader(r io.Reader) *BinaryReader {
+	return &BinaryReader{br: bufio.NewReaderSize(r, 1<<16)}
+}
+
+// setExtra attaches a non-standard annotation to ev.
+func setExtra(ev *Event, name string, v float64) {
+	if ev.Extra == nil {
+		ev.Extra = make(map[string]float64, 2)
+	}
+	ev.Extra[name] = v
 }

@@ -89,8 +89,10 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
-	if c.MeanMbps <= 0 {
-		return c, fmt.Errorf("traffic: non-positive mean rate %v Mbps", c.MeanMbps)
+	// NaN slips through every range check, and ±Inf makes no meaningful
+	// rate, factor or weight, so each test below is written to fail on NaN.
+	if !(c.MeanMbps > 0) || math.IsInf(c.MeanMbps, 1) {
+		return c, fmt.Errorf("traffic: mean rate must be positive and finite, got %v Mbps", c.MeanMbps)
 	}
 	if c.Ports <= 0 {
 		c.Ports = 16
@@ -98,10 +100,10 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BurstFactor == 0 {
 		c.BurstFactor = 1.8
 	}
-	if c.BurstFactor < 1 {
-		return c, fmt.Errorf("traffic: burst factor %v < 1", c.BurstFactor)
+	if !(c.BurstFactor >= 1) || math.IsInf(c.BurstFactor, 1) {
+		return c, fmt.Errorf("traffic: burst factor must be finite and at least 1, got %v", c.BurstFactor)
 	}
-	if c.BurstFraction <= 0 || c.BurstFraction >= 1 {
+	if !(c.BurstFraction > 0 && c.BurstFraction < 1) {
 		c.BurstFraction = 0.3
 	}
 	if c.BurstDwell <= 0 {
@@ -112,7 +114,7 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	var w float64
 	for _, s := range c.Sizes {
-		if s.Bytes <= 0 || s.Weight < 0 {
+		if s.Bytes <= 0 || !(s.Weight >= 0) || math.IsInf(s.Weight, 1) {
 			return c, fmt.Errorf("traffic: bad size bin %+v", s)
 		}
 		w += s.Weight
@@ -156,9 +158,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	g.scheduleState()
 	return g, nil
 }
-
-// Config returns the effective (defaulted) configuration.
-func (g *Generator) Config() Config { return g.cfg }
 
 func (g *Generator) scheduleState() {
 	// With the calm dwell set to burstDwell·(1−f)/f, drawing the two

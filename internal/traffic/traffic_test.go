@@ -18,6 +18,14 @@ func TestConfigValidation(t *testing.T) {
 		{MeanMbps: 100, BurstFactor: 0.5},
 		{MeanMbps: 100, Sizes: []SizeBin{{Bytes: -1, Weight: 1}}},
 		{MeanMbps: 100, Sizes: []SizeBin{{Bytes: 100, Weight: 0}}},
+		// Non-finite values pass a plain range test.
+		{MeanMbps: math.NaN()},
+		{MeanMbps: math.Inf(1)},
+		{MeanMbps: math.Inf(-1)},
+		{MeanMbps: 100, BurstFactor: math.NaN()},
+		{MeanMbps: 100, BurstFactor: math.Inf(1)},
+		{MeanMbps: 100, Sizes: []SizeBin{{Bytes: 100, Weight: math.NaN()}}},
+		{MeanMbps: 100, Sizes: []SizeBin{{Bytes: 100, Weight: math.Inf(1)}}},
 	}
 	for _, cfg := range bad {
 		if _, err := NewGenerator(cfg); err == nil {
@@ -31,7 +39,7 @@ func TestConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := g.Config()
+	cfg := g.cfg
 	if cfg.Ports != 16 || cfg.BurstFactor != 1.8 || len(cfg.Sizes) != 3 {
 		t.Errorf("defaults = %+v", cfg)
 	}

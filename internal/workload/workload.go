@@ -252,15 +252,6 @@ func Program(n Name, p Params) (*isa.Program, error) {
 	return prog, nil
 }
 
-// MustProgram is Program for the known-good built-in benchmarks.
-func MustProgram(n Name, p Params) *isa.Program {
-	prog, err := Program(n, p)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 // ipfwdrBody: full receive reassembly, SDRAM header read, SRAM trie walk,
 // SDRAM port info, header writeback, checksum arithmetic.
 func ipfwdrBody(p Params) string {

@@ -81,7 +81,7 @@ func countOps(p *isa.Program) map[isa.Op]int {
 // ipfwdr touches both; url and md4 loop over SDRAM; md4 also writes SRAM.
 func TestMemoryCharacterization(t *testing.T) {
 	p := DefaultParams()
-	nat := countOps(MustProgram(NAT, p))
+	nat := countOps(mustProgram(NAT, p))
 	if nat[isa.OpSramR] != 1 {
 		t.Errorf("nat SRAM reads = %d, want 1", nat[isa.OpSramR])
 	}
@@ -90,7 +90,7 @@ func TestMemoryCharacterization(t *testing.T) {
 		t.Errorf("nat SDRAM ops = %d reads, %d writes; want 0, 1", nat[isa.OpSdramR], nat[isa.OpSdramW])
 	}
 
-	ip := countOps(MustProgram(IPFwdr, p))
+	ip := countOps(mustProgram(IPFwdr, p))
 	if ip[isa.OpSramR] != int(p.IPFwdrTrieSteps) {
 		t.Errorf("ipfwdr SRAM reads = %d, want %d", ip[isa.OpSramR], p.IPFwdrTrieSteps)
 	}
@@ -99,7 +99,7 @@ func TestMemoryCharacterization(t *testing.T) {
 		t.Errorf("ipfwdr SDRAM ops = %d reads, %d writes; want 2, 2", ip[isa.OpSdramR], ip[isa.OpSdramW])
 	}
 
-	url := countOps(MustProgram(URL, p))
+	url := countOps(mustProgram(URL, p))
 	if url[isa.OpSdramR] != 1 || url[isa.OpSramR] != 1 {
 		t.Errorf("url per-chunk ops wrong: %v", url)
 	}
@@ -108,7 +108,7 @@ func TestMemoryCharacterization(t *testing.T) {
 		t.Errorf("url must read the packet size")
 	}
 
-	md4 := countOps(MustProgram(MD4, p))
+	md4 := countOps(mustProgram(MD4, p))
 	if md4[isa.OpSramW] != 1 || md4[isa.OpSramR] != 1 || md4[isa.OpSdramR] != 1 {
 		t.Errorf("md4 block ops wrong: %v", md4)
 	}
@@ -118,7 +118,7 @@ func TestMemoryCharacterization(t *testing.T) {
 // must contain the boolean mix (AND/OR/XOR), the 32-bit masking and the
 // register rotation, not just generic ALU filler.
 func TestMD4RoundStructure(t *testing.T) {
-	p := MustProgram(MD4, DefaultParams())
+	p := mustProgram(MD4, DefaultParams())
 	ops := countOps(p)
 	if ops[isa.OpXor] < 1 || ops[isa.OpAnd] < 3 || ops[isa.OpOr] < 2 {
 		t.Errorf("md4 lacks the F-function boolean mix: %v", ops)
@@ -194,11 +194,23 @@ func TestPrograms(t *testing.T) {
 }
 
 func TestDisassemblyReadable(t *testing.T) {
-	p := MustProgram(IPFwdr, DefaultParams())
-	dis := p.Disasm()
+	p := mustProgram(IPFwdr, DefaultParams())
+	var dis string
+	for _, in := range p.Code {
+		dis += in.String() + "\n"
+	}
 	for _, want := range []string{"rx.pop", "sdram.r", "sram.r", "tx.push"} {
 		if !strings.Contains(dis, want) {
 			t.Errorf("disassembly missing %s:\n%s", want, dis)
 		}
 	}
+}
+
+// mustProgram is Program for the known-good built-in benchmarks.
+func mustProgram(n Name, p Params) *isa.Program {
+	prog, err := Program(n, p)
+	if err != nil {
+		panic(err)
+	}
+	return prog
 }
